@@ -281,9 +281,11 @@ void BM_GemmAccF16WThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmAccF16WThreads)->Apply(ThreadSweep);
 
-void RunSgmvShrinkBench(benchmark::State& state, const ComputeContext& ctx) {
-  OpProblem p = MakeOpProblem(/*num_segments=*/8, /*rows_per_segment=*/8,
-                              /*h=*/1024, /*rank=*/16);
+void RunSgmvShrinkBench(benchmark::State& state, const ComputeContext& ctx,
+                        int num_segments = 8, int rows_per_segment = 8,
+                        int h = 1024) {
+  OpProblem p = MakeOpProblem(num_segments, rows_per_segment, h,
+                              /*rank=*/16);
   std::vector<const f16*> a_ptrs;
   for (const auto* ad : p.ptrs) a_ptrs.push_back(ad->a.raw());
   std::vector<float> v(static_cast<std::size_t>(p.seg.back()) * 16, 0.0f);
@@ -309,8 +311,10 @@ void BM_SgmvShrinkThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_SgmvShrinkThreads)->Apply(ThreadSweep);
 
-void RunSgmvExpandBench(benchmark::State& state, const ComputeContext& ctx) {
-  const int rows = 64, h = 1024, rank = 16;
+void RunSgmvExpandBench(benchmark::State& state, const ComputeContext& ctx,
+                        int num_segments = 1, int rows_per_segment = 64,
+                        int h = 1024) {
+  const int rows = num_segments * rows_per_segment, rank = 16;
   Pcg32 rng(12);
   Tensor<f16> w({rank, h});
   for (auto& v : w.data()) {
@@ -319,9 +323,15 @@ void RunSgmvExpandBench(benchmark::State& state, const ComputeContext& ctx) {
   auto x = RandomGaussianVector(static_cast<std::size_t>(rows) * rank, 1.0f,
                                 rng);
   std::vector<float> y(static_cast<std::size_t>(rows) * h, 0.0f);
-  const f16* ptr = w.raw();
-  std::vector<std::int32_t> seg = {0, rows};
-  SgmvArgs args{y, x, std::span<const f16* const>(&ptr, 1), seg, rank, h};
+  // Every segment gathers the same B by pointer: the schedule, not the
+  // weight bytes, is what the segment count varies.
+  std::vector<const f16*> ptrs(static_cast<std::size_t>(num_segments),
+                               w.raw());
+  std::vector<std::int32_t> seg = {0};
+  for (int s = 0; s < num_segments; ++s) {
+    seg.push_back(seg.back() + rows_per_segment);
+  }
+  SgmvArgs args{y, x, ptrs, seg, rank, h};
   for (auto _ : state) {
     SgmvExpand(args, ctx);
     benchmark::DoNotOptimize(y.data());
@@ -407,6 +417,16 @@ void BM_GemmAccF16WSimdDecodeShape(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmAccF16WSimdDecodeShape)->Apply(SimdSweep);
 
+// The prefill projection shape the serving benchmark's 256-row tp=2 steps
+// run (256 token rows, hidden 256 in, FFN 704 out).
+void BM_GemmAccF16WSimdPrefillShape(benchmark::State& state) {
+  std::optional<ScopedSimdLevel> level;
+  if (!ForceSimdArg(state, level)) return;
+  ComputeContext ctx({.num_threads = 1});
+  RunGemmAccF16WBench(state, ctx, 256, 256, 704);
+}
+BENCHMARK(BM_GemmAccF16WSimdPrefillShape)->Apply(SimdSweep);
+
 void BM_SgmvShrinkSimd(benchmark::State& state) {
   std::optional<ScopedSimdLevel> level;
   if (!ForceSimdArg(state, level)) return;
@@ -422,6 +442,45 @@ void BM_SgmvExpandSimd(benchmark::State& state) {
   RunSgmvExpandBench(state, ctx);
 }
 BENCHMARK(BM_SgmvExpandSimd)->Apply(SimdSweep);
+
+// SGMV at the model's hidden size (h=256, rank 16) in the two batch
+// layouts a serving step produces: one 256-row prefill segment, and a
+// decode tail of 16 one-row segments.
+void BM_SgmvShrinkSimdPrefillSegment(benchmark::State& state) {
+  std::optional<ScopedSimdLevel> level;
+  if (!ForceSimdArg(state, level)) return;
+  ComputeContext ctx({.num_threads = 1});
+  RunSgmvShrinkBench(state, ctx, /*num_segments=*/1,
+                     /*rows_per_segment=*/256, /*h=*/256);
+}
+BENCHMARK(BM_SgmvShrinkSimdPrefillSegment)->Apply(SimdSweep);
+
+void BM_SgmvShrinkSimdDecodeSegments(benchmark::State& state) {
+  std::optional<ScopedSimdLevel> level;
+  if (!ForceSimdArg(state, level)) return;
+  ComputeContext ctx({.num_threads = 1});
+  RunSgmvShrinkBench(state, ctx, /*num_segments=*/16,
+                     /*rows_per_segment=*/1, /*h=*/256);
+}
+BENCHMARK(BM_SgmvShrinkSimdDecodeSegments)->Apply(SimdSweep);
+
+void BM_SgmvExpandSimdPrefillSegment(benchmark::State& state) {
+  std::optional<ScopedSimdLevel> level;
+  if (!ForceSimdArg(state, level)) return;
+  ComputeContext ctx({.num_threads = 1});
+  RunSgmvExpandBench(state, ctx, /*num_segments=*/1,
+                     /*rows_per_segment=*/256, /*h=*/256);
+}
+BENCHMARK(BM_SgmvExpandSimdPrefillSegment)->Apply(SimdSweep);
+
+void BM_SgmvExpandSimdDecodeSegments(benchmark::State& state) {
+  std::optional<ScopedSimdLevel> level;
+  if (!ForceSimdArg(state, level)) return;
+  ComputeContext ctx({.num_threads = 1});
+  RunSgmvExpandBench(state, ctx, /*num_segments=*/16,
+                     /*rows_per_segment=*/1, /*h=*/256);
+}
+BENCHMARK(BM_SgmvExpandSimdDecodeSegments)->Apply(SimdSweep);
 
 void BM_BatchDecodeAttentionSimd(benchmark::State& state) {
   std::optional<ScopedSimdLevel> level;

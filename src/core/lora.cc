@@ -1,10 +1,12 @@
 #include "core/lora.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/small_buffer.h"
 
 namespace punica {
 
@@ -55,36 +57,35 @@ void BatchedLoraAddon(std::span<float> y, std::span<const float> x,
                            static_cast<std::size_t>(max_rank));
   std::fill(v.begin(), v.end(), 0.0f);
 
-  // Launch 1: v = x · A   (shrink). Mixed ranks are handled by padding the
-  // rank dimension of v to max_rank; each segment writes only its own rank
-  // columns (the GPU kernel uses per-segment rank the same way).
-  std::vector<const f16*> a_ptrs(adapters.size(), nullptr);
-  std::vector<const f16*> b_ptrs(adapters.size(), nullptr);
-  for (std::size_t i = 0; i < adapters.size(); ++i) {
-    if (adapters[i] != nullptr) {
-      a_ptrs[i] = adapters[i]->a.raw();
-      b_ptrs[i] = adapters[i]->b.raw();
-    }
-  }
-
   bool uniform_rank = true;
   for (const auto* a : adapters) {
     if (a != nullptr && a->rank != max_rank) uniform_rank = false;
   }
 
   if (uniform_rank) {
+    // Launch 1: v = x · A (shrink), launch 2: y += v · B (expand). The
+    // per-segment pointer gathers stay inline for typical batches.
+    SmallBuffer<const f16*, kInlineLoraSegments> a_ptrs(adapters.size());
+    SmallBuffer<const f16*, kInlineLoraSegments> b_ptrs(adapters.size());
+    for (std::size_t i = 0; i < adapters.size(); ++i) {
+      a_ptrs[i] = adapters[i] != nullptr ? adapters[i]->a.raw() : nullptr;
+      b_ptrs[i] = adapters[i] != nullptr ? adapters[i]->b.raw() : nullptr;
+    }
     // Workspace beyond the v rows backs the shrink's split-K partials
     // (LayerWorkspace sizes it for that); SgmvShrink allocates only when
     // the tail is too small.
-    SgmvArgs shrink{v, x, a_ptrs, seg, h_in, max_rank};
+    SgmvArgs shrink{v, x, {a_ptrs.data(), a_ptrs.size()}, seg, h_in,
+                    max_rank};
     SgmvShrink(shrink, ctx, workspace.subspan(v.size()));
-    SgmvArgs expand{y, v, b_ptrs, seg, max_rank, h_out};
+    SgmvArgs expand{y, v, {b_ptrs.data(), b_ptrs.size()}, seg, max_rank,
+                    h_out};
     SgmvExpand(expand, ctx);
     return;
   }
 
-  // Mixed ranks: run each segment as its own single-segment SGMV pair so the
-  // workspace stride stays max_rank but the math uses the true rank.
+  // Mixed ranks: run each segment as its own single-segment SGMV pair with
+  // its true rank, its intermediate in the front of v (re-zeroed per
+  // segment: the shrink accumulates into it).
   for (std::size_t i = 0; i + 1 < seg.size(); ++i) {
     const LoraAB* ad = adapters[i];
     if (ad == nullptr) continue;
@@ -92,9 +93,10 @@ void BatchedLoraAddon(std::span<float> y, std::span<const float> x,
     std::int32_t hi = seg[i + 1];
     int seg_rows = hi - lo;
     if (seg_rows <= 0) continue;
-    std::vector<std::int32_t> sub_seg = {0, seg_rows};
-    std::vector<float> sub_v(static_cast<std::size_t>(seg_rows) *
-                             static_cast<std::size_t>(ad->rank));
+    const std::array<std::int32_t, 2> sub_seg = {0, seg_rows};
+    auto sub_v = v.first(static_cast<std::size_t>(seg_rows) *
+                         static_cast<std::size_t>(ad->rank));
+    std::fill(sub_v.begin(), sub_v.end(), 0.0f);
     const f16* ap = ad->a.raw();
     const f16* bp = ad->b.raw();
     std::span<const f16* const> a_one(&ap, 1);

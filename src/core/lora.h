@@ -34,6 +34,11 @@ struct LoraAB {
   }
 };
 
+/// Segments the addon path (and its callers' per-projection adapter
+/// gathers) handle in inline storage; larger batches fall back to one heap
+/// buffer per call.
+inline constexpr std::size_t kInlineLoraSegments = 64;
+
 /// Applies the batched LoRA addon for one projection:
 ///   y[s[i]:s[i+1]] += x[s[i]:s[i+1]] · A_i · B_i
 /// `adapters[i]` may be nullptr for a backbone-only segment (skipped).

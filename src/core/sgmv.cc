@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <vector>
 
 #include "tensor/simd.h"
 #include "util/check.h"
@@ -36,6 +35,28 @@ const f16* WeightForRow(const SgmvArgs& a, std::int64_t row) {
   return a.weights[s];  // nullptr = backbone-only segment
 }
 
+// Row blocks: both schedules tile the batch rows in kRowBlock-aligned
+// groups, and a group splits further at every segment boundary inside it,
+// so a tile's rows always share one weight matrix. The group index is the
+// task index — no per-call list of blocks is built.
+constexpr int kRowBlock = kGemmTileRows;
+
+/// Calls fn(row_lo, row_hi, w) for each run of rows in row group `group`
+/// that lies inside one segment with a non-null weight.
+template <typename Fn>
+void ForEachRowBlock(const SgmvArgs& a, std::int64_t group, Fn&& fn) {
+  const std::int64_t hi =
+      std::min<std::int64_t>(a.seg.back(), (group + 1) * kRowBlock);
+  for (std::int64_t row = group * kRowBlock; row < hi;) {
+    // The first offset past `row` ends the segment covering it.
+    auto it = std::upper_bound(a.seg.begin(), a.seg.end(), row);
+    const std::int64_t end = std::min<std::int64_t>(hi, *it);
+    const f16* w = a.weights[static_cast<std::size_t>(it - a.seg.begin()) - 1];
+    if (w != nullptr) fn(row, end, w);
+    row = end;
+  }
+}
+
 }  // namespace
 
 int SplitKPartitions(int h_in) {
@@ -54,13 +75,14 @@ void SgmvShrink(const SgmvArgs& a, const ComputeContext& ctx,
   const int k_parts = SplitKPartitions(a.h_in);
   const int chunk = (a.h_in + k_parts - 1) / k_parts;
 
-  // Phase 1: each (row, partition) block computes a partial over its
-  // k-chunk on whichever worker claims it — the analogue of per-threadblock
-  // partial sums before the grid sync. The partial layout depends only on
-  // (row, partition), never on the worker. Left uninitialized here: each
-  // slice has exactly one phase-1 writer, which zeroes it first, and
-  // phase 2 never reads slices of null-weight rows. Backed by the caller's
-  // scratch when it is large enough (the hot-path case).
+  // Phase 1: each (row block, partition) task computes its rows' partials
+  // over the partition's k-chunk on whichever worker claims it — the
+  // analogue of per-threadblock partial sums before the grid sync. The
+  // partial layout depends only on (row, partition), never on the worker
+  // or the blocking. Left uninitialized here: each slice has exactly one
+  // phase-1 writer, which overwrites it, and phase 2 never reads slices of
+  // null-weight rows. Backed by the caller's scratch when it is large
+  // enough (the hot-path case).
   const std::size_t partials_size = static_cast<std::size_t>(rows) *
                                     static_cast<std::size_t>(k_parts) *
                                     static_cast<std::size_t>(a.h_out);
@@ -71,28 +93,34 @@ void SgmvShrink(const SgmvArgs& a, const ComputeContext& ctx,
     partials = owned.get();
   }
   const SimdOps& ops = Simd();
-  ctx.ParallelFor(rows * k_parts, 1, [&](std::int64_t lo, std::int64_t hi) {
+  const auto h_in = static_cast<std::size_t>(a.h_in);
+  const auto h_out = static_cast<std::size_t>(a.h_out);
+  const std::int64_t groups = (rows + kRowBlock - 1) / kRowBlock;
+  ctx.ParallelFor(groups * k_parts, 1, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t task = lo; task < hi; ++task) {
-      const auto row = static_cast<std::size_t>(task / k_parts);
       const int p = static_cast<int>(task % k_parts);
-      const f16* w = WeightForRow(a, static_cast<std::int64_t>(row));
-      if (w == nullptr) continue;
-      const float* xr = &a.x[row * static_cast<std::size_t>(a.h_in)];
-      float* part = &partials[(row * static_cast<std::size_t>(k_parts) +
-                               static_cast<std::size_t>(p)) *
-                              static_cast<std::size_t>(a.h_out)];
-      std::fill(part, part + a.h_out, 0.0f);
-      int k_lo = p * chunk;
-      int k_hi = std::min(a.h_in, k_lo + chunk);
-      // Fused decode + axpy across the h_out columns: each part element's
-      // reduction stays in ascending-kk order. x here is a dense hidden
-      // state, so no sparsity test in the inner loop.
-      for (int kk = k_lo; kk < k_hi; ++kk) {
-        ops.axpy_f16(xr[kk],
-                     &w[static_cast<std::size_t>(kk) *
-                        static_cast<std::size_t>(a.h_out)],
-                     part, static_cast<std::size_t>(a.h_out));
-      }
+      const int k_lo = p * chunk;
+      const int k_hi = std::min(a.h_in, k_lo + chunk);
+      // One register tile per row block: its rows' partials for this
+      // k-chunk, each started at 0 and reduced in ascending kk. x here is
+      // a dense hidden state, so no sparsity test in the inner loop.
+      ForEachRowBlock(a, task / k_parts, [&](std::int64_t r0, std::int64_t r1,
+                                             const f16* w) {
+        const auto row = static_cast<std::size_t>(r0);
+        ops.gemm_tile(
+            {.x = a.x.data() + row * h_in + static_cast<std::size_t>(k_lo),
+             .ldx = h_in,
+             .w = w + static_cast<std::size_t>(k_lo) * h_out,
+             .ldw = h_out,
+             .wkind = TileWeight::kF16,
+             .y = partials + (row * static_cast<std::size_t>(k_parts) +
+                              static_cast<std::size_t>(p)) *
+                                 h_out,
+             .ldy = static_cast<std::size_t>(k_parts) * h_out,
+             .rows = static_cast<int>(r1 - r0),
+             .k = static_cast<std::size_t>(k_hi - k_lo),
+             .n = h_out});
+      });
     }
   });
 
@@ -124,36 +152,44 @@ void SgmvExpand(const SgmvArgs& a, const ComputeContext& ctx) {
   const std::int64_t rows = a.seg.back();
   if (rows == 0) return;
   // Column-split schedule: tile the (large) output dimension; each
-  // (row, tile) block is computed independently, exactly like dispatching
-  // v·B^(tile) to separate thread blocks whose results concatenate. The
-  // k (rank) loop runs outermost over a task-local accumulator panel so the
-  // fused decode + axpy vectorizes across the tile's columns while each
-  // element keeps its ascending-kk reduction order; the final yr add is
-  // exact (a == 1.0f), matching the scalar acc-then-add structure bit for
-  // bit on the scalar path.
+  // (row block, column tile) is computed independently, exactly like
+  // dispatching v·B^(tile) to separate thread blocks whose results
+  // concatenate. The register tile accumulates the block's products into a
+  // task-local panel from 0 in ascending kk; the final yr add is one
+  // rounding per element (a == 1.0f makes the fused add exact), matching
+  // the scalar acc-then-add structure bit for bit on the scalar path.
   constexpr int kTile = 128;
   const SimdOps& ops = Simd();
+  const auto h_out = static_cast<std::size_t>(a.h_out);
+  const std::int64_t groups = (rows + kRowBlock - 1) / kRowBlock;
   const std::int64_t num_tiles = (a.h_out + kTile - 1) / kTile;
-  ctx.ParallelFor(rows * num_tiles, 1, [&](std::int64_t lo, std::int64_t hi) {
-    alignas(32) float panel[kTile];
+  ctx.ParallelFor(groups * num_tiles, 1, [&](std::int64_t lo,
+                                             std::int64_t hi) {
+    alignas(64) float panel[kRowBlock * kTile];
     for (std::int64_t task = lo; task < hi; ++task) {
-      const auto row = static_cast<std::size_t>(task / num_tiles);
-      const f16* w = WeightForRow(a, static_cast<std::int64_t>(row));
-      if (w == nullptr) continue;
-      const int j_lo = static_cast<int>(task % num_tiles) * kTile;
-      const int j_hi = std::min(a.h_out, j_lo + kTile);
-      const auto tile_w = static_cast<std::size_t>(j_hi - j_lo);
-      const float* xr = &a.x[row * static_cast<std::size_t>(a.h_in)];
-      float* yr = &a.y[row * static_cast<std::size_t>(a.h_out)];
-      std::fill(panel, panel + tile_w, 0.0f);
-      for (int kk = 0; kk < a.h_in; ++kk) {
-        ops.axpy_f16(xr[kk],
-                     &w[static_cast<std::size_t>(kk) *
-                            static_cast<std::size_t>(a.h_out) +
-                        static_cast<std::size_t>(j_lo)],
-                     panel, tile_w);
-      }
-      ops.axpy_f32(1.0f, panel, yr + j_lo, tile_w);
+      const auto j_lo = static_cast<std::size_t>(task % num_tiles) * kTile;
+      const std::size_t tile_w = std::min<std::size_t>(kTile, h_out - j_lo);
+      ForEachRowBlock(a, task / num_tiles, [&](std::int64_t r0,
+                                               std::int64_t r1,
+                                               const f16* w) {
+        const auto row = static_cast<std::size_t>(r0);
+        const int block_rows = static_cast<int>(r1 - r0);
+        ops.gemm_tile({.x = a.x.data() + row * static_cast<std::size_t>(a.h_in),
+                       .ldx = static_cast<std::size_t>(a.h_in),
+                       .w = w + j_lo,
+                       .ldw = h_out,
+                       .wkind = TileWeight::kF16,
+                       .y = panel,
+                       .ldy = kTile,
+                       .rows = block_rows,
+                       .k = static_cast<std::size_t>(a.h_in),
+                       .n = tile_w});
+        for (int r = 0; r < block_rows; ++r) {
+          ops.axpy_f32(1.0f, panel + r * kTile,
+                       &a.y[(row + static_cast<std::size_t>(r)) * h_out + j_lo],
+                       tile_w);
+        }
+      });
     }
   });
 }

@@ -14,6 +14,16 @@
 //  * SgmvExpand — h_in small (rank), h_out large. The GPU kernel splits the
 //    output-column dimension across thread blocks; each tile is independent.
 //
+// Row blocks: both schedules walk the batch in 8-row groups (the task
+// index), split further at every segment boundary inside a group, and run
+// each block through the SIMD layer's register-tiled micro-kernel
+// (SimdOps::gemm_tile) — a segment's weight rows are decoded once per
+// block instead of once per token, and the block's outputs stay in
+// registers across the reduction. A block never crosses a segment
+// boundary, null-weight segments are skipped, and no list of blocks is
+// allocated per call. Every element's reduction order is fixed by (row,
+// partition) alone, so the blocking never changes a bit.
+//
 // Accumulation is fp32 over fp16 weights, as on tensor cores.
 #pragma once
 
@@ -37,8 +47,9 @@ struct SgmvArgs {
 };
 
 /// Y += X @ W[seg] with the shrink (Split-K) schedule. Requires h_out to be
-/// the small dimension in spirit but works for any shape. The (row,
-/// partition) blocks map onto pool workers; per-partition fp32 partials
+/// the small dimension in spirit but works for any shape. The (row block,
+/// partition) tasks map onto pool workers; each row's partial for a
+/// partition starts at 0 and reduces in ascending k; per-partition partials
 /// reduce in fixed partition order, so results are bit-identical for any
 /// thread count. `scratch` (optional) backs the partials when it holds at
 /// least rows · SplitKPartitions(h_in) · h_out floats — pass a reused
@@ -48,8 +59,9 @@ void SgmvShrink(const SgmvArgs& args,
                 const ComputeContext& ctx = ComputeContext::Default(),
                 std::span<float> scratch = {});
 
-/// Y += X @ W[seg] with the expand (column-split) schedule. The (row,
-/// column-tile) blocks are independent and map onto pool workers.
+/// Y += X @ W[seg] with the expand (column-split) schedule. The (row block,
+/// column-tile) tasks are independent and map onto pool workers; each
+/// element accumulates from 0 in ascending k, then adds into Y once.
 void SgmvExpand(const SgmvArgs& args,
                 const ComputeContext& ctx = ComputeContext::Default());
 

@@ -8,6 +8,7 @@
 #include "tensor/gemm.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/small_buffer.h"
 
 namespace punica {
 namespace {
@@ -153,9 +154,10 @@ void ProjectWithLora(const LlamaConfig& config, const LayerWeights& weights,
   GemmSetW(in, weights.proj[static_cast<int>(proj)], out, tokens, shape.h_in,
            shape.h_out, ctx);
 
-  std::vector<const LoraAB*> adapters(seg_lora.size(), nullptr);
+  SmallBuffer<const LoraAB*, kInlineLoraSegments> adapters(seg_lora.size());
   bool any = false;
   for (std::size_t i = 0; i < seg_lora.size(); ++i) {
+    adapters[i] = nullptr;
     if (seg_lora[i] != nullptr) {
       adapters[i] =
           &seg_lora[i]->layers[static_cast<std::size_t>(layer)]
@@ -164,18 +166,31 @@ void ProjectWithLora(const LlamaConfig& config, const LayerWeights& weights,
     }
   }
   if (any) {
-    BatchedLoraAddon(out, in, adapters, batch.segments.offsets, shape.h_in,
-                     shape.h_out, lora_tmp, ctx);
+    BatchedLoraAddon(out, in, {adapters.data(), adapters.size()},
+                     batch.segments.offsets, shape.h_in, shape.h_out,
+                     lora_tmp, ctx);
   }
 }
 
 }  // namespace
 
+void SiluMulInPlace(std::span<float> gate, std::span<const float> up,
+                    const ComputeContext& ctx) {
+  PUNICA_CHECK(up.size() >= gate.size());
+  ctx.ParallelFor(static_cast<std::int64_t>(gate.size()), kElemGrain,
+                  [&](std::int64_t lo, std::int64_t hi) {
+    const auto b = static_cast<std::size_t>(lo);
+    const auto e = static_cast<std::size_t>(hi);
+    SiluInPlace(gate.subspan(b, e - b));
+    for (std::size_t i = b; i < e; ++i) gate[i] *= up[i];
+  });
+}
+
 void LayerForward(const LlamaConfig& config, const LayerWeights& weights,
                   std::span<const LoraModelWeights* const> seg_lora,
                   const ModelBatch& batch, int layer, PagedKvCache& kv,
                   std::span<float> x, LayerWorkspace& ws,
-                  const ComputeContext& ctx) {
+                  const ComputeContext& ctx, const RopeTable* rope) {
   const int tokens = batch.total_tokens();
   const auto h = static_cast<std::size_t>(config.hidden_size);
   const auto kvd = static_cast<std::size_t>(config.kv_dim());
@@ -206,16 +221,19 @@ void LayerForward(const LlamaConfig& config, const LayerWeights& weights,
   // RoPE on Q (all query heads) and K (KV heads), then write K/V into the
   // paged cache at each row's absolute position (distinct positions, so
   // rows write disjoint cache entries).
+  RopeTable local_rope;
+  if (rope == nullptr) {
+    local_rope.Build(batch.row_pos, config.head_dim(), config.rope_theta, ctx);
+    rope = &local_rope;
+  }
   ctx.ParallelFor(tokens, 1, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t t = lo; t < hi; ++t) {
-      std::int64_t pos = batch.row_pos[static_cast<std::size_t>(t)];
-      ApplyRope(std::span<float>(ws.q).subspan(
-                    static_cast<std::size_t>(t) * h, h),
-                config.num_heads, config.head_dim(), pos, config.rope_theta);
-      ApplyRope(std::span<float>(ws.k).subspan(
-                    static_cast<std::size_t>(t) * kvd, kvd),
-                config.num_kv_heads, config.head_dim(), pos,
-                config.rope_theta);
+      const auto row = static_cast<std::size_t>(t);
+      std::int64_t pos = batch.row_pos[row];
+      rope->Apply(row, std::span<float>(ws.q).subspan(row * h, h),
+                  config.num_heads);
+      rope->Apply(row, std::span<float>(ws.k).subspan(row * kvd, kvd),
+                  config.num_kv_heads);
       SeqId seq = batch.row_seq[static_cast<std::size_t>(t)];
       FloatToHalfN(std::span<const float>(ws.k).subspan(
                        static_cast<std::size_t>(t) * kvd, kvd),
@@ -272,16 +290,7 @@ void LayerForward(const LlamaConfig& config, const LayerWeights& weights,
                   ws.normed, ws.gate, ws.lora_tmp, ctx);
   ProjectWithLora(config, weights, seg_lora, batch, layer, Proj::kUp,
                   ws.normed, ws.up, ws.lora_tmp, ctx);
-  ctx.ParallelFor(static_cast<std::int64_t>(ws.gate.size()), kElemGrain,
-                  [&](std::int64_t lo, std::int64_t hi) {
-    auto slice = std::span<float>(ws.gate).subspan(
-        static_cast<std::size_t>(lo), static_cast<std::size_t>(hi - lo));
-    SiluInPlace(slice);
-    for (std::int64_t i = lo; i < hi; ++i) {
-      ws.gate[static_cast<std::size_t>(i)] *=
-          ws.up[static_cast<std::size_t>(i)];
-    }
-  });
+  SiluMulInPlace(ws.gate, ws.up, ctx);
   ProjectWithLora(config, weights, seg_lora, batch, layer, Proj::kDown,
                   ws.gate, ws.attn_out, ws.lora_tmp, ctx);
   ctx.ParallelFor(static_cast<std::int64_t>(x.size()), kElemGrain,

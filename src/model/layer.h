@@ -15,6 +15,7 @@
 #include "core/segment.h"
 #include "kvcache/kvcache.h"
 #include "model/config.h"
+#include "model/rope.h"
 #include "tensor/tensor.h"
 #include "util/compute_context.h"
 
@@ -107,11 +108,20 @@ class LayerWorkspace {
 /// `seg_lora[i]` is the LoRA model for segment i (nullptr = backbone only);
 /// adapters for this layer are taken from seg_lora[i]->layers[layer].
 /// K/V for every row is written into the cache at row_pos (the cache must
-/// already be extended to cover those positions).
+/// already be extended to cover those positions). `rope` is the step's
+/// table over batch.row_pos (LlamaModel::Forward builds one per step);
+/// nullptr builds a local one for this call.
 void LayerForward(const LlamaConfig& config, const LayerWeights& weights,
                   std::span<const LoraModelWeights* const> seg_lora,
                   const ModelBatch& batch, int layer, PagedKvCache& kv,
                   std::span<float> x, LayerWorkspace& ws,
-                  const ComputeContext& ctx = ComputeContext::Default());
+                  const ComputeContext& ctx = ComputeContext::Default(),
+                  const RopeTable* rope = nullptr);
+
+/// The SwiGLU combine gate[i] = silu(gate[i]) · up[i], split over ctx's
+/// workers. Elementwise with one writer per element, so bit-identical at
+/// any worker count.
+void SiluMulInPlace(std::span<float> gate, std::span<const float> up,
+                    const ComputeContext& ctx);
 
 }  // namespace punica

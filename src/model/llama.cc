@@ -130,11 +130,13 @@ Tensor<float> LlamaModel::Forward(const ModelBatch& batch,
     }
   });
 
+  // One RoPE table per step: every layer and TP rank rotates from it.
+  rope_.Build(batch.row_pos, config_.head_dim(), config_.rope_theta, *ctx_);
   if (tp_ == 1) {
     ws_.Resize(config_, tokens, max_rank);
     for (int l = 0; l < config_.num_layers; ++l) {
       LayerForward(config_, layers_[static_cast<std::size_t>(l)], seg_lora,
-                   batch, l, kv, x, ws_, *ctx_);
+                   batch, l, kv, x, ws_, *ctx_, &rope_);
     }
   } else {
     // Gather each segment's per-rank adapter shards (built at AddLora).
@@ -150,29 +152,44 @@ Tensor<float> LlamaModel::Forward(const ModelBatch& batch,
       TpLayerForward(config_, tp_layers_[static_cast<std::size_t>(l)], batch,
                      l, kv, x, tp_ws_, *ctx_,
                      std::span<const ComputeContext* const>(rank_ctx_ptrs_),
-                     seg_shards);
+                     seg_shards, &rope_);
     }
   }
 
-  // Final norm + LM head on each entry's last token row. The entry loop is
-  // serial; the vocab-wide Gemv parallelizes over column tiles inside.
-  // Non-emitting entries (a chunked prefill's non-final chunks) skip the
-  // whole head — their last row is mid-prompt — and keep a zeroed logits
-  // row, so the vocab-wide Gemv is only ever paid for rows that sample.
-  auto num_entries = batch.entries.size();
+  // Final norm + LM head on the emitting entries' last token rows, as one
+  // [emitting, hidden] × [hidden, vocab] GEMM: the head streams once per
+  // step instead of once per entry, and each logit keeps the reduction it
+  // has as a single-row product (the GEMM's per-element sequence does not
+  // depend on which rows share a block). Non-emitting entries (a chunked
+  // prefill's non-final chunks) skip the head — their last row is
+  // mid-prompt — and keep a zeroed logits row.
+  const auto num_entries = batch.entries.size();
+  const auto vocab = static_cast<std::size_t>(config_.vocab_size);
   Tensor<float> logits(
       {static_cast<std::int64_t>(num_entries), config_.vocab_size});
-  std::vector<float> normed(h);
+  if (head_in_.size() < num_entries * h) head_in_.resize(num_entries * h);
+  std::size_t emitting = 0;
   std::size_t row = 0;
+  for (const BatchEntry& e : batch.entries) {
+    row += static_cast<std::size_t>(e.num_tokens);
+    if (!e.emit_logits) continue;
+    RmsNormRow(std::span<const float>(x).subspan((row - 1) * h, h),
+               final_norm_.data(),
+               std::span<float>(head_in_).subspan(emitting * h, h),
+               config_.rms_eps);
+    ++emitting;
+  }
+  if (emitting == 0) return logits;
+  if (head_out_.size() < emitting * vocab) head_out_.resize(emitting * vocab);
+  GemmSetW(std::span<const float>(head_in_).first(emitting * h), lm_head_,
+           std::span<float>(head_out_).first(emitting * vocab),
+           static_cast<int>(emitting), config_.hidden_size, config_.vocab_size,
+           *ctx_);
+  std::size_t i = 0;
   for (std::size_t e = 0; e < num_entries; ++e) {
-    row += static_cast<std::size_t>(batch.entries[e].num_tokens);
     if (!batch.entries[e].emit_logits) continue;
-    std::size_t last = row - 1;
-    RmsNormRow(std::span<const float>(x).subspan(last * h, h),
-               final_norm_.data(), normed, config_.rms_eps);
-    auto out = logits.row(static_cast<std::int64_t>(e));
-    GemmSetW(normed, lm_head_, out, 1, config_.hidden_size,
-             config_.vocab_size, *ctx_);
+    std::copy_n(head_out_.begin() + static_cast<std::ptrdiff_t>(i++ * vocab),
+                vocab, logits.row(static_cast<std::int64_t>(e)).begin());
   }
   return logits;
 }

@@ -103,6 +103,9 @@ class LlamaModel {
   std::unordered_map<LoraId, std::unique_ptr<TpShardedLora>> tp_loras_;
   LayerWorkspace ws_;
   TpWorkspace tp_ws_;
+  RopeTable rope_;  ///< the current step's RoPE table (every layer reads it)
+  std::vector<float> head_in_;   ///< [emitting entries, hidden] — LM head in
+  std::vector<float> head_out_;  ///< [emitting entries, vocab] — LM head out
   /// Worker-group views from ctx_->Split(tp) (empty = serial rank loop).
   std::vector<std::unique_ptr<ComputeContext>> rank_ctxs_;
   std::vector<const ComputeContext*> rank_ctx_ptrs_;

@@ -6,6 +6,7 @@
 #include "model/rope.h"
 #include "tensor/gemm.h"
 #include "util/check.h"
+#include "util/small_buffer.h"
 
 namespace punica {
 namespace {
@@ -219,7 +220,8 @@ void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,
                     std::span<float> x, TpWorkspace& ws,
                     const ComputeContext& ctx,
                     std::span<const ComputeContext* const> rank_ctxs,
-                    std::span<const TpShardedLora* const> seg_lora) {
+                    std::span<const TpShardedLora* const> seg_lora,
+                    const RopeTable* rope) {
   const int tp = layer.tp;
   const int tokens = batch.total_tokens();
   const auto h = static_cast<std::size_t>(config.hidden_size);
@@ -263,9 +265,10 @@ void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,
                               std::span<float> out, int h_in, int h_out,
                               const ComputeContext& rctx) {
     if (!any_lora) return;
-    std::vector<const LoraAB*> adapters(seg_lora.size(), nullptr);
+    SmallBuffer<const LoraAB*, kInlineLoraSegments> adapters(seg_lora.size());
     bool any = false;
     for (std::size_t i = 0; i < seg_lora.size(); ++i) {
+      adapters[i] = nullptr;
       if (seg_lora[i] != nullptr) {
         adapters[i] = &seg_lora[i]
                            ->ranks[static_cast<std::size_t>(r)]
@@ -275,7 +278,8 @@ void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,
       }
     }
     if (any) {
-      BatchedLoraAddon(out, in, adapters, batch.segments.offsets, h_in, h_out,
+      BatchedLoraAddon(out, in, {adapters.data(), adapters.size()},
+                       batch.segments.offsets, h_in, h_out,
                        ws.lora_tmp[static_cast<std::size_t>(r)], rctx);
     }
   };
@@ -285,6 +289,11 @@ void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,
       static_cast<std::size_t>(tokens) * static_cast<std::size_t>(f_pr);
   const std::size_t h_stride = static_cast<std::size_t>(tokens) * h;
   const std::span<float> normed(ws.normed.data(), h_stride);
+  RopeTable local_rope;
+  if (rope == nullptr) {
+    local_rope.Build(batch.row_pos, d, config.rope_theta, ctx);
+    rope = &local_rope;
+  }
 
   // Runs rank_fn(r, rank_ctx) for every rank: concurrently on disjoint
   // worker groups, or as a plain serial loop on the root context. Both
@@ -360,11 +369,10 @@ void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,
     // (disjoint across ranks, so concurrent ranks never share a writer).
     rctx.ParallelFor(tokens, 1, [&](std::int64_t lo, std::int64_t hi) {
       for (std::int64_t t = lo; t < hi; ++t) {
-        std::int64_t pos = batch.row_pos[static_cast<std::size_t>(t)];
-        ApplyRope(q.subspan(static_cast<std::size_t>(t) * q_w, q_w),
-                  heads_pr, d, pos, config.rope_theta);
-        ApplyRope(k.subspan(static_cast<std::size_t>(t) * kv_w, kv_w),
-                  kv_heads_pr, d, pos, config.rope_theta);
+        const auto row = static_cast<std::size_t>(t);
+        std::int64_t pos = batch.row_pos[row];
+        rope->Apply(row, q.subspan(row * q_w, q_w), heads_pr);
+        rope->Apply(row, k.subspan(row * kv_w, kv_w), kv_heads_pr);
         SeqId seq = batch.row_seq[static_cast<std::size_t>(t)];
         auto k_entry = kv.Entry(seq, layer_idx, pos, KvSlot::kKey);
         auto v_entry = kv.Entry(seq, layer_idx, pos, KvSlot::kValue);
@@ -434,8 +442,7 @@ void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,
     // Column-parallel LoRA on the FFN seams, before the SwiGLU nonlinearity.
     lora_addon(r, Proj::kGate, normed, gate, config.hidden_size, f_pr, rctx);
     lora_addon(r, Proj::kUp, normed, up, config.hidden_size, f_pr, rctx);
-    SiluInPlace(gate);
-    for (std::size_t i = 0; i < gate.size(); ++i) gate[i] *= up[i];
+    SiluMulInPlace(gate, up, rctx);
     // Row-parallel Down projection: this rank's partial [tokens, h]; the
     // LoRA delta folds through the second all-reduce like O above.
     GemmSetW(gate, shard.proj[static_cast<int>(Proj::kDown)], partial,

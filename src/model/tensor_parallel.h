@@ -123,12 +123,15 @@ struct TpWorkspace {
 /// rank r's kernels confined to worker group r. Both modes compute the
 /// identical fp32 expression per element, so their outputs — and hence
 /// decoded streams — are bit-identical, with or without LoRA segments.
+/// `rope` is the step's RoPE table over batch.row_pos, read by every rank
+/// (nullptr builds a local one for this call).
 void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,
                     const ModelBatch& batch, int layer_idx, PagedKvCache& kv,
                     std::span<float> x, TpWorkspace& ws,
                     const ComputeContext& ctx,
                     std::span<const ComputeContext* const> rank_ctxs = {},
-                    std::span<const TpShardedLora* const> seg_lora = {});
+                    std::span<const TpShardedLora* const> seg_lora = {},
+                    const RopeTable* rope = nullptr);
 
 /// Convenience overload for tests: serial rank loop, local workspace.
 void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <type_traits>
 
 #include "tensor/simd.h"
 #include "util/check.h"
@@ -10,12 +9,11 @@
 namespace punica {
 namespace {
 
-// Blocking parameters. A task is one (row block, column tile) pair; the k
-// loop runs complete and in order inside the task, so the tile sizes affect
-// only locality, never numerics. kRowBlock y-row stripes (kRowBlock ×
-// kColTile × 4 B) stay L1-resident while each W k-row stripe is streamed
-// once per row block.
-constexpr int kRowBlock = 8;
+// Blocking parameters. A task is one (row block, column tile) pair handed
+// whole to the SIMD layer's register-tiled micro-kernel (SimdOps::gemm_tile),
+// which runs the complete k loop in order for every element, so the tile
+// sizes affect only locality and scheduling, never numerics.
+constexpr int kRowBlock = kGemmTileRows;
 constexpr int kColTile = 128;
 
 // Column tiles must start on quant-block boundaries so the quantized
@@ -26,16 +24,17 @@ inline std::int64_t CeilDiv(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
 
-// Per-element-type glue for the blocked kernel: how a W k-stripe of
-// `width` elements starting at column j_lo of row p is addressed, decoded
-// into a task-local panel, and fused into a single-row axpy. The quantized
-// stripes are addressed in blocks (j_lo is always a multiple of kColTile,
-// hence block-aligned).
+// Per-element-type glue: the tile kind, how the W k-stripe of row p
+// starting at column j_lo is addressed, the W row stride in the units the
+// tile expects, and the fused single-row axpy the Gemv kernels use. The
+// quantized stripes are addressed in blocks (j_lo is always a multiple of
+// kColTile, hence block-aligned).
 template <typename WElem>
 struct WStripe;
 
 template <>
 struct WStripe<float> {
+  static constexpr TileWeight kKind = TileWeight::kF32;
   static const float* Ptr(const float* w, std::int64_t /*stride*/,
                           std::int64_t p, int j_lo, std::int64_t n) {
     return w + p * n + j_lo;
@@ -43,13 +42,12 @@ struct WStripe<float> {
   static std::size_t Count(int k, int n) {
     return static_cast<std::size_t>(k) * n;
   }
-  static std::size_t RowBytes(std::size_t width) {
-    return width * sizeof(float);
-  }
+  static std::size_t RowStride(int n) { return static_cast<std::size_t>(n); }
 };
 
 template <>
 struct WStripe<f16> {
+  static constexpr TileWeight kKind = TileWeight::kF16;
   static const f16* Ptr(const f16* w, std::int64_t /*stride*/, std::int64_t p,
                         int j_lo, std::int64_t n) {
     return w + p * n + j_lo;
@@ -57,11 +55,7 @@ struct WStripe<f16> {
   static std::size_t Count(int k, int n) {
     return static_cast<std::size_t>(k) * n;
   }
-  static std::size_t RowBytes(std::size_t width) { return width * sizeof(f16); }
-  static void Decode(const SimdOps& ops, const f16* wp, float* panel,
-                     std::size_t width) {
-    ops.half_to_float_n(wp, panel, width);
-  }
+  static std::size_t RowStride(int n) { return static_cast<std::size_t>(n); }
   static void Axpy(const SimdOps& ops, float a, const f16* wp, float* y,
                    std::size_t width) {
     ops.axpy_f16(a, wp, y, width);
@@ -70,6 +64,7 @@ struct WStripe<f16> {
 
 template <>
 struct WStripe<BlockQ8_0> {
+  static constexpr TileWeight kKind = TileWeight::kQ8_0;
   static const BlockQ8_0* Ptr(const BlockQ8_0* w, std::int64_t bpr,
                               std::int64_t p, int j_lo, std::int64_t /*n*/) {
     return w + p * bpr + j_lo / kQuantBlock;
@@ -77,14 +72,8 @@ struct WStripe<BlockQ8_0> {
   static std::size_t Count(int k, int n) {
     return static_cast<std::size_t>(k) * QuantBlocksPerRow(n);
   }
-  static std::size_t RowBytes(std::size_t width) {
-    return static_cast<std::size_t>(
-               CeilDiv(static_cast<std::int64_t>(width), kQuantBlock)) *
-           sizeof(BlockQ8_0);
-  }
-  static void Decode(const SimdOps& ops, const BlockQ8_0* wp, float* panel,
-                     std::size_t width) {
-    ops.dequant_q8(wp, panel, width);
+  static std::size_t RowStride(int n) {
+    return static_cast<std::size_t>(QuantBlocksPerRow(n));
   }
   static void Axpy(const SimdOps& ops, float a, const BlockQ8_0* wp, float* y,
                    std::size_t width) {
@@ -94,6 +83,7 @@ struct WStripe<BlockQ8_0> {
 
 template <>
 struct WStripe<BlockQ4_0> {
+  static constexpr TileWeight kKind = TileWeight::kQ4_0;
   static const BlockQ4_0* Ptr(const BlockQ4_0* w, std::int64_t bpr,
                               std::int64_t p, int j_lo, std::int64_t /*n*/) {
     return w + p * bpr + j_lo / kQuantBlock;
@@ -101,14 +91,8 @@ struct WStripe<BlockQ4_0> {
   static std::size_t Count(int k, int n) {
     return static_cast<std::size_t>(k) * QuantBlocksPerRow(n);
   }
-  static std::size_t RowBytes(std::size_t width) {
-    return static_cast<std::size_t>(
-               CeilDiv(static_cast<std::int64_t>(width), kQuantBlock)) *
-           sizeof(BlockQ4_0);
-  }
-  static void Decode(const SimdOps& ops, const BlockQ4_0* wp, float* panel,
-                     std::size_t width) {
-    ops.dequant_q4(wp, panel, width);
+  static std::size_t RowStride(int n) {
+    return static_cast<std::size_t>(QuantBlocksPerRow(n));
   }
   static void Axpy(const SimdOps& ops, float a, const BlockQ4_0* wp, float* y,
                    std::size_t width) {
@@ -116,33 +100,16 @@ struct WStripe<BlockQ4_0> {
   }
 };
 
-// Software-prefetch the W stripe a few k-rows ahead of the one being
-// processed. A column tile narrower than the matrix turns W traffic into
-// short bursts separated by an n-element jump; once the decode/FMA work
-// between loads fills the out-of-order window, the hardware streamer stops
-// running ahead across those jumps and the k loop goes demand-miss-bound
-// (~1 GB/s observed at the m=8/k=4096/n=4096 shape when W rotates past the
-// LLC, vs ~7 GB/s for the same stride pattern with overlapped misses).
-// Pure hint: never touches numerics.
-constexpr int kPrefetchRowsAhead = 16;
-
-template <typename Stripe, typename WElem>
-inline void PrefetchStripe(const WElem* wp, std::size_t width) {
-  const char* p = reinterpret_cast<const char*>(wp);
-  const std::size_t bytes = Stripe::RowBytes(width);
-  for (std::size_t off = 0; off < bytes; off += 64) __builtin_prefetch(p + off);
-}
-
-// Shared blocked micro-kernel: y[rb, jt] (+)= x[rb, :] @ w[:, jt] with each
-// element's reduction in ascending-k order. WElem is float, f16, or a
-// quant block type. A W k-stripe of the tile is decoded into a task-local
-// panel once per row block and reused by all kRowBlock rows (the scalar
-// kernel used to re-decode it per row); the j loop is a SIMD axpy across
-// independent output columns, which leaves every element's summation order
-// untouched. No sparsity branch here: on the dense activations this path
-// serves, testing every x value poisons the vector inner loop and
-// mispredicts — row-granular skipping lives in the Gemv kernels where a
-// hit elides a whole stripe.
+// Shared blocked kernel: y[rb, jt] (+)= x[rb, :] @ w[:, jt] for every
+// (kRowBlock rows, kColTile columns) task, each handed whole to gemm_tile.
+// The micro-kernel keeps a block of y in registers across the k loop,
+// decodes each W element once per row block and software-prefetches W
+// ahead of the k loop; per element it runs one reduction in ascending k
+// (see SimdOps::gemm_tile for the exact operation per dispatch level), so
+// a row's bits never depend on which rows share its block. No sparsity
+// branch: on the dense activations this path serves, testing every x
+// value poisons the vector inner loop and mispredicts — row-granular
+// skipping lives in the Gemv kernels where a hit elides a whole stripe.
 template <typename WElem, bool kAccumulate>
 void GemmBlocked(std::span<const float> x, std::span<const WElem> w,
                  std::span<float> y, int m, int k, int n,
@@ -159,58 +126,21 @@ void GemmBlocked(std::span<const float> x, std::span<const WElem> w,
   const std::int64_t col_tiles = CeilDiv(n, kColTile);
   ctx.ParallelFor(row_blocks * col_tiles, 1, [&](std::int64_t lo,
                                                  std::int64_t hi) {
-    alignas(64) float panel[kColTile];
     for (std::int64_t task = lo; task < hi; ++task) {
       const int i_lo = static_cast<int>(task / col_tiles) * kRowBlock;
-      const int i_hi = std::min(m, i_lo + kRowBlock);
       const int j_lo = static_cast<int>(task % col_tiles) * kColTile;
-      const int j_hi = std::min(n, j_lo + kColTile);
-      const auto tile_w = static_cast<std::size_t>(j_hi - j_lo);
-      if constexpr (!kAccumulate) {
-        for (int i = i_lo; i < i_hi; ++i) {
-          float* yi = &y[static_cast<std::size_t>(i) * n];
-          std::fill(yi + j_lo, yi + j_hi, 0.0f);
-        }
-      }
-      if constexpr (!std::is_same_v<WElem, float>) {
-        // Single-row block (m == 1 projections, row-count tails): the panel
-        // round-trip only pays when rows share the decode, so fuse decode
-        // and FMA into one pass — the identical operation sequence, hence
-        // identical bits on each dispatch path.
-        if (i_hi - i_lo == 1) {
-          const float* xi = &x[static_cast<std::size_t>(i_lo) * k];
-          float* yi = &y[static_cast<std::size_t>(i_lo) * n + j_lo];
-          for (int p = 0; p < k; ++p) {
-            if (p + kPrefetchRowsAhead < k) {
-              PrefetchStripe<Stripe>(
-                  Stripe::Ptr(w.data(), bpr, p + kPrefetchRowsAhead, j_lo, n),
-                  tile_w);
-            }
-            Stripe::Axpy(ops, xi[p], Stripe::Ptr(w.data(), bpr, p, j_lo, n),
-                         yi, tile_w);
-          }
-          continue;
-        }
-      }
-      for (int p = 0; p < k; ++p) {
-        if (p + kPrefetchRowsAhead < k) {
-          PrefetchStripe<Stripe>(
-              Stripe::Ptr(w.data(), bpr, p + kPrefetchRowsAhead, j_lo, n),
-              tile_w);
-        }
-        const WElem* wp = Stripe::Ptr(w.data(), bpr, p, j_lo, n);
-        const float* wf;
-        if constexpr (std::is_same_v<WElem, float>) {
-          wf = wp;
-        } else {
-          Stripe::Decode(ops, wp, panel, tile_w);
-          wf = panel;
-        }
-        for (int i = i_lo; i < i_hi; ++i) {
-          ops.axpy_f32(x[static_cast<std::size_t>(i) * k + p], wf,
-                       &y[static_cast<std::size_t>(i) * n + j_lo], tile_w);
-        }
-      }
+      ops.gemm_tile({.x = x.data() + static_cast<std::size_t>(i_lo) * k,
+                     .ldx = static_cast<std::size_t>(k),
+                     .w = Stripe::Ptr(w.data(), bpr, 0, j_lo, n),
+                     .ldw = Stripe::RowStride(n),
+                     .wkind = Stripe::kKind,
+                     .y = y.data() + static_cast<std::size_t>(i_lo) * n + j_lo,
+                     .ldy = static_cast<std::size_t>(n),
+                     .rows = std::min(m - i_lo, kRowBlock),
+                     .k = static_cast<std::size_t>(k),
+                     .n = static_cast<std::size_t>(
+                         std::min(n - j_lo, kColTile)),
+                     .accumulate = kAccumulate});
     }
   });
 }

@@ -9,11 +9,15 @@
 //
 // Determinism: every output element is produced by exactly one worker with
 // the reduction (k) loop in fixed ascending order, so results are
-// bit-identical for any thread count and any tile partition. The inner
-// loops run on the runtime-dispatched SIMD layer (tensor/simd.h),
-// vectorized across independent output columns — which is why the per-
-// element reduction order, and hence this contract, survives
-// vectorization on both dispatch paths.
+// bit-identical for any thread count and any tile partition. The GEMMs
+// hand each (8-row block, 128-column tile) to the SIMD layer's
+// register-tiled micro-kernel (SimdOps::gemm_tile in tensor/simd.h): a
+// block of outputs stays in registers across the whole k loop, vectorized
+// across independent output columns, so each element's reduction order —
+// and hence this contract — survives vectorization and tiling on every
+// dispatch path. A row's bits never depend on which other rows share its
+// block, so batching rows (e.g. the LM head over a step's emitting
+// entries) is bit-identical to running them one at a time.
 //
 // Conventions: row-major; X is [m, k], W is [k, n], Y is [m, n].
 #pragma once
@@ -26,7 +30,7 @@
 
 namespace punica {
 
-/// Y = X @ W  (overwrites Y). Cache-blocked over row blocks × column tiles.
+/// Y = X @ W  (overwrites Y). Blocked over row blocks × column tiles.
 void GemmSet(std::span<const float> x, std::span<const float> w,
              std::span<float> y, int m, int k, int n,
              const ComputeContext& ctx = ComputeContext::Default());
@@ -38,7 +42,7 @@ void GemmSetF16W(std::span<const float> x, std::span<const f16> w,
                  const ComputeContext& ctx = ComputeContext::Default());
 
 /// Y += X @ W with fp16 weights (the backbone/LoRA storage format).
-/// B-panel friendly: each k-row stripe of W is streamed once per row block.
+/// Each W element is read and decoded once per 8-row block.
 void GemmAccF16W(std::span<const float> x, std::span<const f16> w,
                  std::span<float> y, int m, int k, int n,
                  const ComputeContext& ctx = ComputeContext::Default());
@@ -57,9 +61,12 @@ void GemvAccF16W(std::span<const float> x, std::span<const f16> w,
 // W is k rows of QuantBlocksPerRow(n) blocks; the column-tile width is a
 // multiple of kQuantBlock, so every stripe the kernels touch starts
 // block-aligned. Same blocking, same one-writer/fixed-k-order determinism
-// contract as the f16 kernels: the dequantized panel is bit-identical on
-// every dispatch path (int code × f16 scale is exact in f32), and the
-// fused axpy differs across paths by FMA contraction only.
+// contract as the f16 kernels: the GEMM tile decodes each weight exactly
+// (int code × f16 scale is exact in f32) and then runs the same per-element
+// step as the f16 path, so across paths outputs differ by FMA contraction
+// only. The Gemv kernels use the fused axpy_q8/q4, which folds the
+// activation into the block scale — a fixed sequence per path, one extra
+// rounding away from the GEMM's.
 
 /// Y = X @ dequant(W)  (overwrites Y).
 void GemmSetQW(std::span<const float> x, std::span<const BlockQ8_0> w,

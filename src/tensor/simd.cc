@@ -1,10 +1,12 @@
 #include "tensor/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "tensor/quant.h"
 
@@ -27,7 +29,11 @@ void FloatToHalfScalar(const float* src, f16* dst, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = f16(src[i]);
 }
 
-void AxpyF32Scalar(float a, const float* x, float* y, std::size_t n) {
+// Out of line on purpose: as a standalone body the loop vectorizes (exact
+// mulps/addps, no FMA) behind a runtime alias check; inlined into the GEMM
+// tile's loop nest it stays scalar and runs ~25% slower.
+[[gnu::noinline]] void AxpyF32Scalar(float a, const float* x, float* y,
+                                     std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
@@ -122,6 +128,125 @@ float DotQ4Scalar(const float* a, const BlockQ4_0* b, std::size_t n) {
   return acc;
 }
 
+// --- Scalar GEMM tile ---
+// Decodes one W row stripe at a time into a panel and runs the uncontracted
+// y = y + x·w per element in ascending p. This TU is never built with FMA
+// flags, so the scalar tile keeps its separately rounded products.
+
+constexpr std::size_t kScalarTileCols = 128;
+
+/// W rows the k loop prefetches ahead (the vector paths' distance).
+constexpr std::size_t kScalarPrefetchRows = 16;
+
+/// Address and byte length of W[p, j0 .. j0+width).
+std::pair<const char*, std::size_t> StripeBytes(const GemmTile& t,
+                                                std::size_t p, std::size_t j0,
+                                                std::size_t width) {
+  const std::size_t blocks = (width + kQuantBlock - 1) / kQuantBlock;
+  switch (t.wkind) {
+    case TileWeight::kF32:
+      return {reinterpret_cast<const char*>(static_cast<const float*>(t.w) +
+                                            p * t.ldw + j0),
+              width * sizeof(float)};
+    case TileWeight::kF16:
+      return {reinterpret_cast<const char*>(static_cast<const f16*>(t.w) +
+                                            p * t.ldw + j0),
+              width * sizeof(f16)};
+    case TileWeight::kQ8_0:
+      return {reinterpret_cast<const char*>(
+                  static_cast<const BlockQ8_0*>(t.w) + p * t.ldw +
+                  j0 / kQuantBlock),
+              blocks * sizeof(BlockQ8_0)};
+    case TileWeight::kQ4_0:
+      return {reinterpret_cast<const char*>(
+                  static_cast<const BlockQ4_0*>(t.w) + p * t.ldw +
+                  j0 / kQuantBlock),
+              blocks * sizeof(BlockQ4_0)};
+  }
+  return {nullptr, 0};
+}
+
+/// W[p, j0 .. j0+width) as f32 (j0 block-aligned for quantized W).
+const float* DecodeStripeScalar(const GemmTile& t, std::size_t p,
+                                std::size_t j0, std::size_t width,
+                                float* panel) {
+  switch (t.wkind) {
+    case TileWeight::kF32:
+      return static_cast<const float*>(t.w) + p * t.ldw + j0;
+    case TileWeight::kF16:
+      HalfToFloatScalar(static_cast<const f16*>(t.w) + p * t.ldw + j0, panel,
+                        width);
+      return panel;
+    case TileWeight::kQ8_0:
+      DequantQ8Scalar(static_cast<const BlockQ8_0*>(t.w) + p * t.ldw +
+                          j0 / kQuantBlock,
+                      panel, width);
+      return panel;
+    case TileWeight::kQ4_0:
+      DequantQ4Scalar(static_cast<const BlockQ4_0*>(t.w) + p * t.ldw +
+                          j0 / kQuantBlock,
+                      panel, width);
+      return panel;
+  }
+  return panel;
+}
+
+/// y[0..width) += a · W[p, j0 .. j0+width), decoding in the same pass —
+/// the same per-element operation as decode-then-axpy, without the panel
+/// round trip when a single row has no decode to share.
+void AxpyStripeScalar(const GemmTile& t, float a, std::size_t p,
+                      std::size_t j0, std::size_t width, float* y) {
+  switch (t.wkind) {
+    case TileWeight::kF32:
+      AxpyF32Scalar(a, static_cast<const float*>(t.w) + p * t.ldw + j0, y,
+                    width);
+      return;
+    case TileWeight::kF16:
+      AxpyF16Scalar(a, static_cast<const f16*>(t.w) + p * t.ldw + j0, y,
+                    width);
+      return;
+    case TileWeight::kQ8_0:
+      AxpyQ8Scalar(a, static_cast<const BlockQ8_0*>(t.w) + p * t.ldw +
+                          j0 / kQuantBlock,
+                   y, width);
+      return;
+    case TileWeight::kQ4_0:
+      AxpyQ4Scalar(a, static_cast<const BlockQ4_0*>(t.w) + p * t.ldw +
+                          j0 / kQuantBlock,
+                   y, width);
+      return;
+  }
+}
+
+void GemmTileScalar(const GemmTile& t) {
+  if (!t.accumulate) {
+    for (int r = 0; r < t.rows; ++r) {
+      std::fill(t.y + r * t.ldy, t.y + r * t.ldy + t.n, 0.0f);
+    }
+  }
+  float panel[kScalarTileCols];
+  for (std::size_t j0 = 0; j0 < t.n; j0 += kScalarTileCols) {
+    const std::size_t width = std::min(kScalarTileCols, t.n - j0);
+    for (std::size_t p = 0; p < t.k; ++p) {
+      if (p + kScalarPrefetchRows < t.k) {
+        const auto [ahead, bytes] =
+            StripeBytes(t, p + kScalarPrefetchRows, j0, width);
+        for (std::size_t off = 0; off < bytes; off += 64) {
+          __builtin_prefetch(ahead + off);
+        }
+      }
+      if (t.rows == 1) {
+        AxpyStripeScalar(t, t.x[p], p, j0, width, t.y + j0);
+        continue;
+      }
+      const float* w = DecodeStripeScalar(t, p, j0, width, panel);
+      for (int r = 0; r < t.rows; ++r) {
+        AxpyF32Scalar(t.x[r * t.ldx + p], w, t.y + r * t.ldy + j0, width);
+      }
+    }
+  }
+}
+
 constexpr SimdOps kScalarOps = {
     .level = SimdLevel::kScalar,
     .name = "scalar",
@@ -139,6 +264,7 @@ constexpr SimdOps kScalarOps = {
     .axpy_q4 = AxpyQ4Scalar,
     .dot_q8 = DotQ8Scalar,
     .dot_q4 = DotQ4Scalar,
+    .gemm_tile = GemmTileScalar,
 };
 
 bool CpuSupportsAvx2() {

@@ -20,15 +20,16 @@
 // Determinism: every path keeps the substrate's contract — the operation
 // order for a given element depends only on its position, never on the
 // thread count. Kernels vectorize across *independent output columns*
-// (axpy/scale_add), so each element's k-reduction stays in ascending order
-// on every path. Cross-path numerics: f16<->f32 conversions are
-// bit-identical (F16C, AVX-512 and the scalar code all round to nearest
-// even), and the quantized dequant kernels are bit-identical too (an
-// int8/int4 code times an f16 scale is exact in f32). axpy/dot/scale_add
-// differ from scalar by FMA contraction only (the multiply is not rounded
-// separately), plus dot's fixed 8- or 16-lane accumulator reduction —
-// bounded, documented in README "Performance", and asserted by
-// tests/tensor/simd_test.cc.
+// (axpy/scale_add, and the register-tiled gemm_tile that the dense GEMM and
+// both SGMV schedules run on), so each element's k-reduction stays in
+// ascending order on every path. Cross-path numerics: f16<->f32
+// conversions are bit-identical (F16C, AVX-512 and the scalar code all
+// round to nearest even), and the quantized dequant kernels are
+// bit-identical too (an int8/int4 code times an f16 scale is exact in f32).
+// axpy/dot/scale_add/gemm_tile differ from scalar by FMA contraction only
+// (the multiply is not rounded separately), plus dot's fixed 8- or 16-lane
+// accumulator reduction — bounded, documented in README "Performance", and
+// asserted by tests/tensor/simd_test.cc.
 #pragma once
 
 #include <cstddef>
@@ -45,6 +46,30 @@ struct BlockQ4_0;
 enum class SimdLevel { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 inline constexpr int kNumSimdLevels = 3;
+
+/// Element type of a GEMM tile's weight operand.
+enum class TileWeight { kF32, kF16, kQ8_0, kQ4_0 };
+
+/// Most output rows one gemm_tile call covers (the GEMM row block).
+inline constexpr int kGemmTileRows = 8;
+
+/// One register-tiled GEMM block: Y[rows, n] (+)= X[rows, k] · W[k, n].
+/// Rows are addressed by stride, so a tile can read a k-slice of wider
+/// activation rows (the split-K shrink) and write strided partials.
+struct GemmTile {
+  const float* x = nullptr;  ///< X row r at x + r·ldx
+  std::size_t ldx = 0;
+  const void* w = nullptr;   ///< W row p at w + p·ldw, elements of `wkind`
+  std::size_t ldw = 0;       ///< in elements (f32/f16) or blocks (quant)
+  TileWeight wkind = TileWeight::kF32;
+  float* y = nullptr;        ///< Y row r at y + r·ldy
+  std::size_t ldy = 0;
+  int rows = 0;              ///< 1..kGemmTileRows
+  std::size_t k = 0;
+  std::size_t n = 0;         ///< quant: W rows start block-aligned; n may
+                             ///< end mid-block (the padded final block)
+  bool accumulate = false;   ///< false: Y = X·W; true: Y += X·W
+};
 
 /// The dispatch table. One instance per implementation; kernels grab the
 /// active table once per invocation (`const SimdOps& ops = Simd();`) and
@@ -101,6 +126,21 @@ struct SimdOps {
   /// Σ_i a[i] * dequant(b)[i], fixed lane-reduction order per path.
   float (*dot_q8)(const float* a, const BlockQ8_0* b, std::size_t n);
   float (*dot_q4)(const float* a, const BlockQ4_0* b, std::size_t n);
+
+  /// The register-tiled GEMM micro-kernel behind GemmBlocked and both SGMV
+  /// schedules. Every Y element is one reduction over ascending p, started
+  /// from 0 (Set) or from Y (accumulate):
+  ///   avx2/avx512:  y = fma(x[r,p], w[p,j], y)
+  ///   scalar:       y = y + x[r,p] * w[p,j]   (product rounded, no FMA)
+  /// where w[p,j] is the exact decoded weight (f16 and d·q decodes are
+  /// exact in f32). The vector paths hold a block of rows × columns in
+  /// registers across the whole k loop — 8×32 on avx512, 4×16 on avx2,
+  /// wider column blocks for fewer rows — so each W element is decoded
+  /// once per call (per 4-row half on avx2) and Y is read and written once
+  /// per element. Tile shapes never change the per-element sequence, so
+  /// the result is the same for any row grouping, column split or thread
+  /// count. Every path software-prefetches W rows ahead of the k loop.
+  void (*gemm_tile)(const GemmTile& tile);
 };
 
 /// The active table. First call resolves PUNICA_SIMD / cpuid; later calls

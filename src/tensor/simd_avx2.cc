@@ -20,6 +20,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/quant.h"
@@ -297,6 +298,191 @@ float DotQ4Avx(const float* a, const BlockQ4_0* b, std::size_t n) {
   return sum;
 }
 
+// --- Register-tiled GEMM ---
+// The avx512 scheme (see simd_avx512.cc) with 16 ymm registers: a block is
+// at most 4 rows (an 8-row call runs as two 4-row halves, each decoding W
+// once) × CV 8-lane vectors, CV = 8 / 4 / 2 for R = 1 / 2 / 3–4. The last
+// n % 8 columns run the same fma chain per element in scalar std::fma —
+// the identical operation the vector lanes perform.
+
+constexpr int kAvx2TileRows = 4;
+/// W rows prefetched ahead of the k loop (see simd_avx512.cc).
+constexpr std::size_t kTilePrefetchRows = 16;
+
+template <TileWeight K>
+struct TileW;
+
+template <>
+struct TileW<TileWeight::kF32> {
+  static const float* Ptr(const GemmTile& t, std::size_t p, std::size_t j) {
+    return static_cast<const float*>(t.w) + p * t.ldw + j;
+  }
+  static constexpr std::size_t Bytes(std::size_t cols) {
+    return cols * sizeof(float);
+  }
+  static __m256 Load(const GemmTile& t, std::size_t p, std::size_t j) {
+    return _mm256_loadu_ps(Ptr(t, p, j));
+  }
+  static float Value(const GemmTile& t, std::size_t p, std::size_t j) {
+    return *Ptr(t, p, j);
+  }
+};
+
+template <>
+struct TileW<TileWeight::kF16> {
+  static const f16* Ptr(const GemmTile& t, std::size_t p, std::size_t j) {
+    return static_cast<const f16*>(t.w) + p * t.ldw + j;
+  }
+  static constexpr std::size_t Bytes(std::size_t cols) {
+    return cols * sizeof(f16);
+  }
+  static __m256 Load(const GemmTile& t, std::size_t p, std::size_t j) {
+    return _mm256_cvtph_ps(LoadHalf8(Ptr(t, p, j)));
+  }
+  static float Value(const GemmTile& t, std::size_t p, std::size_t j) {
+    return Ptr(t, p, j)->ToFloat();
+  }
+};
+
+template <>
+struct TileW<TileWeight::kQ8_0> {
+  static const BlockQ8_0* Ptr(const GemmTile& t, std::size_t p,
+                              std::size_t j) {
+    return static_cast<const BlockQ8_0*>(t.w) + p * t.ldw + j / kQuantBlock;
+  }
+  static constexpr std::size_t Bytes(std::size_t cols) {
+    return (cols + kQuantBlock - 1) / kQuantBlock * sizeof(BlockQ8_0);
+  }
+  static __m256 Load(const GemmTile& t, std::size_t p, std::size_t j) {
+    const BlockQ8_0& b = *Ptr(t, p, j);
+    return _mm256_mul_ps(Q8Codes8(b, static_cast<int>(j / 8 % 4)),
+                         _mm256_set1_ps(ScaleF32(b.scale)));
+  }
+  static float Value(const GemmTile& t, std::size_t p, std::size_t j) {
+    return Q8ValueRef(static_cast<const BlockQ8_0*>(t.w) + p * t.ldw, j);
+  }
+};
+
+template <>
+struct TileW<TileWeight::kQ4_0> {
+  static const BlockQ4_0* Ptr(const GemmTile& t, std::size_t p,
+                              std::size_t j) {
+    return static_cast<const BlockQ4_0*>(t.w) + p * t.ldw + j / kQuantBlock;
+  }
+  static constexpr std::size_t Bytes(std::size_t cols) {
+    return (cols + kQuantBlock - 1) / kQuantBlock * sizeof(BlockQ4_0);
+  }
+  static __m256 Load(const GemmTile& t, std::size_t p, std::size_t j) {
+    const BlockQ4_0& b = *Ptr(t, p, j);
+    return _mm256_mul_ps(Q4Codes8(b, static_cast<int>(j / 8 % 4)),
+                         _mm256_set1_ps(ScaleF32(b.scale)));
+  }
+  static float Value(const GemmTile& t, std::size_t p, std::size_t j) {
+    return Q4ValueRef(static_cast<const BlockQ4_0*>(t.w) + p * t.ldw, j);
+  }
+};
+
+template <std::size_t kBytes>
+inline void PrefetchSpan(const void* p) {
+  const char* c = static_cast<const char*>(p);
+  for (std::size_t off = 0; off < kBytes; off += 64) {
+    _mm_prefetch(c + off, _MM_HINT_T0);
+  }
+  _mm_prefetch(c + kBytes - 1, _MM_HINT_T0);  // an unaligned span's last line
+}
+
+/// Y[0..R, j .. j+8·CV) over the full k loop.
+template <TileWeight K, int R, int CV>
+void TileBlock(const GemmTile& t, std::size_t j) {
+  using W = TileW<K>;
+  __m256 acc[R][CV];
+  const float* xr[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    xr[r] = t.x + r * t.ldx;
+    const float* yr = t.y + r * t.ldy + j;
+#pragma GCC unroll 8
+    for (int c = 0; c < CV; ++c) {
+      acc[r][c] = t.accumulate ? _mm256_loadu_ps(yr + 8 * c)
+                               : _mm256_setzero_ps();
+    }
+  }
+  for (std::size_t p = 0; p < t.k; ++p) {
+    if (p + kTilePrefetchRows < t.k) {
+      PrefetchSpan<W::Bytes(8 * CV)>(W::Ptr(t, p + kTilePrefetchRows, j));
+    }
+    __m256 wv[CV];
+#pragma GCC unroll 8
+    for (int c = 0; c < CV; ++c) wv[c] = W::Load(t, p, j + 8 * c);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256 xv = _mm256_set1_ps(xr[r][p]);
+#pragma GCC unroll 8
+      for (int c = 0; c < CV; ++c) {
+        acc[r][c] = _mm256_fmadd_ps(xv, wv[c], acc[r][c]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    float* yr = t.y + r * t.ldy + j;
+#pragma GCC unroll 8
+    for (int c = 0; c < CV; ++c) _mm256_storeu_ps(yr + 8 * c, acc[r][c]);
+  }
+}
+
+/// Columns [j, n) of a block narrower than one vector: the same fma chain
+/// per element, one element at a time.
+template <TileWeight K>
+void TileTail(const GemmTile& t, std::size_t j) {
+  for (int r = 0; r < t.rows; ++r) {
+    const float* xr = t.x + r * t.ldx;
+    float* yr = t.y + r * t.ldy;
+    for (std::size_t jj = j; jj < t.n; ++jj) {
+      float acc = t.accumulate ? yr[jj] : 0.0f;
+      for (std::size_t p = 0; p < t.k; ++p) {
+        acc = std::fma(xr[p], TileW<K>::Value(t, p, jj), acc);
+      }
+      yr[jj] = acc;
+    }
+  }
+}
+
+template <TileWeight K, int R, int CV>
+void TileColumns(const GemmTile& t, std::size_t j) {
+  for (; j + 8 * CV <= t.n; j += 8 * CV) TileBlock<K, R, CV>(t, j);
+  if constexpr (CV > 1) {
+    TileColumns<K, R, CV / 2>(t, j);
+  } else if (j < t.n) {
+    TileTail<K>(t, j);
+  }
+}
+
+template <TileWeight K>
+void TileRows(const GemmTile& t) {
+  switch (t.rows) {
+    case 1: return TileColumns<K, 1, 8>(t, 0);
+    case 2: return TileColumns<K, 2, 4>(t, 0);
+    case 3: return TileColumns<K, 3, 2>(t, 0);
+    case 4: return TileColumns<K, 4, 2>(t, 0);
+  }
+}
+
+void GemmTileAvx2(const GemmTile& tile) {
+  for (int r0 = 0; r0 < tile.rows; r0 += kAvx2TileRows) {
+    GemmTile t = tile;
+    t.x += r0 * tile.ldx;
+    t.y += r0 * tile.ldy;
+    t.rows = std::min(kAvx2TileRows, tile.rows - r0);
+    switch (t.wkind) {
+      case TileWeight::kF32: TileRows<TileWeight::kF32>(t); break;
+      case TileWeight::kF16: TileRows<TileWeight::kF16>(t); break;
+      case TileWeight::kQ8_0: TileRows<TileWeight::kQ8_0>(t); break;
+      case TileWeight::kQ4_0: TileRows<TileWeight::kQ4_0>(t); break;
+    }
+  }
+}
+
 constexpr SimdOps kAvx2Ops = {
     .level = SimdLevel::kAvx2,
     .name = "avx2",
@@ -314,6 +500,7 @@ constexpr SimdOps kAvx2Ops = {
     .axpy_q4 = AxpyQ4Avx,
     .dot_q8 = DotQ8Avx,
     .dot_q4 = DotQ4Avx,
+    .gemm_tile = GemmTileAvx2,
 };
 
 }  // namespace

@@ -290,6 +290,208 @@ float DotQ4Avx512(const float* a, const BlockQ4_0* b, std::size_t n) {
   return sum;
 }
 
+// --- Register-tiled GEMM ---
+// A block of R rows × CV 16-lane column vectors of Y lives in zmm
+// accumulators for the whole k loop: per p the CV weight vectors are
+// decoded once (the exact decodes above) and FMA'd into all R rows. CV
+// widens as R shrinks (R ≤ 2: 8, R ≤ 4: 4, else 2 — at most 16
+// accumulators) so a single row still keeps 8 independent FMA chains in
+// flight. Columns left after the widest blocks fall to narrower ones and
+// finally to one masked vector, so any n runs without a scalar tail.
+
+/// W rows the k loop software-prefetches ahead. A column block's W slice
+/// is a short burst per row with an n-element jump between bursts; once
+/// the decode/FMA work between loads fills the out-of-order window, the
+/// hardware streamer stops running ahead across those jumps and the k loop
+/// goes demand-miss-bound (~1 GB/s observed at the m=8/k=4096/n=4096 shape
+/// when W rotates past the LLC, vs ~7 GB/s for the same stride pattern with
+/// overlapped misses). Pure hint: never touches numerics.
+constexpr std::size_t kTilePrefetchRows = 16;
+
+template <TileWeight K>
+struct TileW;
+
+template <>
+struct TileW<TileWeight::kF32> {
+  static const float* Ptr(const GemmTile& t, std::size_t p, std::size_t j) {
+    return static_cast<const float*>(t.w) + p * t.ldw + j;
+  }
+  static constexpr std::size_t Bytes(std::size_t cols) {
+    return cols * sizeof(float);
+  }
+  static __m512 Load(const GemmTile& t, std::size_t p, std::size_t j) {
+    return _mm512_loadu_ps(Ptr(t, p, j));
+  }
+  static __m512 LoadMasked(const GemmTile& t, std::size_t p, std::size_t j,
+                           __mmask16 m) {
+    return _mm512_maskz_loadu_ps(m, Ptr(t, p, j));
+  }
+};
+
+template <>
+struct TileW<TileWeight::kF16> {
+  static const f16* Ptr(const GemmTile& t, std::size_t p, std::size_t j) {
+    return static_cast<const f16*>(t.w) + p * t.ldw + j;
+  }
+  static constexpr std::size_t Bytes(std::size_t cols) {
+    return cols * sizeof(f16);
+  }
+  static __m512 Load(const GemmTile& t, std::size_t p, std::size_t j) {
+    return _mm512_cvtph_ps(LoadHalf16(Ptr(t, p, j)));
+  }
+  static __m512 LoadMasked(const GemmTile& t, std::size_t p, std::size_t j,
+                           __mmask16 m) {
+    return _mm512_cvtph_ps(_mm256_maskz_loadu_epi16(m, Ptr(t, p, j)));
+  }
+};
+
+// Quantized rows are whole (padded) blocks, so a partial final vector
+// decodes its full 16-element group; the masked-off lanes are never stored.
+template <>
+struct TileW<TileWeight::kQ8_0> {
+  static const BlockQ8_0* Ptr(const GemmTile& t, std::size_t p,
+                              std::size_t j) {
+    return static_cast<const BlockQ8_0*>(t.w) + p * t.ldw + j / kQuantBlock;
+  }
+  static constexpr std::size_t Bytes(std::size_t cols) {
+    return (cols + kQuantBlock - 1) / kQuantBlock * sizeof(BlockQ8_0);
+  }
+  static __m512 Load(const GemmTile& t, std::size_t p, std::size_t j) {
+    const BlockQ8_0& b = *Ptr(t, p, j);
+    return _mm512_mul_ps(Q8Codes16(b, static_cast<int>(j / 16 % 2)),
+                         _mm512_set1_ps(ScaleF32(b.scale)));
+  }
+  static __m512 LoadMasked(const GemmTile& t, std::size_t p, std::size_t j,
+                           __mmask16 /*m*/) {
+    return Load(t, p, j);
+  }
+};
+
+template <>
+struct TileW<TileWeight::kQ4_0> {
+  static const BlockQ4_0* Ptr(const GemmTile& t, std::size_t p,
+                              std::size_t j) {
+    return static_cast<const BlockQ4_0*>(t.w) + p * t.ldw + j / kQuantBlock;
+  }
+  static constexpr std::size_t Bytes(std::size_t cols) {
+    return (cols + kQuantBlock - 1) / kQuantBlock * sizeof(BlockQ4_0);
+  }
+  static __m512 Load(const GemmTile& t, std::size_t p, std::size_t j) {
+    const BlockQ4_0& b = *Ptr(t, p, j);
+    return _mm512_mul_ps(Q4Codes16(b, static_cast<int>(j / 16 % 2)),
+                         _mm512_set1_ps(ScaleF32(b.scale)));
+  }
+  static __m512 LoadMasked(const GemmTile& t, std::size_t p, std::size_t j,
+                           __mmask16 /*m*/) {
+    return Load(t, p, j);
+  }
+};
+
+template <std::size_t kBytes>
+inline void PrefetchSpan(const void* p) {
+  const char* c = static_cast<const char*>(p);
+  for (std::size_t off = 0; off < kBytes; off += 64) {
+    _mm_prefetch(c + off, _MM_HINT_T0);
+  }
+  _mm_prefetch(c + kBytes - 1, _MM_HINT_T0);  // an unaligned span's last line
+}
+
+/// Y[0..R, j .. j+16·CV) over the full k loop. kMasked (CV == 1 only):
+/// the lanes outside `mask` are the columns past n.
+template <TileWeight K, int R, int CV, bool kMasked>
+void TileBlock(const GemmTile& t, std::size_t j, __mmask16 mask) {
+  using W = TileW<K>;
+  __m512 acc[R][CV];
+  const float* xr[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    xr[r] = t.x + r * t.ldx;
+    const float* yr = t.y + r * t.ldy + j;
+#pragma GCC unroll 8
+    for (int c = 0; c < CV; ++c) {
+      if (!t.accumulate) {
+        acc[r][c] = _mm512_setzero_ps();
+      } else if constexpr (kMasked) {
+        acc[r][c] = _mm512_maskz_loadu_ps(mask, yr);
+      } else {
+        acc[r][c] = _mm512_loadu_ps(yr + 16 * c);
+      }
+    }
+  }
+  for (std::size_t p = 0; p < t.k; ++p) {
+    if (p + kTilePrefetchRows < t.k) {
+      PrefetchSpan<W::Bytes(16 * CV)>(W::Ptr(t, p + kTilePrefetchRows, j));
+    }
+    __m512 wv[CV];
+#pragma GCC unroll 8
+    for (int c = 0; c < CV; ++c) {
+      if constexpr (kMasked) {
+        wv[c] = W::LoadMasked(t, p, j, mask);
+      } else {
+        wv[c] = W::Load(t, p, j + 16 * c);
+      }
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m512 xv = _mm512_set1_ps(xr[r][p]);
+#pragma GCC unroll 8
+      for (int c = 0; c < CV; ++c) {
+        acc[r][c] = _mm512_fmadd_ps(xv, wv[c], acc[r][c]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    float* yr = t.y + r * t.ldy + j;
+#pragma GCC unroll 8
+    for (int c = 0; c < CV; ++c) {
+      if constexpr (kMasked) {
+        _mm512_mask_storeu_ps(yr, mask, acc[r][c]);
+      } else {
+        _mm512_storeu_ps(yr + 16 * c, acc[r][c]);
+      }
+    }
+  }
+}
+
+/// Walks the columns from j with CV-vector blocks, then narrower ones,
+/// ending in one masked vector for the last n % 16 columns.
+template <TileWeight K, int R, int CV>
+void TileColumns(const GemmTile& t, std::size_t j) {
+  for (; j + 16 * CV <= t.n; j += 16 * CV) {
+    TileBlock<K, R, CV, false>(t, j, 0xFFFF);
+  }
+  if constexpr (CV > 1) {
+    TileColumns<K, R, CV / 2>(t, j);
+  } else if (j < t.n) {
+    TileBlock<K, R, 1, true>(
+        t, j, static_cast<__mmask16>((1u << (t.n - j)) - 1));
+  }
+}
+
+template <TileWeight K>
+void TileRows(const GemmTile& t) {
+  switch (t.rows) {
+    case 1: return TileColumns<K, 1, 8>(t, 0);
+    case 2: return TileColumns<K, 2, 8>(t, 0);
+    case 3: return TileColumns<K, 3, 4>(t, 0);
+    case 4: return TileColumns<K, 4, 4>(t, 0);
+    case 5: return TileColumns<K, 5, 2>(t, 0);
+    case 6: return TileColumns<K, 6, 2>(t, 0);
+    case 7: return TileColumns<K, 7, 2>(t, 0);
+    case 8: return TileColumns<K, 8, 2>(t, 0);
+  }
+}
+
+void GemmTileAvx512(const GemmTile& t) {
+  switch (t.wkind) {
+    case TileWeight::kF32: return TileRows<TileWeight::kF32>(t);
+    case TileWeight::kF16: return TileRows<TileWeight::kF16>(t);
+    case TileWeight::kQ8_0: return TileRows<TileWeight::kQ8_0>(t);
+    case TileWeight::kQ4_0: return TileRows<TileWeight::kQ4_0>(t);
+  }
+}
+
 constexpr SimdOps kAvx512Ops = {
     .level = SimdLevel::kAvx512,
     .name = "avx512",
@@ -307,6 +509,7 @@ constexpr SimdOps kAvx512Ops = {
     .axpy_q4 = AxpyQ4Avx512,
     .dot_q8 = DotQ8Avx512,
     .dot_q4 = DotQ4Avx512,
+    .gemm_tile = GemmTileAvx512,
 };
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "tensor/simd.h"
 #include "util/rng.h"
 
 namespace punica {
@@ -173,6 +176,92 @@ TEST(LlamaTest, BatchedDecodeMatchesSequentialDecode) {
   }
   EXPECT_EQ(g0, solo0);
   EXPECT_EQ(g1, solo1);
+}
+
+/// Prefills `prompt` into a fresh sequence of `kv` with one Forward.
+SeqId PrefillSeq(LlamaModel& model, PagedKvCache& kv, LoraId lora,
+                 const std::vector<std::int32_t>& prompt) {
+  SeqId seq = kv.CreateSequence();
+  EXPECT_TRUE(kv.Extend(seq, static_cast<std::int64_t>(prompt.size())));
+  model.Forward(ModelBatch::Build({{.seq = seq,
+                                    .lora = lora,
+                                    .num_tokens = static_cast<std::int32_t>(
+                                        prompt.size()),
+                                    .pos_offset = 0,
+                                    .is_prefill = true}}),
+                prompt, kv);
+  return seq;
+}
+
+TEST(LlamaTest, BatchedLmHeadBitIdenticalToPerEntryForward) {
+  // One step's emitting rows go through the LM head as one GEMM; every
+  // logit must keep the bits it has when its entry runs alone (an m=1
+  // head), and a non-emitting chunk keeps a zero row — at every SIMD level
+  // and weight dtype.
+  for (WeightDtype dtype : {WeightDtype::kF16, WeightDtype::kQ8_0}) {
+    for (int l = 0; l < kNumSimdLevels; ++l) {
+      const auto level = static_cast<SimdLevel>(l);
+      if (!SimdLevelAvailable(level)) continue;
+      SCOPED_TRACE(std::string(WeightDtypeName(dtype)) + "/" +
+                   SimdLevelName(level));
+      ScopedSimdLevel guard(level);
+      LlamaConfig c = TinyLlama();
+      c.weight_dtype = dtype;
+      LlamaModel model(c, 21);
+      model.AddLora(0, 8, 300);
+      PagedKvCache kv_batched(model.MakeKvConfig(256));
+      PagedKvCache kv_solo(model.MakeKvConfig(256));
+      const std::vector<std::int32_t> history = {7, 8, 9};
+      std::vector<SeqId> decode_batched, decode_solo;
+      for (LoraId lora : {0, -1}) {
+        decode_batched.push_back(PrefillSeq(model, kv_batched, lora, history));
+        decode_solo.push_back(PrefillSeq(model, kv_solo, lora, history));
+      }
+      // Entries: an emitting prefill, a non-emitting prefill chunk, then
+      // two decodes (one LoRA, one backbone).
+      auto entries = [&](PagedKvCache& kv, const std::vector<SeqId>& dec) {
+        SeqId p0 = kv.CreateSequence();
+        EXPECT_TRUE(kv.Extend(p0, 5));
+        SeqId p1 = kv.CreateSequence();
+        EXPECT_TRUE(kv.Extend(p1, 4));
+        std::vector<BatchEntry> out = {
+            {.seq = p0, .lora = 0, .num_tokens = 5, .pos_offset = 0,
+             .is_prefill = true},
+            {.seq = p1, .lora = -1, .num_tokens = 4, .pos_offset = 0,
+             .is_prefill = true, .emit_logits = false}};
+        for (std::size_t d = 0; d < dec.size(); ++d) {
+          EXPECT_TRUE(kv.Extend(dec[d], 1));
+          out.push_back({.seq = dec[d], .lora = d == 0 ? 0 : -1,
+                         .num_tokens = 1, .pos_offset = 3,
+                         .is_prefill = false});
+        }
+        return out;
+      };
+      const std::vector<std::vector<std::int32_t>> tokens = {
+          {1, 2, 3, 4, 5}, {6, 7, 8, 9}, {10}, {11}};
+      std::vector<std::int32_t> flat;
+      for (const auto& t : tokens) flat.insert(flat.end(), t.begin(), t.end());
+
+      const auto batched_entries = entries(kv_batched, decode_batched);
+      Tensor<float> batched =
+          model.Forward(ModelBatch::Build(batched_entries), flat, kv_batched);
+      const auto solo_entries = entries(kv_solo, decode_solo);
+      for (std::size_t e = 0; e < solo_entries.size(); ++e) {
+        Tensor<float> solo = model.Forward(
+            ModelBatch::Build({solo_entries[e]}), tokens[e], kv_solo);
+        auto got = batched.row(static_cast<std::int64_t>(e));
+        auto want = solo.row(0);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << "entry " << e;
+        if (!solo_entries[e].emit_logits) {
+          for (float v : got) ASSERT_EQ(v, 0.0f) << "entry " << e;
+        }
+      }
+    }
+  }
 }
 
 TEST(LlamaDeathTest, UnloadedLoraAborts) {

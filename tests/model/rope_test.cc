@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "util/rng.h"
@@ -85,6 +86,47 @@ TEST(RopeTest, HeadsAreIndependent) {
     EXPECT_FLOAT_EQ(x[static_cast<std::size_t>(i)],
                     head0[static_cast<std::size_t>(i)]);
   }
+}
+
+TEST(RopeTest, TableRowsBitIdenticalToApplyRope) {
+  // The per-step table evaluates each (row, pair) angle once; every head it
+  // rotates must come out with exactly ApplyRope's bits, for positions up
+  // to 4096 (rows in arbitrary order, as a mixed batch lays them out).
+  const int heads = 8, d = 64;
+  const float theta = 10000.0f;
+  std::vector<std::int64_t> positions;
+  for (std::int64_t pos = 4096; pos >= 0; --pos) positions.push_back(pos);
+  ComputeContext ctx({.num_threads = 2});
+  RopeTable table;
+  table.Build(positions, d, theta, ctx);
+  ASSERT_EQ(table.rows(), positions.size());
+  Pcg32 rng(5);
+  const auto x = RandomGaussianVector(heads * d, 1.0f, rng);
+  for (std::size_t t = 0; t < positions.size(); ++t) {
+    auto want = x;
+    ApplyRope(want, heads, d, positions[t], theta);
+    auto got = x;
+    table.Apply(t, got, heads);
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0)
+        << "position " << positions[t];
+  }
+}
+
+TEST(RopeTest, TableRebuildReusesBuffersForShorterBatches) {
+  ComputeContext ctx({.num_threads = 1});
+  RopeTable table;
+  const std::vector<std::int64_t> long_batch = {9, 8, 7, 6};
+  const std::vector<std::int64_t> short_batch = {100};
+  table.Build(long_batch, 8, 10000.0f, ctx);
+  table.Build(short_batch, 8, 10000.0f, ctx);
+  ASSERT_EQ(table.rows(), 1u);
+  std::vector<float> want = {1, 2, 3, 4, 5, 6, 7, 8};
+  auto got = want;
+  ApplyRope(want, 1, 8, 100, 10000.0f);
+  table.Apply(0, got, 1);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0);
 }
 
 TEST(RopeDeathTest, OddHeadDimAborts) {
