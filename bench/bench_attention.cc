@@ -17,6 +17,12 @@
 // A split sweep asserts the determinism contract where it is cheapest to
 // see: every forced split size must produce byte-identical output.
 //
+// Prefill rows (kind "prefill": a 256-row chunk at offset 0 and a 48-row
+// suffix at offset 448) time the row-tiled prefill kernel against an
+// in-bench replica of the per-row kernel it replaced. Both run the same
+// numerics contract, so the bench exits non-zero unless they agree bit for
+// bit.
+//
 // --json PATH   emit BENCH_attention.json ("bench": "attention")
 // --threads N   pool width (default 4)
 // --repeat N    best-of reps per timing (default 5)
@@ -107,6 +113,98 @@ void BaselineDecode(const LlamaConfig& c, const PagedKvCache& kv,
       oh[j] = acc[static_cast<std::size_t>(j)] * inv;
     }
    }
+  });
+}
+
+/// The per-row prefill kernel the row-tiled one replaced, kept as the
+/// prefill baseline: one task per (query row, KV head), each softmax block
+/// scored by dot_f16_strip and accumulated by softmax_accum_f16 per page
+/// run, so every K/V entry is decoded once per row instead of once per
+/// tile. It runs the same numerics contract, so its output must match the
+/// shipped kernel bit for bit.
+void PerRowPrefill(const LlamaConfig& c, const PagedKvCache& kv, SeqId seq,
+                   std::int64_t pos_offset, std::span<const float> q,
+                   std::span<float> out, const ComputeContext& ctx) {
+  const SimdOps& ops = Simd();
+  const int d = c.head_dim();
+  const int group = c.num_heads / c.num_kv_heads;
+  const std::size_t width = static_cast<std::size_t>(c.num_heads) *
+                            static_cast<std::size_t>(d);
+  const std::size_t stride = kv.config().token_entry_elems();
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  const auto rows = static_cast<std::int64_t>(q.size() / width);
+  ctx.ParallelFor(rows * c.num_kv_heads, 1, [&](std::int64_t lo,
+                                                std::int64_t hi) {
+    std::vector<float> scores(static_cast<std::size_t>(group) *
+                              kAttnBlockLen);
+    std::vector<float> acc(static_cast<std::size_t>(group) *
+                           static_cast<std::size_t>(d));
+    std::vector<float> bm(static_cast<std::size_t>(group));
+    std::vector<float> bs(static_cast<std::size_t>(group));
+    for (std::int64_t task = lo; task < hi; ++task) {
+      const std::int64_t row = task / c.num_kv_heads;
+      const int g = static_cast<int>(task % c.num_kv_heads);
+      const std::int64_t kv_len = pos_offset + row + 1;
+      const std::size_t head_off = static_cast<std::size_t>(g * d);
+      const float* q0 = q.data() + static_cast<std::size_t>(row) * width +
+                        static_cast<std::size_t>(g * group * d);
+      float* o0 = out.data() + static_cast<std::size_t>(row) * width +
+                  static_cast<std::size_t>(g * group * d);
+      std::vector<float> m(static_cast<std::size_t>(group), -INFINITY);
+      std::vector<float> s(static_cast<std::size_t>(group), 0.0f);
+      std::fill(o0, o0 + group * d, 0.0f);
+      KvRunCursor kcur(kv, seq, 0, KvSlot::kKey, head_off);
+      KvRunCursor vcur(kv, seq, 0, KvSlot::kValue, head_off);
+      for (std::int64_t b0 = 0; b0 < kv_len; b0 += kAttnBlockLen) {
+        const std::int64_t end = std::min(kv_len, b0 + kAttnBlockLen);
+        KvRun run;
+        kcur.Seek(b0);
+        std::int64_t done = 0;
+        while (kcur.Next(end, &run)) {
+          for (int t = 0; t < group; ++t) {
+            ops.dot_f16_strip(q0 + t * d, run.data + head_off, stride,
+                              static_cast<std::size_t>(d),
+                              static_cast<std::size_t>(run.len), scale,
+                              scores.data() + t * kAttnBlockLen + done);
+          }
+          done += run.len;
+        }
+        for (int t = 0; t < group; ++t) {
+          bm[t] = -INFINITY;
+          for (std::int64_t j = 0; j < end - b0; ++j) {
+            bm[t] = std::max(bm[t], scores[t * kAttnBlockLen + j]);
+          }
+          bs[t] = 0.0f;
+        }
+        std::fill(acc.begin(), acc.end(), 0.0f);
+        vcur.Seek(b0);
+        done = 0;
+        while (vcur.Next(end, &run)) {
+          for (int t = 0; t < group; ++t) {
+            bs[t] += ops.softmax_accum_f16(
+                scores.data() + t * kAttnBlockLen + done, bm[t],
+                run.data + head_off, stride, static_cast<std::size_t>(d),
+                static_cast<std::size_t>(run.len), acc.data() + t * d);
+          }
+          done += run.len;
+        }
+        for (int t = 0; t < group; ++t) {
+          const float new_m = std::max(m[t], bm[t]);
+          const float alpha = std::exp(m[t] - new_m);
+          const float beta = std::exp(bm[t] - new_m);
+          float* oh = o0 + t * d;
+          for (int i = 0; i < d; ++i) {
+            oh[i] = oh[i] * alpha + beta * acc[t * d + i];
+          }
+          s[t] = s[t] * alpha + beta * bs[t];
+          m[t] = new_m;
+        }
+      }
+      for (int t = 0; t < group; ++t) {
+        const float inv = s[t] > 0.0f ? 1.0f / s[t] : 0.0f;
+        for (int i = 0; i < d; ++i) o0[t * d + i] *= inv;
+      }
+    }
   });
 }
 
@@ -201,6 +299,56 @@ ShapeRow MeasureShape(const ComputeContext& ctx, int batch,
           MaxAbsDiff(out_base, out_new)};
 }
 
+struct PrefillRow {
+  std::int64_t chunk;
+  std::int64_t pos_offset;
+  double base_s;
+  double new_s;
+  double speedup;
+  double pos_per_s;  ///< attended (query row, cache position) pairs per s
+  float max_diff;
+};
+
+/// One prefill chunk of `chunk` rows after `pos_offset` cached positions:
+/// the row-tiled kernel vs the per-row replica on the same cache bits.
+PrefillRow MeasurePrefill(const ComputeContext& ctx, std::int64_t chunk,
+                          std::int64_t pos_offset, int reps) {
+  LlamaConfig c = BenchConfig();
+  Fixture f = MakeFixture(c, /*batch=*/1, pos_offset + chunk);
+  Pcg32 rng(0x9E7);
+  f.q = RandomGaussianVector(static_cast<std::size_t>(chunk) *
+                                 static_cast<std::size_t>(c.num_heads) *
+                                 static_cast<std::size_t>(c.head_dim()),
+                             1.0f, rng);
+  std::vector<float> out_base(f.q.size()), out_new(f.q.size());
+  std::vector<float> scratch;
+  double base_s = BestOf(reps, [&] {
+    PerRowPrefill(c, *f.kv, f.seqs[0], pos_offset, f.q, out_base, ctx);
+  });
+  double new_s = BestOf(reps, [&] {
+    BatchPrefillAttention(c, *f.kv, f.seqs[0], 0, pos_offset, f.q, out_new,
+                          ctx, &scratch);
+  });
+  const double pairs = static_cast<double>(chunk) *
+                       (static_cast<double>(pos_offset) +
+                        (static_cast<double>(chunk) + 1.0) / 2.0);
+  return {chunk,  pos_offset,         base_s, new_s, base_s / new_s,
+          pairs / new_s, MaxAbsDiff(out_base, out_new)};
+}
+
+/// Exits the process when the tiled kernel and the per-row replica
+/// disagree in any bit.
+void RequireBitIdentical(const PrefillRow& r) {
+  if (r.max_diff != 0.0f) {
+    std::fprintf(stderr,
+                 "FAIL: prefill chunk %lld at offset %lld differs from the "
+                 "per-row kernel (max diff %g)\n",
+                 static_cast<long long>(r.chunk),
+                 static_cast<long long>(r.pos_offset), r.max_diff);
+    std::exit(1);
+  }
+}
+
 /// Forced-split sweep on one long sequence: every split size must produce
 /// byte-identical output (the fixed-block fold contract). Returns rows of
 /// (split, seconds); exits the process on a mismatch.
@@ -249,6 +397,12 @@ int RunSmoke() {
   }
   SplitSweep(/*threads=*/0, /*kv_len=*/kAttnBlockLen * 3 + 7, /*reps=*/1);
   std::printf("smoke splits {1,2,4,8,16}: byte-identical  ok\n");
+  {
+    ComputeContext ctx({.num_threads = 0});
+    RequireBitIdentical(MeasurePrefill(ctx, /*chunk=*/21, /*pos_offset=*/130,
+                                       /*reps=*/1));
+    std::printf("smoke prefill c21 off130: tiled == per-row bitwise  ok\n");
+  }
   if (failures != 0) {
     std::fprintf(stderr, "FAIL: %d smoke shape(s) out of tolerance\n",
                  failures);
@@ -284,6 +438,25 @@ void Run(const char* json_path, int threads, int reps) {
     }
   }
   t.Print();
+
+  std::printf("\nPrefill attention: row-tiled kernel vs per-row kernel "
+              "(outputs must match bit for bit):\n");
+  Table pt({"chunk", "offset", "per-row", "tiled", "speedup", "Mpair/s",
+            "max diff"});
+  std::vector<PrefillRow> prefill;
+  for (auto [chunk, offset] : {std::pair<std::int64_t, std::int64_t>{256, 0},
+                               {48, 448}}) {
+    PrefillRow r = MeasurePrefill(ctx, chunk, offset, reps);
+    RequireBitIdentical(r);
+    prefill.push_back(r);
+    pt.AddRow({std::to_string(chunk), std::to_string(offset),
+               FormatDouble(r.base_s * 1e3, 2) + " ms",
+               FormatDouble(r.new_s * 1e3, 2) + " ms",
+               FormatDouble(r.speedup, 2) + "x",
+               FormatDouble(r.pos_per_s / 1e6, 2),
+               FormatDouble(r.max_diff, 5)});
+  }
+  pt.Print();
 
   auto splits = SplitSweep(threads, /*kv_len=*/8192, reps);
   std::printf("\nForced split-KV sweep, batch 1 x kv 8192 (byte-identical "
@@ -331,6 +504,16 @@ void Run(const char* json_path, int threads, int reps) {
                    static_cast<long long>(r.kv_len), r.base_s, r.new_s,
                    r.speedup, r.pos_per_s, r.max_diff);
       first = false;
+    }
+    for (const auto& r : prefill) {
+      std::fprintf(json,
+                   ",\n    {\"kind\": \"prefill\", \"chunk\": %lld, "
+                   "\"pos_offset\": %lld, \"base_s\": %.6f, "
+                   "\"new_s\": %.6f, \"speedup\": %.4f, "
+                   "\"pos_per_s\": %.1f, \"max_diff\": %.6f}",
+                   static_cast<long long>(r.chunk),
+                   static_cast<long long>(r.pos_offset), r.base_s, r.new_s,
+                   r.speedup, r.pos_per_s, r.max_diff);
     }
     for (auto [split, secs] : splits) {
       std::fprintf(json,

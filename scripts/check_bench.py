@@ -45,8 +45,9 @@ The threshold can also come from the BENCH_REGRESSION_THRESHOLD env var
     SGMV path specifically.
   * attention files (bench_attention --json): per-shape speedup of the
     page-run split-KV decode kernel over the pre-rewrite serial kernel (a
-    same-run ratio, gated by the --min floor at b1/kv4096), plus
-    wall-clock pos_per_s rows that CI excludes from the baseline compare.
+    same-run ratio, gated by the --min floor at b1/kv4096), the row-tiled
+    prefill kernel's speedup over the per-row kernel, plus wall-clock
+    pos_per_s rows that CI excludes from the baseline compare.
 """
 
 import argparse
@@ -162,6 +163,12 @@ def attention_metrics(doc):
         kind = row.get("kind")
         if kind == "decode":
             key = f"decode/b{row.get('batch', '?')}/kv{row.get('kv_len', '?')}"
+            for field in ("speedup", "pos_per_s"):
+                if field in row:
+                    metrics[f"{key}/{field}"] = (row[field], field)
+        elif kind == "prefill":
+            key = (f"prefill/c{row.get('chunk', '?')}"
+                   f"/off{row.get('pos_offset', '?')}")
             for field in ("speedup", "pos_per_s"):
                 if field in row:
                     metrics[f"{key}/{field}"] = (row[field], field)

@@ -11,26 +11,29 @@
 namespace punica {
 
 LoraAB LoraAB::Random(int h_in, int h_out, int rank, std::uint64_t seed) {
+  LoraAB w = Zeros(h_in, h_out, rank);
+  w.Draw(seed);
+  return w;
+}
+
+LoraAB LoraAB::Zeros(int h_in, int h_out, int rank) {
   PUNICA_CHECK(h_in > 0 && h_out > 0 && rank > 0);
-  Pcg32 rng(seed);
   LoraAB w;
   w.rank = rank;
   w.h_in = h_in;
   w.h_out = h_out;
   w.a = Tensor<f16>({h_in, rank});
   w.b = Tensor<f16>({rank, h_out});
+  return w;
+}
+
+void LoraAB::Draw(std::uint64_t seed) {
+  Pcg32 rng(seed);
   // Kaiming-style scale for A; B small (LoRA initialises B=0 for training,
   // but serving benchmarks need non-trivial values — paper uses random
   // weights since values do not affect latency).
-  float scale_a = 1.0f / std::sqrt(static_cast<float>(h_in));
-  float scale_b = 1.0f / std::sqrt(static_cast<float>(rank));
-  for (auto& v : w.a.data()) {
-    v = f16(static_cast<float>(rng.NextGaussian()) * scale_a);
-  }
-  for (auto& v : w.b.data()) {
-    v = f16(static_cast<float>(rng.NextGaussian()) * scale_b);
-  }
-  return w;
+  FillGaussianF16(rng, 1.0f / std::sqrt(static_cast<float>(h_in)), a.data());
+  FillGaussianF16(rng, 1.0f / std::sqrt(static_cast<float>(rank)), b.data());
 }
 
 void BatchedLoraAddon(std::span<float> y, std::span<const float> x,

@@ -28,7 +28,13 @@ struct LoraAB {
   int h_in = 0;
   int h_out = 0;
 
+  /// Zeros(h_in, h_out, rank) followed by Draw(seed).
   static LoraAB Random(int h_in, int h_out, int rank, std::uint64_t seed);
+  /// Random's two halves, so one thread can allocate what another fills:
+  /// Zeros allocates zeroed A [h_in, rank] and B [rank, h_out]; Draw fills
+  /// A then B in place from `seed`'s stream.
+  static LoraAB Zeros(int h_in, int h_out, int rank);
+  void Draw(std::uint64_t seed);
   std::size_t byte_size() const {
     return (a.numel() + b.numel()) * sizeof(f16);
   }

@@ -1,10 +1,65 @@
 #include "kvcache/kvcache.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <utility>
 
 #include "util/check.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define PUNICA_KV_HEAP_POOL 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PUNICA_KV_HEAP_POOL 1
+#endif
+#endif
+#if !defined(PUNICA_KV_HEAP_POOL) && !defined(__unix__) && \
+    !defined(__APPLE__)
+#define PUNICA_KV_HEAP_POOL 1
+#endif
+#ifndef PUNICA_KV_HEAP_POOL
+#include <sys/mman.h>
+#endif
+
 namespace punica {
+
+PagePoolStorage::PagePoolStorage(std::size_t elems) : elems_(elems) {
+  if (elems == 0) return;
+#ifdef PUNICA_KV_HEAP_POOL
+  data_ = static_cast<f16*>(std::calloc(elems, sizeof(f16)));
+  PUNICA_CHECK_MSG(data_ != nullptr, "KV page pool allocation failed");
+#else
+  void* p = mmap(nullptr, elems * sizeof(f16), PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  PUNICA_CHECK_MSG(p != MAP_FAILED, "KV page pool mapping failed");
+  data_ = static_cast<f16*>(p);
+#endif
+}
+
+PagePoolStorage::~PagePoolStorage() { Release(); }
+
+PagePoolStorage::PagePoolStorage(PagePoolStorage&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      elems_(std::exchange(other.elems_, 0)) {}
+
+PagePoolStorage& PagePoolStorage::operator=(PagePoolStorage&& other) noexcept {
+  if (this != &other) {
+    Release();
+    data_ = std::exchange(other.data_, nullptr);
+    elems_ = std::exchange(other.elems_, 0);
+  }
+  return *this;
+}
+
+void PagePoolStorage::Release() {
+  if (data_ == nullptr) return;
+#ifdef PUNICA_KV_HEAP_POOL
+  std::free(data_);
+#else
+  munmap(data_, elems_ * sizeof(f16));
+#endif
+  data_ = nullptr;
+}
 
 PagedKvCache::PagedKvCache(const KvCacheConfig& config)
     : config_(config),
@@ -71,14 +126,11 @@ bool PagedKvCache::Extend(SeqId seq, std::int64_t tokens) {
   if (cow) {
     PageId fresh = newly[next++];
     PageId old = st.pages.back();
-    std::copy_n(storage_.begin() +
-                    static_cast<std::ptrdiff_t>(
-                        static_cast<std::size_t>(old) * config_.page_elems()),
-                static_cast<std::ptrdiff_t>(config_.page_elems()),
-                storage_.begin() +
-                    static_cast<std::ptrdiff_t>(static_cast<std::size_t>(
-                                                    fresh) *
-                                                config_.page_elems()));
+    std::copy_n(storage_.data() +
+                    static_cast<std::size_t>(old) * config_.page_elems(),
+                config_.page_elems(),
+                storage_.data() +
+                    static_cast<std::size_t>(fresh) * config_.page_elems());
     st.pages.back() = fresh;
     allocator_.Release(old);
   }
@@ -140,7 +192,7 @@ std::span<f16> PagedKvCache::Entry(SeqId seq, int layer, std::int64_t pos,
       allocator_.RefCount(
           st.pages[static_cast<std::size_t>(pos / config_.page_size)]) == 1,
       "write to shared page");
-  return std::span<f16>(storage_).subspan(off, config_.token_entry_elems());
+  return {storage_.data() + off, config_.token_entry_elems()};
 }
 
 std::span<const f16> PagedKvCache::Entry(SeqId seq, int layer,
@@ -148,8 +200,7 @@ std::span<const f16> PagedKvCache::Entry(SeqId seq, int layer,
                                          KvSlot slot) const {
   const SeqState& st = GetSeq(seq);
   std::size_t off = EntryOffset(st, layer, pos, slot);
-  return std::span<const f16>(storage_).subspan(off,
-                                                config_.token_entry_elems());
+  return {storage_.data() + off, config_.token_entry_elems()};
 }
 
 std::span<const PageId> PagedKvCache::PageTable(SeqId seq) const {

@@ -24,9 +24,11 @@ struct RowInfo {
 /// Query heads per task: GQA query heads sharing one KV head are evaluated
 /// together, block-interleaved, so each K/V cache block is streamed from
 /// memory once per task instead of once per query head (the cache bytes
-/// are the decode roofline). Capped so the per-task stack scratch stays
-/// bounded; a wider GQA group becomes several tasks over the same KV head.
-constexpr int kMaxSegHeads = 8;
+/// are the decode roofline). Capped at what one attn_tile call covers; a
+/// wider GQA group becomes several tasks over the same KV head.
+constexpr int kMaxSegHeads = kAttnTileHeads;
+static_assert(kMaxAttnHeadDim == kAttnTileMaxDim);
+static_assert(kAttnBlockLen == kAttnTileMaxBlock);
 
 /// A run of consecutive local query heads sharing one KV head.
 struct HeadSeg {
@@ -34,60 +36,69 @@ struct HeadSeg {
   std::int32_t hi = 0;  ///< one past the last local head
 };
 
-/// Computes the softmax partials of cache positions [begin, end) — one math
-/// block — for `n_h` consecutive query heads sharing one KV head. Two
-/// passes over the block's page runs: scores for every position
-/// (dot_f16_strip per K run per head, so a run is loaded once for the whole
-/// group while L1-hot), the exact block max per head, then the softmax·V
-/// accumulation (softmax_accum_f16 per V run per head) in ascending
-/// position order. Per head this is exactly the single-head sequence — run
-/// boundaries are fixed by the page geometry and the absolute block grid,
-/// never by the split, thread count or head grouping, so each head's
-/// partial is a fixed arithmetic sequence. Head t's partial is written to
-/// out0[t·out_stride]: {m, s, acc[0..d)} (acc zeroed here). `scores` needs
-/// n_h · kAttnBlockLen floats.
-void ComputeBlockPartialGroup(const SimdOps& ops, KvRunCursor& kcur,
-                              KvRunCursor& vcur, const float* q0, int n_h,
-                              std::size_t head_off, std::size_t stride,
-                              int d, std::int64_t begin, std::int64_t end,
-                              float scale, float* scores, float* out0,
-                              std::size_t out_stride) {
-  kcur.Seek(begin);
-  vcur.Seek(begin);
-  KvRun run;
-  std::int64_t done = 0;
-  while (kcur.Next(end, &run)) {
-    for (int t = 0; t < n_h; ++t) {
-      ops.dot_f16_strip(q0 + static_cast<std::size_t>(t) * d,
-                        run.data + head_off, stride,
-                        static_cast<std::size_t>(d),
-                        static_cast<std::size_t>(run.len), scale,
-                        scores + static_cast<std::size_t>(t) * kAttnBlockLen +
-                            done);
-    }
-    done += run.len;
+/// Per-task scratch of one tile: the block's page runs, per-row lengths,
+/// scores and the per-(row, head) block partials {m, s, acc[d]}.
+struct TileScratch {
+  AttnRun runs[kAttnBlockLen];
+  std::int32_t row_len[kAttnTileRows];
+  float scores[kAttnTileRows * kMaxSegHeads * kAttnBlockLen];
+  float partial[kAttnTileRows * kMaxSegHeads * (2 + kMaxAttnHeadDim)];
+};
+
+/// One task's query rows: `n` consecutive rows of one sequence with
+/// ascending kv_len — a prefill tile, or a single decode row. Row i's
+/// heads start at q + i·ldq.
+struct TileRows {
+  const RowInfo* rows = nullptr;
+  int n = 0;
+  const float* q = nullptr;
+  std::size_t ldq = 0;
+};
+
+/// The softmax partials of the block starting at position b0, for the
+/// tile's rows that reach into it (a suffix, since kv_len ascends) and the
+/// `n_h` heads sharing the cursors' KV head. The block's page runs are
+/// collected once (run boundaries come from the page geometry and the
+/// absolute block grid, never from the tile, split or thread count) and
+/// handed to the level's attn_tile, which gives every (row, head) pair the
+/// partial its row alone would get. Pair (first + i, t) lands at
+/// sc.partial + (i·n_h + t)·(d + 2). Returns `first`.
+int ComputeTileBlock(const SimdOps& ops, KvRunCursor& kcur,
+                     KvRunCursor& vcur, const TileRows& tile, int n_h,
+                     std::size_t head_off, std::size_t stride, int d,
+                     std::int64_t b0, float scale, TileScratch& sc) {
+  int first = 0;
+  while (tile.rows[first].kv_len <= b0) ++first;
+  const std::int64_t end =
+      std::min(tile.rows[tile.n - 1].kv_len, b0 + kAttnBlockLen);
+  kcur.Seek(b0);
+  vcur.Seek(b0);
+  KvRun kr;
+  KvRun vr;
+  int n_runs = 0;
+  while (kcur.Next(end, &kr)) {
+    vcur.Next(end, &vr);
+    sc.runs[n_runs++] = {kr.data + head_off, vr.data + head_off, kr.len};
   }
-  const std::int64_t n = end - begin;
-  for (int t = 0; t < n_h; ++t) {
-    const float* sp = scores + static_cast<std::size_t>(t) * kAttnBlockLen;
-    float m = -INFINITY;
-    for (std::int64_t j = 0; j < n; ++j) m = std::max(m, sp[j]);
-    float* slot = out0 + static_cast<std::size_t>(t) * out_stride;
-    slot[0] = m;
-    slot[1] = 0.0f;
-    std::fill(slot + 2, slot + 2 + d, 0.0f);
+  for (int r = first; r < tile.n; ++r) {
+    sc.row_len[r - first] = static_cast<std::int32_t>(
+        std::min(tile.rows[r].kv_len, b0 + kAttnBlockLen) - b0);
   }
-  std::int64_t off = 0;
-  while (vcur.Next(end, &run)) {
-    for (int t = 0; t < n_h; ++t) {
-      float* slot = out0 + static_cast<std::size_t>(t) * out_stride;
-      slot[1] += ops.softmax_accum_f16(
-          scores + static_cast<std::size_t>(t) * kAttnBlockLen + off,
-          slot[0], run.data + head_off, stride, static_cast<std::size_t>(d),
-          static_cast<std::size_t>(run.len), slot + 2);
-    }
-    off += run.len;
-  }
+  ops.attn_tile({.q = tile.q + static_cast<std::size_t>(first) * tile.ldq,
+                 .ldq = tile.ldq,
+                 .rows = tile.n - first,
+                 .heads = n_h,
+                 .d = static_cast<std::size_t>(d),
+                 .runs = sc.runs,
+                 .n_runs = n_runs,
+                 .stride = stride,
+                 .row_len = sc.row_len,
+                 .scale = scale,
+                 .scores = sc.scores,
+                 .ld_scores = kAttnBlockLen,
+                 .out = sc.partial,
+                 .ld_out = static_cast<std::size_t>(d) + 2});
+  return first;
 }
 
 /// Folds one block partial into the running (m, s, acc) state. This is the
@@ -111,47 +122,57 @@ inline void NormalizeOut(float s, int d, float* out_head) {
   for (int i = 0; i < d; ++i) out_head[i] *= inv;
 }
 
-/// The unsplit path: every block of one (row, head-segment) task computed
-/// and folded inline. Each head's output slice doubles as its fold
-/// accumulator — no per-task heap allocation anywhere (the old kernel's
-/// std::vector acc). Per head the block/fold sequence is identical to a
-/// one-head-per-task schedule; grouping only changes which task runs it.
-void AttendSegInline(const SimdOps& ops, const PagedKvCache& kv,
-                     const RowInfo& row, int layer, const HeadSeg& seg,
-                     std::size_t head_off, std::size_t stride, int d,
-                     const float* q0, float* out0, float scale) {
+/// The unsplit path: every block of one (tile, head-segment) task computed
+/// and folded inline. Each (row, head) output slice doubles as its fold
+/// accumulator — no per-task heap allocation. Per (row, head) the
+/// block/fold sequence is identical to a one-row, one-head task; tiling
+/// and grouping only change which task runs it.
+void AttendTileInline(const SimdOps& ops, const PagedKvCache& kv,
+                      const TileRows& tile, int layer, const HeadSeg& seg,
+                      std::size_t head_off, std::size_t stride, int d,
+                      float* out0, std::size_t ld_out, float scale) {
   const int n_h = seg.hi - seg.lo;
-  KvRunCursor kcur(kv, row.seq, layer, KvSlot::kKey, head_off);
-  KvRunCursor vcur(kv, row.seq, layer, KvSlot::kValue, head_off);
-  float scores[kMaxSegHeads * kAttnBlockLen];
-  // Per-head block partial {m, s, acc[d]} plus the running fold (m, s).
-  float partial[kMaxSegHeads * (2 + kMaxAttnHeadDim)];
+  KvRunCursor kcur(kv, tile.rows[0].seq, layer, KvSlot::kKey, head_off);
+  KvRunCursor vcur(kv, tile.rows[0].seq, layer, KvSlot::kValue, head_off);
+  TileScratch sc;
   const std::size_t pstride = static_cast<std::size_t>(d) + 2;
-  float m[kMaxSegHeads];
-  float s[kMaxSegHeads];
-  for (int t = 0; t < n_h; ++t) {
-    m[t] = -INFINITY;
-    s[t] = 0.0f;
-    float* oh = out0 + static_cast<std::size_t>(t) * d;
-    std::fill(oh, oh + d, 0.0f);
-  }
-  for (std::int64_t b0 = 0; b0 < row.kv_len; b0 += kAttnBlockLen) {
-    const std::int64_t b1 = std::min(row.kv_len, b0 + kAttnBlockLen);
-    ComputeBlockPartialGroup(ops, kcur, vcur, q0, n_h, head_off, stride, d,
-                             b0, b1, scale, scores, partial, pstride);
+  // Running fold (m, s) per (row, head).
+  float m[kAttnTileRows * kMaxSegHeads];
+  float s[kAttnTileRows * kMaxSegHeads];
+  const auto out_head = [&](int r, int t) {
+    return out0 + static_cast<std::size_t>(r) * ld_out +
+           static_cast<std::size_t>(t) * d;
+  };
+  for (int r = 0; r < tile.n; ++r) {
     for (int t = 0; t < n_h; ++t) {
-      const float* slot = partial + static_cast<std::size_t>(t) * pstride;
-      FoldBlock(slot[0], slot[1], slot + 2, d, &m[t], &s[t],
-                out0 + static_cast<std::size_t>(t) * d);
+      m[r * n_h + t] = -INFINITY;
+      s[r * n_h + t] = 0.0f;
+      std::fill(out_head(r, t), out_head(r, t) + d, 0.0f);
     }
   }
-  for (int t = 0; t < n_h; ++t) {
-    NormalizeOut(s[t], d, out0 + static_cast<std::size_t>(t) * d);
+  for (std::int64_t b0 = 0; b0 < tile.rows[tile.n - 1].kv_len;
+       b0 += kAttnBlockLen) {
+    const int first = ComputeTileBlock(ops, kcur, vcur, tile, n_h, head_off,
+                                       stride, d, b0, scale, sc);
+    for (int r = first; r < tile.n; ++r) {
+      for (int t = 0; t < n_h; ++t) {
+        const float* slot =
+            sc.partial +
+            static_cast<std::size_t>((r - first) * n_h + t) * pstride;
+        FoldBlock(slot[0], slot[1], slot + 2, d, &m[r * n_h + t],
+                  &s[r * n_h + t], out_head(r, t));
+      }
+    }
+  }
+  for (int r = 0; r < tile.n; ++r) {
+    for (int t = 0; t < n_h; ++t) {
+      NormalizeOut(s[r * n_h + t], d, out_head(r, t));
+    }
   }
 }
 
 /// Work-size heuristic (split-KV chunk count): split only when the batch's
-/// (row × head-segment) tasks under-fill the worker pool — the long-context
+/// (tile × head-segment) tasks under-fill the worker pool — the long-context
 /// single-sequence decode that otherwise leaves most workers idle — and
 /// the longest row spans at least two blocks. Any S computes the identical
 /// stream (the block math is fixed), so this is purely a scheduling choice
@@ -173,9 +194,11 @@ int PickSplit(const ComputeContext& ctx, std::int64_t tasks,
 
 /// Shared core of all four entry points: attention of `rows` query tokens
 /// over their cache ranges, for local heads [0, heads) mapping to global
-/// heads [head_begin, head_begin + heads).
+/// heads [head_begin, head_begin + heads). Tasks cover `tile_rows`
+/// consecutive rows (a prefill chunk's rows, kv_len ascending, share one
+/// sequence; decode rows run one per task).
 void AttendRowsRanged(const LlamaConfig& config, const PagedKvCache& kv,
-                      std::span<const RowInfo> rows, int layer,
+                      std::span<const RowInfo> rows, int tile_rows, int layer,
                       std::span<const float> q, std::span<float> out,
                       int head_begin, int heads, const ComputeContext& ctx,
                       std::vector<float>* scratch) {
@@ -189,6 +212,7 @@ void AttendRowsRanged(const LlamaConfig& config, const PagedKvCache& kv,
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
   const auto n_rows = static_cast<std::int64_t>(rows.size());
   const std::int64_t pairs = n_rows * heads;
+  const std::int64_t n_tiles = (n_rows + tile_rows - 1) / tile_rows;
 
   std::int64_t max_kv_len = 0;
   for (const RowInfo& r : rows) max_kv_len = std::max(max_kv_len, r.kv_len);
@@ -197,11 +221,24 @@ void AttendRowsRanged(const LlamaConfig& config, const PagedKvCache& kv,
     return static_cast<std::size_t>((head_begin + local_head) / group) *
            static_cast<std::size_t>(d);
   };
+  const auto tile_of = [&](std::int64_t ti, const HeadSeg& seg) {
+    const std::int64_t r0 = ti * tile_rows;
+    return TileRows{
+        rows.data() + r0,
+        static_cast<int>(std::min<std::int64_t>(tile_rows, n_rows - r0)),
+        q.data() + static_cast<std::size_t>(r0) * width +
+            static_cast<std::size_t>(seg.lo) * d,
+        width};
+  };
+  const auto blocks_of = [](std::int64_t kv_len) {
+    return (kv_len + kAttnBlockLen - 1) / kAttnBlockLen;
+  };
 
   // Head segments: maximal runs of local query heads sharing one KV head
-  // (capped at kMaxSegHeads). Tasks are (row, segment), so one task streams
-  // each cache block once for its whole GQA group. A rank's head range need
-  // not be group-aligned — the first/last segments may be partial groups.
+  // (capped at kMaxSegHeads). Tasks are (tile, segment), so one task streams
+  // each cache block once for its whole tile and GQA group. A rank's head
+  // range need not be group-aligned — the first/last segments may be
+  // partial groups.
   SmallBuffer<HeadSeg, 64> segs(static_cast<std::size_t>(heads));
   std::int64_t n_segs = 0;
   for (int lh = 0; lh < heads;) {
@@ -211,43 +248,46 @@ void AttendRowsRanged(const LlamaConfig& config, const PagedKvCache& kv,
     segs[static_cast<std::size_t>(n_segs++)] = {lh, hi};
     lh = hi;
   }
-  const std::int64_t n_tasks = n_rows * n_segs;
+  const std::int64_t n_tasks = n_tiles * n_segs;
 
   const int S = PickSplit(ctx, n_tasks, max_kv_len);
 
-  // Per-row block counts and per-row chunk counts (min(S, blocks)), as
-  // prefix sums so tasks and partial slots index by flat offset.
+  // Per-row block counts and per-tile chunk counts (min(S, blocks of the
+  // tile's longest row)), as prefix sums so tasks and partial slots index
+  // by flat offset.
   SmallBuffer<std::int64_t, kStackRows + 1> block_off;
   SmallBuffer<std::int64_t, kStackRows + 1> chunk_off;
   std::int64_t total_blocks = 0;
   std::int64_t total_chunks = 0;
   if (S > 1) {
     block_off.Resize(static_cast<std::size_t>(n_rows) + 1);
-    chunk_off.Resize(static_cast<std::size_t>(n_rows) + 1);
+    chunk_off.Resize(static_cast<std::size_t>(n_tiles) + 1);
     block_off[0] = chunk_off[0] = 0;
     for (std::int64_t i = 0; i < n_rows; ++i) {
-      const std::int64_t blocks =
-          (rows[static_cast<std::size_t>(i)].kv_len + kAttnBlockLen - 1) /
-          kAttnBlockLen;
-      total_blocks += blocks;
-      total_chunks += std::min<std::int64_t>(S, blocks);
+      total_blocks += blocks_of(rows[static_cast<std::size_t>(i)].kv_len);
       block_off[static_cast<std::size_t>(i) + 1] = total_blocks;
-      chunk_off[static_cast<std::size_t>(i) + 1] = total_chunks;
+    }
+    for (std::int64_t ti = 0; ti < n_tiles; ++ti) {
+      const TileRows tile = tile_of(ti, segs[0]);
+      total_chunks += std::min<std::int64_t>(
+          S, blocks_of(tile.rows[tile.n - 1].kv_len));
+      chunk_off[static_cast<std::size_t>(ti) + 1] = total_chunks;
     }
   }
 
-  if (S <= 1 || total_chunks == n_rows) {
-    // One task per (row, head segment) — the whole-range inline fold; each
+  if (S <= 1 || total_chunks == n_tiles) {
+    // One task per (tile, head segment) — the whole-range inline fold; each
     // out slice has exactly one writer.
     ctx.ParallelFor(n_tasks, 1, [&](std::int64_t lo, std::int64_t hi) {
       for (std::int64_t task = lo; task < hi; ++task) {
-        const auto row = static_cast<std::size_t>(task / n_segs);
+        const std::int64_t ti = task / n_segs;
         const HeadSeg seg = segs[static_cast<std::size_t>(task % n_segs)];
-        AttendSegInline(
-            ops, kv, rows[row], layer, seg, head_off_of(seg.lo), stride, d,
-            q.data() + row * width + static_cast<std::size_t>(seg.lo) * d,
-            out.data() + row * width + static_cast<std::size_t>(seg.lo) * d,
-            scale);
+        AttendTileInline(
+            ops, kv, tile_of(ti, seg), layer, seg, head_off_of(seg.lo),
+            stride, d,
+            out.data() + static_cast<std::size_t>(ti * tile_rows) * width +
+                static_cast<std::size_t>(seg.lo) * d,
+            width, scale);
       }
     });
     return;
@@ -256,7 +296,8 @@ void AttendRowsRanged(const LlamaConfig& config, const PagedKvCache& kv,
   // Split-KV: phase A computes every block's raw partial into workspace
   // scratch — never pre-folded, so the fold below is the same sequence the
   // inline path runs — and phase B folds them in ascending block order.
-  // Partial slot layout: [total_blocks][heads][2 + d] floats (m, s, acc).
+  // Partial slot layout: [total_blocks][heads][2 + d] floats (m, s, acc),
+  // row i's blocks starting at block_off[i].
   const std::size_t slot_elems = static_cast<std::size_t>(d) + 2;
   const std::size_t need =
       static_cast<std::size_t>(total_blocks * heads) * slot_elems;
@@ -275,35 +316,40 @@ void AttendRowsRanged(const LlamaConfig& config, const PagedKvCache& kv,
     for (std::int64_t task = lo; task < hi; ++task) {
       const std::int64_t cg = task / n_segs;
       const HeadSeg seg = segs[static_cast<std::size_t>(task % n_segs)];
-      // Row containing global chunk cg: chunk_off[row] <= cg < [row + 1].
-      const std::int64_t row =
-          std::upper_bound(chunk_off.data() + 1, chunk_off.data() + n_rows + 1,
-                           cg) -
+      const int n_h = seg.hi - seg.lo;
+      // Tile containing global chunk cg: chunk_off[ti] <= cg < [ti + 1].
+      const std::int64_t ti =
+          std::upper_bound(chunk_off.data() + 1,
+                           chunk_off.data() + n_tiles + 1, cg) -
           (chunk_off.data() + 1);
-      const auto ri = static_cast<std::size_t>(row);
-      const std::int64_t c = cg - chunk_off[ri];
-      const std::int64_t blocks = block_off[ri + 1] - block_off[ri];
-      const std::int64_t chunks = chunk_off[ri + 1] - chunk_off[ri];
+      const TileRows tile = tile_of(ti, seg);
+      const auto ci = static_cast<std::size_t>(ti);
+      const std::int64_t c = cg - chunk_off[ci];
+      const std::int64_t blocks = blocks_of(tile.rows[tile.n - 1].kv_len);
+      const std::int64_t chunks = chunk_off[ci + 1] - chunk_off[ci];
       const std::int64_t b_lo = c * blocks / chunks;
       const std::int64_t b_hi = (c + 1) * blocks / chunks;
       const std::size_t head_off = head_off_of(seg.lo);
-      const float* q0 =
-          q.data() + ri * width + static_cast<std::size_t>(seg.lo) * d;
-      KvRunCursor kcur(kv, rows[ri].seq, layer, KvSlot::kKey, head_off);
-      KvRunCursor vcur(kv, rows[ri].seq, layer, KvSlot::kValue, head_off);
-      float scores[kMaxSegHeads * kAttnBlockLen];
+      KvRunCursor kcur(kv, tile.rows[0].seq, layer, KvSlot::kKey, head_off);
+      KvRunCursor vcur(kv, tile.rows[0].seq, layer, KvSlot::kValue,
+                       head_off);
+      TileScratch sc;
       for (std::int64_t b = b_lo; b < b_hi; ++b) {
-        const std::int64_t p0 = b * kAttnBlockLen;
-        const std::int64_t p1 =
-            std::min(rows[ri].kv_len, p0 + kAttnBlockLen);
-        float* slot0 =
-            partials + (static_cast<std::size_t>(block_off[ri] + b) *
-                            static_cast<std::size_t>(heads) +
-                        static_cast<std::size_t>(seg.lo)) *
-                           slot_elems;
-        ComputeBlockPartialGroup(ops, kcur, vcur, q0, seg.hi - seg.lo,
-                                 head_off, stride, d, p0, p1, scale, scores,
-                                 slot0, slot_elems);
+        const int first =
+            ComputeTileBlock(ops, kcur, vcur, tile, n_h, head_off, stride, d,
+                             b * kAttnBlockLen, scale, sc);
+        for (int r = first; r < tile.n; ++r) {
+          const auto row = static_cast<std::size_t>(ti * tile_rows + r);
+          float* slot0 = partials + (static_cast<std::size_t>(
+                                         block_off[row] + b) *
+                                         static_cast<std::size_t>(heads) +
+                                     static_cast<std::size_t>(seg.lo)) *
+                                        slot_elems;
+          std::copy_n(sc.partial + static_cast<std::size_t>(r - first) *
+                                       static_cast<std::size_t>(n_h) *
+                                       slot_elems,
+                      static_cast<std::size_t>(n_h) * slot_elems, slot0);
+        }
       }
     }
   });
@@ -359,8 +405,8 @@ void BatchPrefillAttentionRanged(const LlamaConfig& config,
   for (std::int64_t j = 0; j < chunk_len; ++j) {
     rows[static_cast<std::size_t>(j)] = {seq, pos_offset + j + 1};  // causal
   }
-  AttendRowsRanged(config, kv, {rows.data(), rows.size()}, layer, q, out,
-                   head_begin, heads, ctx, scratch);
+  AttendRowsRanged(config, kv, {rows.data(), rows.size()}, kAttnTileRows,
+                   layer, q, out, head_begin, heads, ctx, scratch);
 }
 
 void BatchDecodeAttentionRanged(const LlamaConfig& config,
@@ -382,8 +428,8 @@ void BatchDecodeAttentionRanged(const LlamaConfig& config,
     rows[i] = {seqs[i], kv.SeqLen(seqs[i])};
     PUNICA_CHECK(rows[i].kv_len > 0);
   }
-  AttendRowsRanged(config, kv, {rows.data(), rows.size()}, layer, q, out,
-                   head_begin, heads, ctx, scratch);
+  AttendRowsRanged(config, kv, {rows.data(), rows.size()}, /*tile_rows=*/1,
+                   layer, q, out, head_begin, heads, ctx, scratch);
 }
 
 void BatchPrefillAttention(const LlamaConfig& config, const PagedKvCache& kv,

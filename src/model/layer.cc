@@ -11,23 +11,30 @@
 #include "util/small_buffer.h"
 
 namespace punica {
-namespace {
-
-Tensor<f16> RandomF16(std::vector<std::int64_t> shape, float scale,
-                      Pcg32& rng) {
-  Tensor<f16> t(std::move(shape));
-  for (auto& v : t.data()) {
-    v = f16(static_cast<float>(rng.NextGaussian()) * scale);
-  }
-  return t;
-}
-
-}  // namespace
 
 LayerWeights LayerWeights::Random(const LlamaConfig& config,
                                   std::uint64_t seed) {
-  Pcg32 rng(seed);
+  LayerWeights w = Zeros(config);
+  w.Draw(config, seed);
+  return w;
+}
+
+LayerWeights LayerWeights::Zeros(const LlamaConfig& config) {
   LayerWeights w;
+  for (int p = 0; p < kNumProj; ++p) {
+    ProjShape s = ShapeOf(config, static_cast<Proj>(p));
+    w.proj[p] = WeightMatrix::FromF16(Tensor<f16>({s.h_in, s.h_out}),
+                                      WeightDtype::kF16);
+  }
+  w.attn_norm = Tensor<f16>({config.hidden_size});
+  w.mlp_norm = Tensor<f16>({config.hidden_size});
+  for (auto& v : w.attn_norm.data()) v = f16(1.0f);
+  for (auto& v : w.mlp_norm.data()) v = f16(1.0f);
+  return w;
+}
+
+void LayerWeights::Draw(const LlamaConfig& config, std::uint64_t seed) {
+  Pcg32 rng(seed);
   for (int p = 0; p < kNumProj; ++p) {
     ProjShape s = ShapeOf(config, static_cast<Proj>(p));
     float scale = 1.0f / std::sqrt(static_cast<float>(s.h_in));
@@ -43,25 +50,11 @@ LayerWeights LayerWeights::Random(const LlamaConfig& config,
     }
     // Draw the f16 master weights from the same RNG stream at every dtype,
     // then quantize: the dtype selects the storage, never the parameters.
-    w.proj[p] = WeightMatrix::FromF16(RandomF16({s.h_in, s.h_out}, scale, rng),
-                                      config.weight_dtype);
+    FillGaussianF16(rng, scale, proj[p].mutable_f16_data());
+    if (config.weight_dtype != WeightDtype::kF16) {
+      proj[p] = proj[p].Requantize(config.weight_dtype);
+    }
   }
-  w.attn_norm = Tensor<f16>({config.hidden_size});
-  w.mlp_norm = Tensor<f16>({config.hidden_size});
-  for (auto& v : w.attn_norm.data()) v = f16(1.0f);
-  for (auto& v : w.mlp_norm.data()) v = f16(1.0f);
-  return w;
-}
-
-LoraLayerWeights LoraLayerWeights::Random(const LlamaConfig& config, int rank,
-                                          std::uint64_t seed) {
-  LoraLayerWeights w;
-  for (int p = 0; p < kNumProj; ++p) {
-    ProjShape s = ShapeOf(config, static_cast<Proj>(p));
-    w.proj[p] = LoraAB::Random(s.h_in, s.h_out, rank,
-                               seed * 31 + static_cast<std::uint64_t>(p));
-  }
-  return w;
 }
 
 std::size_t LoraLayerWeights::byte_size() const {
@@ -70,15 +63,27 @@ std::size_t LoraLayerWeights::byte_size() const {
   return total;
 }
 
-LoraModelWeights LoraModelWeights::Random(const LlamaConfig& config, int rank,
-                                          std::uint64_t seed) {
+LoraModelWeights LoraModelWeights::Random(const LlamaConfig& config,
+                                          int rank, std::uint64_t seed,
+                                          const ComputeContext& ctx) {
   LoraModelWeights w;
   w.rank = rank;
-  w.layers.reserve(static_cast<std::size_t>(config.num_layers));
-  for (int l = 0; l < config.num_layers; ++l) {
-    w.layers.push_back(LoraLayerWeights::Random(
-        config, rank, seed * 1000003 + static_cast<std::uint64_t>(l)));
+  w.layers.resize(static_cast<std::size_t>(config.num_layers));
+  for (auto& layer : w.layers) {
+    for (int p = 0; p < kNumProj; ++p) {
+      ProjShape s = ShapeOf(config, static_cast<Proj>(p));
+      layer.proj[p] = LoraAB::Zeros(s.h_in, s.h_out, rank);
+    }
   }
+  ctx.ParallelFor(config.num_layers * kNumProj, 1,
+                  [&](std::int64_t lo, std::int64_t hi) {
+                    for (std::int64_t i = lo; i < hi; ++i) {
+                      const auto l = static_cast<std::uint64_t>(i / kNumProj);
+                      const auto p = static_cast<std::uint64_t>(i % kNumProj);
+                      const std::uint64_t layer_seed = seed * 1000003 + l;
+                      w.layers[l].proj[p].Draw(layer_seed * 31 + p);
+                    }
+                  });
   return w;
 }
 

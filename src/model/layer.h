@@ -31,16 +31,22 @@ struct LayerWeights {
 
   /// Draws the same seeded f16 master weights regardless of dtype, then
   /// quantizes per config.weight_dtype — deterministic, and dtype variants
-  /// of one (config, seed) share the underlying parameters.
+  /// of one (config, seed) share the underlying parameters. Equals
+  /// Zeros(config) followed by Draw(config, seed).
   static LayerWeights Random(const LlamaConfig& config, std::uint64_t seed);
+
+  /// Random's two halves, so one thread can allocate what another fills
+  /// (LlamaModel's parallel construction): Zeros allocates zeroed f16
+  /// projections and unit norms; Draw fills the projections in place from
+  /// `seed`'s stream and then quantizes them per config.weight_dtype.
+  static LayerWeights Zeros(const LlamaConfig& config);
+  void Draw(const LlamaConfig& config, std::uint64_t seed);
 };
 
 /// LoRA adapters for one layer: one (A, B) pair per projection.
 struct LoraLayerWeights {
   LoraAB proj[kNumProj];
 
-  static LoraLayerWeights Random(const LlamaConfig& config, int rank,
-                                 std::uint64_t seed);
   std::size_t byte_size() const;
 };
 
@@ -49,8 +55,13 @@ struct LoraModelWeights {
   std::vector<LoraLayerWeights> layers;
   int rank = 0;
 
-  static LoraModelWeights Random(const LlamaConfig& config, int rank,
-                                 std::uint64_t seed);
+  /// Deterministic in (config, rank, seed). Every (layer, projection) pair
+  /// has its own seeded stream, so the pairs are drawn as parallel tasks
+  /// on `ctx` — into tensors allocated on the calling thread beforehand —
+  /// with the same bits at any thread count.
+  static LoraModelWeights Random(
+      const LlamaConfig& config, int rank, std::uint64_t seed,
+      const ComputeContext& ctx = ComputeContext::Default());
   std::size_t byte_size() const;
 };
 

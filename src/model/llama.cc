@@ -15,12 +15,43 @@ LlamaModel::LlamaModel(const LlamaConfig& config, std::uint64_t seed,
       ctx_(ctx != nullptr ? ctx : &ComputeContext::Default()),
       tp_(tp) {
   PUNICA_CHECK(tp >= 1);
-  Pcg32 rng(seed);
-  float embed_scale = 1.0f / std::sqrt(static_cast<float>(config.hidden_size));
+  // The embedding (seeded by `seed`) and every layer (seed·7919 + l + 1)
+  // are independent streams, drawn as parallel tasks with the same bits at
+  // any thread count. Every destination is allocated here, on the calling
+  // thread, so the workers only fill: memory a worker allocates lands in
+  // its own malloc arena and raises peak RSS.
   embedding_ = Tensor<f16>({config.vocab_size, config.hidden_size});
-  for (auto& v : embedding_.data()) {
-    v = f16(static_cast<float>(rng.NextGaussian()) * embed_scale);
+  // tp > 1 draws the same f16 masters as tp = 1 (quantization deferred)
+  // and shards them Megatron-style per rank in the layer's own task,
+  // quantizing to config.weight_dtype after the slice — so tp changes the
+  // execution schedule, never the parameters.
+  LlamaConfig draw_config = config;
+  if (tp > 1) draw_config.weight_dtype = WeightDtype::kF16;
+  std::vector<LayerWeights> drawn;
+  drawn.reserve(static_cast<std::size_t>(config.num_layers));
+  for (int l = 0; l < config.num_layers; ++l) {
+    drawn.push_back(LayerWeights::Zeros(config));
   }
+  if (tp > 1) tp_layers_.resize(static_cast<std::size_t>(config.num_layers));
+  ctx_->ParallelFor(config.num_layers + 1, 1, [&](std::int64_t lo,
+                                                  std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      if (i == 0) {
+        Pcg32 rng(seed);
+        FillGaussianF16(
+            rng, 1.0f / std::sqrt(static_cast<float>(config.hidden_size)),
+            embedding_.data());
+        continue;
+      }
+      const auto l = static_cast<std::size_t>(i - 1);
+      drawn[l].Draw(draw_config, seed * 7919 + l + 1);
+      if (tp > 1) {
+        tp_layers_[l] = ShardLayer(config_, drawn[l], tp);
+        drawn[l] = LayerWeights{};
+      }
+    }
+  });
+  if (tp == 1) layers_ = std::move(drawn);
   // Shift-tied LM head (weight tying à la GPT-2/Gemma, shifted by one):
   // head column v is the embedding row of token v-1, so the residual
   // stream's embedding component makes "input token + 1" the well-separated
@@ -42,37 +73,17 @@ LlamaModel::LlamaModel(const LlamaConfig& config, std::uint64_t seed,
   lm_head_ = WeightMatrix::FromF16(std::move(lm_head), config.weight_dtype);
   final_norm_ = Tensor<f16>({config.hidden_size});
   for (auto& v : final_norm_.data()) v = f16(1.0f);
-  if (tp == 1) {
-    layers_.reserve(static_cast<std::size_t>(config.num_layers));
-    for (int l = 0; l < config.num_layers; ++l) {
-      layers_.push_back(LayerWeights::Random(
-          config, seed * 7919 + static_cast<std::uint64_t>(l) + 1));
-    }
-  } else {
-    // Same seeded f16 master draw as tp=1 (LayerWeights::Random draws f16
-    // masters regardless of dtype), sharded Megatron-style per rank and
-    // quantized to config.weight_dtype after the slice — so tp changes the
-    // execution schedule, never the parameters.
-    LlamaConfig master_config = config;
-    master_config.weight_dtype = WeightDtype::kF16;
-    tp_layers_.reserve(static_cast<std::size_t>(config.num_layers));
-    for (int l = 0; l < config.num_layers; ++l) {
-      LayerWeights full = LayerWeights::Random(
-          master_config, seed * 7919 + static_cast<std::uint64_t>(l) + 1);
-      tp_layers_.push_back(ShardLayer(config_, full, tp));
-    }
-    if (tp_concurrent) {
-      rank_ctxs_ = ctx_->Split(tp);
-      rank_ctx_ptrs_.reserve(rank_ctxs_.size());
-      for (const auto& view : rank_ctxs_) {
-        rank_ctx_ptrs_.push_back(view.get());
-      }
+  if (tp > 1 && tp_concurrent) {
+    rank_ctxs_ = ctx_->Split(tp);
+    rank_ctx_ptrs_.reserve(rank_ctxs_.size());
+    for (const auto& view : rank_ctxs_) {
+      rank_ctx_ptrs_.push_back(view.get());
     }
   }
 }
 
 void LlamaModel::AddLora(LoraId id, int rank, std::uint64_t seed) {
-  AddLora(id, LoraModelWeights::Random(config_, rank, seed));
+  AddLora(id, LoraModelWeights::Random(config_, rank, seed, *ctx_));
 }
 
 void LlamaModel::AddLora(LoraId id, LoraModelWeights weights) {

@@ -31,7 +31,10 @@ class LlamaModel {
   /// or — with tp_concurrent=false — as the serial rank loop, which is
   /// bit-identical to concurrent execution by the fixed-rank-order
   /// all-reduce construction. The same seed draws the same f16 master
-  /// weights at every tp, so tp changes only the execution schedule.
+  /// weights at every tp, so tp changes only the execution schedule. The
+  /// embedding and the layers are drawn as parallel tasks on `ctx`, each
+  /// from its own seeded stream, so the weights are the same bits at any
+  /// thread count.
   /// LoRA batches run at any tp: AddLora shards each adapter over the
   /// ranks (ShardLoraModel) and every rank runs its own SGMV
   /// shrink/expand, the row-parallel deltas folding through the existing
@@ -53,7 +56,22 @@ class LlamaModel {
                : nullptr;
   }
 
-  /// Registers a random LoRA model under `id`. Deterministic in (seed).
+  /// Read-only views of the stored weights (tests and introspection).
+  const Tensor<f16>& embedding() const { return embedding_; }
+  const WeightMatrix& lm_head() const { return lm_head_; }
+  /// Layer l's weights (tp == 1 only).
+  const LayerWeights& layer(int l) const {
+    return layers_.at(static_cast<std::size_t>(l));
+  }
+  /// Layer l's per-rank shards (tp > 1 only).
+  const TpShardedLayer& tp_layer(int l) const {
+    return tp_layers_.at(static_cast<std::size_t>(l));
+  }
+
+  /// Registers a random LoRA model under `id`. Deterministic in (seed);
+  /// its (layer, projection) streams are drawn in parallel on the model's
+  /// context. Like every registration, AddLora mutates the adapter tables
+  /// Forward reads: it must not run concurrently with Forward.
   void AddLora(LoraId id, int rank, std::uint64_t seed);
   void AddLora(LoraId id, LoraModelWeights weights);
   const LoraModelWeights* GetLora(LoraId id) const;

@@ -71,20 +71,21 @@ void Scheduler::Enqueue(ServingRequest* req) {
   queue_.insert(pos, req);
 }
 
+bool Scheduler::QueuedAhead(const ServingRequest& req) const {
+  if (queue_.empty()) return false;
+  const ServingRequest* head = queue_.front();
+  return req.arrival_time > head->arrival_time ||
+         (req.arrival_time == head->arrival_time && req.id >= head->id);
+}
+
 int Scheduler::Submit(ServingRequest* req, double now, int exclude_gpu) {
   PUNICA_CHECK(req != nullptr);
   // FCFS: a brand-new request may not jump over already-queued ones. A
   // migrating request arrived before everything still queued behind it, so
   // the arrival-order check naturally lets it re-enter directly.
-  if (!queue_.empty()) {
-    const ServingRequest* head = queue_.front();
-    bool precedes_queue =
-        req->arrival_time < head->arrival_time ||
-        (req->arrival_time == head->arrival_time && req->id < head->id);
-    if (!precedes_queue) {
-      Enqueue(req);
-      return -1;
-    }
+  if (QueuedAhead(*req)) {
+    Enqueue(req);
+    return -1;
   }
   int gpu = PickGpuFor(*req, exclude_gpu);
   if (gpu < 0) {

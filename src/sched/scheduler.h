@@ -38,6 +38,11 @@ class Scheduler {
   /// its source.
   int Submit(ServingRequest* req, double now, int exclude_gpu = -1);
 
+  /// True when Submit would queue `req` behind an already-queued request
+  /// (FCFS: a brand-new request never jumps the queue, whatever capacity
+  /// is free).
+  bool QueuedAhead(const ServingRequest& req) const;
+
   /// Admits queued requests FCFS while any backend can take them. Returns
   /// the set of backend indices that received work.
   std::vector<int> PumpQueue(double now);

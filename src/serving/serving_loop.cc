@@ -114,7 +114,11 @@ std::size_t ServingLoop::TryAdmit(double now) {
   std::vector<int> woken;
   for (std::size_t i = 0; i < door_.size();) {
     ServingRequest* r = door_[i].req;
-    if (AnyBackendCanAdmit(*r)) {
+    // A migration victim no backend could take sits in the scheduler's
+    // queue; Submit's FCFS rule would queue this request behind it even
+    // when a backend has room, so it waits here until PumpQueue has
+    // drained the victim.
+    if (!scheduler_.QueuedAhead(*r) && AnyBackendCanAdmit(*r)) {
       int gpu = scheduler_.Submit(r, now);
       PUNICA_CHECK_MSG(gpu >= 0, "admission raced the capacity check");
       door_.erase(door_.begin() + static_cast<std::ptrdiff_t>(i));

@@ -1,9 +1,11 @@
 #include "tensor/half.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "tensor/simd.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace punica {
 
@@ -15,6 +17,18 @@ void HalfToFloatN(std::span<const f16> src, std::span<float> dst) {
 void FloatToHalfN(std::span<const float> src, std::span<f16> dst) {
   PUNICA_CHECK(src.size() == dst.size());
   Simd().float_to_half_n(src.data(), dst.data(), src.size());
+}
+
+void FillGaussianF16(Pcg32& rng, float scale, std::span<f16> dst) {
+  const SimdOps& ops = Simd();
+  float buf[256];
+  for (std::size_t i = 0; i < dst.size(); i += std::size(buf)) {
+    const std::size_t n = std::min(std::size(buf), dst.size() - i);
+    for (std::size_t j = 0; j < n; ++j) {
+      buf[j] = static_cast<float>(rng.NextGaussian()) * scale;
+    }
+    ops.float_to_half_n(buf, dst.data() + i, n);
+  }
 }
 
 std::uint16_t FloatToHalfBits(float f) {

@@ -11,6 +11,8 @@
 
 namespace punica {
 
+class Pcg32;
+
 std::uint16_t FloatToHalfBits(float f);
 float HalfBitsToFloat(std::uint16_t bits);
 
@@ -23,6 +25,12 @@ class f16;
 /// to nearest even). Spans must be equal-length.
 void HalfToFloatN(std::span<const f16> src, std::span<float> dst);
 void FloatToHalfN(std::span<const float> src, std::span<f16> dst);
+
+/// The synthetic-weight draw: dst[i] = f16(float(g_i) · scale), g_i the
+/// i-th rng.NextGaussian(). Draws a small float buffer at a time in stream
+/// order and converts it with FloatToHalfN — bit-identical to the
+/// per-element expression, since every draw is finite.
+void FillGaussianF16(Pcg32& rng, float scale, std::span<f16> dst);
 
 class f16 {
  public:

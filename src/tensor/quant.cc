@@ -187,6 +187,12 @@ std::span<const f16> WeightMatrix::f16_data() const {
   return f16_tensor().data();
 }
 
+std::span<f16> WeightMatrix::mutable_f16_data() {
+  PUNICA_CHECK_MSG(dtype_ == WeightDtype::kF16,
+                   "f16 view of a quantized WeightMatrix");
+  return f16_.data();
+}
+
 const Tensor<f16>& WeightMatrix::f16_tensor() const {
   PUNICA_CHECK_MSG(dtype_ == WeightDtype::kF16,
                    "f16 view of a quantized WeightMatrix");

@@ -108,6 +108,9 @@ class WeightMatrix {
   std::size_t byte_size() const;
 
   std::span<const f16> f16_data() const;
+  /// Writable f16 payload (f16 path only): the in-place fill of a matrix
+  /// allocated elsewhere (LayerWeights::Draw).
+  std::span<f16> mutable_f16_data();
   const Tensor<f16>& f16_tensor() const;
   std::span<const BlockQ8_0> q8_data() const;
   std::span<const BlockQ4_0> q4_data() const;

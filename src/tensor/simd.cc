@@ -247,6 +247,57 @@ void GemmTileScalar(const GemmTile& t) {
   }
 }
 
+// --- Scalar attention tile ---
+// Each K/V entry is decoded once into a float buffer and shared by every
+// pair still in range; per pair the products and sums are dot_f16 /
+// axpy_f16's (no contraction in this TU).
+
+void AttnTileScalar(const AttnTile& t) {
+  const int pairs = t.rows * t.heads;
+  const std::int32_t max_len = *std::max_element(t.row_len, t.row_len + t.rows);
+  const auto pair_q = [&t](int pr) {
+    return t.q + static_cast<std::size_t>(pr / t.heads) * t.ldq +
+           static_cast<std::size_t>(pr % t.heads) * t.d;
+  };
+  const auto in_range = [&t](int pr, std::int32_t j) {
+    return j < t.row_len[pr / t.heads];
+  };
+  float e[kAttnTileMaxDim];
+  std::int32_t j = 0;
+  for (int ri = 0; ri < t.n_runs && j < max_len; ++ri) {
+    const f16* k = t.runs[ri].k;
+    for (std::int32_t o = 0; o < t.runs[ri].len; ++o, ++j, k += t.stride) {
+      HalfToFloatScalar(k, e, t.d);
+      for (int pr = 0; pr < pairs; ++pr) {
+        if (!in_range(pr, j)) continue;
+        const float* q = pair_q(pr);
+        float acc = 0.0f;
+        for (std::size_t i = 0; i < t.d; ++i) acc += q[i] * e[i];
+        t.scores[static_cast<std::size_t>(pr) * t.ld_scores + j] =
+            acc * t.scale;
+      }
+    }
+  }
+  simd_detail::AttnTileSoftmax(t);
+  for (int pr = 0; pr < pairs; ++pr) {
+    float* acc = t.out + static_cast<std::size_t>(pr) * t.ld_out + 2;
+    std::fill(acc, acc + t.d, 0.0f);
+  }
+  j = 0;
+  for (int ri = 0; ri < t.n_runs && j < max_len; ++ri) {
+    const f16* v = t.runs[ri].v;
+    for (std::int32_t o = 0; o < t.runs[ri].len; ++o, ++j, v += t.stride) {
+      HalfToFloatScalar(v, e, t.d);
+      for (int pr = 0; pr < pairs; ++pr) {
+        if (!in_range(pr, j)) continue;
+        const float p = t.scores[static_cast<std::size_t>(pr) * t.ld_scores + j];
+        float* acc = t.out + static_cast<std::size_t>(pr) * t.ld_out + 2;
+        for (std::size_t i = 0; i < t.d; ++i) acc[i] += p * e[i];
+      }
+    }
+  }
+}
+
 constexpr SimdOps kScalarOps = {
     .level = SimdLevel::kScalar,
     .name = "scalar",
@@ -265,6 +316,7 @@ constexpr SimdOps kScalarOps = {
     .dot_q8 = DotQ8Scalar,
     .dot_q4 = DotQ4Scalar,
     .gemm_tile = GemmTileScalar,
+    .attn_tile = AttnTileScalar,
 };
 
 bool CpuSupportsAvx2() {
@@ -390,5 +442,59 @@ SimdLevel SetSimdLevel(SimdLevel level) {
   g_ops.store(OpsFor(level), std::memory_order_release);
   return prev;
 }
+
+namespace simd_detail {
+
+void AttnTileSoftmax(const AttnTile& t) {
+  constexpr int kMaxPairs = kAttnTileRows * kAttnTileHeads;
+  const int pairs = t.rows * t.heads;
+  float* sc[kMaxPairs];
+  std::int32_t len[kMaxPairs];
+  float m[kMaxPairs];
+  float s[kMaxPairs];
+  float run_sum[kMaxPairs];
+  std::int32_t max_len = 0;
+  for (int p = 0; p < pairs; ++p) {
+    sc[p] = t.scores + static_cast<std::size_t>(p) * t.ld_scores;
+    len[p] = t.row_len[p / t.heads];
+    m[p] = -INFINITY;
+    s[p] = 0.0f;
+    max_len = std::max(max_len, len[p]);
+  }
+  // Each pair's max in ascending order; the pairs interleave so their
+  // dependency chains overlap.
+  for (std::int32_t j = 0; j < max_len; ++j) {
+    for (int p = 0; p < pairs; ++p) {
+      if (j < len[p]) m[p] = std::max(m[p], sc[p][j]);
+    }
+  }
+  // p = exp(score − m) in place, the subtraction in a pass of its own so
+  // no float stays live across the libm calls.
+  for (int p = 0; p < pairs; ++p) {
+    for (std::int32_t j = 0; j < len[p]; ++j) sc[p][j] -= m[p];
+    for (std::int32_t j = 0; j < len[p]; ++j) sc[p][j] = std::exp(sc[p][j]);
+  }
+  // One ascending sum per page run, folded into s after the run — the
+  // grouping softmax_accum_f16's per-run return value gives the per-row
+  // kernel (one running sum across runs would round differently).
+  std::int32_t j = 0;
+  for (int ri = 0; ri < t.n_runs && j < max_len; ++ri) {
+    const std::int32_t end = std::min(max_len, j + t.runs[ri].len);
+    std::fill(run_sum, run_sum + pairs, 0.0f);
+    for (; j < end; ++j) {
+      for (int p = 0; p < pairs; ++p) {
+        if (j < len[p]) run_sum[p] += sc[p][j];
+      }
+    }
+    for (int p = 0; p < pairs; ++p) s[p] += run_sum[p];
+  }
+  for (int p = 0; p < pairs; ++p) {
+    float* slot = t.out + static_cast<std::size_t>(p) * t.ld_out;
+    slot[0] = m[p];
+    slot[1] = s[p];
+  }
+}
+
+}  // namespace simd_detail
 
 }  // namespace punica

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "tensor/half.h"
 
@@ -69,6 +70,45 @@ struct GemmTile {
   std::size_t n = 0;         ///< quant: W rows start block-aligned; n may
                              ///< end mid-block (the padded final block)
   bool accumulate = false;   ///< false: Y = X·W; true: Y += X·W
+};
+
+/// Most query rows one attn_tile call covers (the prefill tile height).
+inline constexpr int kAttnTileRows = 4;
+/// Most query heads (sharing one KV head) one attn_tile call covers.
+inline constexpr int kAttnTileHeads = 8;
+/// Largest head_dim attn_tile supports.
+inline constexpr int kAttnTileMaxDim = 256;
+/// Most positions one attn_tile call covers (the softmax block length).
+inline constexpr int kAttnTileMaxBlock = 128;
+
+/// One contiguous page run of a KV block: `len` consecutive positions
+/// whose K and V entries (head offset applied) sit `stride` elements apart.
+struct AttnRun {
+  const f16* k = nullptr;
+  const f16* v = nullptr;
+  std::int32_t len = 0;
+};
+
+/// One row-tiled attention block: the softmax partials of `rows` query
+/// rows × `heads` query heads sharing one KV head, over the ascending page
+/// runs of one softmax block. Row r covers the block's first row_len[r]
+/// positions (rows of a causal prefill tile end at different positions);
+/// no row reads a score or a V entry past its own end.
+struct AttnTile {
+  const float* q = nullptr;  ///< row r, head t at q + r·ldq + t·d
+  std::size_t ldq = 0;
+  int rows = 0;              ///< 1..kAttnTileRows
+  int heads = 0;             ///< 1..kAttnTileHeads
+  std::size_t d = 0;         ///< 1..kAttnTileMaxDim
+  const AttnRun* runs = nullptr;
+  int n_runs = 0;
+  std::size_t stride = 0;
+  const std::int32_t* row_len = nullptr;  ///< per row, 1..Σ run lengths
+  float scale = 1.0f;
+  float* scores = nullptr;   ///< scratch: pair (r, t) at scores +
+  std::size_t ld_scores = 0; ///< (r·heads + t)·ld_scores, ≥ row_len[r]
+  float* out = nullptr;      ///< pair (r, t) partial {m, s, acc[0..d)} at
+  std::size_t ld_out = 0;    ///< out + (r·heads + t)·ld_out
 };
 
 /// The dispatch table. One instance per implementation; kernels grab the
@@ -141,6 +181,20 @@ struct SimdOps {
   /// the result is the same for any row grouping, column split or thread
   /// count. Every path software-prefetches W rows ahead of the k loop.
   void (*gemm_tile)(const GemmTile& tile);
+
+  /// The row-tiled attention block behind prefill and decode attention.
+  /// Per (row, head) pair it computes exactly the partial that
+  /// dot_f16_strip + softmax_accum_f16 compute for that row alone:
+  ///  * score j = the level's dot_f16 sequence over (q, K_j), times scale;
+  ///  * m = ascending max of the row's scores;
+  ///  * per page run (clipped at the row's end): a run sum starts at 0;
+  ///    for ascending j, p = exp(score_j − m) (scalar libm),
+  ///    acc = fma(p, V_j, acc) (scalar: acc + p·V_j, product rounded), and
+  ///    the run sum adds p; then s += run sum (s and acc start at 0).
+  /// The vector paths decode each K and V entry once per tile and hold a
+  /// register group of pairs' dot and V accumulators across the block, so
+  /// the tile shape never changes a partial.
+  void (*attn_tile)(const AttnTile& tile);
 };
 
 /// The active table. First call resolves PUNICA_SIMD / cpuid; later calls
@@ -184,6 +238,12 @@ namespace simd_detail {
 /// default).
 const SimdOps* Avx2OpsOrNull();
 const SimdOps* Avx512OpsOrNull();
+
+/// attn_tile's softmax pass, one scalar body shared by every level (in the
+/// portable TU): each pair's block max m, then its scores replaced in
+/// place by p = exp(score − m), summed per page run into s; writes {m, s}
+/// to each pair's partial slot.
+void AttnTileSoftmax(const AttnTile& tile);
 }  // namespace simd_detail
 
 }  // namespace punica

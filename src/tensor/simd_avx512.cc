@@ -23,6 +23,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/quant.h"
@@ -492,6 +493,233 @@ void GemmTileAvx512(const GemmTile& t) {
   }
 }
 
+// --- Row-tiled attention block ---
+// Scores: P pairs (row, head; P a power of two ≤ 8) at 16/P consecutive
+// positions fill 16 dot accumulators (the dot_f16 body: one K decode feeds
+// every pair), which reduce together through a transposed ReduceAdd16
+// tree. V: one decode of a 32-column V chunk feeds up to 8 pairs' 2-vector
+// accumulator chunks, held in registers across the whole block (the
+// axpy_f16 body per element). Rows end at different positions; a group's
+// last few positions run per pair, so no row touches a position past its
+// own end.
+
+struct TilePair {
+  const float* q;
+  float* sc;    ///< scores, then p after the softmax pass
+  float* slot;  ///< {m, s, acc[d]}
+  std::int32_t len;
+};
+
+/// Lane a = ReduceAdd16(acc[a]) for 16 accumulators, bit for bit: the
+/// same pairwise tree (256-bit halves, 128-bit quarters, then
+/// (s0 + s2) + (s1 + s3)) run as a transpose, so each add serves 16 sums.
+inline __m512 ReduceAdd16x16(const __m512* acc) {
+  __m512 t[8];
+  for (int i = 0; i < 8; ++i) {
+    t[i] = _mm512_add_ps(_mm512_shuffle_f32x4(acc[2 * i], acc[2 * i + 1], 0x44),
+                         _mm512_shuffle_f32x4(acc[2 * i], acc[2 * i + 1], 0xEE));
+  }
+  __m512 s[4];
+  for (int i = 0; i < 4; ++i) {
+    s[i] = _mm512_add_ps(_mm512_shuffle_f32x4(t[2 * i], t[2 * i + 1], 0x88),
+                         _mm512_shuffle_f32x4(t[2 * i], t[2 * i + 1], 0xDD));
+  }
+  const __m512 w0 = _mm512_add_ps(_mm512_shuffle_ps(s[0], s[1], 0x44),
+                                  _mm512_shuffle_ps(s[0], s[1], 0xEE));
+  const __m512 w1 = _mm512_add_ps(_mm512_shuffle_ps(s[2], s[3], 0x44),
+                                  _mm512_shuffle_ps(s[2], s[3], 0xEE));
+  const __m512 f = _mm512_add_ps(_mm512_shuffle_ps(w0, w1, 0x88),
+                                 _mm512_shuffle_ps(w0, w1, 0xDD));
+  // Lane 4ℓ + m of f holds accumulator 4m + ℓ: transpose back.
+  const __m512i order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10,
+                                          14, 3, 7, 11, 15);
+  return _mm512_permutexvar_ps(order, f);
+}
+
+/// Scores of P pairs at 16/P positions starting at j0, every pair in range.
+template <int P>
+inline void TileScores16(const TilePair* pr, const f16* const* k,
+                         std::size_t d, float scale, std::int32_t j0) {
+  constexpr int kPos = 16 / P;
+  __m512 acc[16];
+  for (auto& a : acc) a = _mm512_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 16 <= d; i += 16) {
+    __m512 qv[P];
+    for (int p = 0; p < P; ++p) qv[p] = _mm512_loadu_ps(pr[p].q + i);
+    for (int b = 0; b < kPos; ++b) {
+      const __m512 kv = _mm512_cvtph_ps(LoadHalf16(k[b] + i));
+      for (int p = 0; p < P; ++p) {
+        acc[b * P + p] = _mm512_fmadd_ps(qv[p], kv, acc[b * P + p]);
+      }
+    }
+  }
+  alignas(64) float sums[16];
+  if (i == d) {
+    _mm512_store_ps(sums, _mm512_mul_ps(ReduceAdd16x16(acc),
+                                        _mm512_set1_ps(scale)));
+    for (int b = 0; b < kPos; ++b) {
+      for (int p = 0; p < P; ++p) pr[p].sc[j0 + b] = sums[b * P + p];
+    }
+    return;
+  }
+  _mm512_store_ps(sums, ReduceAdd16x16(acc));
+  for (int b = 0; b < kPos; ++b) {
+    for (int p = 0; p < P; ++p) {
+      float sum = sums[b * P + p];
+      for (std::size_t e = i; e < d; ++e) {
+        sum = std::fma(pr[p].q[e], k[b][e].ToFloat(), sum);
+      }
+      pr[p].sc[j0 + b] = sum * scale;
+    }
+  }
+}
+
+/// One pair's score at position j: the dot_f16 body as is.
+inline void TileScoreAt(const TilePair& pr, const f16* k, std::size_t d,
+                        float scale, std::int32_t j) {
+  __m512 acc = _mm512_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 16 <= d; i += 16) {
+    acc = _mm512_fmadd_ps(_mm512_loadu_ps(pr.q + i),
+                          _mm512_cvtph_ps(LoadHalf16(k + i)), acc);
+  }
+  float sum = ReduceAdd16(acc);
+  for (; i < d; ++i) sum = std::fma(pr.q[i], k[i].ToFloat(), sum);
+  pr.sc[j] = sum * scale;
+}
+
+/// [lo, hi): the group's shortest and longest row.
+template <int P>
+inline void GroupSpan(const TilePair* pr, std::int32_t* lo, std::int32_t* hi) {
+  *lo = *hi = pr[0].len;
+  for (int p = 1; p < P; ++p) {
+    *lo = std::min(*lo, pr[p].len);
+    *hi = std::max(*hi, pr[p].len);
+  }
+}
+
+template <int P>
+void TileScoresGroup(const AttnTile& t, const TilePair* pr,
+                     const f16* const* kp) {
+  constexpr int kPos = 16 / P;
+  std::int32_t lo, hi;
+  GroupSpan<P>(pr, &lo, &hi);
+  std::int32_t j = 0;
+  for (; j + kPos <= lo; j += kPos) {
+    for (int b = kPos; b < 2 * kPos && j + b < hi; ++b) {
+      _mm_prefetch(reinterpret_cast<const char*>(kp[j + b]), _MM_HINT_T0);
+    }
+    TileScores16<P>(pr, kp + j, t.d, t.scale, j);
+  }
+  for (; j < hi; ++j) {
+    for (int p = 0; p < P; ++p) {
+      if (j < pr[p].len) TileScoreAt(pr[p], kp[j], t.d, t.scale, j);
+    }
+  }
+}
+
+template <int P, int W>
+void TileAccumChunk(const TilePair* pr, const f16* const* vp,
+                    std::size_t col, std::int32_t lo, std::int32_t hi) {
+  __m512 acc[P][W];
+  for (int p = 0; p < P; ++p) {
+    for (int w = 0; w < W; ++w) acc[p][w] = _mm512_setzero_ps();
+  }
+  // Positions every pair covers, then the group's ragged end.
+  const auto step = [&](std::int32_t j, bool ragged) {
+    __m512 vv[W];
+    for (int w = 0; w < W; ++w) {
+      vv[w] = _mm512_cvtph_ps(LoadHalf16(vp[j] + col + 16 * w));
+    }
+    for (int p = 0; p < P; ++p) {
+      if (ragged && j >= pr[p].len) continue;
+      const __m512 pj = _mm512_set1_ps(pr[p].sc[j]);
+      for (int w = 0; w < W; ++w) {
+        acc[p][w] = _mm512_fmadd_ps(pj, vv[w], acc[p][w]);
+      }
+    }
+  };
+  std::int32_t j = 0;
+  for (; j < lo; ++j) step(j, false);
+  for (; j < hi; ++j) step(j, true);
+  for (int p = 0; p < P; ++p) {
+    for (int w = 0; w < W; ++w) {
+      _mm512_storeu_ps(pr[p].slot + 2 + col + 16 * w, acc[p][w]);
+    }
+  }
+}
+
+template <int P>
+void TileAccumGroup(const AttnTile& t, const TilePair* pr,
+                    const f16* const* vp) {
+  std::int32_t lo, hi;
+  GroupSpan<P>(pr, &lo, &hi);
+  const std::size_t nv = t.d / 16 * 16;
+  std::size_t col = 0;
+  for (; col + 32 <= nv; col += 32) TileAccumChunk<P, 2>(pr, vp, col, lo, hi);
+  if (col < nv) TileAccumChunk<P, 1>(pr, vp, col, lo, hi);
+  // Columns past the last full vector: axpy_f16's std::fma tail.
+  for (std::size_t e = nv; e < t.d; ++e) {
+    for (int p = 0; p < P; ++p) {
+      float a = 0.0f;
+      for (std::int32_t j = 0; j < pr[p].len; ++j) {
+        a = std::fma(pr[p].sc[j], vp[j][e].ToFloat(), a);
+      }
+      pr[p].slot[2 + e] = a;
+    }
+  }
+}
+
+void AttnTileAvx512(const AttnTile& t) {
+  TilePair pr[kAttnTileRows * kAttnTileHeads];
+  const int pairs = t.rows * t.heads;
+  std::int32_t max_len = 0;
+  for (int i = 0; i < pairs; ++i) {
+    const int r = i / t.heads;
+    pr[i] = {t.q + static_cast<std::size_t>(r) * t.ldq +
+                 static_cast<std::size_t>(i % t.heads) * t.d,
+             t.scores + static_cast<std::size_t>(i) * t.ld_scores,
+             t.out + static_cast<std::size_t>(i) * t.ld_out, t.row_len[r]};
+    max_len = std::max(max_len, t.row_len[r]);
+  }
+  // Entry pointers per block position, for K and V.
+  const f16* kp[kAttnTileMaxBlock];
+  const f16* vp[kAttnTileMaxBlock];
+  std::int32_t j = 0;
+  for (int ri = 0; ri < t.n_runs && j < max_len; ++ri) {
+    for (std::int32_t o = 0; o < t.runs[ri].len && j < max_len; ++o, ++j) {
+      kp[j] = t.runs[ri].k + static_cast<std::size_t>(o) * t.stride;
+      vp[j] = t.runs[ri].v + static_cast<std::size_t>(o) * t.stride;
+    }
+  }
+  // Scores in power-of-two groups of up to 8 pairs.
+  for (int g = 0; g < pairs;) {
+    const int rest = pairs - g;
+    const int n = rest >= 8 ? 8 : rest >= 4 ? 4 : rest >= 2 ? 2 : 1;
+    switch (n) {
+      case 8: TileScoresGroup<8>(t, pr + g, kp); break;
+      case 4: TileScoresGroup<4>(t, pr + g, kp); break;
+      case 2: TileScoresGroup<2>(t, pr + g, kp); break;
+      default: TileScoresGroup<1>(t, pr + g, kp); break;
+    }
+    g += n;
+  }
+  simd_detail::AttnTileSoftmax(t);
+  for (int g = 0; g < pairs; g += 8) {
+    switch (std::min(8, pairs - g)) {
+      case 1: TileAccumGroup<1>(t, pr + g, vp); break;
+      case 2: TileAccumGroup<2>(t, pr + g, vp); break;
+      case 3: TileAccumGroup<3>(t, pr + g, vp); break;
+      case 4: TileAccumGroup<4>(t, pr + g, vp); break;
+      case 5: TileAccumGroup<5>(t, pr + g, vp); break;
+      case 6: TileAccumGroup<6>(t, pr + g, vp); break;
+      case 7: TileAccumGroup<7>(t, pr + g, vp); break;
+      case 8: TileAccumGroup<8>(t, pr + g, vp); break;
+    }
+  }
+}
+
 constexpr SimdOps kAvx512Ops = {
     .level = SimdLevel::kAvx512,
     .name = "avx512",
@@ -510,6 +738,7 @@ constexpr SimdOps kAvx512Ops = {
     .dot_q8 = DotQ8Avx512,
     .dot_q4 = DotQ4Avx512,
     .gemm_tile = GemmTileAvx512,
+    .attn_tile = AttnTileAvx512,
 };
 
 }  // namespace

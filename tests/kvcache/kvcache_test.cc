@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <unistd.h>
+#endif
 
 #include "util/rng.h"
 
@@ -284,6 +290,106 @@ TEST(KvCacheForkTest, FreeOrderIndependence) {
   EXPECT_EQ(kv.used_pages(), 0);
   EXPECT_EQ(kv.free_pages(), 8);
 }
+
+#if defined(__linux__)
+/// Resident set size from /proc/self/statm, in bytes.
+std::size_t ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size = 0;
+  unsigned long resident = 0;
+  const int n = std::fscanf(f, "%lu %lu", &size, &resident);
+  std::fclose(f);
+  return n == 2 ? resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE))
+                : 0;
+}
+
+bool AddressSanitized() {
+#if defined(__SANITIZE_ADDRESS__)
+  return true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+  return true;
+#endif
+#endif
+  return false;
+}
+
+TEST(KvCachePoolTest, PagesCommitOnFirstWrite) {
+  // 4096 pages × 64 KiB = 256 MiB of pool. Mapped lazily, constructing it
+  // must not make it resident; under ASan the pool is a heap block and the
+  // sanitizer's shadow bookkeeping may touch memory, so only the data
+  // checks run there.
+  const KvCacheConfig config{.num_layers = 4,
+                             .num_kv_heads = 4,
+                             .head_dim = 64,
+                             .page_size = 16,
+                             .num_pages = 4096};
+  ASSERT_GE(static_cast<std::size_t>(config.num_pages) * config.page_bytes(),
+            std::size_t{256} << 20);
+  const std::size_t before = ResidentBytes();
+  PagedKvCache kv(config);
+  const std::size_t after = ResidentBytes();
+  if (!AddressSanitized()) {
+    EXPECT_LT(after, before + (std::size_t{16} << 20));
+  }
+
+  // Written pages (first and last of the pool included) and a CoW-copied
+  // boundary page read back intact.
+  const auto value = [](SeqId s, int layer, std::int64_t pos, KvSlot slot,
+                        std::size_t i) {
+    return f16(static_cast<float>((s * 7 + layer * 5 + pos * 3 + i +
+                                   static_cast<int>(slot)) %
+                                  1024));
+  };
+  const auto write = [&](SeqId s, std::int64_t lo, std::int64_t hi) {
+    for (int layer = 0; layer < config.num_layers; ++layer) {
+      for (std::int64_t pos = lo; pos < hi; ++pos) {
+        for (KvSlot slot : {KvSlot::kKey, KvSlot::kValue}) {
+          auto e = kv.Entry(s, layer, pos, slot);
+          for (std::size_t i = 0; i < e.size(); ++i) {
+            e[i] = value(s, layer, pos, slot, i);
+          }
+        }
+      }
+    }
+  };
+  const auto check = [&](SeqId s, SeqId written_by, std::int64_t lo,
+                         std::int64_t hi) {
+    for (int layer = 0; layer < config.num_layers; ++layer) {
+      for (std::int64_t pos = lo; pos < hi; ++pos) {
+        for (KvSlot slot : {KvSlot::kKey, KvSlot::kValue}) {
+          std::span<const f16> e =
+              std::as_const(kv).Entry(s, layer, pos, slot);
+          for (std::size_t i = 0; i < e.size(); ++i) {
+            ASSERT_EQ(e[i], value(written_by, layer, pos, slot, i))
+                << "seq " << s << " layer " << layer << " pos " << pos;
+          }
+        }
+      }
+    }
+  };
+  const std::int64_t pool_tokens =
+      static_cast<std::int64_t>(config.num_pages) * config.page_size;
+  SeqId a = kv.CreateSequence();
+  ASSERT_TRUE(kv.Extend(a, 40));  // 2.5 pages
+  write(a, 0, 40);
+  SeqId fork = kv.ForkFrom(a, 40);
+  ASSERT_TRUE(kv.Extend(fork, 8));  // copies the shared boundary page
+  write(fork, 40, 48);
+  SeqId big = kv.CreateSequence();
+  ASSERT_TRUE(kv.Extend(big, pool_tokens - 4 * config.page_size));
+  write(big, pool_tokens - 5 * config.page_size,
+        pool_tokens - 4 * config.page_size);
+  check(a, a, 0, 40);
+  check(fork, a, 0, 40);
+  check(fork, fork, 40, 48);
+  check(big, big, pool_tokens - 5 * config.page_size,
+        pool_tokens - 4 * config.page_size);
+  // Never-written pages read as zeros.
+  EXPECT_EQ(std::as_const(kv).Entry(big, 0, 0, KvSlot::kKey)[0], f16(0.0f));
+}
+#endif  // __linux__
 
 TEST(KvCacheForkDeathTest, WritingSharedPageAborts) {
   PagedKvCache kv(SmallConfig());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "gpu/costmodel.h"
@@ -205,6 +206,88 @@ TEST(ServingLoopTest, PriorityDefersLowClassUnderContention) {
   for (std::size_t i = 1; i < 3; ++i) {
     EXPECT_GT(reqs[i].admit_time, latest_high);
   }
+}
+
+/// A GpuRunner that logs every admission and eviction, in order.
+class LoggingRunner : public GpuRunner {
+ public:
+  using GpuRunner::GpuRunner;
+
+  struct Event {
+    bool admit = false;  ///< false: evicted (cancelled for migration)
+    std::int64_t id = 0;
+    double now = 0.0;
+  };
+
+  void Admit(ServingRequest* req, double now) override {
+    events.push_back({true, req->id, now});
+    GpuRunner::Admit(req, now);
+  }
+  std::vector<std::int64_t> SelectEvictionVictims(double now) const override {
+    auto victims = GpuRunner::SelectEvictionVictims(now);
+    for (std::int64_t id : victims) events.push_back({false, id, now});
+    return victims;
+  }
+
+  mutable std::vector<Event> events;
+};
+
+TEST(ServingLoopTest, DoorRequestWaitsBehindAQueuedMigrationVictim) {
+  // One backend, so a KV-pressure victim has nowhere to go and queues. Its
+  // pages are freed at once, so the small requests arriving next fit — but
+  // Submit's FCFS rule would queue them behind the victim, which used to
+  // abort the loop ("admission raced the capacity check"). They must wait
+  // at the door until the victim is re-admitted.
+  CostModel cm{A100Sxm80GB()};
+  RunnerConfig cfg = SmallRunner();
+  cfg.kv_capacity_tokens = 300;
+  LoggingRunner runner(0, cfg, Llama7B(), &cm);
+  std::vector<SubmitSpec> specs;
+  for (int i = 0; i < 2; ++i) {
+    SubmitSpec s;
+    s.lora = i;
+    s.prompt_len = 100;
+    s.max_new_tokens = 200;
+    s.arrival_time = 0.001 * i;
+    specs.push_back(s);
+  }
+  for (int i = 0; i < 100; ++i) {
+    SubmitSpec s;
+    s.lora = 2;
+    s.prompt_len = 8;
+    s.max_new_tokens = 2;
+    s.arrival_time = 0.01 + 0.02 * i;
+    specs.push_back(s);
+  }
+  ServingLoopConfig lc;
+  lc.shed_slack = 1e9;  // nobody goes stale: test ordering, not shedding
+  ServingLoop loop({&runner}, lc);
+  loop.RunVirtual(specs);
+  EXPECT_EQ(loop.metrics().finished, 102);
+  ASSERT_GT(loop.migrations(), 0);
+
+  // While any victim waits in the queue, only victims are admitted; door
+  // requests that arrived meanwhile were held until the queue drained.
+  std::set<std::int64_t> queued;
+  double queued_since = 0.0;
+  int held = 0;
+  for (const auto& e : runner.events) {
+    if (!e.admit) {
+      if (queued.empty()) queued_since = e.now;
+      queued.insert(e.id);
+      continue;
+    }
+    if (queued.empty()) continue;
+    EXPECT_EQ(queued.count(e.id), 1u)
+        << "request " << e.id << " admitted ahead of a queued victim";
+    queued.erase(e.id);
+    if (!queued.empty()) continue;
+    for (const auto& r : loop.requests()) {
+      if (r.arrival_time > queued_since && r.arrival_time < e.now) ++held;
+    }
+  }
+  EXPECT_TRUE(queued.empty());
+  EXPECT_GT(held, 0) << "no door request arrived while a victim was queued";
 }
 
 TEST(ServingLoopTest, ThreadedModeServesAReplayedTrace) {
