@@ -6,6 +6,7 @@
 
 #include "util/check.h"
 
+// ASan builds keep the KV pool on the heap (see PoolStorage).
 #if defined(__SANITIZE_ADDRESS__)
 #define PUNICA_KV_HEAP_POOL 1
 #elif defined(__has_feature)
@@ -13,17 +14,13 @@
 #define PUNICA_KV_HEAP_POOL 1
 #endif
 #endif
-#if !defined(PUNICA_KV_HEAP_POOL) && !defined(__unix__) && \
-    !defined(__APPLE__)
-#define PUNICA_KV_HEAP_POOL 1
-#endif
 #ifndef PUNICA_KV_HEAP_POOL
 #include <sys/mman.h>
 #endif
 
 namespace punica {
 
-PagePoolStorage::PagePoolStorage(std::size_t elems) : elems_(elems) {
+PagedKvCache::PoolStorage::PoolStorage(std::size_t elems) : elems_(elems) {
   if (elems == 0) return;
 #ifdef PUNICA_KV_HEAP_POOL
   data_ = static_cast<f16*>(std::calloc(elems, sizeof(f16)));
@@ -36,13 +33,14 @@ PagePoolStorage::PagePoolStorage(std::size_t elems) : elems_(elems) {
 #endif
 }
 
-PagePoolStorage::~PagePoolStorage() { Release(); }
+PagedKvCache::PoolStorage::~PoolStorage() { Release(); }
 
-PagePoolStorage::PagePoolStorage(PagePoolStorage&& other) noexcept
+PagedKvCache::PoolStorage::PoolStorage(PoolStorage&& other) noexcept
     : data_(std::exchange(other.data_, nullptr)),
       elems_(std::exchange(other.elems_, 0)) {}
 
-PagePoolStorage& PagePoolStorage::operator=(PagePoolStorage&& other) noexcept {
+PagedKvCache::PoolStorage& PagedKvCache::PoolStorage::operator=(
+    PoolStorage&& other) noexcept {
   if (this != &other) {
     Release();
     data_ = std::exchange(other.data_, nullptr);
@@ -51,7 +49,7 @@ PagePoolStorage& PagePoolStorage::operator=(PagePoolStorage&& other) noexcept {
   return *this;
 }
 
-void PagePoolStorage::Release() {
+void PagedKvCache::PoolStorage::Release() {
   if (data_ == nullptr) return;
 #ifdef PUNICA_KV_HEAP_POOL
   std::free(data_);

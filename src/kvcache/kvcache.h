@@ -66,32 +66,6 @@ struct KvRun {
 
 class PagedKvCache;
 
-/// The page pool's backing store: `elems` zeroed f16 values. Linux/POSIX
-/// builds map it anonymously, so the kernel supplies zero pages and
-/// commits each one on first write — resident memory follows the pages in
-/// use, not the pool size. Under AddressSanitizer it comes from the heap
-/// (calloc) instead, so the sanitizer keeps its redzones around the pool.
-/// Move-only; the destructor releases the mapping.
-class PagePoolStorage {
- public:
-  explicit PagePoolStorage(std::size_t elems);
-  ~PagePoolStorage();
-  PagePoolStorage(PagePoolStorage&& other) noexcept;
-  PagePoolStorage& operator=(PagePoolStorage&& other) noexcept;
-  PagePoolStorage(const PagePoolStorage&) = delete;
-  PagePoolStorage& operator=(const PagePoolStorage&) = delete;
-
-  f16* data() { return data_; }
-  const f16* data() const { return data_; }
-  std::size_t size() const { return elems_; }
-
- private:
-  void Release();
-
-  f16* data_ = nullptr;
-  std::size_t elems_ = 0;
-};
-
 /// Forward iterator over the contiguous page runs of one (sequence, layer,
 /// K|V) column. Construction resolves the sequence (one hash lookup) and
 /// the layer/slot offset once; each Next() then costs one page-table index
@@ -188,6 +162,31 @@ class PagedKvCache {
     std::int64_t len = 0;
   };
 
+  /// The page pool's backing store: `elems` zeroed f16 values. Linux and
+  /// other POSIX builds map it anonymously, so the kernel supplies zero
+  /// pages and commits each one on first write — resident memory follows
+  /// the pages in use, not the pool size. Under AddressSanitizer it comes
+  /// from the heap (calloc) instead, so the sanitizer keeps its redzones
+  /// around the pool. Move-only; the destructor releases it.
+  class PoolStorage {
+   public:
+    explicit PoolStorage(std::size_t elems);
+    ~PoolStorage();
+    PoolStorage(PoolStorage&& other) noexcept;
+    PoolStorage& operator=(PoolStorage&& other) noexcept;
+    PoolStorage(const PoolStorage&) = delete;
+    PoolStorage& operator=(const PoolStorage&) = delete;
+
+    f16* data() { return data_; }
+    const f16* data() const { return data_; }
+
+   private:
+    void Release();
+
+    f16* data_ = nullptr;
+    std::size_t elems_ = 0;
+  };
+
   std::size_t EntryOffset(const SeqState& st, int layer, std::int64_t pos,
                           KvSlot slot) const;
   const SeqState& GetSeq(SeqId seq) const;
@@ -197,7 +196,7 @@ class PagedKvCache {
 
   KvCacheConfig config_;
   PageAllocator allocator_;
-  PagePoolStorage storage_;  ///< num_pages · page_elems, committed lazily
+  PoolStorage storage_;  ///< num_pages · page_elems, committed lazily
   std::unordered_map<SeqId, SeqState> seqs_;
   SeqId next_seq_ = 0;
 };

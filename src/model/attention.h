@@ -14,9 +14,11 @@
 // the result is bit-identical whether blocks are folded inline or computed
 // by S parallel split-KV chunks and folded afterwards — at any thread
 // count, split size and SIMD level. Tasks group the GQA query heads that
-// share a KV head, block-interleaved, so each cache block streams from
-// memory once per group; per head the arithmetic sequence is unchanged. A
-// work-size heuristic picks the split from the task count vs. the
+// share a KV head, and a prefill chunk's tasks also group kAttnTileRows
+// consecutive query rows: each block goes through one SimdOps::attn_tile
+// call per task, which decodes every K/V entry once for the whole tile
+// and gives each (row, head) exactly the partial its row alone would get.
+// A work-size heuristic picks the split from the task count vs. the
 // context's worker count (ComputeConfig::attn_split / PUNICA_ATTN_SPLIT
 // force it).
 #pragma once

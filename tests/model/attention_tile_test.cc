@@ -210,28 +210,27 @@ TEST(AttentionTileTest, GqaGroupsHeadSlicesHeadDimsAndSplits) {
                                    std::pair{128, 4}}) {
       const LlamaConfig c = TileConfig(group, head_dim);
       const Cache cache = MakeCache(c, 7, 17 + 129, 23);
-      // Rank slices at tp 2/4 (at group 4, tp 4 cuts every GQA group in
-      // half), plus a range aligned to nothing.
+      // Rank slices at tp 1/2/4 (at group 4, tp 4 cuts every GQA group in
+      // half), plus a range aligned to nothing; the forced split cycles
+      // through 1, 2, 3 across them.
       std::vector<std::pair<int, int>> ranges;
-      for (int tp : {2, 4}) {
+      for (int tp : {1, 2, 4}) {
         for (int r = 0; r < tp; ++r) {
           ranges.push_back({r * 8 / tp, (r + 1) * 8 / tp});
         }
       }
       ranges.push_back({1, 6});
-      for (auto [lo, hi] : ranges) {
-        for (int split : {1, 2, 3}) {
-          Case k;
-          k.group = group;
-          k.head_dim = head_dim;
-          k.page_size = 7;
-          k.chunk = 129;
-          k.pos_offset = 17;
-          k.head_begin = lo;
-          k.head_end = hi;
-          k.split = split;
-          CheckCase(k, cache);
-        }
+      for (std::size_t i = 0; i < ranges.size(); ++i) {
+        Case k;
+        k.group = group;
+        k.head_dim = head_dim;
+        k.page_size = 7;
+        k.chunk = 129;
+        k.pos_offset = 17;
+        k.head_begin = ranges[i].first;
+        k.head_end = ranges[i].second;
+        k.split = 1 + static_cast<int>(i % 3);
+        CheckCase(k, cache);
       }
     }
   }
@@ -240,7 +239,8 @@ TEST(AttentionTileTest, GqaGroupsHeadSlicesHeadDimsAndSplits) {
 TEST(AttentionTileTest, ForcedSplitsOverLongSuffixes) {
   for (SimdLevel level : Levels()) {
     ScopedSimdLevel scoped(level);
-    Case k;  // all 8 heads: the tp = 1 range
+    Case k;
+    k.head_end = 2;  // one GQA group
     const LlamaConfig c = TileConfig(k.group, k.head_dim);
     const Cache cache = MakeCache(c, 16, 448 + 256, 31);
     for (std::int64_t chunk : {5, 129, 256}) {

@@ -88,7 +88,7 @@ LoraModelWeights OracleLora(const LlamaConfig& c) {
 template <typename T>
 bool SameBytes(std::span<const T> a, std::span<const T> b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
 }
 
 bool SamePayload(const WeightMatrix& a, const WeightMatrix& b) {
