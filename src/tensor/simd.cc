@@ -254,7 +254,8 @@ void GemmTileScalar(const GemmTile& t) {
 
 void AttnTileScalar(const AttnTile& t) {
   const int pairs = t.rows * t.heads;
-  const std::int32_t max_len = *std::max_element(t.row_len, t.row_len + t.rows);
+  const std::int32_t max_len =
+      *std::max_element(t.row_len, t.row_len + t.rows);
   const auto pair_q = [&t](int pr) {
     return t.q + static_cast<std::size_t>(pr / t.heads) * t.ldq +
            static_cast<std::size_t>(pr % t.heads) * t.d;
@@ -290,7 +291,8 @@ void AttnTileScalar(const AttnTile& t) {
       HalfToFloatScalar(v, e, t.d);
       for (int pr = 0; pr < pairs; ++pr) {
         if (!in_range(pr, j)) continue;
-        const float p = t.scores[static_cast<std::size_t>(pr) * t.ld_scores + j];
+        const float p =
+            t.scores[static_cast<std::size_t>(pr) * t.ld_scores + j];
         float* acc = t.out + static_cast<std::size_t>(pr) * t.ld_out + 2;
         for (std::size_t i = 0; i < t.d; ++i) acc[i] += p * e[i];
       }

@@ -22,7 +22,9 @@
 // thread count. Kernels vectorize across *independent output columns*
 // (axpy/scale_add, and the register-tiled gemm_tile that the dense GEMM and
 // both SGMV schedules run on), so each element's k-reduction stays in
-// ascending order on every path. Cross-path numerics: f16<->f32
+// ascending order on every path; attn_tile reduces many dot products at
+// once through a transposed copy of dot's fixed lane tree, so each score
+// keeps dot's sequence. Cross-path numerics: f16<->f32
 // conversions are bit-identical (F16C, AVX-512 and the scalar code all
 // round to nearest even), and the quantized dequant kernels are
 // bit-identical too (an int8/int4 code times an f16 scale is exact in f32).

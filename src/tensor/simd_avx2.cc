@@ -506,8 +506,10 @@ struct TilePair {
 inline __m256 ReduceAdd8x8(const __m256* acc) {
   __m256 t[4];
   for (int i = 0; i < 4; ++i) {
-    t[i] = _mm256_add_ps(_mm256_permute2f128_ps(acc[2 * i], acc[2 * i + 1], 0x20),
-                         _mm256_permute2f128_ps(acc[2 * i], acc[2 * i + 1], 0x31));
+    const __m256 a = acc[2 * i];
+    const __m256 b = acc[2 * i + 1];
+    t[i] = _mm256_add_ps(_mm256_permute2f128_ps(a, b, 0x20),
+                         _mm256_permute2f128_ps(a, b, 0x31));
   }
   const __m256 w0 = _mm256_add_ps(_mm256_shuffle_ps(t[0], t[1], 0x44),
                                   _mm256_shuffle_ps(t[0], t[1], 0xEE));
@@ -516,13 +518,14 @@ inline __m256 ReduceAdd8x8(const __m256* acc) {
   const __m256 f = _mm256_add_ps(_mm256_shuffle_ps(w0, w1, 0x88),
                                  _mm256_shuffle_ps(w0, w1, 0xDD));
   // Lane 4ℓ + m of f holds accumulator 2m + ℓ: transpose back.
-  return _mm256_permutevar8x32_ps(f, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+  return _mm256_permutevar8x32_ps(f,
+                                  _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
 }
 
 /// Scores of P pairs at 8/P positions starting at j0, every pair in range.
 template <int P>
 inline void TileScores8(const TilePair* pr, const f16* const* k,
-                         std::size_t d, float scale, std::int32_t j0) {
+                        std::size_t d, float scale, std::int32_t j0) {
   constexpr int kPos = 8 / P;
   __m256 acc[8];
   for (auto& a : acc) a = _mm256_setzero_ps();
@@ -539,8 +542,8 @@ inline void TileScores8(const TilePair* pr, const f16* const* k,
   }
   alignas(32) float sums[8];
   if (i == d) {
-    _mm256_store_ps(sums, _mm256_mul_ps(ReduceAdd8x8(acc),
-                                        _mm256_set1_ps(scale)));
+    _mm256_store_ps(sums,
+                  _mm256_mul_ps(ReduceAdd8x8(acc), _mm256_set1_ps(scale)));
     for (int b = 0; b < kPos; ++b) {
       for (int p = 0; p < P; ++p) pr[p].sc[j0 + b] = sums[b * P + p];
     }

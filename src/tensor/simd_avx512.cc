@@ -516,8 +516,10 @@ struct TilePair {
 inline __m512 ReduceAdd16x16(const __m512* acc) {
   __m512 t[8];
   for (int i = 0; i < 8; ++i) {
-    t[i] = _mm512_add_ps(_mm512_shuffle_f32x4(acc[2 * i], acc[2 * i + 1], 0x44),
-                         _mm512_shuffle_f32x4(acc[2 * i], acc[2 * i + 1], 0xEE));
+    const __m512 a = acc[2 * i];
+    const __m512 b = acc[2 * i + 1];
+    t[i] = _mm512_add_ps(_mm512_shuffle_f32x4(a, b, 0x44),
+                         _mm512_shuffle_f32x4(a, b, 0xEE));
   }
   __m512 s[4];
   for (int i = 0; i < 4; ++i) {
