@@ -75,7 +75,7 @@ void BatchedLoraAddon(std::span<float> y, std::span<const float> x,
       b_ptrs[i] = adapters[i] != nullptr ? adapters[i]->b.raw() : nullptr;
     }
     // Workspace beyond the v rows backs the shrink's split-K partials
-    // (LayerWorkspace sizes it for that); SgmvShrink allocates only when
+    // (TpWorkspace sizes it for that); SgmvShrink allocates only when
     // the tail is too small.
     SgmvArgs shrink{v, x, {a_ptrs.data(), a_ptrs.size()}, seg, h_in,
                     max_rank};

@@ -24,6 +24,9 @@ namespace punica {
 /// Dense weights of one transformer layer, row-major [h_in, h_out] in the
 /// config's weight_dtype (f16 or a tensor/quant.h groupwise format). The
 /// norms stay f16 — they are O(hidden) and feed exact per-element scaling.
+/// A tensor-parallel rank shard (tensor_parallel.h) is a LayerWeights of
+/// the rank's projection slices plus the replicated norms; a full layer is
+/// the one-rank shard.
 struct LayerWeights {
   WeightMatrix proj[kNumProj];
   Tensor<f16> attn_norm;  ///< [hidden]
@@ -94,34 +97,54 @@ struct ModelBatch {
   static ModelBatch Build(std::vector<BatchEntry> entries);
 };
 
-/// Scratch buffers for a layer forward; sized for the current token count
-/// and reused across layers and invocations to avoid reallocation.
-class LayerWorkspace {
- public:
-  void Resize(const LlamaConfig& config, int tokens, int max_rank);
+/// Activation buffers for the layer forward over tp rank shards, stacked
+/// rank-major so concurrent ranks write disjoint slices. Resize only grows;
+/// steady-state forward passes are allocation-free.
+struct TpWorkspace {
+  std::vector<float> normed;    ///< [tokens, h] — shared, read-only in ranks
+  std::vector<float> q;         ///< [tp][tokens, heads_pr·d]
+  std::vector<float> k;         ///< [tp][tokens, kv_heads_pr·d]
+  std::vector<float> v;         ///< [tp][tokens, kv_heads_pr·d]
+  std::vector<float> attn_out;  ///< [tp][tokens, heads_pr·d]
+  std::vector<float> gate;      ///< [tp][tokens, ffn_pr]
+  std::vector<float> up;        ///< [tp][tokens, ffn_pr]
+  std::vector<float> partial;   ///< [tp][tokens, h] — all-reduce inputs
+  std::vector<std::vector<float>> attn_scratch;  ///< per-rank split-KV
+                                                 ///< partials (disjoint so
+                                                 ///< concurrent ranks never
+                                                 ///< share scratch)
+  std::vector<std::vector<float>> lora_tmp;  ///< per-rank SGMV v rows +
+                                             ///< split-K scratch (see
+                                             ///< BatchedLoraAddon's
+                                             ///< workspace contract);
+                                             ///< disjoint per rank so
+                                             ///< concurrent ranks never
+                                             ///< share the shrink buffer
+  void Resize(const LlamaConfig& config, int tp, int tokens,
+              int max_rank = 1);
+};
 
-  std::vector<float> normed;    ///< [tokens, h]
-  std::vector<float> q;         ///< [tokens, h]
-  std::vector<float> k;         ///< [tokens, kv]
-  std::vector<float> v;         ///< [tokens, kv]
-  std::vector<float> attn_out;  ///< [tokens, h]
-  std::vector<float> gate;      ///< [tokens, ffn]
-  std::vector<float> up;        ///< [tokens, ffn]
-  std::vector<float> lora_tmp;  ///< [tokens, max_rank·(1+kMaxSplitKPartitions)]
-                                ///< — v rows + SGMV split-K scratch (see
-                                ///< BatchedLoraAddon's workspace contract)
-  std::vector<float> attn_scratch;  ///< split-KV softmax partials; grown on
-                                    ///< demand by the attention kernels and
-                                    ///< reused across layers/invocations
+/// The workspace of the one-rank LayerForward: a TpWorkspace sized for one
+/// rank, reused across layers and invocations to avoid reallocation.
+class LayerWorkspace : public TpWorkspace {
+ public:
+  void Resize(const LlamaConfig& config, int tokens, int max_rank) {
+    TpWorkspace::Resize(config, /*tp=*/1, tokens, max_rank);
+  }
 };
 
 /// Runs one transformer layer in place over activations `x` ([tokens, h]).
+/// This is the one-rank entry point to the one layer body, which
+/// TpLayerForward (tensor_parallel.h) runs over tp rank shards: `weights`
+/// is the only rank's shard and the all-reduce is the residual add itself,
+/// so no extra fp32 operation is introduced anywhere. (Defined in
+/// tensor_parallel.cc, next to that body.)
 /// `seg_lora[i]` is the LoRA model for segment i (nullptr = backbone only);
 /// adapters for this layer are taken from seg_lora[i]->layers[layer].
 /// K/V for every row is written into the cache at row_pos (the cache must
 /// already be extended to cover those positions). `rope` is the step's
 /// table over batch.row_pos (LlamaModel::Forward builds one per step);
-/// nullptr builds a local one for this call.
+/// nullptr builds a local one for this call. `ws` grows to fit the batch.
 void LayerForward(const LlamaConfig& config, const LayerWeights& weights,
                   std::span<const LoraModelWeights* const> seg_lora,
                   const ModelBatch& batch, int layer, PagedKvCache& kv,

@@ -21,18 +21,17 @@ LlamaModel::LlamaModel(const LlamaConfig& config, std::uint64_t seed,
   // thread, so the workers only fill: memory a worker allocates lands in
   // its own malloc arena and raises peak RSS.
   embedding_ = Tensor<f16>({config.vocab_size, config.hidden_size});
-  // tp > 1 draws the same f16 masters as tp = 1 (quantization deferred)
-  // and shards them Megatron-style per rank in the layer's own task,
-  // quantizing to config.weight_dtype after the slice — so tp changes the
-  // execution schedule, never the parameters.
+  // Each layer is drawn into its one-rank shard, which at tp = 1 is the
+  // stored layer. tp > 1 draws the same f16 masters (quantization
+  // deferred) and replaces them by their Megatron rank shards in the
+  // layer's own task, quantizing to config.weight_dtype after the slice —
+  // so tp changes the execution schedule, never the parameters.
   LlamaConfig draw_config = config;
   if (tp > 1) draw_config.weight_dtype = WeightDtype::kF16;
-  std::vector<LayerWeights> drawn;
-  drawn.reserve(static_cast<std::size_t>(config.num_layers));
-  for (int l = 0; l < config.num_layers; ++l) {
-    drawn.push_back(LayerWeights::Zeros(config));
+  layers_.resize(static_cast<std::size_t>(config.num_layers));
+  for (TpShardedLayer& layer : layers_) {
+    layer.ranks.push_back(LayerWeights::Zeros(config));
   }
-  if (tp > 1) tp_layers_.resize(static_cast<std::size_t>(config.num_layers));
   ctx_->ParallelFor(config.num_layers + 1, 1, [&](std::int64_t lo,
                                                   std::int64_t hi) {
     for (std::int64_t i = lo; i < hi; ++i) {
@@ -44,14 +43,11 @@ LlamaModel::LlamaModel(const LlamaConfig& config, std::uint64_t seed,
         continue;
       }
       const auto l = static_cast<std::size_t>(i - 1);
-      drawn[l].Draw(draw_config, seed * 7919 + l + 1);
-      if (tp > 1) {
-        tp_layers_[l] = ShardLayer(config_, drawn[l], tp);
-        drawn[l] = LayerWeights{};
-      }
+      TpShardedLayer& layer = layers_[l];
+      layer.ranks[0].Draw(draw_config, seed * 7919 + l + 1);
+      if (tp > 1) layer = ShardLayer(config_, layer.ranks[0], tp);
     }
   });
-  if (tp == 1) layers_ = std::move(drawn);
   // Shift-tied LM head (weight tying à la GPT-2/Gemma, shifted by one):
   // head column v is the embedding row of token v-1, so the residual
   // stream's embedding component makes "input token + 1" the well-separated
@@ -89,23 +85,27 @@ void LlamaModel::AddLora(LoraId id, int rank, std::uint64_t seed) {
 void LlamaModel::AddLora(LoraId id, LoraModelWeights weights) {
   PUNICA_CHECK(weights.layers.size() ==
                static_cast<std::size_t>(config_.num_layers));
-  if (tp_ > 1) {
-    // Distribute the adapter over the ranks up front (the per-GPU load
-    // step), so Forward only gathers pointers.
-    tp_loras_[id] =
-        std::make_unique<TpShardedLora>(ShardLoraModel(config_, weights, tp_));
+  // Distribute the adapter over the ranks up front (the per-GPU load
+  // step), so Forward only gathers pointers. At tp = 1 the adapter itself
+  // is the one rank shard.
+  auto shards = std::make_unique<TpShardedLora>();
+  if (tp_ == 1) {
+    shards->rank = weights.rank;
+    shards->ranks.push_back(std::move(weights));
+  } else {
+    *shards = ShardLoraModel(config_, weights, tp_);
   }
-  loras_[id] = std::make_unique<LoraModelWeights>(std::move(weights));
+  loras_[id] = std::move(shards);
 }
 
 const LoraModelWeights* LlamaModel::GetLora(LoraId id) const {
   auto it = loras_.find(id);
-  return it == loras_.end() ? nullptr : it->second.get();
+  return tp_ > 1 || it == loras_.end() ? nullptr : &it->second->ranks[0];
 }
 
 const TpShardedLora* LlamaModel::GetLoraShards(LoraId id) const {
-  auto it = tp_loras_.find(id);
-  return it == tp_loras_.end() ? nullptr : it->second.get();
+  auto it = loras_.find(id);
+  return tp_ == 1 || it == loras_.end() ? nullptr : it->second.get();
 }
 
 Tensor<float> LlamaModel::Forward(const ModelBatch& batch,
@@ -115,16 +115,18 @@ Tensor<float> LlamaModel::Forward(const ModelBatch& batch,
   PUNICA_CHECK(token_ids.size() == static_cast<std::size_t>(tokens));
   const auto h = static_cast<std::size_t>(config_.hidden_size);
 
-  // Resolve each segment's LoRA model once per invocation.
-  std::vector<const LoraModelWeights*> seg_lora;
+  // Resolve each segment's adapter shards once per invocation.
+  std::vector<const TpShardedLora*> seg_lora;
   seg_lora.reserve(batch.segments.lora_ids.size());
-  int max_rank = 1;
   for (LoraId id : batch.segments.lora_ids) {
-    const LoraModelWeights* w = id >= 0 ? GetLora(id) : nullptr;
-    PUNICA_CHECK_MSG(id < 0 || w != nullptr,
-                     "batch references an unloaded LoRA model");
-    seg_lora.push_back(w);
-    if (w != nullptr) max_rank = std::max(max_rank, w->rank);
+    const TpShardedLora* s = nullptr;
+    if (id >= 0) {
+      auto it = loras_.find(id);
+      PUNICA_CHECK_MSG(it != loras_.end(),
+                       "batch references an unloaded LoRA model");
+      s = it->second.get();
+    }
+    seg_lora.push_back(s);
   }
 
   // Embedding lookup: one writer per token row.
@@ -143,28 +145,11 @@ Tensor<float> LlamaModel::Forward(const ModelBatch& batch,
 
   // One RoPE table per step: every layer and TP rank rotates from it.
   rope_.Build(batch.row_pos, config_.head_dim(), config_.rope_theta, *ctx_);
-  if (tp_ == 1) {
-    ws_.Resize(config_, tokens, max_rank);
-    for (int l = 0; l < config_.num_layers; ++l) {
-      LayerForward(config_, layers_[static_cast<std::size_t>(l)], seg_lora,
-                   batch, l, kv, x, ws_, *ctx_, &rope_);
-    }
-  } else {
-    // Gather each segment's per-rank adapter shards (built at AddLora).
-    std::vector<const TpShardedLora*> seg_shards;
-    seg_shards.reserve(batch.segments.lora_ids.size());
-    for (LoraId id : batch.segments.lora_ids) {
-      const TpShardedLora* s = id >= 0 ? GetLoraShards(id) : nullptr;
-      PUNICA_CHECK_MSG(id < 0 || s != nullptr,
-                       "batch references a LoRA model with no TP shards");
-      seg_shards.push_back(s);
-    }
-    for (int l = 0; l < config_.num_layers; ++l) {
-      TpLayerForward(config_, tp_layers_[static_cast<std::size_t>(l)], batch,
-                     l, kv, x, tp_ws_, *ctx_,
-                     std::span<const ComputeContext* const>(rank_ctx_ptrs_),
-                     seg_shards, &rope_);
-    }
+  for (int l = 0; l < config_.num_layers; ++l) {
+    TpLayerForward(config_, layers_[static_cast<std::size_t>(l)], batch, l,
+                   kv, x, ws_, *ctx_,
+                   std::span<const ComputeContext* const>(rank_ctx_ptrs_),
+                   seg_lora, &rope_);
   }
 
   // Final norm + LM head on the emitting entries' last token rows, as one

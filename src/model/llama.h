@@ -25,18 +25,20 @@ class LlamaModel {
   /// forward passes run on `ctx` (nullptr = the process-wide default
   /// context), so every Engine sharing this model shares one thread pool.
   ///
-  /// `tp` > 1 stores each layer Megatron-sharded over tp ranks and runs
-  /// layers through TpLayerForward: concurrently by default (rank r's
-  /// kernels pinned to worker group r of ctx's pool via ctx->Split(tp)),
-  /// or — with tp_concurrent=false — as the serial rank loop, which is
-  /// bit-identical to concurrent execution by the fixed-rank-order
-  /// all-reduce construction. The same seed draws the same f16 master
-  /// weights at every tp, so tp changes only the execution schedule. The
-  /// embedding and the layers are drawn as parallel tasks on `ctx`, each
-  /// from its own seeded stream, so the weights are the same bits at any
-  /// thread count.
-  /// LoRA batches run at any tp: AddLora shards each adapter over the
-  /// ranks (ShardLoraModel) and every rank runs its own SGMV
+  /// Every layer is stored as tp rank shards and runs through
+  /// TpLayerForward, the one layer implementation, at every tp. At tp = 1
+  /// the drawn layer itself is the one rank shard (nothing is sliced or
+  /// copied). `tp` > 1 stores each layer Megatron-sharded over tp ranks,
+  /// run concurrently by default (rank r's kernels pinned to worker group
+  /// r of ctx's pool via ctx->Split(tp)), or — with tp_concurrent=false —
+  /// as the serial rank loop, which is bit-identical to concurrent
+  /// execution by the fixed-rank-order all-reduce construction. The same
+  /// seed draws the same f16 master weights at every tp, so tp changes
+  /// only the execution schedule. The embedding and the layers are drawn
+  /// as parallel tasks on `ctx`, each from its own seeded stream, so the
+  /// weights are the same bits at any thread count.
+  /// LoRA batches run at any tp: AddLora stores each adapter as its rank
+  /// shards (ShardLoraModel at tp > 1) and every rank runs its own SGMV
   /// shrink/expand, the row-parallel deltas folding through the existing
   /// all-reduce.
   LlamaModel(const LlamaConfig& config, std::uint64_t seed,
@@ -59,13 +61,10 @@ class LlamaModel {
   /// Read-only views of the stored weights (tests and introspection).
   const Tensor<f16>& embedding() const { return embedding_; }
   const WeightMatrix& lm_head() const { return lm_head_; }
-  /// Layer l's weights (tp == 1 only).
-  const LayerWeights& layer(int l) const {
+  /// Layer l's per-rank weights: ranks[r] is rank r's shard, and at tp = 1
+  /// ranks[0] is the whole layer.
+  const TpShardedLayer& layer(int l) const {
     return layers_.at(static_cast<std::size_t>(l));
-  }
-  /// Layer l's per-rank shards (tp > 1 only).
-  const TpShardedLayer& tp_layer(int l) const {
-    return tp_layers_.at(static_cast<std::size_t>(l));
   }
 
   /// Registers a random LoRA model under `id`. Deterministic in (seed);
@@ -73,9 +72,14 @@ class LlamaModel {
   /// context. Like every registration, AddLora mutates the adapter tables
   /// Forward reads: it must not run concurrently with Forward.
   void AddLora(LoraId id, int rank, std::uint64_t seed);
+  /// Stores `weights` as its rank shards: the adapter itself at tp = 1,
+  /// its ShardLoraModel slices at tp > 1 (the full adapter is not kept).
   void AddLora(LoraId id, LoraModelWeights weights);
+  /// The adapter registered under `id` (nullptr when tp > 1 — only its
+  /// shards are stored, see GetLoraShards — or unknown).
   const LoraModelWeights* GetLora(LoraId id) const;
-  /// Per-rank adapter shards for `id` (nullptr when tp == 1 or unknown).
+  /// Per-rank adapter shards for `id` (nullptr when tp == 1 — see GetLora —
+  /// or unknown).
   const TpShardedLora* GetLoraShards(LoraId id) const;
   std::size_t num_loras() const { return loras_.size(); }
 
@@ -112,15 +116,10 @@ class LlamaModel {
   Tensor<f16> embedding_;  ///< [vocab, hidden] — always f16 (gather path)
   WeightMatrix lm_head_;   ///< [hidden, vocab] in config.weight_dtype
   Tensor<f16> final_norm_; ///< [hidden]
-  std::vector<LayerWeights> layers_;       ///< tp == 1
-  std::vector<TpShardedLayer> tp_layers_;  ///< tp > 1
-  std::unordered_map<LoraId, std::unique_ptr<LoraModelWeights>> loras_;
-  /// tp > 1: each registered adapter sharded over the ranks alongside the
-  /// full copy in loras_ (which stays the source of truth for byte
-  /// accounting and re-sharding).
-  std::unordered_map<LoraId, std::unique_ptr<TpShardedLora>> tp_loras_;
-  LayerWorkspace ws_;
-  TpWorkspace tp_ws_;
+  std::vector<TpShardedLayer> layers_;  ///< tp rank shards per layer
+  /// Each registered adapter as its tp rank shards.
+  std::unordered_map<LoraId, std::unique_ptr<TpShardedLora>> loras_;
+  TpWorkspace ws_;
   RopeTable rope_;  ///< the current step's RoPE table (every layer reads it)
   std::vector<float> head_in_;   ///< [emitting entries, hidden] — LM head in
   std::vector<float> head_out_;  ///< [emitting entries, vocab] — LM head out

@@ -9,37 +9,6 @@
 #include "util/small_buffer.h"
 
 namespace punica {
-namespace {
-
-Tensor<f16> SliceColumns(const Tensor<f16>& w, std::int64_t col_begin,
-                         std::int64_t col_end) {
-  PUNICA_CHECK(w.ndim() == 2);
-  std::int64_t rows = w.dim(0);
-  std::int64_t cols = w.dim(1);
-  PUNICA_CHECK(col_begin >= 0 && col_end <= cols && col_begin < col_end);
-  Tensor<f16> out({rows, col_end - col_begin});
-  for (std::int64_t i = 0; i < rows; ++i) {
-    auto src = w.row(i);
-    auto dst = out.row(i);
-    std::copy(src.begin() + col_begin, src.begin() + col_end, dst.begin());
-  }
-  return out;
-}
-
-Tensor<f16> SliceRows(const Tensor<f16>& w, std::int64_t row_begin,
-                      std::int64_t row_end) {
-  PUNICA_CHECK(w.ndim() == 2);
-  PUNICA_CHECK(row_begin >= 0 && row_end <= w.dim(0) && row_begin < row_end);
-  Tensor<f16> out({row_end - row_begin, w.dim(1)});
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    auto src = w.row(i);
-    auto dst = out.row(i - row_begin);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  return out;
-}
-
-}  // namespace
 
 LlamaConfig RankConfig(const LlamaConfig& config, int tp) {
   PUNICA_CHECK(tp >= 1);
@@ -70,7 +39,6 @@ TpShardedLayer ShardLayer(const LlamaConfig& config, const LayerWeights& full,
     return sliced.Requantize(config.weight_dtype);
   };
   TpShardedLayer sharded;
-  sharded.tp = tp;
   int d = config.head_dim();
   std::int64_t q_cols = static_cast<std::int64_t>(config.num_heads / tp) * d;
   std::int64_t kv_cols =
@@ -99,14 +67,10 @@ TpShardedLayer ShardLayer(const LlamaConfig& config, const LayerWeights& full,
     shard.proj[static_cast<int>(Proj::kDown)] =
         quantize(full.proj[static_cast<int>(Proj::kDown)].SliceRows(
             r * f_cols, (r + 1) * f_cols));
+    shard.attn_norm = full.attn_norm;  // replicated
+    shard.mlp_norm = full.mlp_norm;
     sharded.ranks.push_back(std::move(shard));
   }
-  sharded.attn_norm = Tensor<f16>({config.hidden_size});
-  sharded.mlp_norm = Tensor<f16>({config.hidden_size});
-  std::copy(full.attn_norm.data().begin(), full.attn_norm.data().end(),
-            sharded.attn_norm.data().begin());
-  std::copy(full.mlp_norm.data().begin(), full.mlp_norm.data().end(),
-            sharded.mlp_norm.data().begin());
   return sharded;
 }
 
@@ -131,8 +95,8 @@ TpShardedLora ShardLoraModel(const LlamaConfig& config,
     out.rank = ab.rank;
     out.h_in = ab.h_in;
     out.h_out = static_cast<int>(e - b);
-    out.a = SliceRows(ab.a, 0, ab.a.dim(0));  // replicated copy
-    out.b = SliceColumns(ab.b, b, e);
+    out.a = ab.a;  // replicated copy
+    out.b = SliceCols(ab.b, b, e);
     return out;
   };
   // Row-parallel seam: A row-sliced to match the rank's dense input rows,
@@ -144,7 +108,7 @@ TpShardedLora ShardLoraModel(const LlamaConfig& config,
     out.h_in = static_cast<int>(e - b);
     out.h_out = ab.h_out;
     out.a = SliceRows(ab.a, b, e);
-    out.b = SliceColumns(ab.b, 0, ab.b.dim(1));  // replicated copy
+    out.b = ab.b;  // replicated copy
     return out;
   };
   for (int r = 0; r < tp; ++r) {
@@ -215,36 +179,37 @@ void TpWorkspace::Resize(const LlamaConfig& config, int tp, int tokens,
   }
 }
 
-void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,
-                    const ModelBatch& batch, int layer_idx, PagedKvCache& kv,
-                    std::span<float> x, TpWorkspace& ws,
-                    const ComputeContext& ctx,
-                    std::span<const ComputeContext* const> rank_ctxs,
-                    std::span<const TpShardedLora* const> seg_lora,
-                    const RopeTable* rope) {
-  const int tp = layer.tp;
+namespace {
+
+/// The one transformer-layer body, over tp = ranks.size() rank shards
+/// (LayerForward passes one full layer). `lora_of(seg, r)` is rank r's
+/// adapter model for batch segment seg (nullptr = backbone only).
+template <typename LoraOf>
+void ForwardRanks(const LlamaConfig& config,
+                  std::span<const LayerWeights> ranks, const LoraOf& lora_of,
+                  const ModelBatch& batch, int layer_idx, PagedKvCache& kv,
+                  std::span<float> x, TpWorkspace& ws,
+                  const ComputeContext& ctx,
+                  std::span<const ComputeContext* const> rank_ctxs,
+                  const RopeTable* rope) {
+  const int tp = static_cast<int>(ranks.size());
   const int tokens = batch.total_tokens();
   const auto h = static_cast<std::size_t>(config.hidden_size);
+  PUNICA_CHECK(tp >= 1);
   PUNICA_CHECK(x.size() == static_cast<std::size_t>(tokens) * h);
-  PUNICA_CHECK(static_cast<int>(layer.ranks.size()) == tp);
   const bool concurrent = !rank_ctxs.empty();
   if (concurrent) {
     PUNICA_CHECK(static_cast<int>(rank_ctxs.size()) == tp);
   }
+  const auto num_segs =
+      static_cast<std::size_t>(batch.segments.num_segments());
   bool any_lora = false;
-  if (!seg_lora.empty()) {
-    PUNICA_CHECK(seg_lora.size() ==
-                 static_cast<std::size_t>(batch.segments.num_segments()));
-    for (const TpShardedLora* l : seg_lora) {
-      if (l == nullptr) continue;
-      PUNICA_CHECK_MSG(l->tp == tp,
-                       "LoRA shards were built for a different tp degree");
-      any_lora = true;
-    }
-  }
   int max_rank = 1;
-  for (const TpShardedLora* l : seg_lora) {
-    if (l != nullptr) max_rank = std::max(max_rank, l->rank);
+  for (std::size_t i = 0; i < num_segs; ++i) {
+    if (const LoraModelWeights* l = lora_of(i, 0)) {
+      any_lora = true;
+      max_rank = std::max(max_rank, l->rank);
+    }
   }
   const int d = config.head_dim();
   const int heads_pr = config.num_heads / tp;
@@ -265,23 +230,17 @@ void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,
                               std::span<float> out, int h_in, int h_out,
                               const ComputeContext& rctx) {
     if (!any_lora) return;
-    SmallBuffer<const LoraAB*, kInlineLoraSegments> adapters(seg_lora.size());
-    bool any = false;
-    for (std::size_t i = 0; i < seg_lora.size(); ++i) {
-      adapters[i] = nullptr;
-      if (seg_lora[i] != nullptr) {
-        adapters[i] = &seg_lora[i]
-                           ->ranks[static_cast<std::size_t>(r)]
-                           .layers[static_cast<std::size_t>(layer_idx)]
-                           .proj[static_cast<int>(proj)];
-        any = true;
-      }
+    SmallBuffer<const LoraAB*, kInlineLoraSegments> adapters(num_segs);
+    for (std::size_t i = 0; i < num_segs; ++i) {
+      const LoraModelWeights* l = lora_of(i, static_cast<std::size_t>(r));
+      adapters[i] = l == nullptr
+                        ? nullptr
+                        : &l->layers[static_cast<std::size_t>(layer_idx)]
+                               .proj[static_cast<int>(proj)];
     }
-    if (any) {
-      BatchedLoraAddon(out, in, {adapters.data(), adapters.size()},
-                       batch.segments.offsets, h_in, h_out,
-                       ws.lora_tmp[static_cast<std::size_t>(r)], rctx);
-    }
+    BatchedLoraAddon(out, in, {adapters.data(), adapters.size()},
+                     batch.segments.offsets, h_in, h_out,
+                     ws.lora_tmp[static_cast<std::size_t>(r)], rctx);
   };
   const std::size_t q_stride = static_cast<std::size_t>(tokens) * q_w;
   const std::size_t kv_stride = static_cast<std::size_t>(tokens) * kv_w;
@@ -334,7 +293,7 @@ void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,
   ctx.ParallelFor(tokens, 1, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t t = lo; t < hi; ++t) {
       RmsNormRow(x.subspan(static_cast<std::size_t>(t) * h, h),
-                 layer.attn_norm.data(),
+                 ranks[0].attn_norm.data(),
                  normed.subspan(static_cast<std::size_t>(t) * h, h),
                  config.rms_eps);
     }
@@ -342,7 +301,7 @@ void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,
 
   for_each_rank([&](int r, const ComputeContext& rctx) {
     const auto ur = static_cast<std::size_t>(r);
-    const LayerWeights& shard = layer.ranks[ur];
+    const LayerWeights& shard = ranks[ur];
     const std::span<float> q(ws.q.data() + ur * q_stride, q_stride);
     const std::span<float> k(ws.k.data() + ur * kv_stride, kv_stride);
     const std::span<float> v(ws.v.data() + ur * kv_stride, kv_stride);
@@ -357,7 +316,7 @@ void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,
     GemmSetW(normed, shard.proj[static_cast<int>(Proj::kV)], v, tokens,
              config.hidden_size, kv_heads_pr * d, rctx);
     // Column-parallel LoRA: B is sliced to this rank's output columns, A is
-    // replicated — the addon lands before RoPE, matching LayerForward.
+    // replicated — the addon lands before RoPE.
     lora_addon(r, Proj::kQ, normed, q, config.hidden_size, heads_pr * d,
                rctx);
     lora_addon(r, Proj::kK, normed, k, config.hidden_size, kv_heads_pr * d,
@@ -423,14 +382,14 @@ void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,
   ctx.ParallelFor(tokens, 1, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t t = lo; t < hi; ++t) {
       RmsNormRow(x.subspan(static_cast<std::size_t>(t) * h, h),
-                 layer.mlp_norm.data(),
+                 ranks[0].mlp_norm.data(),
                  normed.subspan(static_cast<std::size_t>(t) * h, h),
                  config.rms_eps);
     }
   });
   for_each_rank([&](int r, const ComputeContext& rctx) {
     const auto ur = static_cast<std::size_t>(r);
-    const LayerWeights& shard = layer.ranks[ur];
+    const LayerWeights& shard = ranks[ur];
     const std::span<float> gate(ws.gate.data() + ur * f_stride, f_stride);
     const std::span<float> up(ws.up.data() + ur * f_stride, f_stride);
     const std::span<float> partial(ws.partial.data() + ur * h_stride,
@@ -451,6 +410,46 @@ void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,
                rctx);
   });
   reduce_partials();
+}
+
+}  // namespace
+
+void LayerForward(const LlamaConfig& config, const LayerWeights& weights,
+                  std::span<const LoraModelWeights* const> seg_lora,
+                  const ModelBatch& batch, int layer, PagedKvCache& kv,
+                  std::span<float> x, LayerWorkspace& ws,
+                  const ComputeContext& ctx, const RopeTable* rope) {
+  PUNICA_CHECK(seg_lora.size() ==
+               static_cast<std::size_t>(batch.segments.num_segments()));
+  ForwardRanks(
+      config, std::span<const LayerWeights>(&weights, 1),
+      [&](std::size_t seg, std::size_t) { return seg_lora[seg]; }, batch,
+      layer, kv, x, ws, ctx, {}, rope);
+}
+
+void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,
+                    const ModelBatch& batch, int layer_idx, PagedKvCache& kv,
+                    std::span<float> x, TpWorkspace& ws,
+                    const ComputeContext& ctx,
+                    std::span<const ComputeContext* const> rank_ctxs,
+                    std::span<const TpShardedLora* const> seg_lora,
+                    const RopeTable* rope) {
+  if (!seg_lora.empty()) {
+    PUNICA_CHECK(seg_lora.size() ==
+                 static_cast<std::size_t>(batch.segments.num_segments()));
+    for (const TpShardedLora* l : seg_lora) {
+      PUNICA_CHECK_MSG(
+          l == nullptr || l->tp == static_cast<int>(layer.ranks.size()),
+          "LoRA shards were built for a different tp degree");
+    }
+  }
+  ForwardRanks(
+      config, layer.ranks,
+      [&](std::size_t seg, std::size_t r) -> const LoraModelWeights* {
+        const TpShardedLora* l = seg_lora.empty() ? nullptr : seg_lora[seg];
+        return l == nullptr ? nullptr : &l->ranks[r];
+      },
+      batch, layer_idx, kv, x, ws, ctx, rank_ctxs, rope);
 }
 
 void TpLayerForward(const LlamaConfig& config, const TpShardedLayer& layer,

@@ -10,7 +10,7 @@
 //     outputs are summed by an all-reduce.
 //   * Gate/Up: column-parallel along the FFN dimension; Down: row-parallel;
 //     second all-reduce after Down.
-//   * Norm weights replicated.
+//   * Norm weights replicated: every rank's LayerWeights holds them.
 // Each rank writes its own slice of every KvCache entry and attends over
 // its own heads, so attention needs no communication.
 //
@@ -32,10 +32,15 @@
 // buffers in **fixed ascending rank order** on the root context — the same
 // one-writer/fixed-reduction-order construction the split-K kernels use —
 // so the result is bit-identical between serial and concurrent execution
-// at any thread count, SIMD level and weight dtype. Relative to the
-// single-GPU LayerForward the per-rank regrouping changes the fp32
-// summation order at the two seams, so activations agree only numerically
-// (column-parallel outputs, including the KV cache, stay bit-exact).
+// at any thread count, SIMD level and weight dtype.
+//
+// This is the one transformer-layer implementation. LayerForward runs it
+// with one rank — a full LayerWeights is the one-rank shard — where the
+// all-reduce is the plain residual add x += partial, so tp = 1 is this same
+// body, bit-exact. tp > 1 differs only at the two seams, where the per-rank
+// regrouping changes the fp32 summation order: activations agree with
+// tp = 1 numerically, while column-parallel outputs (including the KV
+// cache) stay bit-exact.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +51,11 @@
 
 namespace punica {
 
-/// One layer's weights sharded over tp ranks.
+/// One layer's weights sharded over tp = ranks.size() ranks. Each rank's
+/// LayerWeights holds its projection slices and a copy of the replicated
+/// norms; a full LayerWeights is the one-rank shard.
 struct TpShardedLayer {
-  std::vector<LayerWeights> ranks;  ///< per-rank weight slices
-  Tensor<f16> attn_norm;            ///< replicated
-  Tensor<f16> mlp_norm;             ///< replicated
-  int tp = 1;
+  std::vector<LayerWeights> ranks;
 };
 
 /// Slices a full layer into tp shards. Requires num_heads, num_kv_heads and
@@ -81,37 +85,10 @@ struct TpShardedLora {
 TpShardedLora ShardLoraModel(const LlamaConfig& config,
                              const LoraModelWeights& full, int tp);
 
-/// Per-rank activation buffers for TpLayerForward, stacked rank-major so
-/// concurrent ranks write disjoint slices. Resize only grows; steady-state
-/// forward passes are allocation-free.
-struct TpWorkspace {
-  std::vector<float> normed;    ///< [tokens, h] — shared, read-only in ranks
-  std::vector<float> q;         ///< [tp][tokens, heads_pr·d]
-  std::vector<float> k;         ///< [tp][tokens, kv_heads_pr·d]
-  std::vector<float> v;         ///< [tp][tokens, kv_heads_pr·d]
-  std::vector<float> attn_out;  ///< [tp][tokens, heads_pr·d]
-  std::vector<float> gate;      ///< [tp][tokens, ffn_pr]
-  std::vector<float> up;        ///< [tp][tokens, ffn_pr]
-  std::vector<float> partial;   ///< [tp][tokens, h] — all-reduce inputs
-  std::vector<std::vector<float>> attn_scratch;  ///< per-rank split-KV
-                                                 ///< partials (disjoint so
-                                                 ///< concurrent ranks never
-                                                 ///< share scratch)
-  std::vector<std::vector<float>> lora_tmp;  ///< per-rank SGMV v rows +
-                                             ///< split-K scratch (see
-                                             ///< BatchedLoraAddon's
-                                             ///< workspace contract);
-                                             ///< disjoint per rank so
-                                             ///< concurrent ranks never
-                                             ///< share the shrink buffer
-  void Resize(const LlamaConfig& config, int tp, int tokens,
-              int max_rank = 1);
-};
-
 /// Runs one transformer layer under tensor parallelism: each rank computes
 /// its partial attention and MLP contributions into `ws`; the two
 /// all-reduce seams sum partials across ranks into the residual stream in
-/// fixed ascending rank order. Semantics match LayerForward over the same
+/// fixed ascending rank order. The same body as LayerForward, over the
 /// per-segment LoRA view: `seg_lora[i]` is the sharded adapter for segment
 /// i (nullptr = backbone-only; empty span = all-backbone batch). Each rank
 /// runs its own SGMV shrink/expand over its shard with the batch's segment

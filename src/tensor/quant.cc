@@ -219,15 +219,9 @@ WeightMatrix WeightMatrix::SliceRows(std::int64_t row_begin,
   m.cols_ = cols_;
   m.bpr_ = bpr_;
   switch (dtype_) {
-    case WeightDtype::kF16: {
-      m.f16_ = Tensor<f16>({m.rows_, cols_});
-      for (std::int64_t r = row_begin; r < row_end; ++r) {
-        auto src = f16_.row(r);
-        auto dst = m.f16_.row(r - row_begin);
-        std::copy(src.begin(), src.end(), dst.begin());
-      }
+    case WeightDtype::kF16:
+      m.f16_ = punica::SliceRows(f16_, row_begin, row_end);
       break;
-    }
     case WeightDtype::kQ8_0:
       // Whole block rows: bit-exact at any row boundary.
       m.q8_.assign(q8_.begin() + row_begin * bpr_, q8_.begin() + row_end * bpr_);
@@ -248,12 +242,7 @@ WeightMatrix WeightMatrix::SliceCols(std::int64_t col_begin,
   m.rows_ = rows_;
   m.cols_ = col_end - col_begin;
   if (dtype_ == WeightDtype::kF16) {
-    m.f16_ = Tensor<f16>({rows_, m.cols_});
-    for (std::int64_t r = 0; r < rows_; ++r) {
-      auto src = f16_.row(r);
-      auto dst = m.f16_.row(r);
-      std::copy(src.begin() + col_begin, src.begin() + col_end, dst.begin());
-    }
+    m.f16_ = punica::SliceCols(f16_, col_begin, col_end);
     return m;
   }
   // Quantized: blocks are column-groupwise, so the slice must copy whole

@@ -6,6 +6,7 @@
 // row-major storage, 1–4 dims, element access for tests.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <numeric>
@@ -90,5 +91,34 @@ class Tensor {
   std::vector<std::int64_t> shape_;
   std::vector<T> data_;
 };
+
+/// Copies rows [row_begin, row_end) of a 2-D tensor.
+template <typename T>
+Tensor<T> SliceRows(const Tensor<T>& t, std::int64_t row_begin,
+                    std::int64_t row_end) {
+  PUNICA_CHECK(t.ndim() == 2);
+  PUNICA_CHECK(row_begin >= 0 && row_end <= t.dim(0) && row_begin < row_end);
+  Tensor<T> out({row_end - row_begin, t.dim(1)});
+  for (std::int64_t i = row_begin; i < row_end; ++i) {
+    auto src = t.row(i);
+    std::copy(src.begin(), src.end(), out.row(i - row_begin).begin());
+  }
+  return out;
+}
+
+/// Copies columns [col_begin, col_end) of a 2-D tensor.
+template <typename T>
+Tensor<T> SliceCols(const Tensor<T>& t, std::int64_t col_begin,
+                    std::int64_t col_end) {
+  PUNICA_CHECK(t.ndim() == 2);
+  PUNICA_CHECK(col_begin >= 0 && col_end <= t.dim(1) && col_begin < col_end);
+  Tensor<T> out({t.dim(0), col_end - col_begin});
+  for (std::int64_t i = 0; i < t.dim(0); ++i) {
+    auto src = t.row(i);
+    std::copy(src.begin() + col_begin, src.begin() + col_end,
+              out.row(i).begin());
+  }
+  return out;
+}
 
 }  // namespace punica

@@ -22,6 +22,276 @@ KvCacheConfig KvCfg(const LlamaConfig& c) {
           .num_pages = 128};
 }
 
+// The mixed LoRA batch (6 token rows): lora 0 prefill, backbone prefill,
+// lora 1 decode over 2 positions of random history.
+ModelBatch MixedLoraBatch(PagedKvCache& kv) {
+  SeqId sa = kv.CreateSequence();
+  EXPECT_TRUE(kv.Extend(sa, 3));
+  SeqId sb = kv.CreateSequence();
+  EXPECT_TRUE(kv.Extend(sb, 2));
+  SeqId sc = kv.CreateSequence();
+  EXPECT_TRUE(kv.Extend(sc, 3));
+  Pcg32 kv_rng(70);
+  for (std::int64_t p = 0; p < 2; ++p) {
+    auto ke = kv.Entry(sc, 0, p, KvSlot::kKey);
+    auto ve = kv.Entry(sc, 0, p, KvSlot::kValue);
+    for (std::size_t d = 0; d < ke.size(); ++d) {
+      ke[d] = f16(static_cast<float>(kv_rng.NextGaussian()) * 0.3f);
+      ve[d] = f16(static_cast<float>(kv_rng.NextGaussian()) * 0.3f);
+    }
+  }
+  return ModelBatch::Build(
+      {{.seq = sa, .lora = 0, .num_tokens = 3, .pos_offset = 0,
+        .is_prefill = true},
+       {.seq = sb, .lora = -1, .num_tokens = 2, .pos_offset = 0,
+        .is_prefill = true},
+       {.seq = sc, .lora = 1, .num_tokens = 1, .pos_offset = 2,
+        .is_prefill = false}});
+}
+
+// --- Plain-loop oracle -----------------------------------------------------
+// One transformer layer written from the math alone: naive matmuls, naive
+// x·A·B LoRA, RoPE from the RopeTable, naive causal softmax over the cache
+// and SwiGLU, accumulating in double. It shares no code with the layer body
+// beyond RoPE and the cache accessors. Dense weights are read back from the
+// rank shards through DequantRow — the values the kernels compute with —
+// so quantized shards are checked without a quantization-noise tolerance.
+
+/// The rank shards of projection p reassembled into one [h_in, h_out]
+/// matrix: column-parallel seams concatenate columns, row-parallel rows.
+std::vector<float> DenseWeight(const TpShardedLayer& layer, Proj p) {
+  const bool row_parallel = p == Proj::kO || p == Proj::kDown;
+  const auto tp = static_cast<std::int64_t>(layer.ranks.size());
+  const WeightMatrix& w0 = layer.ranks[0].proj[static_cast<int>(p)];
+  const std::int64_t rows = w0.dim(0) * (row_parallel ? tp : 1);
+  const std::int64_t cols = w0.dim(1) * (row_parallel ? 1 : tp);
+  std::vector<float> dense(static_cast<std::size_t>(rows * cols));
+  for (std::int64_t r = 0; r < tp; ++r) {
+    const WeightMatrix& w =
+        layer.ranks[static_cast<std::size_t>(r)].proj[static_cast<int>(p)];
+    std::vector<float> row(static_cast<std::size_t>(w.dim(1)));
+    for (std::int64_t i = 0; i < w.dim(0); ++i) {
+      w.DequantRow(i, row);
+      const std::int64_t out_row = row_parallel ? r * w.dim(0) + i : i;
+      const std::int64_t col0 = row_parallel ? 0 : r * w.dim(1);
+      std::copy(row.begin(), row.end(),
+                dense.begin() + out_row * cols + col0);
+    }
+  }
+  return dense;
+}
+
+/// Runs layer `l` over x ([tokens, h]) in place. `row_lora[t]` is token
+/// row t's full (unsharded) adapter model, nullptr for backbone rows. Each
+/// row's K/V goes into `kv` rounded to f16, as the cache stores it.
+void ReferenceLayer(const LlamaConfig& c, const TpShardedLayer& layer,
+                    std::span<const LoraModelWeights* const> row_lora,
+                    const ModelBatch& batch, int l, PagedKvCache& kv,
+                    std::vector<float>& x) {
+  const int tokens = batch.total_tokens();
+  const int h = c.hidden_size;
+  const int d = c.head_dim();
+  const auto at = [](int row, int width, int col) {
+    return static_cast<std::size_t>(row) * static_cast<std::size_t>(width) +
+           static_cast<std::size_t>(col);
+  };
+  const auto project = [&](const std::vector<float>& in, Proj p) {
+    const ProjShape s = ShapeOf(c, p);
+    const std::vector<float> w = DenseWeight(layer, p);
+    std::vector<float> out(static_cast<std::size_t>(tokens * s.h_out));
+    for (int t = 0; t < tokens; ++t) {
+      for (int j = 0; j < s.h_out; ++j) {
+        double acc = 0.0;
+        for (int i = 0; i < s.h_in; ++i) {
+          acc += static_cast<double>(in[at(t, s.h_in, i)]) *
+                 w[at(i, s.h_out, j)];
+        }
+        out[at(t, s.h_out, j)] = static_cast<float>(acc);
+      }
+      const LoraModelWeights* lora = row_lora[static_cast<std::size_t>(t)];
+      if (lora == nullptr) continue;
+      const LoraAB& ab = lora->layers[static_cast<std::size_t>(l)]
+                             .proj[static_cast<int>(p)];
+      std::vector<double> v(static_cast<std::size_t>(ab.rank), 0.0);
+      for (int k = 0; k < ab.rank; ++k) {
+        for (int i = 0; i < s.h_in; ++i) {
+          v[static_cast<std::size_t>(k)] +=
+              static_cast<double>(in[at(t, s.h_in, i)]) *
+              ab.a.at({i, k}).ToFloat();
+        }
+      }
+      for (int j = 0; j < s.h_out; ++j) {
+        double acc = 0.0;
+        for (int k = 0; k < ab.rank; ++k) {
+          acc += v[static_cast<std::size_t>(k)] * ab.b.at({k, j}).ToFloat();
+        }
+        out[at(t, s.h_out, j)] += static_cast<float>(acc);
+      }
+    }
+    return out;
+  };
+  const auto rms_norm = [&](const Tensor<f16>& weight) {
+    std::vector<float> out(x.size());
+    for (int t = 0; t < tokens; ++t) {
+      double ss = 0.0;
+      for (int i = 0; i < h; ++i) ss += double{x[at(t, h, i)]} * x[at(t, h, i)];
+      const double inv = 1.0 / std::sqrt(ss / h + c.rms_eps);
+      for (int i = 0; i < h; ++i) {
+        out[at(t, h, i)] = static_cast<float>(
+            x[at(t, h, i)] * inv * weight.data()[static_cast<std::size_t>(i)]
+                                       .ToFloat());
+      }
+    }
+    return out;
+  };
+
+  // Attention block.
+  std::vector<float> normed = rms_norm(layer.ranks[0].attn_norm);
+  std::vector<float> q = project(normed, Proj::kQ);
+  std::vector<float> k = project(normed, Proj::kK);
+  std::vector<float> v = project(normed, Proj::kV);
+  RopeTable rope;
+  rope.Build(batch.row_pos, d, c.rope_theta, ComputeContext::Default());
+  const int kvd = c.kv_dim();
+  for (int t = 0; t < tokens; ++t) {
+    const auto row = static_cast<std::size_t>(t);
+    rope.Apply(row, std::span<float>(q).subspan(at(t, h, 0), h), c.num_heads);
+    rope.Apply(row, std::span<float>(k).subspan(at(t, kvd, 0), kvd),
+               c.num_kv_heads);
+    const SeqId seq = batch.row_seq[row];
+    const std::int64_t pos = batch.row_pos[row];
+    auto ke = kv.Entry(seq, l, pos, KvSlot::kKey);
+    auto ve = kv.Entry(seq, l, pos, KvSlot::kValue);
+    for (int i = 0; i < kvd; ++i) {
+      ke[static_cast<std::size_t>(i)] = f16(k[at(t, kvd, i)]);
+      ve[static_cast<std::size_t>(i)] = f16(v[at(t, kvd, i)]);
+    }
+  }
+  std::vector<float> attn(x.size());
+  const int group = c.num_heads / c.num_kv_heads;
+  for (int t = 0; t < tokens; ++t) {
+    const SeqId seq = batch.row_seq[static_cast<std::size_t>(t)];
+    const std::int64_t pos = batch.row_pos[static_cast<std::size_t>(t)];
+    for (int head = 0; head < c.num_heads; ++head) {
+      const int kv_off = (head / group) * d;
+      std::vector<double> score;
+      for (std::int64_t p = 0; p <= pos; ++p) {  // causal
+        auto ke = kv.Entry(seq, l, p, KvSlot::kKey);
+        double dot = 0.0;
+        for (int i = 0; i < d; ++i) {
+          dot += double{q[at(t, h, head * d + i)]} *
+                 ke[static_cast<std::size_t>(kv_off + i)].ToFloat();
+        }
+        score.push_back(dot / std::sqrt(static_cast<double>(d)));
+      }
+      const double m = *std::max_element(score.begin(), score.end());
+      double denom = 0.0;
+      for (double& sc : score) denom += (sc = std::exp(sc - m));
+      for (int i = 0; i < d; ++i) {
+        double acc = 0.0;
+        for (std::int64_t p = 0; p <= pos; ++p) {
+          acc += score[static_cast<std::size_t>(p)] *
+                 kv.Entry(seq, l, p, KvSlot::kValue)[
+                       static_cast<std::size_t>(kv_off + i)].ToFloat();
+        }
+        attn[at(t, h, head * d + i)] = static_cast<float>(acc / denom);
+      }
+    }
+  }
+  std::vector<float> o = project(attn, Proj::kO);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] += o[i];
+
+  // MLP block (SwiGLU).
+  normed = rms_norm(layer.ranks[0].mlp_norm);
+  std::vector<float> gate = project(normed, Proj::kGate);
+  const std::vector<float> up = project(normed, Proj::kUp);
+  for (std::size_t i = 0; i < gate.size(); ++i) {
+    const double g = gate[i];
+    gate[i] = static_cast<float>(g / (1.0 + std::exp(-g)) * up[i]);
+  }
+  std::vector<float> down = project(gate, Proj::kDown);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] += down[i];
+}
+
+// The layer body against the oracle at tp 1 (LayerForward) and 2
+// (TpLayerForward over sharded weights and adapters), f16 and q8_0, on the
+// mixed prefill/decode batch with two LoRA segments of different ranks.
+TEST(TpLayerOracleTest, BodyMatchesPlainLoopReference) {
+  for (WeightDtype dtype : {WeightDtype::kF16, WeightDtype::kQ8_0}) {
+    for (int tp : {1, 2}) {
+      SCOPED_TRACE(std::string(WeightDtypeName(dtype)) + " tp " +
+                   std::to_string(tp));
+      LlamaConfig c = TinyLlama();
+      c.weight_dtype = dtype;
+      TpShardedLayer layer;
+      if (tp == 1) {
+        layer.ranks.push_back(LayerWeights::Random(c, 17));
+      } else {
+        layer = ShardLayer(c, LayerWeights::Random(TinyLlama(), 17), tp);
+      }
+      const LoraModelWeights lora_a = LoraModelWeights::Random(c, 5, 21);
+      const LoraModelWeights lora_b = LoraModelWeights::Random(c, 8, 22);
+
+      Pcg32 rng(9);
+      const auto x0 = RandomGaussianVector(
+          6 * static_cast<std::size_t>(c.hidden_size), 1.0f, rng);
+
+      PagedKvCache kv_ref(KvCfg(c));
+      const ModelBatch b_ref = MixedLoraBatch(kv_ref);
+      std::vector<const LoraModelWeights*> row_lora;
+      for (const BatchEntry& e : b_ref.entries) {
+        for (int j = 0; j < e.num_tokens; ++j) {
+          row_lora.push_back(e.lora == 0   ? &lora_a
+                             : e.lora == 1 ? &lora_b
+                                           : nullptr);
+        }
+      }
+      auto x_ref = x0;
+      ReferenceLayer(c, layer, row_lora, b_ref, 0, kv_ref, x_ref);
+
+      PagedKvCache kv(KvCfg(c));
+      const ModelBatch b = MixedLoraBatch(kv);
+      auto x = x0;
+      if (tp == 1) {
+        std::vector<const LoraModelWeights*> seg;
+        for (LoraId id : b.segments.lora_ids) {
+          seg.push_back(id == 0 ? &lora_a : id == 1 ? &lora_b : nullptr);
+        }
+        LayerWorkspace ws;
+        LayerForward(c, layer.ranks[0], seg, b, 0, kv, x, ws);
+      } else {
+        const TpShardedLora lora_a_tp = ShardLoraModel(c, lora_a, tp);
+        const TpShardedLora lora_b_tp = ShardLoraModel(c, lora_b, tp);
+        std::vector<const TpShardedLora*> seg;
+        for (LoraId id : b.segments.lora_ids) {
+          seg.push_back(id == 0 ? &lora_a_tp : id == 1 ? &lora_b_tp : nullptr);
+        }
+        TpLayerForward(c, layer, b, 0, kv, x, ComputeContext::Default(), seg);
+      }
+
+      // Only the fp32-vs-double accumulation order differs (~3e-6 seen);
+      // the cache may differ by one f16 rounding step.
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        ASSERT_NEAR(x[i], x_ref[i], 1e-4f) << "activation " << i;
+      }
+      for (std::size_t e = 0; e < b.entries.size(); ++e) {
+        const SeqId s = b.entries[e].seq;
+        const SeqId s_ref = b_ref.entries[e].seq;
+        for (std::int64_t pos = 0; pos < kv.SeqLen(s); ++pos) {
+          for (auto slot : {KvSlot::kKey, KvSlot::kValue}) {
+            auto got = kv.Entry(s, 0, pos, slot);
+            auto want = kv_ref.Entry(s_ref, 0, pos, slot);
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              ASSERT_NEAR(got[i].ToFloat(), want[i].ToFloat(), 2e-3f)
+                  << "kv entry " << e << " pos " << pos;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(RankConfigTest, DividesHeadsAndFfn) {
   LlamaConfig c = TinyLlama();  // H=4, N=2, F=128
   LlamaConfig r = RankConfig(c, 2);
@@ -364,7 +634,7 @@ TEST_P(TpConcurrencySweep, ConcurrentMatchesSerialBitExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Degrees, TpConcurrencySweep,
-                         ::testing::Values(2, 3));
+                         ::testing::Values(1, 2, 3));
 
 TEST(ShardLoraModelTest, SeamShapesAndReplication) {
   LlamaConfig c = TinyLlama();  // H=4, N=2, F=128
@@ -419,50 +689,20 @@ TEST(ShardLoraModelTest, SeamShapesAndReplication) {
 // single-GPU layer over the full adapters (up to fp32 reduction-order
 // error at the two all-reduce seams), with the batch's segment grouping
 // unchanged. Uses a rank NOT divisible by tp — the rank dim is never
-// split, so any adapter rank shards exactly.
+// split, so any adapter rank shards exactly. tp = 1 runs ShardLayer's
+// one-rank copy through TpLayerForward against LayerForward on the full
+// layer; the independent check of the body is TpLayerOracleTest.
 TEST(TpLoraEquivalenceTest, MatchesSingleGpuLayerWithLoraSegments) {
   LlamaConfig c = TinyLlama();
-  const int tp = 2;
   LayerWeights full = LayerWeights::Random(c, 17);
-  TpShardedLayer sharded = ShardLayer(c, full, tp);
   LoraModelWeights lora_a = LoraModelWeights::Random(c, 5, 21);
   LoraModelWeights lora_b = LoraModelWeights::Random(c, 8, 22);
-  TpShardedLora lora_a_tp = ShardLoraModel(c, lora_a, tp);
-  TpShardedLora lora_b_tp = ShardLoraModel(c, lora_b, tp);
-
-  // Mixed batch: lora 0 prefill, backbone prefill, lora 1 decode.
-  auto setup = [&](PagedKvCache& kv, ModelBatch* batch) {
-    SeqId sa = kv.CreateSequence();
-    EXPECT_TRUE(kv.Extend(sa, 3));
-    SeqId sb = kv.CreateSequence();
-    EXPECT_TRUE(kv.Extend(sb, 2));
-    SeqId sc = kv.CreateSequence();
-    EXPECT_TRUE(kv.Extend(sc, 3));
-    Pcg32 kv_rng(70);
-    for (std::int64_t p = 0; p < 2; ++p) {
-      auto ke = kv.Entry(sc, 0, p, KvSlot::kKey);
-      auto ve = kv.Entry(sc, 0, p, KvSlot::kValue);
-      for (std::size_t d = 0; d < ke.size(); ++d) {
-        ke[d] = f16(static_cast<float>(kv_rng.NextGaussian()) * 0.3f);
-        ve[d] = f16(static_cast<float>(kv_rng.NextGaussian()) * 0.3f);
-      }
-    }
-    *batch = ModelBatch::Build(
-        {{.seq = sa, .lora = 0, .num_tokens = 3, .pos_offset = 0,
-          .is_prefill = true},
-         {.seq = sb, .lora = -1, .num_tokens = 2, .pos_offset = 0,
-          .is_prefill = true},
-         {.seq = sc, .lora = 1, .num_tokens = 1, .pos_offset = 2,
-          .is_prefill = false}});
-  };
-
   Pcg32 rng(9);
   auto h = static_cast<std::size_t>(c.hidden_size);
   auto x0 = RandomGaussianVector(6 * h, 1.0f, rng);
 
   PagedKvCache kv_ref(KvCfg(c));
-  ModelBatch b_ref;
-  setup(kv_ref, &b_ref);
+  ModelBatch b_ref = MixedLoraBatch(kv_ref);
   ASSERT_EQ(b_ref.segments.num_segments(), 3);
   std::vector<const LoraModelWeights*> seg_full;
   for (LoraId id : b_ref.segments.lora_ids) {
@@ -473,20 +713,25 @@ TEST(TpLoraEquivalenceTest, MatchesSingleGpuLayerWithLoraSegments) {
   ws.Resize(c, 6, 8);
   LayerForward(c, full, seg_full, b_ref, 0, kv_ref, x_ref, ws);
 
-  PagedKvCache kv_tp(KvCfg(c));
-  ModelBatch b_tp;
-  setup(kv_tp, &b_tp);
-  std::vector<const TpShardedLora*> seg_tp;
-  for (LoraId id : b_tp.segments.lora_ids) {
-    seg_tp.push_back(id == 0 ? &lora_a_tp : id == 1 ? &lora_b_tp : nullptr);
-  }
-  auto x_tp = x0;
-  TpLayerForward(c, sharded, b_tp, 0, kv_tp, x_tp,
-                 ComputeContext::Default(),
-                 std::span<const TpShardedLora* const>(seg_tp));
+  for (int tp : {1, 2}) {
+    SCOPED_TRACE("tp=" + std::to_string(tp));
+    TpShardedLayer sharded = ShardLayer(c, full, tp);
+    TpShardedLora lora_a_tp = ShardLoraModel(c, lora_a, tp);
+    TpShardedLora lora_b_tp = ShardLoraModel(c, lora_b, tp);
+    PagedKvCache kv_tp(KvCfg(c));
+    ModelBatch b_tp = MixedLoraBatch(kv_tp);
+    std::vector<const TpShardedLora*> seg_tp;
+    for (LoraId id : b_tp.segments.lora_ids) {
+      seg_tp.push_back(id == 0 ? &lora_a_tp : id == 1 ? &lora_b_tp : nullptr);
+    }
+    auto x_tp = x0;
+    TpLayerForward(c, sharded, b_tp, 0, kv_tp, x_tp,
+                   ComputeContext::Default(),
+                   std::span<const TpShardedLora* const>(seg_tp));
 
-  for (std::size_t i = 0; i < x_ref.size(); ++i) {
-    ASSERT_NEAR(x_tp[i], x_ref[i], 2e-3f) << "activation " << i;
+    for (std::size_t i = 0; i < x_ref.size(); ++i) {
+      ASSERT_NEAR(x_tp[i], x_ref[i], 2e-3f) << "activation " << i;
+    }
   }
 }
 
@@ -496,73 +741,75 @@ TEST(TpLoraEquivalenceTest, MatchesSingleGpuLayerWithLoraSegments) {
 // all-reduce, exactly like the dense partials.
 TEST(TpLoraConcurrencyTest, ConcurrentMatchesSerialBitExactWithLora) {
   LlamaConfig c = TinyLlama();
-  const int tp = 2;
-  LayerWeights full = LayerWeights::Random(c, 17);
-  TpShardedLayer sharded = ShardLayer(c, full, tp);
-  LoraModelWeights lora = LoraModelWeights::Random(c, 8, 31);
-  TpShardedLora lora_tp = ShardLoraModel(c, lora, tp);
+  for (int tp : {1, 2}) {
+    SCOPED_TRACE("tp=" + std::to_string(tp));
+    LayerWeights full = LayerWeights::Random(c, 17);
+    TpShardedLayer sharded = ShardLayer(c, full, tp);
+    LoraModelWeights lora = LoraModelWeights::Random(c, 8, 31);
+    TpShardedLora lora_tp = ShardLoraModel(c, lora, tp);
 
-  auto setup = [&](PagedKvCache& kv, ModelBatch* batch) {
-    SeqId sa = kv.CreateSequence();
-    EXPECT_TRUE(kv.Extend(sa, 3));
-    SeqId sb = kv.CreateSequence();
-    EXPECT_TRUE(kv.Extend(sb, 1));
-    *batch = ModelBatch::Build(
-        {{.seq = sa, .lora = 0, .num_tokens = 3, .pos_offset = 0,
-          .is_prefill = true},
-         {.seq = sb, .lora = -1, .num_tokens = 1, .pos_offset = 0,
-          .is_prefill = true}});
-  };
+    auto setup = [&](PagedKvCache& kv, ModelBatch* batch) {
+      SeqId sa = kv.CreateSequence();
+      EXPECT_TRUE(kv.Extend(sa, 3));
+      SeqId sb = kv.CreateSequence();
+      EXPECT_TRUE(kv.Extend(sb, 1));
+      *batch = ModelBatch::Build(
+          {{.seq = sa, .lora = 0, .num_tokens = 3, .pos_offset = 0,
+            .is_prefill = true},
+           {.seq = sb, .lora = -1, .num_tokens = 1, .pos_offset = 0,
+            .is_prefill = true}});
+    };
 
-  Pcg32 rng(9);
-  auto h = static_cast<std::size_t>(c.hidden_size);
-  auto x0 = RandomGaussianVector(4 * h, 1.0f, rng);
-  auto bits = [](float v) {
-    std::uint32_t b;
-    std::memcpy(&b, &v, sizeof(b));
-    return b;
-  };
+    Pcg32 rng(9);
+    auto h = static_cast<std::size_t>(c.hidden_size);
+    auto x0 = RandomGaussianVector(4 * h, 1.0f, rng);
+    auto bits = [](float v) {
+      std::uint32_t b;
+      std::memcpy(&b, &v, sizeof(b));
+      return b;
+    };
 
-  auto seg_for = [&](const ModelBatch& b) {
-    std::vector<const TpShardedLora*> seg;
-    for (LoraId id : b.segments.lora_ids) {
-      seg.push_back(id == 0 ? &lora_tp : nullptr);
-    }
-    return seg;
-  };
-
-  ComputeContext ctx1({.num_threads = 1});
-  PagedKvCache kv_ref(KvCfg(c));
-  ModelBatch b_ref;
-  setup(kv_ref, &b_ref);
-  auto seg_ref = seg_for(b_ref);
-  auto x_ref = x0;
-  TpWorkspace ws_ref;
-  TpLayerForward(c, sharded, b_ref, 0, kv_ref, x_ref, ws_ref, ctx1, {},
-                 std::span<const TpShardedLora* const>(seg_ref));
-
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ComputeContext ctx({.num_threads = threads});
-    for (bool concurrent : {false, true}) {
-      SCOPED_TRACE(concurrent ? "concurrent" : "serial");
-      std::vector<std::unique_ptr<ComputeContext>> views;
-      std::vector<const ComputeContext*> ptrs;
-      if (concurrent) {
-        views = ctx.Split(tp);
-        for (const auto& v : views) ptrs.push_back(v.get());
+    auto seg_for = [&](const ModelBatch& b) {
+      std::vector<const TpShardedLora*> seg;
+      for (LoraId id : b.segments.lora_ids) {
+        seg.push_back(id == 0 ? &lora_tp : nullptr);
       }
-      PagedKvCache kv(KvCfg(c));
-      ModelBatch b;
-      setup(kv, &b);
-      auto seg = seg_for(b);
-      auto x = x0;
-      TpWorkspace ws;
-      TpLayerForward(c, sharded, b, 0, kv, x, ws, ctx,
-                     std::span<const ComputeContext* const>(ptrs),
-                     std::span<const TpShardedLora* const>(seg));
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        ASSERT_EQ(bits(x[i]), bits(x_ref[i])) << "activation " << i;
+      return seg;
+    };
+
+    ComputeContext ctx1({.num_threads = 1});
+    PagedKvCache kv_ref(KvCfg(c));
+    ModelBatch b_ref;
+    setup(kv_ref, &b_ref);
+    auto seg_ref = seg_for(b_ref);
+    auto x_ref = x0;
+    TpWorkspace ws_ref;
+    TpLayerForward(c, sharded, b_ref, 0, kv_ref, x_ref, ws_ref, ctx1, {},
+                   std::span<const TpShardedLora* const>(seg_ref));
+
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ComputeContext ctx({.num_threads = threads});
+      for (bool concurrent : {false, true}) {
+        SCOPED_TRACE(concurrent ? "concurrent" : "serial");
+        std::vector<std::unique_ptr<ComputeContext>> views;
+        std::vector<const ComputeContext*> ptrs;
+        if (concurrent) {
+          views = ctx.Split(tp);
+          for (const auto& v : views) ptrs.push_back(v.get());
+        }
+        PagedKvCache kv(KvCfg(c));
+        ModelBatch b;
+        setup(kv, &b);
+        auto seg = seg_for(b);
+        auto x = x0;
+        TpWorkspace ws;
+        TpLayerForward(c, sharded, b, 0, kv, x, ws, ctx,
+                       std::span<const ComputeContext* const>(ptrs),
+                       std::span<const TpShardedLora* const>(seg));
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          ASSERT_EQ(bits(x[i]), bits(x_ref[i])) << "activation " << i;
+        }
       }
     }
   }
