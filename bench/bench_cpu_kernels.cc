@@ -87,10 +87,11 @@ void QuantSweep(benchmark::internal::Benchmark* b) {
   }
 }
 
-// Forces the explicit dispatch level in a *Quant benchmark's arg 1.
+// Forces the explicit dispatch level in a benchmark's arg `arg` (arg 1 of
+// the *Quant sweeps).
 bool ForceSimdLevelArg(benchmark::State& state,
-                       std::optional<ScopedSimdLevel>& guard) {
-  auto level = static_cast<SimdLevel>(state.range(1));
+                       std::optional<ScopedSimdLevel>& guard, int arg = 1) {
+  auto level = static_cast<SimdLevel>(state.range(arg));
   if (!SimdLevelAvailable(level)) {
     state.SkipWithError("SIMD level not compiled/supported on this host");
     return false;
@@ -499,6 +500,27 @@ void BM_EngineDecodeStepSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineDecodeStepSimd)->Apply(SimdSweep);
 
+// The synthetic-weight draw (FillGaussianF16) at every dispatch level —
+// arg simd = SimdLevel (0 scalar libm loop, 1 avx2, 2 avx512; unavailable
+// levels SkipWithError) — over one 704×256 FFN projection per iteration,
+// the shape the serving benchmark's layers draw.
+void BM_FillGaussianF16Simd(benchmark::State& state) {
+  std::optional<ScopedSimdLevel> guard;
+  if (!ForceSimdLevelArg(state, guard, 0)) return;
+  std::vector<f16> w(704 * 256);
+  Pcg32 rng(static_cast<std::uint64_t>(state.range(0)) + 1);
+  for (auto _ : state) {
+    FillGaussianF16(rng, 0.0625f, w);
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(w.size()));
+}
+BENCHMARK(BM_FillGaussianF16Simd)
+    ->ArgName("simd")
+    ->DenseRange(0, kNumSimdLevels - 1);
+
 // --- Quantized-weight sweeps (separate BENCH_kernels_quant.json baseline;
 // names avoid the "Threads"/"Simd" substrings on purpose) ---
 
@@ -548,7 +570,10 @@ void AddWeightTrafficCounters(benchmark::State& state, int m, int k, int n,
 }
 
 // The acceptance bench: decode GEMV at m=8/k=4096/n=4096 — m independent
-// GemvAccW row calls, exactly what the LM head / decode projections run.
+// GemvAccW row calls. No serving path runs this GEMV any more: the decode
+// projections and the LM head run GemmBlocked's register tiles (the
+// QuantGemmDecodeShape rows below); the Fig. 8 baseline operators
+// (baselines/lora_ops.cc) are its remaining caller.
 // The committed baseline locks the q8_vs_f16 / q4_vs_f16 speedups at the
 // vector levels (see scripts/check_bench.py --min and the CI gate). The
 // attainable ratio is host-physics-dependent: the bytes ratio (1.8× q8,

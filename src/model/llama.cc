@@ -58,10 +58,25 @@ LlamaModel::LlamaModel(const LlamaConfig& config, std::uint64_t seed,
   // model numerics. The head stays its own tensor: it is stored — and
   // quantized — separately, so shapes and byte accounting are unchanged.
   Tensor<f16> lm_head({config.hidden_size, config.vocab_size});
-  for (std::int64_t v = 0; v < config.vocab_size; ++v) {
-    std::int64_t src = (v + config.vocab_size - 1) % config.vocab_size;
-    for (std::int64_t i = 0; i < config.hidden_size; ++i) {
-      lm_head.at({i, v}) = embedding_.at({src, i});
+  {
+    // A blocked transpose: each 32×32 tile writes head rows contiguously
+    // and reads 32 embedding rows, all cache resident.
+    constexpr std::size_t kTile = 32;
+    const auto vocab = static_cast<std::size_t>(config.vocab_size);
+    const auto hidden = static_cast<std::size_t>(config.hidden_size);
+    const f16* emb = embedding_.raw();
+    f16* head = lm_head.raw();
+    for (std::size_t i0 = 0; i0 < hidden; i0 += kTile) {
+      const std::size_t i1 = std::min(hidden, i0 + kTile);
+      for (std::size_t v0 = 0; v0 < vocab; v0 += kTile) {
+        const std::size_t v1 = std::min(vocab, v0 + kTile);
+        for (std::size_t i = i0; i < i1; ++i) {
+          for (std::size_t v = v0; v < v1; ++v) {
+            const std::size_t src = v == 0 ? vocab - 1 : v - 1;
+            head[i * vocab + v] = emb[src * hidden + i];
+          }
+        }
+      }
     }
   }
   // Same f16 draw at every dtype; quantization only changes the storage.

@@ -19,7 +19,11 @@ void FloatToHalfN(std::span<const float> src, std::span<f16> dst) {
   Simd().float_to_half_n(src.data(), dst.data(), src.size());
 }
 
-void FillGaussianF16(Pcg32& rng, float scale, std::span<f16> dst) {
+namespace {
+
+/// The libm draw: dst[i] = f16(float(rng.NextGaussian()) · scale), a small
+/// float buffer at a time. Returns dst.size().
+std::size_t FillGaussianF16Libm(Pcg32& rng, float scale, std::span<f16> dst) {
   const SimdOps& ops = Simd();
   float buf[256];
   for (std::size_t i = 0; i < dst.size(); i += std::size(buf)) {
@@ -29,6 +33,42 @@ void FillGaussianF16(Pcg32& rng, float scale, std::span<f16> dst) {
     }
     ops.float_to_half_n(buf, dst.data() + i, n);
   }
+  return dst.size();
+}
+
+}  // namespace
+
+void FillGaussianF16(Pcg32& rng, float scale, std::span<f16> dst) {
+  const SimdOps& ops = Simd();
+  std::size_t i = 0;
+  if (ops.box_muller_f32 != nullptr) {
+    // A cached deviate is the stream's next element; whole pairs follow.
+    if (rng.has_cached_gaussian() && !dst.empty()) {
+      i = FillGaussianF16Libm(rng, scale, dst.first(1));
+    }
+    constexpr std::size_t kPairs = 256;
+    double u1[kPairs];
+    double u2[kPairs];
+    float buf[2 * kPairs];
+    while (dst.size() - i >= 2) {
+      const std::size_t n = std::min(kPairs, (dst.size() - i) / 2);
+      ops.pcg_uniform_pairs(rng.state(), rng.increment(), n, u1, u2);
+      const std::size_t done =
+          ops.box_muller_f32(u1, u2, n, kBoxMullerEps, buf);
+      rng.Advance(4 * done);
+      for (std::size_t j = 0; j < 2 * done; ++j) buf[j] *= scale;
+      ops.float_to_half_n(buf, dst.data() + i, 2 * done);
+      i += 2 * done;
+      if (done < n) {
+        // A u1 == 0 ahead: the libm loop's rejection redraws it, which
+        // shifts the rest of these pairs.
+        i += FillGaussianF16Libm(rng, scale, dst.subspan(i, 2 * (n - done)));
+      }
+    }
+  }
+  // The whole span at the scalar level; otherwise an odd tail, whose draw
+  // leaves the pair's second deviate cached for the next call.
+  FillGaussianF16Libm(rng, scale, dst.subspan(i));
 }
 
 std::uint16_t FloatToHalfBits(float f) {

@@ -27,9 +27,11 @@ void HalfToFloatN(std::span<const f16> src, std::span<float> dst);
 void FloatToHalfN(std::span<const float> src, std::span<f16> dst);
 
 /// The synthetic-weight draw: dst[i] = f16(float(g_i) · scale), g_i the
-/// i-th rng.NextGaussian(). Draws a small float buffer at a time in stream
-/// order and converts it with FloatToHalfN — bit-identical to the
-/// per-element expression, since every draw is finite.
+/// i-th rng.NextGaussian(), leaving rng exactly where those calls would
+/// (cached deviate included). At the scalar level it is that libm loop; the
+/// vector levels draw whole pairs through SimdOps::pcg_uniform_pairs and
+/// box_muller_f32 — bit-identical by construction — and leave a leading
+/// cached deviate, an odd tail and any u1 == 0 redraw to the libm loop.
 void FillGaussianF16(Pcg32& rng, float scale, std::span<f16> dst);
 
 class f16 {

@@ -319,6 +319,8 @@ constexpr SimdOps kScalarOps = {
     .dot_q4 = DotQ4Scalar,
     .gemm_tile = GemmTileScalar,
     .attn_tile = AttnTileScalar,
+    .pcg_uniform_pairs = nullptr,
+    .box_muller_f32 = nullptr,
 };
 
 bool CpuSupportsAvx2() {

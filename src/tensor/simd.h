@@ -197,7 +197,31 @@ struct SimdOps {
   /// register group of pairs' dot and V accumulators across the block, so
   /// the tile shape never changes a partial.
   void (*attn_tile)(const AttnTile& tile);
+
+  // The synthetic-weight draw behind FillGaussianF16, in vector lanes.
+  // nullptr on the scalar table: the fill there is the libm loop itself —
+  // the oracle the vector levels reproduce bit for bit.
+  /// u1[i], u2[i] = the two NextDouble() values of pair i of the Pcg32
+  /// stream whose next NextU32 steps from LCG `state` with increment `inc`:
+  /// four NextU32 draws per pair, no u1 == 0 rejection.
+  void (*pcg_uniform_pairs)(std::uint64_t state, std::uint64_t inc,
+                            std::size_t n, double* u1, double* u2);
+  /// z[2i], z[2i+1] = the floats of BoxMuller(u1[i], u2[i]) (util/rng.h),
+  /// bit for bit: a lane's own float stands only where it provably equals
+  /// libm's, i.e. where every double within relative `eps` of the lane's z
+  /// rounds to it — eps must bound the kernel's and libm's combined
+  /// relative error (kBoxMullerEps) — and any other lane is recomputed
+  /// through BoxMuller. Works in blocks of 4 (avx2) or 8 (avx512) pairs and
+  /// stops before the first block with a u1 == 0, which NextGaussian
+  /// rejects; returns the pairs written (n when there is none).
+  std::size_t (*box_muller_f32)(const double* u1, const double* u2,
+                                std::size_t n, double eps, float* z);
 };
+
+/// The ε box_muller_f32's callers pass: the vector log/sin/cos and glibc's
+/// are each within a few ulps (2^-50) of the true value, so 2^-44 leaves a
+/// 64× margin while sending about one lane in 2^19 to the libm fallback.
+inline constexpr double kBoxMullerEps = 0x1.0p-44;
 
 /// The active table. First call resolves PUNICA_SIMD / cpuid; later calls
 /// are one atomic load.

@@ -24,6 +24,7 @@
 #include <cmath>
 
 #include "tensor/quant.h"
+#include "tensor/simd_gaussian.h"
 
 namespace punica {
 namespace {
@@ -701,6 +702,24 @@ void AttnTileAvx(const AttnTile& t) {
   }
 }
 
+// The synthetic-weight draw (simd_gaussian.h), 4 pairs per step.
+struct Avx2Gaussian {
+  static constexpr int kLanes = 4;
+  typedef double D __attribute__((vector_size(32)));
+  typedef std::uint64_t U __attribute__((vector_size(32)));
+  typedef float F __attribute__((vector_size(16)));
+  typedef std::int32_t I __attribute__((vector_size(16)));
+  static D Sqrt(D x) { return _mm256_sqrt_pd(x); }
+  static D Fma(D a, D b, D c) { return _mm256_fmadd_pd(a, b, c); }
+  static bool AnyD(U m) {
+    return _mm256_movemask_pd(reinterpret_cast<__m256d>(m)) != 0;
+  }
+  static bool AnyF(I m) {
+    return _mm_movemask_ps(reinterpret_cast<__m128>(m)) != 0;
+  }
+};
+using Avx2Draw = simd_detail::GaussianLanes<Avx2Gaussian>;
+
 constexpr SimdOps kAvx2Ops = {
     .level = SimdLevel::kAvx2,
     .name = "avx2",
@@ -720,6 +739,8 @@ constexpr SimdOps kAvx2Ops = {
     .dot_q4 = DotQ4Avx,
     .gemm_tile = GemmTileAvx2,
     .attn_tile = AttnTileAvx,
+    .pcg_uniform_pairs = Avx2Draw::Uniforms,
+    .box_muller_f32 = Avx2Draw::BoxMullerF32,
 };
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include <cmath>
 
 #include "tensor/quant.h"
+#include "tensor/simd_gaussian.h"
 
 namespace punica {
 namespace {
@@ -722,6 +723,25 @@ void AttnTileAvx512(const AttnTile& t) {
   }
 }
 
+// The synthetic-weight draw (simd_gaussian.h), 8 pairs per step.
+struct Avx512Gaussian {
+  static constexpr int kLanes = 8;
+  typedef double D __attribute__((vector_size(64)));
+  typedef std::uint64_t U __attribute__((vector_size(64)));
+  typedef float F __attribute__((vector_size(32)));
+  typedef std::int32_t I __attribute__((vector_size(32)));
+  static D Sqrt(D x) { return _mm512_maskz_sqrt_pd(0xFF, x); }
+  static D Fma(D a, D b, D c) { return _mm512_fmadd_pd(a, b, c); }
+  static bool AnyD(U m) {
+    return _mm512_test_epi64_mask(reinterpret_cast<__m512i>(m),
+                                  reinterpret_cast<__m512i>(m)) != 0;
+  }
+  static bool AnyF(I m) {
+    return _mm256_movemask_ps(reinterpret_cast<__m256>(m)) != 0;
+  }
+};
+using Avx512Draw = simd_detail::GaussianLanes<Avx512Gaussian>;
+
 constexpr SimdOps kAvx512Ops = {
     .level = SimdLevel::kAvx512,
     .name = "avx512",
@@ -741,6 +761,8 @@ constexpr SimdOps kAvx512Ops = {
     .dot_q4 = DotQ4Avx512,
     .gemm_tile = GemmTileAvx512,
     .attn_tile = AttnTileAvx512,
+    .pcg_uniform_pairs = Avx512Draw::Uniforms,
+    .box_muller_f32 = Avx512Draw::BoxMullerF32,
 };
 
 }  // namespace

@@ -14,7 +14,7 @@ Pcg32::Pcg32(std::uint64_t seed, std::uint64_t stream)
 
 std::uint32_t Pcg32::NextU32() {
   std::uint64_t old = state_;
-  state_ = old * 6364136223846793005ULL + inc_;
+  state_ = old * kPcgMultiplier + inc_;
   auto xorshifted = static_cast<std::uint32_t>(((old >> 18U) ^ old) >> 27U);
   auto rot = static_cast<std::uint32_t>(old >> 59U);
   return (xorshifted >> rot) | (xorshifted << ((32U - rot) & 31U));
@@ -52,12 +52,21 @@ double Pcg32::NextGaussian() {
     u1 = NextDouble();
   } while (u1 <= 0.0);
   double u2 = NextDouble();
-  double mag = std::sqrt(-2.0 * std::log(u1));
-  double z0 = mag * std::cos(2.0 * std::numbers::pi * u2);
-  double z1 = mag * std::sin(2.0 * std::numbers::pi * u2);
+  auto [z0, z1] = BoxMuller(u1, u2);
   cached_gaussian_ = z1;
   has_cached_gaussian_ = true;
   return z0;
+}
+
+void Pcg32::Advance(std::uint64_t delta) {
+  const PcgJump j = PcgJumpOf(delta);
+  state_ = j.mult * state_ + j.plus * inc_;
+}
+
+std::pair<double, double> BoxMuller(double u1, double u2) {
+  double mag = std::sqrt(-2.0 * std::log(u1));
+  return {mag * std::cos(2.0 * std::numbers::pi * u2),
+          mag * std::sin(2.0 * std::numbers::pi * u2)};
 }
 
 double Pcg32::NextExponential(double rate) {

@@ -8,9 +8,43 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace punica {
+
+/// The LCG multiplier every Pcg32 stream steps with: state' = a·state + inc.
+inline constexpr std::uint64_t kPcgMultiplier = 6364136223846793005ULL;
+
+/// The affine map of `delta` LCG steps, per unit increment:
+/// state_delta = mult·state + plus·inc (mod 2^64). Brown's jump-ahead,
+/// O(log delta) — and a constant for a fixed delta, so vector kernels can
+/// start lanes `delta` steps apart without knowing the stream.
+struct PcgJump {
+  std::uint64_t mult = 1;
+  std::uint64_t plus = 0;
+};
+
+constexpr PcgJump PcgJumpOf(std::uint64_t delta) {
+  PcgJump acc;
+  std::uint64_t cur_mult = kPcgMultiplier;
+  std::uint64_t cur_plus = 1;
+  for (; delta > 0; delta >>= 1U) {
+    if ((delta & 1U) != 0) {
+      acc.mult *= cur_mult;
+      acc.plus = acc.plus * cur_mult + cur_plus;
+    }
+    cur_plus *= cur_mult + 1;
+    cur_mult *= cur_mult;
+  }
+  return acc;
+}
+
+/// The Box–Muller transform NextGaussian applies to one pair of uniforms
+/// u1 ∈ (0, 1), u2 ∈ [0, 1), through libm:
+/// {√(−2 ln u1)·cos(2π·u2), √(−2 ln u1)·sin(2π·u2)}. The vector fill kernels
+/// (tensor/simd.h) recompute through it every lane they cannot prove equal.
+std::pair<double, double> BoxMuller(double u1, double u2);
 
 class Pcg32 {
  public:
@@ -31,6 +65,17 @@ class Pcg32 {
 
   /// Standard normal via Box–Muller (caches the second deviate).
   double NextGaussian();
+
+  /// Steps the stream `delta` draws ahead in O(log delta): the same state
+  /// as `delta` NextU32 calls. Leaves a cached Gaussian deviate in place.
+  void Advance(std::uint64_t delta);
+
+  /// The LCG state the next NextU32 steps from and the stream increment —
+  /// for kernels that replay the stream in vector lanes (FillGaussianF16),
+  /// which then Advance past what they consumed.
+  std::uint64_t state() const { return state_; }
+  std::uint64_t increment() const { return inc_; }
+  bool has_cached_gaussian() const { return has_cached_gaussian_; }
 
   /// Exponential with the given rate parameter (mean 1/rate).
   double NextExponential(double rate);

@@ -103,6 +103,9 @@ CostModel RooflineOnly() {
   p.layer_overhead_s = 0.0;
   p.step_overhead_s = 0.0;
   p.allreduce_overhead_s = 0.0;
+  // A GPU launch constant per SGMV pair; it does not shard, so left in it
+  // would dominate the LoRA prediction instead of the roofline terms.
+  p.sgmv_pipelined_overhead_s = 0.0;
   return cm;
 }
 
@@ -199,7 +202,6 @@ TEST(TpCostModelAgreement, LoraDeltaAddsNoAllReduceTerm) {
   // And the delta is pure SGMV: with every overhead zeroed it divides by tp
   // exactly, layer count and all.
   CostModel roofline = RooflineOnly();
-  roofline.mutable_params().sgmv_pipelined_overhead_s = 0.0;
   backbone.tp_degree = 1;
   lora.tp_degree = 1;
   double delta1 =

@@ -13,7 +13,9 @@
 // oracle draws every element serially through the per-element f16(float)
 // constructor — not the bulk conversion under test — and each stored
 // payload must match it byte for byte at any thread count, SIMD level, tp
-// and dtype.
+// and dtype. FillGaussianF16 itself is held to the same loop at odd
+// lengths and across calls that carry a cached deviate, ending on the same
+// stream position.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -214,6 +216,86 @@ TEST(WeightFillTest, ModelAndAdaptersMatchTheSerialOracle) {
           }
         }
       }
+    }
+  }
+}
+
+/// FillGaussianF16 on one Pcg32, called twice — lengths a then b — against
+/// the serial libm loop over a + b draws from the same start: the same
+/// halves, and the same stream position afterwards (LCG state, cached
+/// deviate and its value).
+void ExpectFillsMatchOracle(const Pcg32& start, std::size_t a, std::size_t b,
+                            float scale, const std::string& where) {
+  const std::string what = where + " lengths " + std::to_string(a) + " + " +
+                           std::to_string(b);
+  Pcg32 oracle = start;
+  std::vector<f16> want(a + b);
+  for (auto& v : want) {
+    v = f16(static_cast<float>(oracle.NextGaussian()) * scale);
+  }
+  Pcg32 rng = start;
+  std::vector<f16> got(a + b);
+  FillGaussianF16(rng, scale, std::span<f16>(got).first(a));
+  FillGaussianF16(rng, scale, std::span<f16>(got).subspan(a));
+  EXPECT_TRUE(SameBytes(std::span<const f16>(got), std::span<const f16>(want)))
+      << what;
+  EXPECT_EQ(rng.state(), oracle.state()) << what;
+  EXPECT_EQ(rng.has_cached_gaussian(), oracle.has_cached_gaussian()) << what;
+  EXPECT_EQ(rng.NextGaussian(), oracle.NextGaussian()) << what;
+}
+
+TEST(WeightFillTest, OddLengthsAndCarriesMatchTheSerialOracle) {
+  // Odd lengths 1…4097: every short length, then the neighbours of the
+  // fill's chunk and lane-block sizes.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 67; n += 2) lengths.push_back(n);
+  for (std::size_t n : {255U, 257U, 511U, 513U, 1023U, 2047U, 4095U, 4097U}) {
+    lengths.push_back(n);
+  }
+  const Pcg32 start(kSeed, 3);
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (!SimdLevelAvailable(level)) continue;
+    ScopedSimdLevel scoped(level);
+    const std::string where = SimdLevelName(level);
+    for (std::size_t n : lengths) {
+      ExpectFillsMatchOracle(start, n, 0, 0.37f, where);
+      // An odd first call leaves the second starting on a cached deviate.
+      ExpectFillsMatchOracle(start, n, n + 1, 0.37f, where);
+      ExpectFillsMatchOracle(start, n, 2 * n, 1.0f, where);
+    }
+    ExpectFillsMatchOracle(start, 0, 0, 1.0f, where);
+    ExpectFillsMatchOracle(start, 2, 1, 1.0f, where);
+  }
+}
+
+/// A Pcg32 `pairs` Gaussian pairs before a draw whose u1 is exactly 0.
+/// Every LCG state below 2^27 outputs the word 0, so state 0 with
+/// increment 1 outputs two zero words; Pcg32(seed, 0) has increment 1 and
+/// state (1 + seed)·a + 1, which seed = −a⁻¹ − 1 makes 0. Advance then
+/// steps back from there (the LCG's period is 2^64).
+Pcg32 ZeroU1Ahead(std::uint64_t pairs) {
+  std::uint64_t inv = kPcgMultiplier;  // Newton: inv·a ≡ 1 (mod 2^64)
+  for (int i = 0; i < 5; ++i) inv *= 2 - kPcgMultiplier * inv;
+  Pcg32 rng(0 - inv - 1, 0);
+  rng.Advance(0 - 4 * pairs);
+  return rng;
+}
+
+TEST(WeightFillTest, ZeroU1RedrawMatchesTheSerialOracle) {
+  Pcg32 probe = ZeroU1Ahead(0);
+  ASSERT_EQ(probe.NextDouble(), 0.0);
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (!SimdLevelAvailable(level)) continue;
+    ScopedSimdLevel scoped(level);
+    const std::string where = SimdLevelName(level);
+    // The rejected pair falls in the first lane block, mid-chunk and in a
+    // later chunk (chunks are 256 pairs).
+    for (std::uint64_t ahead : {0U, 5U, 13U, 300U}) {
+      ExpectFillsMatchOracle(ZeroU1Ahead(ahead), 1001, 0, 0.37f,
+                             where + " zero u1 after " +
+                                 std::to_string(ahead) + " pairs");
     }
   }
 }

@@ -97,5 +97,30 @@ TEST(RngTest, RandomGaussianVectorScale) {
   EXPECT_NEAR(stat.stddev(), 0.5, 0.01);
 }
 
+TEST(RngTest, AdvanceEqualsThatManyDraws) {
+  for (std::uint64_t k : {0ULL, 1ULL, 31ULL, 32ULL, 33ULL, 1ULL << 20U}) {
+    Pcg32 stepped(61, 7);
+    Pcg32 jumped(61, 7);
+    for (std::uint64_t i = 0; i < k; ++i) stepped.NextU32();
+    jumped.Advance(k);
+    EXPECT_EQ(jumped.state(), stepped.state()) << "k " << k;
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(jumped.NextU32(), stepped.NextU32()) << "k " << k;
+    }
+  }
+}
+
+TEST(RngTest, AdvanceKeepsTheCachedGaussian) {
+  Pcg32 a(71);
+  Pcg32 b(71);
+  a.NextGaussian();
+  b.NextGaussian();
+  ASSERT_TRUE(a.has_cached_gaussian());
+  a.Advance(4);
+  for (int i = 0; i < 4; ++i) b.NextU32();
+  EXPECT_EQ(a.NextGaussian(), b.NextGaussian());  // the cached deviate
+  EXPECT_EQ(a.NextGaussian(), b.NextGaussian());
+}
+
 }  // namespace
 }  // namespace punica
