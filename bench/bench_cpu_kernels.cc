@@ -554,63 +554,16 @@ std::vector<WeightMatrix> MakeWeightReplicas(int k, int n, WeightDtype dtype) {
   return replicas;
 }
 
-// `weight_passes` = how many times one iteration streams the whole
-// (dtype-sized) matrix: m for the per-row GEMV loop, 1 for the panel GEMM
-// (which decodes each stripe once and reuses it across the m rows).
-void AddWeightTrafficCounters(benchmark::State& state, int m, int k, int n,
-                              int weight_passes, const WeightMatrix& w) {
-  state.SetItemsProcessed(state.iterations() * m);
-  state.counters["flops"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 2.0 * m * k * n,
-      benchmark::Counter::kIsRate);
-  state.counters["weight_bytes"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * weight_passes *
-          static_cast<double>(w.byte_size()),
-      benchmark::Counter::kIsRate);
-}
-
-// The acceptance bench: decode GEMV at m=8/k=4096/n=4096 — m independent
-// GemvAccW row calls. No serving path runs this GEMV any more: the decode
-// projections and the LM head run GemmBlocked's register tiles (the
-// QuantGemmDecodeShape rows below); the Fig. 8 baseline operators
-// (baselines/lora_ops.cc) are its remaining caller.
-// The committed baseline locks the q8_vs_f16 / q4_vs_f16 speedups at the
-// vector levels (see scripts/check_bench.py --min and the CI gate). The
-// attainable ratio is host-physics-dependent: the bytes ratio (1.8× q8,
-// 3.4× q4) is the ceiling only where per-core DRAM bandwidth is scarce
-// (many cores sharing one memory system); on a host that gives one core
-// the whole memory system, f16 streams at full DRAM rate and the fused
-// dequant kernels hit their ALU ceiling first — see README "Performance".
-void BM_QuantGemvDecodeShape(benchmark::State& state) {
-  std::optional<ScopedSimdLevel> guard;
-  if (!ForceSimdLevelArg(state, guard)) return;
-  const auto dtype = static_cast<WeightDtype>(state.range(0));
-  const int m = 8, k = 4096, n = 4096;
-  ComputeContext ctx({.num_threads = 1});
-  std::vector<WeightMatrix> ws = MakeWeightReplicas(k, n, dtype);
-  Pcg32 rng(13);
-  auto x = RandomGaussianVector(static_cast<std::size_t>(m) * k, 1.0f, rng);
-  std::vector<float> y(static_cast<std::size_t>(m) * n, 0.0f);
-  std::size_t r = 0;
-  for (auto _ : state) {
-    const WeightMatrix& w = ws[r];
-    r = (r + 1) % ws.size();
-    for (int i = 0; i < m; ++i) {
-      GemvAccW(std::span<const float>(x).subspan(
-                   static_cast<std::size_t>(i) * k, k),
-               w,
-               std::span<float>(y).subspan(static_cast<std::size_t>(i) * n,
-                                           n),
-               k, n, ctx);
-    }
-    benchmark::DoNotOptimize(y.data());
-  }
-  AddWeightTrafficCounters(state, m, k, n, m, ws[0]);
-}
-BENCHMARK(BM_QuantGemvDecodeShape)->Apply(QuantSweep);
-
-// The same shape through the batched panel GEMM (m>1 amortises each
-// decoded block-panel across rows).
+// The acceptance bench: the decode shape m=8/k=4096/n=4096 through
+// GemmAccW — the register-tiled GEMM every decode projection and the LM
+// head run. The committed baseline locks the q8_vs_f16 / q4_vs_f16
+// speedups at the vector levels (see scripts/check_bench.py --min and the
+// CI gate). The attainable ratio is host-physics-dependent: the bytes
+// ratio (1.8× q8, 3.4× q4) is the ceiling only where per-core DRAM
+// bandwidth is scarce (many cores sharing one memory system); on a host
+// that gives one core the whole memory system, f16 streams at full DRAM
+// rate and the quantized decode hits its ALU ceiling first — see README
+// "Performance".
 void BM_QuantGemmDecodeShape(benchmark::State& state) {
   std::optional<ScopedSimdLevel> guard;
   if (!ForceSimdLevelArg(state, guard)) return;
@@ -627,7 +580,16 @@ void BM_QuantGemmDecodeShape(benchmark::State& state) {
     r = (r + 1) % ws.size();
     benchmark::DoNotOptimize(y.data());
   }
-  AddWeightTrafficCounters(state, m, k, n, 1, ws[0]);
+  state.SetItemsProcessed(state.iterations() * m);
+  state.counters["flops"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 2.0 * m * k * n,
+      benchmark::Counter::kIsRate);
+  // One iteration streams the whole (dtype-sized) matrix once: the panel
+  // GEMM decodes each stripe once and reuses it across the m rows.
+  state.counters["weight_bytes"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(ws[0].byte_size()),
+      benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_QuantGemmDecodeShape)->Apply(QuantSweep);
 

@@ -183,10 +183,10 @@ def kernels_quant_metrics(doc):
     """Google metrics plus derived quant-vs-f16 throughput ratios.
 
     The quant sweeps run every (dtype, simd) pair of one shape under one
-    family name, e.g. BM_QuantGemvDecodeShape/dtype:1/simd:2. For each
+    family name, e.g. BM_QuantGemmDecodeShape/dtype:1/simd:2. For each
     family and SIMD level with both a dtype:0 (f16) and a quantized row,
     a 'q8_vs_f16' / 'q4_vs_f16' ratio metric is derived — the quantity
-    the acceptance floors (--min) gate: fused-dequant speedup must come
+    the acceptance floors (--min) gate: the quantized speedup must come
     from bytes saved, measured against f16 on the same host and path.
     """
     metrics = google_benchmark_metrics(doc)

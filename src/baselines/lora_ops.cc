@@ -102,14 +102,14 @@ void GatherBmmLoraApply(std::span<float> y, std::span<const float> x,
                                           static_cast<std::size_t>(rank)],
                                static_cast<std::size_t>(h_in) *
                                    static_cast<std::size_t>(rank));
-    GemvAccF16W(x_row, a_row, v, h_in, rank);
+    GemmAccF16W(x_row, a_row, v, /*m=*/1, h_in, rank);
     auto y_row = y.subspan(ri * static_cast<std::size_t>(h_out),
                            static_cast<std::size_t>(h_out));
     std::span<const f16> b_row(&stacked_b[ri * static_cast<std::size_t>(rank) *
                                           static_cast<std::size_t>(h_out)],
                                static_cast<std::size_t>(rank) *
                                    static_cast<std::size_t>(h_out));
-    GemvAccF16W(v, b_row, y_row, rank, h_out);
+    GemmAccF16W(v, b_row, y_row, /*m=*/1, rank, h_out);
   }
 }
 

@@ -47,16 +47,6 @@ void GemmAccF16W(std::span<const float> x, std::span<const f16> w,
                  std::span<float> y, int m, int k, int n,
                  const ComputeContext& ctx = ComputeContext::Default());
 
-/// y += x @ W, single row (matrix-vector; the decode-step shape).
-/// Parallel over column tiles of W. This is the one kernel that keeps the
-/// sparsity skip: with a single x row, a zero activation elides the decode
-/// and FMA of a whole W stripe (the dense GEMM block dropped the per-row
-/// test — it poisoned the vector inner loop for no win on dense
-/// activations).
-void GemvAccF16W(std::span<const float> x, std::span<const f16> w,
-                 std::span<float> y, int k, int n,
-                 const ComputeContext& ctx = ComputeContext::Default());
-
 // --- Groupwise-quantized weight kernels (tensor/quant.h) ---
 // W is k rows of QuantBlocksPerRow(n) blocks; the column-tile width is a
 // multiple of kQuantBlock, so every stripe the kernels touch starts
@@ -64,9 +54,8 @@ void GemvAccF16W(std::span<const float> x, std::span<const f16> w,
 // contract as the f16 kernels: the GEMM tile decodes each weight exactly
 // (int code × f16 scale is exact in f32) and then runs the same per-element
 // step as the f16 path, so across paths outputs differ by FMA contraction
-// only. The Gemv kernels use the fused axpy_q8/q4, which folds the
-// activation into the block scale — a fixed sequence per path, one extra
-// rounding away from the GEMM's.
+// only. A single row (m=1, the decode shape) runs the same tile, so every
+// quantized product is x·(d·q) on every path and shape.
 
 /// Y = X @ dequant(W)  (overwrites Y).
 void GemmSetQW(std::span<const float> x, std::span<const BlockQ8_0> w,
@@ -84,15 +73,6 @@ void GemmAccQW(std::span<const float> x, std::span<const BlockQ4_0> w,
                std::span<float> y, int m, int k, int n,
                const ComputeContext& ctx = ComputeContext::Default());
 
-/// y += x @ dequant(W), single row — the decode-step shape, with the same
-/// zero-activation stripe skip as GemvAccF16W.
-void GemvAccQW(std::span<const float> x, std::span<const BlockQ8_0> w,
-               std::span<float> y, int k, int n,
-               const ComputeContext& ctx = ComputeContext::Default());
-void GemvAccQW(std::span<const float> x, std::span<const BlockQ4_0> w,
-               std::span<float> y, int k, int n,
-               const ComputeContext& ctx = ComputeContext::Default());
-
 // --- Dtype dispatch over WeightMatrix ---
 // One call site per projection regardless of storage format. Shapes are
 // checked against the matrix ([k, n] == [w.rows(), w.cols()]).
@@ -105,11 +85,6 @@ void GemmSetW(std::span<const float> x, const WeightMatrix& w,
 /// Y += X @ W.
 void GemmAccW(std::span<const float> x, const WeightMatrix& w,
               std::span<float> y, int m, int k, int n,
-              const ComputeContext& ctx = ComputeContext::Default());
-
-/// y += x @ W, single row.
-void GemvAccW(std::span<const float> x, const WeightMatrix& w,
-              std::span<float> y, int k, int n,
               const ComputeContext& ctx = ComputeContext::Default());
 
 /// In-place numerically-stable softmax over a contiguous row.

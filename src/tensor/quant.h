@@ -1,7 +1,7 @@
 // Groupwise weight quantization (llama.cpp-style Q8_0 / Q4_0 blocks).
 //
 // Decode in the numeric tier is memory-bound on weight traffic: every
-// GemvAccF16W/GemmAccF16W streams the full weight matrix per step. Storing
+// projection's GemmAccF16W streams the full weight matrix per step. Storing
 // weights as 32-element blocks with one shared f16 scale halves (Q8_0,
 // 34 B/block vs 64 B f16) or quarters (Q4_0, 18 B/block) the streamed
 // bytes, which is a direct decode win and a proportional KV-page capacity
@@ -23,9 +23,10 @@
 //
 // Determinism: dequantization (int8/int4 × f16 scale) is EXACT in f32 —
 // the product has at most 7 + 11 significand bits — so the decoded panel
-// is bit-identical on every dispatch path (scalar/avx2/avx512). Fused
-// axpy/dot kernels then differ across paths only by FMA contraction,
-// exactly the documented f16-path contract.
+// is bit-identical on every dispatch path (scalar/avx2/avx512). The GEMM
+// tile then runs the f16 path's per-element step on it, so quantized
+// outputs differ across paths only by FMA contraction, exactly the
+// documented f16-path contract.
 #pragma once
 
 #include <cstdint>

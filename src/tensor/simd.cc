@@ -72,7 +72,7 @@ float SoftmaxAccumF16Scalar(const float* scores, float m, const f16* v,
   return sum;
 }
 
-// --- Scalar quantized-weight kernels ---
+// --- Scalar quantized-weight decode (the scalar GEMM tile's) ---
 // Element i of a block row decodes as d * q_i; the product is exact in f32
 // (≤ 7 significand bits from the code × 11 from the f16 scale), so the
 // decode below defines the numbers every vector path must reproduce
@@ -110,22 +110,6 @@ void AxpyQ4Scalar(float a, const BlockQ4_0* w, float* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     y[i] += a * Q4Value(w[i / kQuantBlock], i % kQuantBlock);
   }
-}
-
-float DotQ8Scalar(const float* a, const BlockQ8_0* b, std::size_t n) {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += a[i] * Q8Value(b[i / kQuantBlock], i % kQuantBlock);
-  }
-  return acc;
-}
-
-float DotQ4Scalar(const float* a, const BlockQ4_0* b, std::size_t n) {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += a[i] * Q4Value(b[i / kQuantBlock], i % kQuantBlock);
-  }
-  return acc;
 }
 
 // --- Scalar GEMM tile ---
@@ -250,7 +234,7 @@ void GemmTileScalar(const GemmTile& t) {
 // --- Scalar attention tile ---
 // Each K/V entry is decoded once into a float buffer and shared by every
 // pair still in range; per pair the products and sums are dot_f16 /
-// axpy_f16's (no contraction in this TU).
+// AxpyF16Scalar's (no contraction in this TU).
 
 void AttnTileScalar(const AttnTile& t) {
   const int pairs = t.rows * t.heads;
@@ -306,17 +290,10 @@ constexpr SimdOps kScalarOps = {
     .half_to_float_n = HalfToFloatScalar,
     .float_to_half_n = FloatToHalfScalar,
     .axpy_f32 = AxpyF32Scalar,
-    .axpy_f16 = AxpyF16Scalar,
     .dot_f16 = DotF16Scalar,
     .scale_add_f16 = ScaleAddF16Scalar,
     .dot_f16_strip = DotF16StripScalar,
     .softmax_accum_f16 = SoftmaxAccumF16Scalar,
-    .dequant_q8 = DequantQ8Scalar,
-    .dequant_q4 = DequantQ4Scalar,
-    .axpy_q8 = AxpyQ8Scalar,
-    .axpy_q4 = AxpyQ4Scalar,
-    .dot_q8 = DotQ8Scalar,
-    .dot_q4 = DotQ4Scalar,
     .gemm_tile = GemmTileScalar,
     .attn_tile = AttnTileScalar,
     .pcg_uniform_pairs = nullptr,

@@ -19,17 +19,17 @@
 //
 // Determinism: every path keeps the substrate's contract — the operation
 // order for a given element depends only on its position, never on the
-// thread count. Kernels vectorize across *independent output columns*
-// (axpy/scale_add, and the register-tiled gemm_tile that the dense GEMM and
-// both SGMV schedules run on), so each element's k-reduction stays in
+// thread count. The register-tiled gemm_tile (which the dense GEMM at every
+// m, quantized or not, and both SGMV schedules run on) vectorizes across
+// *independent output columns*, so each element's k-reduction stays in
 // ascending order on every path; attn_tile reduces many dot products at
-// once through a transposed copy of dot's fixed lane tree, so each score
-// keeps dot's sequence. Cross-path numerics: f16<->f32
-// conversions are bit-identical (F16C, AVX-512 and the scalar code all
-// round to nearest even), and the quantized dequant kernels are
-// bit-identical too (an int8/int4 code times an f16 scale is exact in f32).
-// axpy/dot/scale_add/gemm_tile differ from scalar by FMA contraction only
-// (the multiply is not rounded separately), plus dot's fixed 8- or 16-lane
+// once through a transposed copy of dot_f16's fixed lane tree, so each
+// score keeps that sequence. Cross-path numerics: f16<->f32 conversions
+// are bit-identical (F16C, AVX-512 and the scalar code all round to
+// nearest even), and so is every weight decode gemm_tile performs (an
+// int8/int4 code times an f16 scale is exact in f32). gemm_tile and the
+// attention ops differ from scalar by FMA contraction only (the multiply
+// is not rounded separately), plus dot_f16's fixed 8- or 16-lane
 // accumulator reduction — bounded, documented in README "Performance", and
 // asserted by tests/tensor/simd_test.cc.
 #pragma once
@@ -40,9 +40,6 @@
 #include "tensor/half.h"
 
 namespace punica {
-
-struct BlockQ8_0;
-struct BlockQ4_0;
 
 /// Dispatch tiers, ordered: a higher value strictly extends the ISA of the
 /// one below. Degradation walks downwards.
@@ -128,22 +125,23 @@ struct SimdOps {
   /// y[0..n) += a * x[0..n)  (exact when a == 1.0f, FMA-contracted
   /// otherwise on the vector paths).
   void (*axpy_f32)(float a, const float* x, float* y, std::size_t n);
-  /// y[0..n) += a * decode(x[0..n))  — fused decode + axpy, one pass.
-  void (*axpy_f16)(float a, const f16* x, float* y, std::size_t n);
   /// Σ_i a[i] * decode(b[i]). Vector paths use lane accumulators reduced in
   /// a fixed shuffle order — deterministic, but a different summation order
   /// than scalar.
   float (*dot_f16)(const float* a, const f16* b, std::size_t n);
   /// acc[0..n) = acc[0..n) * c + p * decode(v[0..n)) — the online-softmax
-  /// V accumulation step.
+  /// V accumulation step. No kernel calls dot_f16 or scale_add_f16 as a
+  /// table entry: bench_attention's frozen replica of the pre-page-run
+  /// decode kernel does, and its gated speedup is measured against it.
   void (*scale_add_f16)(float* acc, float c, float p, const f16* v,
                         std::size_t n);
 
   // Page-run attention strips: one call processes a whole contiguous run of
   // cache positions (KvRunCursor runs), entries `stride` elements apart.
-  // Per position both ops run this level's dot_f16 / axpy_f16 body, so how
-  // a KV range is segmented into strip calls never changes the numerics —
-  // the property the split-KV determinism contract rests on.
+  // Per position both ops run this level's dot_f16 body or its fused
+  // decode + axpy (acc += p · decode(v)), so how a KV range is segmented
+  // into strip calls never changes the numerics — the property the split-KV
+  // determinism contract rests on.
   /// scores[j] = scale · Σ_t q[t] · decode(k[j·stride + t]) for ascending
   /// j in [0, n_pos).
   void (*dot_f16_strip)(const float* q, const f16* k, std::size_t stride,
@@ -155,19 +153,6 @@ struct SimdOps {
   float (*softmax_accum_f16)(const float* scores, float m, const f16* v,
                              std::size_t stride, std::size_t d,
                              std::size_t n_pos, float* acc);
-
-  // Groupwise-quantized weight kernels (tensor/quant.h blocks). `w`/`b`
-  // point at the block containing element 0 (callers keep stripe starts
-  // block-aligned); n is in ELEMENTS and may end mid-block.
-  /// dst[0..n) = d * q — EXACT in f32, so bit-identical across paths.
-  void (*dequant_q8)(const BlockQ8_0* w, float* dst, std::size_t n);
-  void (*dequant_q4)(const BlockQ4_0* w, float* dst, std::size_t n);
-  /// y[0..n) += a * dequant(w)[0..n) — fused dequant + axpy, one pass.
-  void (*axpy_q8)(float a, const BlockQ8_0* w, float* y, std::size_t n);
-  void (*axpy_q4)(float a, const BlockQ4_0* w, float* y, std::size_t n);
-  /// Σ_i a[i] * dequant(b)[i], fixed lane-reduction order per path.
-  float (*dot_q8)(const float* a, const BlockQ8_0* b, std::size_t n);
-  float (*dot_q4)(const float* a, const BlockQ4_0* b, std::size_t n);
 
   /// The register-tiled GEMM micro-kernel behind GemmBlocked and both SGMV
   /// schedules. Every Y element is one reduction over ascending p, started

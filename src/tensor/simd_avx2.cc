@@ -11,8 +11,9 @@
 // n) — full 8-lane bodies in ascending order, then a scalar tail (std::fma,
 // matching the vector body's contraction). dot's lane accumulators reduce
 // in one fixed shuffle order. No operation order ever depends on the
-// thread count. The quantized dequant bodies compute d * q exactly (both
-// factors fit f32), so their output is bit-identical to the scalar path.
+// thread count. The quantized weight decode computes d * q exactly (both
+// factors fit f32), so the decoded weight is bit-identical to the scalar
+// path's.
 #include "tensor/simd.h"
 
 #if defined(PUNICA_NATIVE_SIMD) && \
@@ -140,22 +141,13 @@ float SoftmaxAccumF16Avx(const float* scores, float m, const f16* v,
   return sum;
 }
 
-// --- Quantized-weight kernels ---
+// --- Quantized-weight decode (the GEMM tile's) ---
 // A Q8_0 block is 4 groups of 8 int8; a Q4_0 block is 4 groups of 8
 // nibbles. Each group decodes to one 256-bit f32 vector: sign-extend to
 // int32, convert, multiply by the broadcast scale (exact — both factors fit
-// f32's significand). Tail elements past the last full block go through the
-// same scalar decode (also exact) with std::fma.
-//
-// dequant_* keep the exact d·q product and are bit-identical to the scalar
-// path. The fused axpy_* instead fold the row activation into the block
-// scale — y += (a·d)·q with one extra rounding on a·d — trading the exact
-// form for one multiply less per 8 lanes; the divergence from the scalar
-// path stays inside the documented dispatch-seam tolerance, and within
-// this path results are a fixed operation sequence, hence bit-stable. The
-// scalar tail of a partial block only ever covers the same absolute
-// elements (tiles are block-aligned), so path determinism survives any
-// tiling.
+// f32's significand), so the decoded weight is bit-identical to the scalar
+// path's. Tile columns past the last full vector use the same exact decode
+// one element at a time.
 
 /// Scale decode via F16C: bit-identical to the software HalfBitsToFloat
 /// (f16 -> f32 is exact for every finite value incl. subnormals) without
@@ -196,107 +188,6 @@ inline __m256 Q4Codes8(const BlockQ4_0& b, int g) {
                       : _mm_and_si128(_mm_srli_epi16(raw, 4), mask);
   __m128i codes = _mm_sub_epi8(nib, _mm_set1_epi8(8));
   return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(codes));
-}
-
-void DequantQ8Avx(const BlockQ8_0* w, float* dst, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kQuantBlock <= n; i += kQuantBlock) {
-    const BlockQ8_0& b = w[i / kQuantBlock];
-    const __m256 vd = _mm256_set1_ps(ScaleF32(b.scale));
-    for (int g = 0; g < 4; ++g) {
-      _mm256_storeu_ps(dst + i + 8 * g, _mm256_mul_ps(Q8Codes8(b, g), vd));
-    }
-  }
-  for (; i < n; ++i) dst[i] = Q8ValueRef(w, i);
-}
-
-void DequantQ4Avx(const BlockQ4_0* w, float* dst, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kQuantBlock <= n; i += kQuantBlock) {
-    const BlockQ4_0& b = w[i / kQuantBlock];
-    const __m256 vd = _mm256_set1_ps(ScaleF32(b.scale));
-    for (int g = 0; g < 4; ++g) {
-      _mm256_storeu_ps(dst + i + 8 * g, _mm256_mul_ps(Q4Codes8(b, g), vd));
-    }
-  }
-  for (; i < n; ++i) dst[i] = Q4ValueRef(w, i);
-}
-
-void AxpyQ8Avx(float a, const BlockQ8_0* w, float* y, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kQuantBlock <= n; i += kQuantBlock) {
-    const BlockQ8_0& b = w[i / kQuantBlock];
-    // Keep the streamed weight blocks a few cache lines ahead of the
-    // decode: the cvt/FMA work between block loads is long enough that
-    // demand misses stop overlapping when w does not fit cache.
-    _mm_prefetch(reinterpret_cast<const char*>(&b) + 256, _MM_HINT_T0);
-    const __m256 vf = _mm256_set1_ps(a * ScaleF32(b.scale));
-    for (int g = 0; g < 4; ++g) {
-      __m256 vq = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(b.qs + 8 * g))));
-      __m256 vy = _mm256_loadu_ps(y + i + 8 * g);
-      _mm256_storeu_ps(y + i + 8 * g, _mm256_fmadd_ps(vf, vq, vy));
-    }
-  }
-  for (; i < n; ++i) y[i] = std::fma(a, Q8ValueRef(w, i), y[i]);
-}
-
-void AxpyQ4Avx(float a, const BlockQ4_0* w, float* y, std::size_t n) {
-  const __m128i mask = _mm_set1_epi8(0x0F);
-  const __m128i bias = _mm_set1_epi8(8);
-  std::size_t i = 0;
-  for (; i + kQuantBlock <= n; i += kQuantBlock) {
-    const BlockQ4_0& b = w[i / kQuantBlock];
-    _mm_prefetch(reinterpret_cast<const char*>(&b) + 256, _MM_HINT_T0);
-    const __m256 vf = _mm256_set1_ps(a * ScaleF32(b.scale));
-    // One 16-byte load decodes the whole block: lo nibbles are elements
-    // 0..15, hi nibbles elements 16..31.
-    const __m128i raw =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.qs));
-    const __m128i lo = _mm_sub_epi8(_mm_and_si128(raw, mask), bias);
-    const __m128i hi = _mm_sub_epi8(
-        _mm_and_si128(_mm_srli_epi16(raw, 4), mask), bias);
-    const __m128i grp[4] = {lo, _mm_srli_si128(lo, 8), hi,
-                            _mm_srli_si128(hi, 8)};
-    for (int g = 0; g < 4; ++g) {
-      __m256 vq = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(grp[g]));
-      __m256 vy = _mm256_loadu_ps(y + i + 8 * g);
-      _mm256_storeu_ps(y + i + 8 * g, _mm256_fmadd_ps(vf, vq, vy));
-    }
-  }
-  for (; i < n; ++i) y[i] = std::fma(a, Q4ValueRef(w, i), y[i]);
-}
-
-float DotQ8Avx(const float* a, const BlockQ8_0* b, std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + kQuantBlock <= n; i += kQuantBlock) {
-    const BlockQ8_0& blk = b[i / kQuantBlock];
-    const __m256 vd = _mm256_set1_ps(ScaleF32(blk.scale));
-    for (int g = 0; g < 4; ++g) {
-      __m256 vw = _mm256_mul_ps(Q8Codes8(blk, g), vd);
-      acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8 * g), vw, acc);
-    }
-  }
-  float sum = ReduceAdd8(acc);
-  for (; i < n; ++i) sum = std::fma(a[i], Q8ValueRef(b, i), sum);
-  return sum;
-}
-
-float DotQ4Avx(const float* a, const BlockQ4_0* b, std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + kQuantBlock <= n; i += kQuantBlock) {
-    const BlockQ4_0& blk = b[i / kQuantBlock];
-    const __m256 vd = _mm256_set1_ps(ScaleF32(blk.scale));
-    for (int g = 0; g < 4; ++g) {
-      __m256 vw = _mm256_mul_ps(Q4Codes8(blk, g), vd);
-      acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8 * g), vw, acc);
-    }
-  }
-  float sum = ReduceAdd8(acc);
-  for (; i < n; ++i) sum = std::fma(a[i], Q4ValueRef(b, i), sum);
-  return sum;
 }
 
 // --- Register-tiled GEMM ---
@@ -490,7 +381,7 @@ void GemmTileAvx2(const GemmTile& tile) {
 // (the dot_f16 body: one K decode feeds every pair), which reduce together
 // through a transposed ReduceAdd8 tree. V: one decode of a 16-column V
 // chunk feeds up to 4 pairs' 2-vector accumulator chunks, held in
-// registers across the whole block (the axpy_f16 body per element). Rows
+// registers across the whole block (the AxpyF16Avx body per element). Rows
 // end at different positions; a group's last few positions run per pair,
 // so no row touches a position past its own end.
 
@@ -646,7 +537,7 @@ void TileAccumGroup(const AttnTile& t, const TilePair* pr,
   std::size_t col = 0;
   for (; col + 16 <= nv; col += 16) TileAccumChunk<P, 2>(pr, vp, col, lo, hi);
   if (col < nv) TileAccumChunk<P, 1>(pr, vp, col, lo, hi);
-  // Columns past the last full vector: axpy_f16's std::fma tail.
+  // Columns past the last full vector: AxpyF16Avx's std::fma tail.
   for (std::size_t e = nv; e < t.d; ++e) {
     for (int p = 0; p < P; ++p) {
       float a = 0.0f;
@@ -726,17 +617,10 @@ constexpr SimdOps kAvx2Ops = {
     .half_to_float_n = HalfToFloatAvx,
     .float_to_half_n = FloatToHalfAvx,
     .axpy_f32 = AxpyF32Avx,
-    .axpy_f16 = AxpyF16Avx,
     .dot_f16 = DotF16Avx,
     .scale_add_f16 = ScaleAddF16Avx,
     .dot_f16_strip = DotF16StripAvx,
     .softmax_accum_f16 = SoftmaxAccumF16Avx,
-    .dequant_q8 = DequantQ8Avx,
-    .dequant_q4 = DequantQ4Avx,
-    .axpy_q8 = AxpyQ8Avx,
-    .axpy_q4 = AxpyQ4Avx,
-    .dot_q8 = DotQ8Avx,
-    .dot_q4 = DotQ4Avx,
     .gemm_tile = GemmTileAvx2,
     .attn_tile = AttnTileAvx,
     .pcg_uniform_pairs = Avx2Draw::Uniforms,

@@ -145,35 +145,17 @@ float SoftmaxAccumF16Avx512(const float* scores, float m, const f16* v,
   return sum;
 }
 
-// --- Quantized-weight kernels ---
+// --- Quantized-weight decode (the GEMM tile's) ---
 // A Q8_0 block is 2 groups of 16 int8; a Q4_0 block's 16 bytes hold
 // elements 0..15 in the low nibbles and 16..31 in the high nibbles, so each
 // nibble plane is one 16-element group. Decode: sign-extend to int32,
-// convert, multiply by the broadcast scale (exact in f32). Tails use
-// std::fma on the same exact scalar decode.
-//
-// As on the avx2 path: dequant_* keep the exact d·q product (bit-identical
-// to scalar); the fused axpy_* fold the activation into the block scale —
-// y += (a·d)·q, one extra rounding on a·d, inside the dispatch-seam
-// tolerance and a fixed sequence within this path.
+// convert, multiply by the broadcast scale (exact in f32, so bit-identical
+// to the scalar path's decode).
 
 /// Scale decode via hardware cvtph (bit-identical to HalfBitsToFloat;
 /// f16 -> f32 is exact) without the out-of-line call per block.
 inline float ScaleF32(f16 h) {
   return _mm_cvtss_f32(_mm_cvtph_ps(_mm_cvtsi32_si128(h.bits())));
-}
-
-inline float Q8ValueRef(const BlockQ8_0* w, std::size_t i) {
-  const BlockQ8_0& b = w[i / kQuantBlock];
-  return b.scale.ToFloat() * static_cast<float>(b.qs[i % kQuantBlock]);
-}
-
-inline float Q4ValueRef(const BlockQ4_0* w, std::size_t i) {
-  const BlockQ4_0& b = w[i / kQuantBlock];
-  const std::size_t e = i % kQuantBlock;
-  const std::uint8_t byte = b.qs[e & (kQuantBlock / 2 - 1)];
-  const int code = e < kQuantBlock / 2 ? (byte & 0x0F) : (byte >> 4);
-  return b.scale.ToFloat() * static_cast<float>(code - 8);
 }
 
 /// Decoded f32 vector for elements [16g, 16g+16) of a Q8_0 block (g 0..1),
@@ -193,103 +175,6 @@ inline __m512 Q4Codes16(const BlockQ4_0& b, int g) {
                        : _mm_and_si128(_mm_srli_epi16(raw, 4), mask);
   __m128i codes = _mm_sub_epi8(nib, _mm_set1_epi8(8));
   return _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(codes));
-}
-
-void DequantQ8Avx512(const BlockQ8_0* w, float* dst, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kQuantBlock <= n; i += kQuantBlock) {
-    const BlockQ8_0& b = w[i / kQuantBlock];
-    const __m512 vd = _mm512_set1_ps(ScaleF32(b.scale));
-    for (int g = 0; g < 2; ++g) {
-      _mm512_storeu_ps(dst + i + 16 * g, _mm512_mul_ps(Q8Codes16(b, g), vd));
-    }
-  }
-  for (; i < n; ++i) dst[i] = Q8ValueRef(w, i);
-}
-
-void DequantQ4Avx512(const BlockQ4_0* w, float* dst, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kQuantBlock <= n; i += kQuantBlock) {
-    const BlockQ4_0& b = w[i / kQuantBlock];
-    const __m512 vd = _mm512_set1_ps(ScaleF32(b.scale));
-    for (int g = 0; g < 2; ++g) {
-      _mm512_storeu_ps(dst + i + 16 * g, _mm512_mul_ps(Q4Codes16(b, g), vd));
-    }
-  }
-  for (; i < n; ++i) dst[i] = Q4ValueRef(w, i);
-}
-
-void AxpyQ8Avx512(float a, const BlockQ8_0* w, float* y, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kQuantBlock <= n; i += kQuantBlock) {
-    const BlockQ8_0& b = w[i / kQuantBlock];
-    // Keep the streamed weight blocks a few cache lines ahead of the
-    // decode: the cvt/FMA work between block loads is long enough that
-    // demand misses stop overlapping when w does not fit cache.
-    _mm_prefetch(reinterpret_cast<const char*>(&b) + 256, _MM_HINT_T0);
-    const __m512 vf = _mm512_set1_ps(a * ScaleF32(b.scale));
-    for (int g = 0; g < 2; ++g) {
-      __m512 vq = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(b.qs + 16 * g))));
-      __m512 vy = _mm512_loadu_ps(y + i + 16 * g);
-      _mm512_storeu_ps(y + i + 16 * g, _mm512_fmadd_ps(vf, vq, vy));
-    }
-  }
-  for (; i < n; ++i) y[i] = std::fma(a, Q8ValueRef(w, i), y[i]);
-}
-
-void AxpyQ4Avx512(float a, const BlockQ4_0* w, float* y, std::size_t n) {
-  const __m128i mask = _mm_set1_epi8(0x0F);
-  const __m128i bias = _mm_set1_epi8(8);
-  std::size_t i = 0;
-  for (; i + kQuantBlock <= n; i += kQuantBlock) {
-    const BlockQ4_0& b = w[i / kQuantBlock];
-    _mm_prefetch(reinterpret_cast<const char*>(&b) + 256, _MM_HINT_T0);
-    const __m512 vf = _mm512_set1_ps(a * ScaleF32(b.scale));
-    const __m128i raw =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.qs));
-    const __m128i grp[2] = {
-        _mm_sub_epi8(_mm_and_si128(raw, mask), bias),
-        _mm_sub_epi8(_mm_and_si128(_mm_srli_epi16(raw, 4), mask), bias)};
-    for (int g = 0; g < 2; ++g) {
-      __m512 vq = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(grp[g]));
-      __m512 vy = _mm512_loadu_ps(y + i + 16 * g);
-      _mm512_storeu_ps(y + i + 16 * g, _mm512_fmadd_ps(vf, vq, vy));
-    }
-  }
-  for (; i < n; ++i) y[i] = std::fma(a, Q4ValueRef(w, i), y[i]);
-}
-
-float DotQ8Avx512(const float* a, const BlockQ8_0* b, std::size_t n) {
-  __m512 acc = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + kQuantBlock <= n; i += kQuantBlock) {
-    const BlockQ8_0& blk = b[i / kQuantBlock];
-    const __m512 vd = _mm512_set1_ps(ScaleF32(blk.scale));
-    for (int g = 0; g < 2; ++g) {
-      __m512 vw = _mm512_mul_ps(Q8Codes16(blk, g), vd);
-      acc = _mm512_fmadd_ps(_mm512_loadu_ps(a + i + 16 * g), vw, acc);
-    }
-  }
-  float sum = ReduceAdd16(acc);
-  for (; i < n; ++i) sum = std::fma(a[i], Q8ValueRef(b, i), sum);
-  return sum;
-}
-
-float DotQ4Avx512(const float* a, const BlockQ4_0* b, std::size_t n) {
-  __m512 acc = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + kQuantBlock <= n; i += kQuantBlock) {
-    const BlockQ4_0& blk = b[i / kQuantBlock];
-    const __m512 vd = _mm512_set1_ps(ScaleF32(blk.scale));
-    for (int g = 0; g < 2; ++g) {
-      __m512 vw = _mm512_mul_ps(Q4Codes16(blk, g), vd);
-      acc = _mm512_fmadd_ps(_mm512_loadu_ps(a + i + 16 * g), vw, acc);
-    }
-  }
-  float sum = ReduceAdd16(acc);
-  for (; i < n; ++i) sum = std::fma(a[i], Q4ValueRef(b, i), sum);
-  return sum;
 }
 
 // --- Register-tiled GEMM ---
@@ -500,9 +385,9 @@ void GemmTileAvx512(const GemmTile& t) {
 // every pair), which reduce together through a transposed ReduceAdd16
 // tree. V: one decode of a 32-column V chunk feeds up to 8 pairs' 2-vector
 // accumulator chunks, held in registers across the whole block (the
-// axpy_f16 body per element). Rows end at different positions; a group's
-// last few positions run per pair, so no row touches a position past its
-// own end.
+// AxpyF16Avx512 body per element). Rows end at different positions; a
+// group's last few positions run per pair, so no row touches a position
+// past its own end.
 
 struct TilePair {
   const float* q;
@@ -662,7 +547,7 @@ void TileAccumGroup(const AttnTile& t, const TilePair* pr,
   std::size_t col = 0;
   for (; col + 32 <= nv; col += 32) TileAccumChunk<P, 2>(pr, vp, col, lo, hi);
   if (col < nv) TileAccumChunk<P, 1>(pr, vp, col, lo, hi);
-  // Columns past the last full vector: axpy_f16's std::fma tail.
+  // Columns past the last full vector: AxpyF16Avx512's std::fma tail.
   for (std::size_t e = nv; e < t.d; ++e) {
     for (int p = 0; p < P; ++p) {
       float a = 0.0f;
@@ -748,17 +633,10 @@ constexpr SimdOps kAvx512Ops = {
     .half_to_float_n = HalfToFloatAvx512,
     .float_to_half_n = FloatToHalfAvx512,
     .axpy_f32 = AxpyF32Avx512,
-    .axpy_f16 = AxpyF16Avx512,
     .dot_f16 = DotF16Avx512,
     .scale_add_f16 = ScaleAddF16Avx512,
     .dot_f16_strip = DotF16StripAvx512,
     .softmax_accum_f16 = SoftmaxAccumF16Avx512,
-    .dequant_q8 = DequantQ8Avx512,
-    .dequant_q4 = DequantQ4Avx512,
-    .axpy_q8 = AxpyQ8Avx512,
-    .axpy_q4 = AxpyQ4Avx512,
-    .dot_q8 = DotQ8Avx512,
-    .dot_q4 = DotQ4Avx512,
     .gemm_tile = GemmTileAvx512,
     .attn_tile = AttnTileAvx512,
     .pcg_uniform_pairs = Avx512Draw::Uniforms,

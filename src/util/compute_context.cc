@@ -1,39 +1,52 @@
 #include "util/compute_context.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <thread>
 
 #include "util/check.h"
 
 namespace punica {
+namespace {
+
+// The integer in environment variable `name`; nullopt when it is unset or
+// empty. A value that is not a whole decimal integer ("4x", "four") also
+// reads as unset, after one stderr line naming it and `fallback` — a typo
+// must not silently become a different thread count or split.
+std::optional<long> EnvInt(const char* name, const char* fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || env[0] == '\0') return std::nullopt;
+  char* end = nullptr;
+  const long v = std::strtol(env, &end, 10);
+  if (end == env || *end != '\0') {
+    std::fprintf(stderr,
+                 "punica: unrecognized %s=\"%s\" (expected an integer); "
+                 "using %s\n",
+                 name, env, fallback);
+    return std::nullopt;
+  }
+  return v;
+}
+
+}  // namespace
 
 int ComputeContext::ResolveThreadCount(int requested) {
-  int n = requested;
+  long n = requested;
   if (n <= 0) {
-    const char* env = std::getenv("PUNICA_THREADS");
-    if (env != nullptr && env[0] != '\0') {
-      n = std::atoi(env);
-    }
+    n = EnvInt("PUNICA_THREADS", "the hardware thread count").value_or(0);
   }
-  if (n <= 0) {
-    n = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (n < 1) n = 1;
-  if (n > kMaxThreads) n = kMaxThreads;
-  return n;
+  if (n <= 0) n = static_cast<long>(std::thread::hardware_concurrency());
+  return static_cast<int>(std::clamp<long>(n, 1, kMaxThreads));
 }
 
 int ComputeContext::ResolveAttnSplit(int requested) {
-  int s = requested;
+  long s = requested;
   if (s <= 0) {
-    const char* env = std::getenv("PUNICA_ATTN_SPLIT");
-    if (env != nullptr && env[0] != '\0') {
-      s = std::atoi(env);
-    }
+    s = EnvInt("PUNICA_ATTN_SPLIT", "the split heuristic (0)").value_or(0);
   }
-  if (s < 0) s = 0;
-  if (s > kMaxAttnSplit) s = kMaxAttnSplit;
-  return s;
+  return static_cast<int>(std::clamp<long>(s, 0, kMaxAttnSplit));
 }
 
 ComputeContext::ComputeContext(ComputeConfig config)

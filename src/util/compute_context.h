@@ -101,11 +101,14 @@ class ComputeContext {
   static const ComputeContext& Default();
 
   /// `requested` <= 0 resolves via PUNICA_THREADS, then
-  /// hardware_concurrency; the result is clamped to [1, kMaxThreads].
+  /// hardware_concurrency; the result is clamped to [1, kMaxThreads]. A
+  /// PUNICA_THREADS that is not an integer is reported on stderr and
+  /// ignored.
   static int ResolveThreadCount(int requested);
 
-  /// `requested` <= 0 resolves via PUNICA_ATTN_SPLIT (absent/invalid = 0,
-  /// the heuristic); the result is clamped to [0, kMaxAttnSplit].
+  /// `requested` <= 0 resolves via PUNICA_ATTN_SPLIT (absent = 0, the
+  /// heuristic; not an integer = 0 after a stderr line); the result is
+  /// clamped to [0, kMaxAttnSplit].
   static int ResolveAttnSplit(int requested);
 
   static constexpr int kMaxThreads = 256;

@@ -56,30 +56,6 @@ TEST(GemmTest, GemmAccF16WAccumulates) {
   EXPECT_FLOAT_EQ(y[0], 15.0f);
 }
 
-TEST(GemmTest, GemvMatchesGemmRowByRow) {
-  Pcg32 rng(7);
-  int m = 5, k = 17, n = 9;
-  auto x = RandomGaussianVector(static_cast<std::size_t>(m) * k, 1.0f, rng);
-  auto wf = RandomGaussianVector(static_cast<std::size_t>(k) * n, 1.0f, rng);
-  auto w = ToHalf(wf);
-
-  std::vector<float> y_gemm(static_cast<std::size_t>(m) * n, 0.0f);
-  GemmAccF16W(x, w, y_gemm, m, k, n);
-
-  std::vector<float> y_gemv(static_cast<std::size_t>(m) * n, 0.0f);
-  for (int i = 0; i < m; ++i) {
-    GemvAccF16W(std::span<const float>(x).subspan(
-                    static_cast<std::size_t>(i) * k, k),
-                w,
-                std::span<float>(y_gemv).subspan(
-                    static_cast<std::size_t>(i) * n, n),
-                k, n);
-  }
-  for (std::size_t i = 0; i < y_gemm.size(); ++i) {
-    EXPECT_FLOAT_EQ(y_gemm[i], y_gemv[i]);
-  }
-}
-
 // --- Edge-case shapes for the blocked kernels ---
 
 TEST(GemmEdgeTest, ZeroRows) {

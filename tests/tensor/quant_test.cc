@@ -144,11 +144,11 @@ TEST(QuantTest, AllZeroGroupStoresZeroScaleAndDequantsToZero) {
   back.assign(kQuantBlock, 123.0f);
   DequantRowQ4Ref(q4.data(), back);
   for (float v : back) EXPECT_EQ(v, 0.0f);
-  // The fused axpy must also be an exact no-op on zero-scale blocks.
+  // Accumulating a zero-scale block must also be an exact no-op.
+  const std::vector<float> x = {2.0f};
   std::vector<float> y(kQuantBlock, 0.5f);
-  ScopedSimdLevel guard(SimdLevel::kScalar);
-  Simd().axpy_q8(2.0f, q8.data(), y.data(), kQuantBlock);
-  Simd().axpy_q4(2.0f, q4.data(), y.data(), kQuantBlock);
+  GemmAccQW(x, std::span<const BlockQ8_0>(q8), y, 1, 1, kQuantBlock);
+  GemmAccQW(x, std::span<const BlockQ4_0>(q4), y, 1, 1, kQuantBlock);
   for (float v : y) EXPECT_EQ(v, 0.5f);
 }
 
@@ -246,15 +246,15 @@ TEST(QuantTest, ScalarFusedGemmMatchesExplicitDequantReference) {
       ASSERT_EQ(y_fused[i], y_ref[i])
           << WeightDtypeName(dtype) << " element " << i;
     }
-    // And the GEMV path (single-row fused axpy) agrees too.
+    // And a single row (m=1, the decode shape) agrees too.
     std::vector<float> yv_fused(static_cast<std::size_t>(n), -1.0f);
     std::vector<float> yv_ref = yv_fused;
-    GemvAccW(std::span<const float>(x).first(static_cast<std::size_t>(k)),
-             w, yv_fused, k, n, ctx);
+    GemmAccW(std::span<const float>(x).first(static_cast<std::size_t>(k)),
+             w, yv_fused, 1, k, n, ctx);
     naive_acc(yv_ref, 1);
     for (std::size_t i = 0; i < yv_ref.size(); ++i) {
       ASSERT_EQ(yv_fused[i], yv_ref[i])
-          << WeightDtypeName(dtype) << " gemv element " << i;
+          << WeightDtypeName(dtype) << " m=1 element " << i;
     }
   }
 }

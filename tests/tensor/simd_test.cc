@@ -1,6 +1,5 @@
 // The SIMD dispatch seam: level resolution/override, bit-exactness of the
-// f16<->f32 bulk conversions and groupwise dequant across paths, and the
-// scalar-vs-vector kernel-equivalence suite with the documented tolerance
+// f16<->f32 bulk conversions across paths, and the scalar-vs-vector kernel-equivalence suite with the documented tolerance
 // (bit-identical where no FMA reassociation is involved, bounded
 // FMA-contraction drift elsewhere). Every compiled-and-runnable level is
 // swept; when the vector TUs aren't compiled in (or the CPU lacks the
@@ -197,68 +196,6 @@ TEST(SimdConversionTest, OddLengthsExerciseVectorBodyAndTail) {
   }
 }
 
-// --- Groupwise dequant bit-exactness across dispatch paths ---
-//
-// int8/int4 code × f16 scale is exact in f32 arithmetic (≤7+11 significand
-// bits), so dequant output must be bit-identical on every path — including
-// block tails when n is not a multiple of kQuantBlock.
-
-TEST(SimdQuantTest, DequantQ8BitIdenticalAcrossPaths) {
-  Pcg32 rng(31);
-  for (std::size_t n : {1U, 31U, 32U, 33U, 64U, 97U, 256U}) {
-    auto xs = RandomGaussianVector(n, 3.0f, rng);
-    std::vector<BlockQ8_0> blocks(QuantBlocksPerRow(
-        static_cast<std::int64_t>(n)));
-    QuantizeRowQ8(xs, blocks.data());
-    std::vector<float> ref(n);
-    {
-      ScopedSimdLevel guard(SimdLevel::kScalar);
-      Simd().dequant_q8(blocks.data(), ref.data(), n);
-    }
-    std::vector<float> ref2(n);
-    DequantRowQ8Ref(blocks.data(), ref2);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(ref[i], ref2[i]);
-    for (SimdLevel level : AvailableVectorLevels()) {
-      std::vector<float> out(n);
-      ScopedSimdLevel guard(level);
-      Simd().dequant_q8(blocks.data(), out.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(ref[i]),
-                  std::bit_cast<std::uint32_t>(out[i]))
-            << SimdLevelName(level) << " n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(SimdQuantTest, DequantQ4BitIdenticalAcrossPaths) {
-  Pcg32 rng(32);
-  for (std::size_t n : {1U, 15U, 16U, 17U, 31U, 32U, 33U, 96U, 257U}) {
-    auto xs = RandomGaussianVector(n, 3.0f, rng);
-    std::vector<BlockQ4_0> blocks(QuantBlocksPerRow(
-        static_cast<std::int64_t>(n)));
-    QuantizeRowQ4(xs, blocks.data());
-    std::vector<float> ref(n);
-    {
-      ScopedSimdLevel guard(SimdLevel::kScalar);
-      Simd().dequant_q4(blocks.data(), ref.data(), n);
-    }
-    std::vector<float> ref2(n);
-    DequantRowQ4Ref(blocks.data(), ref2);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(ref[i], ref2[i]);
-    for (SimdLevel level : AvailableVectorLevels()) {
-      std::vector<float> out(n);
-      ScopedSimdLevel guard(level);
-      Simd().dequant_q4(blocks.data(), out.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(ref[i]),
-                  std::bit_cast<std::uint32_t>(out[i]))
-            << SimdLevelName(level) << " n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
 // --- Scalar-vs-vector kernel equivalence ---
 //
 // Documented cross-path tolerance: the vector paths fuse each
@@ -280,13 +217,10 @@ enum class KernelUnderTest {
   kGemmSetF16W,
   kGemmAccF16W,
   kGemmSetF32,
-  kGemvAccF16W,
   kGemmSetQ8W,
   kGemmAccQ8W,
-  kGemvAccQ8W,
   kGemmSetQ4W,
   kGemmAccQ4W,
-  kGemvAccQ4W,
   kSgmvShrink,
   kSgmvExpand,
   kPrefillAttention,
@@ -298,13 +232,10 @@ const char* KernelName(KernelUnderTest k) {
     case KernelUnderTest::kGemmSetF16W: return "GemmSetF16W";
     case KernelUnderTest::kGemmAccF16W: return "GemmAccF16W";
     case KernelUnderTest::kGemmSetF32: return "GemmSetF32";
-    case KernelUnderTest::kGemvAccF16W: return "GemvAccF16W";
     case KernelUnderTest::kGemmSetQ8W: return "GemmSetQ8W";
     case KernelUnderTest::kGemmAccQ8W: return "GemmAccQ8W";
-    case KernelUnderTest::kGemvAccQ8W: return "GemvAccQ8W";
     case KernelUnderTest::kGemmSetQ4W: return "GemmSetQ4W";
     case KernelUnderTest::kGemmAccQ4W: return "GemmAccQ4W";
-    case KernelUnderTest::kGemvAccQ4W: return "GemvAccQ4W";
     case KernelUnderTest::kSgmvShrink: return "SgmvShrink";
     case KernelUnderTest::kSgmvExpand: return "SgmvExpand";
     case KernelUnderTest::kPrefillAttention: return "PrefillAttention";
@@ -351,17 +282,6 @@ std::vector<float> RunKernel(KernelUnderTest kernel) {
       }
       return y;
     }
-    case KernelUnderTest::kGemvAccF16W: {
-      const int k = 300, n = 157;
-      auto x = RandomGaussianVector(static_cast<std::size_t>(k), 1.0f, rng);
-      auto wf = RandomGaussianVector(static_cast<std::size_t>(k) * n, 0.1f,
-                                     rng);
-      std::vector<f16> w(wf.size());
-      for (std::size_t i = 0; i < wf.size(); ++i) w[i] = f16(wf[i]);
-      std::vector<float> y(static_cast<std::size_t>(n), -0.5f);
-      GemvAccF16W(x, w, y, k, n, ctx);
-      return y;
-    }
     case KernelUnderTest::kGemmSetQ8W:
     case KernelUnderTest::kGemmAccQ8W:
     case KernelUnderTest::kGemmSetQ4W:
@@ -383,17 +303,6 @@ std::vector<float> RunKernel(KernelUnderTest kernel) {
       } else {
         GemmAccW(x, w, y, m, k, n, ctx);
       }
-      return y;
-    }
-    case KernelUnderTest::kGemvAccQ8W:
-    case KernelUnderTest::kGemvAccQ4W: {
-      const int k = 300, n = 157;
-      const bool q8 = kernel == KernelUnderTest::kGemvAccQ8W;
-      auto x = RandomGaussianVector(static_cast<std::size_t>(k), 1.0f, rng);
-      WeightMatrix w = MakeQuantWeights(
-          k, n, q8 ? WeightDtype::kQ8_0 : WeightDtype::kQ4_0, rng);
-      std::vector<float> y(static_cast<std::size_t>(n), -0.5f);
-      GemvAccW(x, w, y, k, n, ctx);
       return y;
     }
     case KernelUnderTest::kSgmvShrink:
@@ -506,13 +415,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(KernelUnderTest::kGemmSetF16W,
                       KernelUnderTest::kGemmAccF16W,
                       KernelUnderTest::kGemmSetF32,
-                      KernelUnderTest::kGemvAccF16W,
                       KernelUnderTest::kGemmSetQ8W,
                       KernelUnderTest::kGemmAccQ8W,
-                      KernelUnderTest::kGemvAccQ8W,
                       KernelUnderTest::kGemmSetQ4W,
                       KernelUnderTest::kGemmAccQ4W,
-                      KernelUnderTest::kGemvAccQ4W,
                       KernelUnderTest::kSgmvShrink,
                       KernelUnderTest::kSgmvExpand,
                       KernelUnderTest::kPrefillAttention,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
@@ -298,24 +299,77 @@ TEST(ComputeContextTest, ExplicitThreadCountWins) {
 }
 
 TEST(ComputeContextTest, EnvFallbackAndClamping) {
-  // Restore the ambient value afterwards — CI pins PUNICA_THREADS for the
+  // Restore the ambient values afterwards — CI pins PUNICA_THREADS for the
   // whole test process and later tests must still see it.
   const char* prior = std::getenv("PUNICA_THREADS");
   std::string saved = prior != nullptr ? prior : "";
+  const char* prior_split = std::getenv("PUNICA_ATTN_SPLIT");
+  std::string saved_split = prior_split != nullptr ? prior_split : "";
 
+  // A value that is not an integer resolves like an unset variable, after
+  // exactly one stderr line naming the value and the fallback.
+  const auto expect_rejected = [](const char* name, const char* bad,
+                                  const char* fallback, auto resolve,
+                                  int want) {
+    setenv(name, bad, 1);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(resolve(), want) << name << "=" << bad;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(std::string(name) + "=\"" + bad + "\""),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find(fallback), std::string::npos) << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  };
+  const auto threads = [] { return ComputeContext::ResolveThreadCount(0); };
+  const auto split = [] { return ComputeContext::ResolveAttnSplit(0); };
+
+  unsetenv("PUNICA_THREADS");
+  const int hardware = threads();
+  EXPECT_GE(hardware, 1);
   setenv("PUNICA_THREADS", "5", 1);
-  EXPECT_EQ(ComputeContext::ResolveThreadCount(0), 5);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(threads(), 5);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
   // Explicit request still beats the env.
   EXPECT_EQ(ComputeContext::ResolveThreadCount(2), 2);
   setenv("PUNICA_THREADS", "0", 1);  // invalid → hardware fallback
-  EXPECT_GE(ComputeContext::ResolveThreadCount(0), 1);
+  EXPECT_EQ(threads(), hardware);
   setenv("PUNICA_THREADS", "999999", 1);
-  EXPECT_EQ(ComputeContext::ResolveThreadCount(0),
-            ComputeContext::kMaxThreads);
+  EXPECT_EQ(threads(), ComputeContext::kMaxThreads);
+  setenv("PUNICA_THREADS", "99999999999999999999", 1);  // past long
+  EXPECT_EQ(threads(), ComputeContext::kMaxThreads);
+  for (const char* bad : {"4x", "four", "3.5", " 2 "}) {
+    expect_rejected("PUNICA_THREADS", bad, "hardware thread count", threads,
+                    hardware);
+  }
   unsetenv("PUNICA_THREADS");
-  EXPECT_GE(ComputeContext::ResolveThreadCount(0), 1);
+  EXPECT_EQ(threads(), hardware);
 
-  if (prior != nullptr) setenv("PUNICA_THREADS", saved.c_str(), 1);
+  unsetenv("PUNICA_ATTN_SPLIT");
+  EXPECT_EQ(split(), 0);  // the heuristic
+  EXPECT_EQ(ComputeContext::ResolveAttnSplit(6), 6);
+  setenv("PUNICA_ATTN_SPLIT", "4", 1);
+  EXPECT_EQ(split(), 4);
+  EXPECT_EQ(ComputeContext::ResolveAttnSplit(2), 2);
+  setenv("PUNICA_ATTN_SPLIT", "-3", 1);
+  EXPECT_EQ(split(), 0);
+  setenv("PUNICA_ATTN_SPLIT", "1000", 1);
+  EXPECT_EQ(split(), ComputeContext::kMaxAttnSplit);
+  for (const char* bad : {"8x", "eight"}) {
+    expect_rejected("PUNICA_ATTN_SPLIT", bad, "split heuristic", split, 0);
+  }
+
+  if (prior != nullptr) {
+    setenv("PUNICA_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("PUNICA_THREADS");
+  }
+  if (prior_split != nullptr) {
+    setenv("PUNICA_ATTN_SPLIT", saved_split.c_str(), 1);
+  } else {
+    unsetenv("PUNICA_ATTN_SPLIT");
+  }
 }
 
 TEST(ComputeContextTest, DefaultIsSharedAndUsable) {
