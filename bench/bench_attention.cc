@@ -40,6 +40,7 @@
 #include "util/check.h"
 #include "model/attention.h"
 #include "tensor/simd.h"
+#include "tensor/simd_exp.h"
 #include "util/compute_context.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -59,9 +60,9 @@ LlamaConfig BenchConfig() {
           .vocab_size = 64};
 }
 
-/// The pre-rewrite decode kernel, kept verbatim as the measurement
-/// baseline: per-position Entry() lookups, online softmax, per-task heap
-/// accumulator.
+/// The pre-rewrite decode kernel, kept as the measurement baseline:
+/// per-position Entry() lookups, online softmax, per-task heap accumulator
+/// (its exp is the kernels' ExpF32, so the outputs compare like for like).
 void BaselineDecode(const LlamaConfig& c, const PagedKvCache& kv,
                     std::span<const SeqId> seqs, int layer,
                     std::span<const float> q, std::span<float> out,
@@ -97,8 +98,8 @@ void BaselineDecode(const LlamaConfig& c, const PagedKvCache& kv,
           ops.dot_f16(qh, k.data() + off, static_cast<std::size_t>(d)) *
           scale;
       float m_new = std::max(m, score);
-      float corr = std::exp(m - m_new);
-      float p = std::exp(score - m_new);
+      float corr = ExpF32(m - m_new);
+      float p = ExpF32(score - m_new);
       auto v = kv.Entry(seqs[static_cast<std::size_t>(row)], layer, pos,
                         KvSlot::kValue);
       ops.scale_add_f16(acc.data(), corr, p, v.data() + off,
@@ -190,8 +191,8 @@ void PerRowPrefill(const LlamaConfig& c, const PagedKvCache& kv, SeqId seq,
         }
         for (int t = 0; t < group; ++t) {
           const float new_m = std::max(m[t], bm[t]);
-          const float alpha = std::exp(m[t] - new_m);
-          const float beta = std::exp(bm[t] - new_m);
+          const float alpha = ExpF32(m[t] - new_m);
+          const float beta = ExpF32(bm[t] - new_m);
           float* oh = o0 + t * d;
           for (int i = 0; i < d; ++i) {
             oh[i] = oh[i] * alpha + beta * acc[t * d + i];

@@ -25,6 +25,7 @@
 // BENCH_kernels.json filter never picks them up.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -520,6 +521,70 @@ void BM_FillGaussianF16Simd(benchmark::State& state) {
 BENCHMARK(BM_FillGaussianF16Simd)
     ->ArgName("simd")
     ->DenseRange(0, kNumSimdLevels - 1);
+
+// ExpF32 through the table's exp_f32 at every dispatch level (arg simd =
+// SimdLevel; unavailable levels SkipWithError) over 4096 softmax-range
+// arguments — 32 positions × the 128-position block's tile scores.
+void BM_ExpF32Simd(benchmark::State& state) {
+  std::optional<ScopedSimdLevel> guard;
+  if (!ForceSimdLevelArg(state, guard, 0)) return;
+  std::vector<float> x(4096);
+  std::vector<float> y(x.size());
+  Pcg32 rng(3);
+  for (auto& v : x) v = rng.NextFloat(-20.0f, 0.0f);
+  for (auto _ : state) {
+    Simd().exp_f32(x.data(), y.data(), x.size());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_ExpF32Simd)->ArgName("simd")->DenseRange(0, kNumSimdLevels - 1);
+
+// The SwiGLU combine (silu_mul) at every dispatch level over one 16-row
+// tile of the serving benchmark's 704-wide FFN. silu_mul works in place,
+// so each iteration first restores the gate (a copy from cache, the same
+// few µs at every level, included in the time).
+void BM_SiluMulSimd(benchmark::State& state) {
+  std::optional<ScopedSimdLevel> guard;
+  if (!ForceSimdLevelArg(state, guard, 0)) return;
+  Pcg32 rng(4);
+  const std::vector<float> gate0 = RandomGaussianVector(704 * 16, 2.0f, rng);
+  const std::vector<float> up = RandomGaussianVector(gate0.size(), 1.0f, rng);
+  std::vector<float> gate(gate0.size());
+  for (auto _ : state) {
+    std::copy(gate0.begin(), gate0.end(), gate.begin());
+    Simd().silu_mul(gate.data(), up.data(), gate.size());
+    benchmark::DoNotOptimize(gate.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(gate.size()));
+}
+BENCHMARK(BM_SiluMulSimd)->ArgName("simd")->DenseRange(0, kNumSimdLevels - 1);
+
+// One near-empty root region per iteration on a pool of `threads`: the
+// fork/join hand-off itself (post, wake or poll, join), back to back as a
+// layer forward issues them. Wall time.
+void BM_ParallelForForkJoin(benchmark::State& state) {
+  ComputeContext ctx({.num_threads = static_cast<int>(state.range(0))});
+  std::vector<std::int64_t> sink(64, 0);
+  for (auto _ : state) {
+    ctx.ParallelFor(64, 1, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i) {
+        sink[static_cast<std::size_t>(i)] += i;
+      }
+    });
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ParallelForForkJoin)
+    ->ArgName("threads")
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime();
 
 // --- Quantized-weight sweeps (separate BENCH_kernels_quant.json baseline;
 // names avoid the "Threads"/"Simd" substrings on purpose) ---

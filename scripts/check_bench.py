@@ -22,6 +22,12 @@ The threshold can also come from the BENCH_REGRESSION_THRESHOLD env var
     bytes_per_second per benchmark name; falls back to 1/real_time.
     A benchmark present in the baseline but missing from the fresh run
     fails the gate — silently dropping a bench is how regressions hide.
+  * Every Google Benchmark file also gets derived same-run
+    avx2_vs_scalar / avx512_vs_scalar throughput ratios for each
+    `<family>Simd/simd:N` family (N = SimdLevel: 0 scalar, 1 avx2,
+    2 avx512) with a scalar row and that vector row — the keys the
+    per-level speedup floors (--min) gate. A level the host lacks is a
+    SkipWithError row, so its ratio is simply not derived.
   * kernels_quant files (Google format, filename contains
     "kernels_quant"): same per-benchmark metrics, plus derived
     q8_vs_f16 / q4_vs_f16 throughput ratios per (family, simd) pair —
@@ -94,6 +100,34 @@ def google_benchmark_metrics(doc):
         if name not in metrics or value > metrics[name][0]:
             metrics[name] = (value, kind)
     return metrics
+
+
+def simd_ratio_metrics(metrics):
+    """Derived `<family>Simd/<level>_vs_scalar` throughput ratios.
+
+    For every family whose rows are named `<family>Simd/simd:N` (one row per
+    SimdLevel, single-threaded), each vector level's throughput over the
+    scalar row's from the same run: runner speed cancels, the vector
+    kernel's gain over the portable path remains.
+    """
+    names = {1: "avx2_vs_scalar", 2: "avx512_vs_scalar"}
+    pat = re.compile(r"^(?P<family>[^/]+Simd)/simd:(?P<level>\d+)$")
+    by_family = {}
+    for key, (value, _kind) in metrics.items():
+        m = pat.match(key)
+        if m:
+            by_family.setdefault(m.group("family"),
+                                 {})[int(m.group("level"))] = value
+    derived = {}
+    for family, levels in by_family.items():
+        scalar = levels.get(0)
+        if not scalar:
+            continue
+        for level, label in names.items():
+            if level in levels:
+                derived[f"{family}/{label}"] = (levels[level] / scalar,
+                                                "ratio")
+    return derived
 
 
 def fig11b_metrics(doc):
@@ -190,6 +224,7 @@ def kernels_quant_metrics(doc):
     from bytes saved, measured against f16 on the same host and path.
     """
     metrics = google_benchmark_metrics(doc)
+    metrics.update(simd_ratio_metrics(metrics))
     dtype_names = {1: "q8_vs_f16", 2: "q4_vs_f16"}
     pat = re.compile(r"^(?P<family>[^/]+)/dtype:(?P<dtype>\d+)(?P<rest>.*)$")
     groups = {}
@@ -213,7 +248,9 @@ def extract_metrics(doc, path=""):
     if "benchmarks" in doc:
         if "kernels_quant" in os.path.basename(path):
             return kernels_quant_metrics(doc)
-        return google_benchmark_metrics(doc)
+        metrics = google_benchmark_metrics(doc)
+        metrics.update(simd_ratio_metrics(metrics))
+        return metrics
     if doc.get("bench") == "serving_open_loop":
         return serving_metrics(doc)
     if doc.get("bench") == "tp_scaling":

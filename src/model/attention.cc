@@ -1,6 +1,7 @@
 #include "model/attention.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "tensor/simd.h"
@@ -95,26 +96,48 @@ int ComputeTileBlock(const SimdOps& ops, KvRunCursor& kcur,
                  .row_len = sc.row_len,
                  .scale = scale,
                  .scores = sc.scores,
-                 .ld_scores = kAttnBlockLen,
+                 .ld_scores = std::bit_ceil(
+                     static_cast<std::size_t>((tile.n - first) * n_h)),
                  .out = sc.partial,
                  .ld_out = static_cast<std::size_t>(d) + 2});
   return first;
 }
 
-/// Folds one block partial into the running (m, s, acc) state. This is the
-/// ONLY way partials ever combine — a left fold in ascending block order —
-/// on both the inline path and the split-KV path, so the non-associative
-/// softmax merge is always the same arithmetic sequence. Seeded with
-/// (m = −inf, s = 0, acc = 0): exp(−inf − m') = 0 makes the first fold an
-/// exact copy-in.
-inline void FoldBlock(float bm, float bs, const float* bacc, int d, float* m,
-                      float* s, float* acc) {
-  const float new_m = std::max(*m, bm);
-  const float alpha = std::exp(*m - new_m);
-  const float beta = std::exp(bm - new_m);
-  for (int i = 0; i < d; ++i) acc[i] = acc[i] * alpha + beta * bacc[i];
-  *s = *s * alpha + beta * bs;
-  *m = new_m;
+/// Folds block partials into running (m, s, acc) states. This is the ONLY
+/// way partials ever combine — per state a left fold in ascending block
+/// order — on both the inline path and the split-KV path, so the
+/// non-associative softmax merge is always the same arithmetic sequence.
+/// Seeded with (m = −inf, s = 0, acc = 0): exp(−inf − m') = +0 makes the
+/// first fold an exact copy-in. Folds `n` partials at once (partial i at
+/// slot + i·(d + 2), into m[i], s[i] and acc_of(i)): one exp_f32 call
+/// computes every alpha and beta (ExpF32's bits at every level), and the
+/// acc loop multiplies and adds separately, so it vectorizes without
+/// changing a bit.
+template <typename AccOf>
+void FoldBlocks(const SimdOps& ops, int n, const float* slot, int d,
+                float* m, float* s, AccOf acc_of) {
+  constexpr int kMaxFolds = kAttnTileRows * kMaxSegHeads;
+  const std::size_t pstride = static_cast<std::size_t>(d) + 2;
+  float new_m[kMaxFolds];
+  float arg[2 * kMaxFolds];
+  for (int i = 0; i < n; ++i) {
+    const float bm = slot[static_cast<std::size_t>(i) * pstride];
+    new_m[i] = std::max(m[i], bm);
+    arg[2 * i] = m[i] - new_m[i];
+    arg[2 * i + 1] = bm - new_m[i];
+  }
+  float ab[2 * kMaxFolds];
+  ops.exp_f32(arg, ab, static_cast<std::size_t>(2 * n));
+  for (int i = 0; i < n; ++i) {
+    const float* part = slot + static_cast<std::size_t>(i) * pstride;
+    const float alpha = ab[2 * i];
+    const float beta = ab[2 * i + 1];
+    const float* __restrict bacc = part + 2;
+    float* __restrict acc = acc_of(i);
+    for (int e = 0; e < d; ++e) acc[e] = acc[e] * alpha + beta * bacc[e];
+    s[i] = s[i] * alpha + beta * part[1];
+    m[i] = new_m[i];
+  }
 }
 
 inline void NormalizeOut(float s, int d, float* out_head) {
@@ -135,7 +158,6 @@ void AttendTileInline(const SimdOps& ops, const PagedKvCache& kv,
   KvRunCursor kcur(kv, tile.rows[0].seq, layer, KvSlot::kKey, head_off);
   KvRunCursor vcur(kv, tile.rows[0].seq, layer, KvSlot::kValue, head_off);
   TileScratch sc;
-  const std::size_t pstride = static_cast<std::size_t>(d) + 2;
   // Running fold (m, s) per (row, head).
   float m[kAttnTileRows * kMaxSegHeads];
   float s[kAttnTileRows * kMaxSegHeads];
@@ -154,15 +176,11 @@ void AttendTileInline(const SimdOps& ops, const PagedKvCache& kv,
        b0 += kAttnBlockLen) {
     const int first = ComputeTileBlock(ops, kcur, vcur, tile, n_h, head_off,
                                        stride, d, b0, scale, sc);
-    for (int r = first; r < tile.n; ++r) {
-      for (int t = 0; t < n_h; ++t) {
-        const float* slot =
-            sc.partial +
-            static_cast<std::size_t>((r - first) * n_h + t) * pstride;
-        FoldBlock(slot[0], slot[1], slot + 2, d, &m[r * n_h + t],
-                  &s[r * n_h + t], out_head(r, t));
-      }
-    }
+    // Partial i of the block is pair (first·n_h + i) of the running state.
+    FoldBlocks(ops, (tile.n - first) * n_h, sc.partial, d, m + first * n_h,
+               s + first * n_h, [&](int i) {
+                 return out_head(first + i / n_h, i % n_h);
+               });
   }
   for (int r = 0; r < tile.n; ++r) {
     for (int t = 0; t < n_h; ++t) {
@@ -370,7 +388,7 @@ void AttendRowsRanged(const LlamaConfig& config, const PagedKvCache& kv,
                             static_cast<std::size_t>(heads) +
                         static_cast<std::size_t>(lh)) *
                            slot_elems;
-        FoldBlock(slot_p[0], slot_p[1], slot_p + 2, d, &m, &s, out_head);
+        FoldBlocks(ops, 1, slot_p, d, &m, &s, [&](int) { return out_head; });
       }
       NormalizeOut(s, d, out_head);
     }

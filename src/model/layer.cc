@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "tensor/gemm.h"
+#include "tensor/simd.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -133,10 +134,8 @@ void SiluMulInPlace(std::span<float> gate, std::span<const float> up,
   PUNICA_CHECK(up.size() >= gate.size());
   ctx.ParallelFor(static_cast<std::int64_t>(gate.size()), kElemGrain,
                   [&](std::int64_t lo, std::int64_t hi) {
-    const auto b = static_cast<std::size_t>(lo);
-    const auto e = static_cast<std::size_t>(hi);
-    SiluInPlace(gate.subspan(b, e - b));
-    for (std::size_t i = b; i < e; ++i) gate[i] *= up[i];
+    Simd().silu_mul(gate.data() + lo, up.data() + lo,
+                    static_cast<std::size_t>(hi - lo));
   });
 }
 

@@ -152,9 +152,10 @@ void LayerForward(const LlamaConfig& config, const LayerWeights& weights,
                   const ComputeContext& ctx = ComputeContext::Default(),
                   const RopeTable* rope = nullptr);
 
-/// The SwiGLU combine gate[i] = silu(gate[i]) · up[i], split over ctx's
-/// workers. Elementwise with one writer per element, so bit-identical at
-/// any worker count.
+/// The SwiGLU combine gate[i] = silu(gate[i]) · up[i] (SimdOps::silu_mul:
+/// the same bits at every SIMD level), split over ctx's workers.
+/// Elementwise with one writer per element, so bit-identical at any worker
+/// count.
 void SiluMulInPlace(std::span<float> gate, std::span<const float> up,
                     const ComputeContext& ctx);
 

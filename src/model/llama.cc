@@ -131,8 +131,7 @@ Tensor<float> LlamaModel::Forward(const ModelBatch& batch,
   const auto h = static_cast<std::size_t>(config_.hidden_size);
 
   // Resolve each segment's adapter shards once per invocation.
-  std::vector<const TpShardedLora*> seg_lora;
-  seg_lora.reserve(batch.segments.lora_ids.size());
+  seg_lora_.clear();
   for (LoraId id : batch.segments.lora_ids) {
     const TpShardedLora* s = nullptr;
     if (id >= 0) {
@@ -141,11 +140,14 @@ Tensor<float> LlamaModel::Forward(const ModelBatch& batch,
                        "batch references an unloaded LoRA model");
       s = it->second.get();
     }
-    seg_lora.push_back(s);
+    seg_lora_.push_back(s);
   }
 
   // Embedding lookup: one writer per token row.
-  std::vector<float> x(static_cast<std::size_t>(tokens) * h);
+  if (x_.size() < static_cast<std::size_t>(tokens) * h) {
+    x_.resize(static_cast<std::size_t>(tokens) * h);
+  }
+  const std::span<float> x(x_.data(), static_cast<std::size_t>(tokens) * h);
   for (int t = 0; t < tokens; ++t) {
     std::int32_t id = token_ids[static_cast<std::size_t>(t)];
     PUNICA_CHECK(id >= 0 && id < config_.vocab_size);
@@ -153,8 +155,7 @@ Tensor<float> LlamaModel::Forward(const ModelBatch& batch,
   ctx_->ParallelFor(tokens, 1, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t t = lo; t < hi; ++t) {
       auto row = embedding_.row(token_ids[static_cast<std::size_t>(t)]);
-      HalfToFloatN(row, std::span<float>(x).subspan(
-                            static_cast<std::size_t>(t) * h, h));
+      HalfToFloatN(row, x.subspan(static_cast<std::size_t>(t) * h, h));
     }
   });
 
@@ -164,7 +165,7 @@ Tensor<float> LlamaModel::Forward(const ModelBatch& batch,
     TpLayerForward(config_, layers_[static_cast<std::size_t>(l)], batch, l,
                    kv, x, ws_, *ctx_,
                    std::span<const ComputeContext* const>(rank_ctx_ptrs_),
-                   seg_lora, &rope_);
+                   seg_lora_, &rope_);
   }
 
   // Final norm + LM head on the emitting entries' last token rows, as one
@@ -184,7 +185,7 @@ Tensor<float> LlamaModel::Forward(const ModelBatch& batch,
   for (const BatchEntry& e : batch.entries) {
     row += static_cast<std::size_t>(e.num_tokens);
     if (!e.emit_logits) continue;
-    RmsNormRow(std::span<const float>(x).subspan((row - 1) * h, h),
+    RmsNormRow(x.subspan((row - 1) * h, h),
                final_norm_.data(),
                std::span<float>(head_in_).subspan(emitting * h, h),
                config_.rms_eps);

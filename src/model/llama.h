@@ -121,6 +121,8 @@ class LlamaModel {
   std::unordered_map<LoraId, std::unique_ptr<TpShardedLora>> loras_;
   TpWorkspace ws_;
   RopeTable rope_;  ///< the current step's RoPE table (every layer reads it)
+  std::vector<float> x_;  ///< [tokens, hidden] — the step's residual stream
+  std::vector<const TpShardedLora*> seg_lora_;  ///< per segment, this step
   std::vector<float> head_in_;   ///< [emitting entries, hidden] — LM head in
   std::vector<float> head_out_;  ///< [emitting entries, vocab] — LM head out
   /// Worker-group views from ctx_->Split(tp) (empty = serial rank loop).

@@ -269,34 +269,38 @@ void ForwardRanks(const LlamaConfig& config,
     }
   };
 
-  // The deterministic all-reduce: per-rank partials sum into the residual
-  // stream in fixed ascending rank order, whatever order the ranks
-  // *finished* in (a deterministic stand-in for NCCL's fixed ring order).
-  const auto reduce_partials = [&] {
-    const float* partial = ws.partial.data();
-    ctx.ParallelFor(static_cast<std::int64_t>(x.size()), 2048,
-                    [&](std::int64_t lo, std::int64_t hi) {
-                      for (std::int64_t i = lo; i < hi; ++i) {
-                        auto u = static_cast<std::size_t>(i);
-                        float acc = partial[u];
-                        for (int r = 1; r < tp; ++r) {
-                          acc += partial[static_cast<std::size_t>(r) *
-                                             h_stride +
-                                         u];
-                        }
-                        x[u] += acc;
-                      }
-                    });
+  // The deterministic all-reduce of token rows [lo, hi): per-rank partials
+  // sum into the residual stream in fixed ascending rank order, whatever
+  // order the ranks *finished* in (a deterministic stand-in for NCCL's
+  // fixed ring order). Per element acc = partial_0 + partial_1 + …, then
+  // x += acc, in 256-element strips so each pass is a plain vectorizable
+  // loop.
+  const auto reduce_rows = [&](std::int64_t lo, std::int64_t hi) {
+    constexpr std::size_t kStrip = 256;
+    float acc[kStrip];
+    const auto end = static_cast<std::size_t>(hi) * h;
+    for (auto b = static_cast<std::size_t>(lo) * h; b < end; b += kStrip) {
+      const std::size_t n = std::min(kStrip, end - b);
+      std::copy_n(ws.partial.data() + b, n, acc);
+      for (int r = 1; r < tp; ++r) {
+        const float* p = ws.partial.data() + static_cast<std::size_t>(r) *
+                                                 h_stride + b;
+        for (std::size_t i = 0; i < n; ++i) acc[i] += p[i];
+      }
+      for (std::size_t i = 0; i < n; ++i) x[b + i] += acc[i];
+    }
+  };
+  const auto norm_rows = [&](const Tensor<f16>& weight, std::int64_t lo,
+                             std::int64_t hi) {
+    const auto b = static_cast<std::size_t>(lo) * h;
+    const auto e = static_cast<std::size_t>(hi) * h;
+    RmsNormRows(x.subspan(b, e - b), weight.data(), normed.subspan(b, e - b),
+                config.rms_eps);
   };
 
   // --- Attention block ---
   ctx.ParallelFor(tokens, 1, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t t = lo; t < hi; ++t) {
-      RmsNormRow(x.subspan(static_cast<std::size_t>(t) * h, h),
-                 ranks[0].attn_norm.data(),
-                 normed.subspan(static_cast<std::size_t>(t) * h, h),
-                 config.rms_eps);
-    }
+    norm_rows(ranks[0].attn_norm, lo, hi);
   });
 
   for_each_rank([&](int r, const ComputeContext& rctx) {
@@ -376,16 +380,12 @@ void ForwardRanks(const LlamaConfig& config,
     lora_addon(r, Proj::kO, attn_out, partial, heads_pr * d,
                config.hidden_size, rctx);
   });
-  reduce_partials();
 
-  // --- MLP block ---
+  // --- MLP block --- (its norm in the same region as the attention
+  // block's all-reduce: a row is normed right after it is summed)
   ctx.ParallelFor(tokens, 1, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t t = lo; t < hi; ++t) {
-      RmsNormRow(x.subspan(static_cast<std::size_t>(t) * h, h),
-                 ranks[0].mlp_norm.data(),
-                 normed.subspan(static_cast<std::size_t>(t) * h, h),
-                 config.rms_eps);
-    }
+    reduce_rows(lo, hi);
+    norm_rows(ranks[0].mlp_norm, lo, hi);
   });
   for_each_rank([&](int r, const ComputeContext& rctx) {
     const auto ur = static_cast<std::size_t>(r);
@@ -409,7 +409,10 @@ void ForwardRanks(const LlamaConfig& config,
     lora_addon(r, Proj::kDown, gate, partial, f_pr, config.hidden_size,
                rctx);
   });
-  reduce_partials();
+  // Rows per chunk: a step of ≤ 2048 elements (a few decode rows) reduces
+  // inline.
+  const auto reduce_grain = static_cast<std::int64_t>((2048 + h - 1) / h);
+  ctx.ParallelFor(tokens, reduce_grain, reduce_rows);
 }
 
 }  // namespace

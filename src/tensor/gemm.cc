@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "tensor/simd.h"
+#include "tensor/simd_exp.h"
 #include "util/check.h"
 
 namespace punica {
@@ -192,31 +193,73 @@ void SoftmaxInPlace(std::span<float> row) {
   float mx = *std::max_element(row.begin(), row.end());
   float sum = 0.0f;
   for (auto& v : row) {
-    v = std::exp(v - mx);
+    v = ExpF32(v - mx);
     sum += v;
   }
   float inv = 1.0f / sum;
   for (auto& v : row) v *= inv;
 }
 
-void RmsNormRow(std::span<const float> x, std::span<const f16> weight,
-                std::span<float> out, float eps) {
-  PUNICA_CHECK(x.size() == weight.size());
-  PUNICA_CHECK(x.size() == out.size());
-  double ss = 0.0;
-  for (float v : x) ss += static_cast<double>(v) * v;
-  float scale = 1.0f / std::sqrt(static_cast<float>(
-                           ss / static_cast<double>(x.size())) +
-                       eps);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = x[i] * scale * weight[i].ToFloat();
+namespace {
+
+/// Weight columns RmsNormRows decodes at a time.
+constexpr std::size_t kNormChunk = 256;
+
+/// R rows of RmsNormRows, interleaved: the R sums of squares are
+/// independent add chains, and each weight chunk is decoded once (into
+/// `w`, kNormChunk floats) for every row's contiguous scale loop.
+template <int R>
+void RmsNormBlock(const SimdOps& ops, const float* x, const f16* weight,
+                  float* out, std::size_t h, float eps, float* w) {
+  double ss[R] = {};
+  for (std::size_t i = 0; i < h; ++i) {
+    for (int r = 0; r < R; ++r) {
+      const float v = x[r * h + i];
+      ss[r] += static_cast<double>(v) * v;
+    }
+  }
+  float scale[R];
+  for (int r = 0; r < R; ++r) {
+    scale[r] = 1.0f / std::sqrt(static_cast<float>(
+                          ss[r] / static_cast<double>(h)) +
+                      eps);
+  }
+  for (std::size_t i0 = 0; i0 < h; i0 += kNormChunk) {
+    const std::size_t n = std::min(kNormChunk, h - i0);
+    ops.half_to_float_n(weight + i0, w, n);
+    for (int r = 0; r < R; ++r) {
+      const float* xr = x + r * h + i0;
+      float* yr = out + r * h + i0;
+      for (std::size_t i = 0; i < n; ++i) yr[i] = xr[i] * scale[r] * w[i];
+    }
   }
 }
 
-void SiluInPlace(std::span<float> xs) {
-  for (auto& v : xs) {
-    v = v / (1.0f + std::exp(-v));
+}  // namespace
+
+void RmsNormRows(std::span<const float> x, std::span<const f16> weight,
+                 std::span<float> out, float eps) {
+  const std::size_t h = weight.size();
+  PUNICA_CHECK(h > 0 && x.size() % h == 0);
+  PUNICA_CHECK(x.size() == out.size());
+  const SimdOps& ops = Simd();
+  const std::size_t rows = x.size() / h;
+  float w[kNormChunk];
+  std::size_t r = 0;
+  for (; r + 8 <= rows; r += 8) {
+    RmsNormBlock<8>(ops, x.data() + r * h, weight.data(), out.data() + r * h,
+                    h, eps, w);
   }
+  for (; r < rows; ++r) {
+    RmsNormBlock<1>(ops, x.data() + r * h, weight.data(), out.data() + r * h,
+                    h, eps, w);
+  }
+}
+
+void RmsNormRow(std::span<const float> x, std::span<const f16> weight,
+                std::span<float> out, float eps) {
+  PUNICA_CHECK(x.size() == weight.size());
+  RmsNormRows(x, weight, out, eps);
 }
 
 }  // namespace punica

@@ -94,7 +94,10 @@ void SoftmaxInPlace(std::span<float> row);
 void RmsNormRow(std::span<const float> x, std::span<const f16> weight,
                 std::span<float> out, float eps);
 
-/// SiLU (x * sigmoid(x)) elementwise.
-void SiluInPlace(std::span<float> xs);
+/// RmsNormRow over each consecutive weight.size()-element row of x, bit for
+/// bit: every row keeps its own ascending double sum of squares, and up to
+/// eight rows run interleaved so their add chains overlap.
+void RmsNormRows(std::span<const float> x, std::span<const f16> weight,
+                 std::span<float> out, float eps);
 
 }  // namespace punica

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "tensor/quant.h"
+#include "tensor/simd_exp.h"
 
 namespace punica {
 namespace {
@@ -65,7 +66,7 @@ float SoftmaxAccumF16Scalar(const float* scores, float m, const f16* v,
                             std::size_t n_pos, float* acc) {
   float sum = 0.0f;
   for (std::size_t j = 0; j < n_pos; ++j) {
-    float p = std::exp(scores[j] - m);
+    float p = ExpF32(scores[j] - m);
     AxpyF16Scalar(p, v + j * stride, acc, d);
     sum += p;
   }
@@ -236,6 +237,53 @@ void GemmTileScalar(const GemmTile& t) {
 // pair still in range; per pair the products and sums are dot_f16 /
 // AxpyF16Scalar's (no contraction in this TU).
 
+/// The tile's softmax pass over position-major scores: each pair's block
+/// max m, then its scores replaced in place by p = exp(score − m), summed
+/// per page run into s; writes {m, s} to each pair's partial slot.
+void AttnTileSoftmaxScalar(const AttnTile& t) {
+  constexpr int kMaxPairs = kAttnTileRows * kAttnTileHeads;
+  const int pairs = t.rows * t.heads;
+  std::int32_t len[kMaxPairs];
+  float m[kMaxPairs];
+  float s[kMaxPairs];
+  float run_sum[kMaxPairs];
+  std::int32_t max_len = 0;
+  for (int p = 0; p < pairs; ++p) {
+    len[p] = t.row_len[p / t.heads];
+    m[p] = -INFINITY;
+    s[p] = 0.0f;
+    max_len = std::max(max_len, len[p]);
+  }
+  const auto row = [&t](std::int32_t j) { return t.scores + j * t.ld_scores; };
+  for (std::int32_t j = 0; j < max_len; ++j) {
+    for (int p = 0; p < pairs; ++p) {
+      if (j < len[p]) m[p] = std::max(m[p], row(j)[p]);
+    }
+  }
+  // One ascending sum per page run, folded into s after the run — the
+  // grouping softmax_accum_f16's per-run return value gives the per-row
+  // kernel (one running sum across runs would round differently).
+  std::int32_t j = 0;
+  for (int ri = 0; ri < t.n_runs && j < max_len; ++ri) {
+    const std::int32_t end = std::min(max_len, j + t.runs[ri].len);
+    std::fill(run_sum, run_sum + pairs, 0.0f);
+    for (; j < end; ++j) {
+      float* sc = row(j);
+      for (int p = 0; p < pairs; ++p) {
+        if (j >= len[p]) continue;
+        sc[p] = ExpF32(sc[p] - m[p]);
+        run_sum[p] += sc[p];
+      }
+    }
+    for (int p = 0; p < pairs; ++p) s[p] += run_sum[p];
+  }
+  for (int p = 0; p < pairs; ++p) {
+    float* slot = t.out + static_cast<std::size_t>(p) * t.ld_out;
+    slot[0] = m[p];
+    slot[1] = s[p];
+  }
+}
+
 void AttnTileScalar(const AttnTile& t) {
   const int pairs = t.rows * t.heads;
   const std::int32_t max_len =
@@ -258,12 +306,12 @@ void AttnTileScalar(const AttnTile& t) {
         const float* q = pair_q(pr);
         float acc = 0.0f;
         for (std::size_t i = 0; i < t.d; ++i) acc += q[i] * e[i];
-        t.scores[static_cast<std::size_t>(pr) * t.ld_scores + j] =
+        t.scores[j * t.ld_scores + static_cast<std::size_t>(pr)] =
             acc * t.scale;
       }
     }
   }
-  simd_detail::AttnTileSoftmax(t);
+  AttnTileSoftmaxScalar(t);
   for (int pr = 0; pr < pairs; ++pr) {
     float* acc = t.out + static_cast<std::size_t>(pr) * t.ld_out + 2;
     std::fill(acc, acc + t.d, 0.0f);
@@ -276,11 +324,22 @@ void AttnTileScalar(const AttnTile& t) {
       for (int pr = 0; pr < pairs; ++pr) {
         if (!in_range(pr, j)) continue;
         const float p =
-            t.scores[static_cast<std::size_t>(pr) * t.ld_scores + j];
+            t.scores[j * t.ld_scores + static_cast<std::size_t>(pr)];
         float* acc = t.out + static_cast<std::size_t>(pr) * t.ld_out + 2;
         for (std::size_t i = 0; i < t.d; ++i) acc[i] += p * e[i];
       }
     }
+  }
+}
+
+void ExpF32Scalar(const float* x, float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = ExpF32(x[i]);
+}
+
+void SiluMulScalar(float* gate, const float* up, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float g = gate[i] / (1.0f + ExpF32(-gate[i]));
+    gate[i] = g * up[i];
   }
 }
 
@@ -296,6 +355,8 @@ constexpr SimdOps kScalarOps = {
     .softmax_accum_f16 = SoftmaxAccumF16Scalar,
     .gemm_tile = GemmTileScalar,
     .attn_tile = AttnTileScalar,
+    .exp_f32 = ExpF32Scalar,
+    .silu_mul = SiluMulScalar,
     .pcg_uniform_pairs = nullptr,
     .box_muller_f32 = nullptr,
 };
@@ -423,59 +484,5 @@ SimdLevel SetSimdLevel(SimdLevel level) {
   g_ops.store(OpsFor(level), std::memory_order_release);
   return prev;
 }
-
-namespace simd_detail {
-
-void AttnTileSoftmax(const AttnTile& t) {
-  constexpr int kMaxPairs = kAttnTileRows * kAttnTileHeads;
-  const int pairs = t.rows * t.heads;
-  float* sc[kMaxPairs];
-  std::int32_t len[kMaxPairs];
-  float m[kMaxPairs];
-  float s[kMaxPairs];
-  float run_sum[kMaxPairs];
-  std::int32_t max_len = 0;
-  for (int p = 0; p < pairs; ++p) {
-    sc[p] = t.scores + static_cast<std::size_t>(p) * t.ld_scores;
-    len[p] = t.row_len[p / t.heads];
-    m[p] = -INFINITY;
-    s[p] = 0.0f;
-    max_len = std::max(max_len, len[p]);
-  }
-  // Each pair's max in ascending order; the pairs interleave so their
-  // dependency chains overlap.
-  for (std::int32_t j = 0; j < max_len; ++j) {
-    for (int p = 0; p < pairs; ++p) {
-      if (j < len[p]) m[p] = std::max(m[p], sc[p][j]);
-    }
-  }
-  // p = exp(score − m) in place, the subtraction in a pass of its own so
-  // no float stays live across the libm calls.
-  for (int p = 0; p < pairs; ++p) {
-    for (std::int32_t j = 0; j < len[p]; ++j) sc[p][j] -= m[p];
-    for (std::int32_t j = 0; j < len[p]; ++j) sc[p][j] = std::exp(sc[p][j]);
-  }
-  // One ascending sum per page run, folded into s after the run — the
-  // grouping softmax_accum_f16's per-run return value gives the per-row
-  // kernel (one running sum across runs would round differently).
-  std::int32_t j = 0;
-  for (int ri = 0; ri < t.n_runs && j < max_len; ++ri) {
-    const std::int32_t end = std::min(max_len, j + t.runs[ri].len);
-    std::fill(run_sum, run_sum + pairs, 0.0f);
-    for (; j < end; ++j) {
-      for (int p = 0; p < pairs; ++p) {
-        if (j < len[p]) run_sum[p] += sc[p][j];
-      }
-    }
-    for (int p = 0; p < pairs; ++p) s[p] += run_sum[p];
-  }
-  for (int p = 0; p < pairs; ++p) {
-    float* slot = t.out + static_cast<std::size_t>(p) * t.ld_out;
-    slot[0] = m[p];
-    slot[1] = s[p];
-  }
-}
-
-}  // namespace simd_detail
 
 }  // namespace punica

@@ -2,7 +2,8 @@
 //
 // Three implementations of one small ops table (SimdOps):
 //  * scalar  — portable C++, compiled everywhere. Bit-identical to the
-//              pre-vectorization kernels (same per-element operation order).
+//              pre-vectorization kernels (same per-element operation order),
+//              except that every exp is ExpF32 rather than libm's.
 //  * avx2    — AVX2+FMA+F16C, 256-bit lanes (src/tensor/simd_avx2.cc).
 //  * avx512  — AVX-512 F/BW/VL, 512-bit lanes (src/tensor/simd_avx512.cc).
 // The vector TUs are compiled only when CMake is configured with
@@ -27,7 +28,9 @@
 // score keeps that sequence. Cross-path numerics: f16<->f32 conversions
 // are bit-identical (F16C, AVX-512 and the scalar code all round to
 // nearest even), and so is every weight decode gemm_tile performs (an
-// int8/int4 code times an f16 scale is exact in f32). gemm_tile and the
+// int8/int4 code times an f16 scale is exact in f32), and so is exp
+// (ExpF32, tensor/simd_exp.h: one fixed fma sequence run lane by lane), so
+// exp_f32 and silu_mul match across paths bit for bit. gemm_tile and the
 // attention ops differ from scalar by FMA contraction only (the multiply
 // is not rounded separately), plus dot_f16's fixed 8- or 16-lane
 // accumulator reduction — bounded, documented in README "Performance", and
@@ -104,8 +107,10 @@ struct AttnTile {
   std::size_t stride = 0;
   const std::int32_t* row_len = nullptr;  ///< per row, 1..Σ run lengths
   float scale = 1.0f;
-  float* scores = nullptr;   ///< scratch: pair (r, t) at scores +
-  std::size_t ld_scores = 0; ///< (r·heads + t)·ld_scores, ≥ row_len[r]
+  float* scores = nullptr;   ///< scratch, position-major: pair i = r·heads
+  std::size_t ld_scores = 0; ///< + t at position j is scores[j·ld_scores
+                             ///< + i]; ld_scores is a power of two
+                             ///< ≥ rows·heads
   float* out = nullptr;      ///< pair (r, t) partial {m, s, acc[0..d)} at
   std::size_t ld_out = 0;    ///< out + (r·heads + t)·ld_out
 };
@@ -149,7 +154,7 @@ struct SimdOps {
                         float* scores);
   /// The post-max softmax·V pass over one run: for ascending j,
   /// p = exp(scores[j] − m); acc[0..d) += p · decode(v[j·stride .. +d)).
-  /// Returns Σ p. exp is scalar libm on every path.
+  /// Returns Σ p. exp is ExpF32 (tensor/simd_exp.h) on every path.
   float (*softmax_accum_f16)(const float* scores, float m, const f16* v,
                              std::size_t stride, std::size_t d,
                              std::size_t n_pos, float* acc);
@@ -175,13 +180,23 @@ struct SimdOps {
   ///  * score j = the level's dot_f16 sequence over (q, K_j), times scale;
   ///  * m = ascending max of the row's scores;
   ///  * per page run (clipped at the row's end): a run sum starts at 0;
-  ///    for ascending j, p = exp(score_j − m) (scalar libm),
+  ///    for ascending j, p = exp(score_j − m) (ExpF32),
   ///    acc = fma(p, V_j, acc) (scalar: acc + p·V_j, product rounded), and
   ///    the run sum adds p; then s += run sum (s and acc start at 0).
   /// The vector paths decode each K and V entry once per tile and hold a
-  /// register group of pairs' dot and V accumulators across the block, so
-  /// the tile shape never changes a partial.
+  /// register group of pairs' dot and V accumulators across the block;
+  /// the softmax runs lane-wise over the pairs of one position (scores are
+  /// position-major), each lane keeping its pair's sequence. So the tile
+  /// shape never changes a partial.
   void (*attn_tile)(const AttnTile& tile);
+
+  /// y[0..n) = ExpF32(x[0..n)) — lane-wise on the vector paths, so the
+  /// bits are the same at every level. x and y may be the same array.
+  void (*exp_f32)(const float* x, float* y, std::size_t n);
+  /// gate[i] = gate[i] / (1 + ExpF32(−gate[i])) · up[i] — SiLU(gate)·up,
+  /// the division and the multiply each rounded; the same bits at every
+  /// level.
+  void (*silu_mul)(float* gate, const float* up, std::size_t n);
 
   // The synthetic-weight draw behind FillGaussianF16, in vector lanes.
   // nullptr on the scalar table: the fill there is the libm loop itself —
@@ -249,12 +264,6 @@ namespace simd_detail {
 /// default).
 const SimdOps* Avx2OpsOrNull();
 const SimdOps* Avx512OpsOrNull();
-
-/// attn_tile's softmax pass, one scalar body shared by every level (in the
-/// portable TU): each pair's block max m, then its scores replaced in
-/// place by p = exp(score − m), summed per page run into s; writes {m, s}
-/// to each pair's partial slot.
-void AttnTileSoftmax(const AttnTile& tile);
 }  // namespace simd_detail
 
 }  // namespace punica

@@ -22,9 +22,11 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "tensor/quant.h"
+#include "tensor/simd_exp.h"
 #include "tensor/simd_gaussian.h"
 
 namespace punica {
@@ -71,6 +73,49 @@ void AxpyF16Avx(float a, const f16* x, float* y, std::size_t n) {
     _mm256_storeu_ps(y + i, _mm256_fmadd_ps(va, vx, vy));
   }
   for (; i < n; ++i) y[i] = std::fma(a, x[i].ToFloat(), y[i]);
+}
+
+/// ExpF32 in 8 lanes: the same fma sequence (tensor/simd_exp.h).
+inline __m256 Exp8(__m256 x) {
+  typedef std::int32_t I __attribute__((vector_size(32)));
+  return exp_detail::ExpLanes<__m256, I>(
+      x, [](__m256 a, __m256 b, __m256 c) { return _mm256_fmadd_ps(a, b, c); });
+}
+
+/// All-ones in lanes [0, n), n ≤ 8 — a maskload/maskstore mask.
+inline __m256i FirstLanes(std::size_t n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+void ExpF32Avx(const float* x, float* y, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, Exp8(_mm256_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    const __m256i k = FirstLanes(n - i);
+    _mm256_maskstore_ps(y + i, k, Exp8(_mm256_maskload_ps(x + i, k)));
+  }
+}
+
+inline __m256 SiluMul8(__m256 g, __m256 u) {
+  return _mm256_mul_ps(
+      _mm256_div_ps(g, _mm256_add_ps(_mm256_set1_ps(1.0f), Exp8(-g))), u);
+}
+
+void SiluMulAvx(float* gate, const float* up, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(gate + i, SiluMul8(_mm256_loadu_ps(gate + i),
+                                        _mm256_loadu_ps(up + i)));
+  }
+  if (i < n) {
+    const __m256i k = FirstLanes(n - i);
+    _mm256_maskstore_ps(gate + i, k,
+                        SiluMul8(_mm256_maskload_ps(gate + i, k),
+                                 _mm256_maskload_ps(up + i, k)));
+  }
 }
 
 // Fixed-order horizontal reduction: (lo+hi) pairs, then within the 128-bit
@@ -134,7 +179,7 @@ float SoftmaxAccumF16Avx(const float* scores, float m, const f16* v,
       _mm_prefetch(reinterpret_cast<const char*>(v + (j + 2) * stride),
                    _MM_HINT_T0);
     }
-    float p = std::exp(scores[j] - m);
+    float p = ExpF32(scores[j] - m);
     AxpyF16Avx(p, v + j * stride, acc, d);
     sum += p;
   }
@@ -379,15 +424,18 @@ void GemmTileAvx2(const GemmTile& tile) {
 // The AVX-512 tile's structure at 8 lanes. Scores: P pairs (row, head; P a
 // power of two ≤ 4) at 8/P consecutive positions fill 8 dot accumulators
 // (the dot_f16 body: one K decode feeds every pair), which reduce together
-// through a transposed ReduceAdd8 tree. V: one decode of a 16-column V
-// chunk feeds up to 4 pairs' 2-vector accumulator chunks, held in
-// registers across the whole block (the AxpyF16Avx body per element). Rows
-// end at different positions; a group's last few positions run per pair,
-// so no row touches a position past its own end.
+// through a transposed ReduceAdd8 tree into position-major lanes. Softmax:
+// lane i of a vector is pair i of one position, so each pair's max,
+// exp(s − m) and per-run sum are lane-wise ops in its own ascending order.
+// V: one decode of a 16-column V chunk feeds up to 4 pairs' 2-vector
+// accumulator chunks, held in registers across the whole block (the
+// AxpyF16Avx body per element). Rows end at different positions; a
+// group's last few positions run per pair, so no row touches a position
+// past its own end.
 
 struct TilePair {
   const float* q;
-  float* sc;    ///< scores, then p after the softmax pass
+  float* sc;    ///< the pair's score column: position j at sc[j·ld]
   float* slot;  ///< {m, s, acc[d]}
   std::int32_t len;
 };
@@ -414,10 +462,29 @@ inline __m256 ReduceAdd8x8(const __m256* acc) {
                                   _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
 }
 
+/// Lane b·P + p of v to position b, pair p of a group whose first pair's
+/// column starts at sc (positions ld apart).
+template <int P>
+inline void StoreScores(__m256 v, float* sc, std::size_t ld) {
+  if (ld == P) {  // the group is every pair: positions are adjacent
+    _mm256_storeu_ps(sc, v);
+  } else if constexpr (P == 4) {
+    _mm_storeu_ps(sc, _mm256_castps256_ps128(v));
+    _mm_storeu_ps(sc + ld, _mm256_extractf128_ps(v, 1));
+  } else {
+    alignas(32) float lanes[8];
+    _mm256_store_ps(lanes, v);
+    for (int b = 0; b < 8 / P; ++b) {
+      for (int p = 0; p < P; ++p) sc[b * ld + p] = lanes[b * P + p];
+    }
+  }
+}
+
 /// Scores of P pairs at 8/P positions starting at j0, every pair in range.
 template <int P>
 inline void TileScores8(const TilePair* pr, const f16* const* k,
-                        std::size_t d, float scale, std::int32_t j0) {
+                        std::size_t d, float scale, std::size_t ld,
+                        std::int32_t j0) {
   constexpr int kPos = 8 / P;
   __m256 acc[8];
   for (auto& a : acc) a = _mm256_setzero_ps();
@@ -432,15 +499,12 @@ inline void TileScores8(const TilePair* pr, const f16* const* k,
       }
     }
   }
-  alignas(32) float sums[8];
   if (i == d) {
-    _mm256_store_ps(sums,
-                  _mm256_mul_ps(ReduceAdd8x8(acc), _mm256_set1_ps(scale)));
-    for (int b = 0; b < kPos; ++b) {
-      for (int p = 0; p < P; ++p) pr[p].sc[j0 + b] = sums[b * P + p];
-    }
+    StoreScores<P>(_mm256_mul_ps(ReduceAdd8x8(acc), _mm256_set1_ps(scale)),
+                   pr[0].sc + j0 * ld, ld);
     return;
   }
+  alignas(32) float sums[8];
   _mm256_store_ps(sums, ReduceAdd8x8(acc));
   for (int b = 0; b < kPos; ++b) {
     for (int p = 0; p < P; ++p) {
@@ -448,14 +512,14 @@ inline void TileScores8(const TilePair* pr, const f16* const* k,
       for (std::size_t e = i; e < d; ++e) {
         sum = std::fma(pr[p].q[e], k[b][e].ToFloat(), sum);
       }
-      pr[p].sc[j0 + b] = sum * scale;
+      pr[p].sc[(j0 + b) * ld] = sum * scale;
     }
   }
 }
 
 /// One pair's score at position j: the dot_f16 body as is.
 inline void TileScoreAt(const TilePair& pr, const f16* k, std::size_t d,
-                        float scale, std::int32_t j) {
+                        float scale, std::size_t ld, std::int32_t j) {
   __m256 acc = _mm256_setzero_ps();
   std::size_t i = 0;
   for (; i + 8 <= d; i += 8) {
@@ -464,7 +528,7 @@ inline void TileScoreAt(const TilePair& pr, const f16* k, std::size_t d,
   }
   float sum = ReduceAdd8(acc);
   for (; i < d; ++i) sum = std::fma(pr.q[i], k[i].ToFloat(), sum);
-  pr.sc[j] = sum * scale;
+  pr.sc[j * ld] = sum * scale;
 }
 
 /// [lo, hi): the group's shortest and longest row.
@@ -488,18 +552,109 @@ void TileScoresGroup(const AttnTile& t, const TilePair* pr,
     for (int b = kPos; b < 2 * kPos && j + b < hi; ++b) {
       _mm_prefetch(reinterpret_cast<const char*>(kp[j + b]), _MM_HINT_T0);
     }
-    TileScores8<P>(pr, kp + j, t.d, t.scale, j);
+    TileScores8<P>(pr, kp + j, t.d, t.scale, t.ld_scores, j);
   }
   for (; j < hi; ++j) {
     for (int p = 0; p < P; ++p) {
-      if (j < pr[p].len) TileScoreAt(pr[p], kp[j], t.d, t.scale, j);
+      if (j < pr[p].len) {
+        TileScoreAt(pr[p], kp[j], t.d, t.scale, t.ld_scores, j);
+      }
     }
+  }
+}
+
+/// The softmax pass, simd_avx512.cc's at 8 lanes: ld (a power of two
+/// ≥ pairs) splits into 8-lane groups, padding lanes have length 0. Per
+/// pair, in its own ascending order: the block max, one masked max per
+/// position; p = exp(s − m) in place over the dense score block in 8-lane
+/// chunks, each loaded and stored once; per page run, the ascending run
+/// sum of p, folded into s.
+void TileSoftmax(const AttnTile& t) {
+  constexpr int kGroups = kAttnTileRows * kAttnTileHeads / 8;
+  const int pairs = t.rows * t.heads;
+  const int ld = static_cast<int>(t.ld_scores);
+  const int groups = (ld + 7) / 8;
+  alignas(32) std::int32_t len[kGroups * 8] = {};
+  std::int32_t max_len = 0;
+  for (int p = 0; p < pairs; ++p) {
+    len[p] = t.row_len[p / t.heads];
+    max_len = std::max(max_len, len[p]);
+  }
+  const auto valid = [&len](int g, std::int32_t j) {
+    return _mm256_cmpgt_epi32(
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(len + 8 * g)),
+        _mm256_set1_epi32(j));
+  };
+  __m256 m[kGroups];
+  for (int g = 0; g < groups; ++g) m[g] = _mm256_set1_ps(-INFINITY);
+  for (std::int32_t j = 0; j < max_len; ++j) {
+    const float* row = t.scores + j * ld;
+    for (int g = 0; g < groups; ++g) {
+      const __m256i k = valid(g, j);
+      const __m256 v = _mm256_maskload_ps(row + 8 * g, k);
+      m[g] = _mm256_blendv_ps(m[g], _mm256_max_ps(v, m[g]),
+                              _mm256_castsi256_ps(k));
+    }
+  }
+  alignas(32) float mv[kGroups * 8];
+  for (int g = 0; g < groups; ++g) _mm256_store_ps(mv + 8 * g, m[g]);
+
+  // Per chunk phase (ld/8 of them when ld > 8): each lane's m and length,
+  // and its position offset within the chunk.
+  const int phases = std::max(1, ld / 8);
+  const int shift = std::countr_zero(static_cast<unsigned>(ld));
+  alignas(32) float mrep[kGroups * 8];
+  alignas(32) std::int32_t lrep[kGroups * 8];
+  alignas(32) std::int32_t off[8];
+  for (int i = 0; i < 8 * phases; ++i) {
+    mrep[i] = mv[i & (ld - 1)];
+    lrep[i] = len[i & (ld - 1)];
+  }
+  for (int i = 0; i < 8; ++i) off[i] = ld < 8 ? i >> shift : 0;
+  const __m256i voff = _mm256_load_si256(reinterpret_cast<const __m256i*>(off));
+  const int total = max_len * ld;
+  for (int f0 = 0, ph = 0; f0 < total; f0 += 8, ph = (ph + 1) % phases) {
+    const __m256i pos = _mm256_add_epi32(_mm256_set1_epi32(f0 >> shift), voff);
+    const __m256i k = _mm256_cmpgt_epi32(
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(lrep + 8 * ph)),
+        pos);
+    float* chunk = t.scores + f0;
+    const __m256 x = _mm256_maskload_ps(chunk, k);
+    _mm256_maskstore_ps(
+        chunk, k, Exp8(_mm256_sub_ps(x, _mm256_load_ps(mrep + 8 * ph))));
+  }
+
+  __m256 s[kGroups];
+  for (int g = 0; g < groups; ++g) s[g] = _mm256_setzero_ps();
+  std::int32_t j = 0;
+  for (int ri = 0; ri < t.n_runs && j < max_len; ++ri) {
+    const std::int32_t end = std::min(max_len, j + t.runs[ri].len);
+    __m256 run_sum[kGroups];
+    for (int g = 0; g < groups; ++g) run_sum[g] = _mm256_setzero_ps();
+    for (; j < end; ++j) {
+      const float* row = t.scores + j * ld;
+      for (int g = 0; g < groups; ++g) {
+        const __m256i k = valid(g, j);
+        const __m256 p = _mm256_maskload_ps(row + 8 * g, k);
+        run_sum[g] = _mm256_blendv_ps(run_sum[g], _mm256_add_ps(run_sum[g], p),
+                                      _mm256_castsi256_ps(k));
+      }
+    }
+    for (int g = 0; g < groups; ++g) s[g] = _mm256_add_ps(s[g], run_sum[g]);
+  }
+  alignas(32) float sv[kGroups * 8];
+  for (int g = 0; g < groups; ++g) _mm256_store_ps(sv + 8 * g, s[g]);
+  for (int p = 0; p < pairs; ++p) {
+    float* slot = t.out + static_cast<std::size_t>(p) * t.ld_out;
+    slot[0] = mv[p];
+    slot[1] = sv[p];
   }
 }
 
 template <int P, int W>
 void TileAccumChunk(const TilePair* pr, const f16* const* vp,
-                    std::size_t col, std::int32_t lo, std::int32_t hi) {
+                    std::size_t col, std::size_t ld, std::int32_t lo,
+                    std::int32_t hi) {
   __m256 acc[P][W];
   for (int p = 0; p < P; ++p) {
     for (int w = 0; w < W; ++w) acc[p][w] = _mm256_setzero_ps();
@@ -512,7 +667,7 @@ void TileAccumChunk(const TilePair* pr, const f16* const* vp,
     }
     for (int p = 0; p < P; ++p) {
       if (ragged && j >= pr[p].len) continue;
-      const __m256 pj = _mm256_set1_ps(pr[p].sc[j]);
+      const __m256 pj = _mm256_set1_ps(pr[p].sc[j * ld]);
       for (int w = 0; w < W; ++w) {
         acc[p][w] = _mm256_fmadd_ps(pj, vv[w], acc[p][w]);
       }
@@ -533,16 +688,19 @@ void TileAccumGroup(const AttnTile& t, const TilePair* pr,
                     const f16* const* vp) {
   std::int32_t lo, hi;
   GroupSpan<P>(pr, &lo, &hi);
+  const std::size_t ld = t.ld_scores;
   const std::size_t nv = t.d / 8 * 8;
   std::size_t col = 0;
-  for (; col + 16 <= nv; col += 16) TileAccumChunk<P, 2>(pr, vp, col, lo, hi);
-  if (col < nv) TileAccumChunk<P, 1>(pr, vp, col, lo, hi);
+  for (; col + 16 <= nv; col += 16) {
+    TileAccumChunk<P, 2>(pr, vp, col, ld, lo, hi);
+  }
+  if (col < nv) TileAccumChunk<P, 1>(pr, vp, col, ld, lo, hi);
   // Columns past the last full vector: AxpyF16Avx's std::fma tail.
   for (std::size_t e = nv; e < t.d; ++e) {
     for (int p = 0; p < P; ++p) {
       float a = 0.0f;
       for (std::int32_t j = 0; j < pr[p].len; ++j) {
-        a = std::fma(pr[p].sc[j], vp[j][e].ToFloat(), a);
+        a = std::fma(pr[p].sc[j * ld], vp[j][e].ToFloat(), a);
       }
       pr[p].slot[2 + e] = a;
     }
@@ -557,8 +715,8 @@ void AttnTileAvx(const AttnTile& t) {
     const int r = i / t.heads;
     pr[i] = {t.q + static_cast<std::size_t>(r) * t.ldq +
                  static_cast<std::size_t>(i % t.heads) * t.d,
-             t.scores + static_cast<std::size_t>(i) * t.ld_scores,
-             t.out + static_cast<std::size_t>(i) * t.ld_out, t.row_len[r]};
+             t.scores + i, t.out + static_cast<std::size_t>(i) * t.ld_out,
+             t.row_len[r]};
     max_len = std::max(max_len, t.row_len[r]);
   }
   // Entry pointers per block position, for K and V.
@@ -582,7 +740,7 @@ void AttnTileAvx(const AttnTile& t) {
     }
     g += n;
   }
-  simd_detail::AttnTileSoftmax(t);
+  TileSoftmax(t);
   for (int g = 0; g < pairs; g += 4) {
     switch (std::min(4, pairs - g)) {
       case 1: TileAccumGroup<1>(t, pr + g, vp); break;
@@ -623,6 +781,8 @@ constexpr SimdOps kAvx2Ops = {
     .softmax_accum_f16 = SoftmaxAccumF16Avx,
     .gemm_tile = GemmTileAvx2,
     .attn_tile = AttnTileAvx,
+    .exp_f32 = ExpF32Avx,
+    .silu_mul = SiluMulAvx,
     .pcg_uniform_pairs = Avx2Draw::Uniforms,
     .box_muller_f32 = Avx2Draw::BoxMullerF32,
 };

@@ -24,9 +24,11 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "tensor/quant.h"
+#include "tensor/simd_exp.h"
 #include "tensor/simd_gaussian.h"
 
 namespace punica {
@@ -73,6 +75,49 @@ void AxpyF16Avx512(float a, const f16* x, float* y, std::size_t n) {
     _mm512_storeu_ps(y + i, _mm512_fmadd_ps(va, vx, vy));
   }
   for (; i < n; ++i) y[i] = std::fma(a, x[i].ToFloat(), y[i]);
+}
+
+/// ExpF32 in 16 lanes: the same fma sequence (tensor/simd_exp.h).
+inline __m512 Exp16(__m512 x) {
+  typedef std::int32_t I __attribute__((vector_size(64)));
+  return exp_detail::ExpLanes<__m512, I>(
+      x, [](__m512 a, __m512 b, __m512 c) { return _mm512_fmadd_ps(a, b, c); });
+}
+
+/// Lanes [0, n) of a 16-lane vector, n ≤ 16.
+inline __mmask16 FirstLanes(std::size_t n) {
+  return static_cast<__mmask16>((1u << n) - 1);
+}
+
+void ExpF32Avx512(const float* x, float* y, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(y + i, Exp16(_mm512_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    const __mmask16 k = FirstLanes(n - i);
+    _mm512_mask_storeu_ps(y + i, k, Exp16(_mm512_maskz_loadu_ps(k, x + i)));
+  }
+}
+
+inline __m512 SiluMul16(__m512 g, __m512 u) {
+  const __m512 e = Exp16(-g);
+  return _mm512_mul_ps(_mm512_div_ps(g, _mm512_add_ps(_mm512_set1_ps(1.0f), e)),
+                       u);
+}
+
+void SiluMulAvx512(float* gate, const float* up, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(gate + i, SiluMul16(_mm512_loadu_ps(gate + i),
+                                         _mm512_loadu_ps(up + i)));
+  }
+  if (i < n) {
+    const __mmask16 k = FirstLanes(n - i);
+    _mm512_mask_storeu_ps(gate + i, k,
+                          SiluMul16(_mm512_maskz_loadu_ps(k, gate + i),
+                                    _mm512_maskz_loadu_ps(k, up + i)));
+  }
 }
 
 // Fixed-order horizontal reduction, matching the avx2 path's final 128-bit
@@ -138,7 +183,7 @@ float SoftmaxAccumF16Avx512(const float* scores, float m, const f16* v,
       _mm_prefetch(reinterpret_cast<const char*>(v + (j + 2) * stride),
                    _MM_HINT_T0);
     }
-    float p = std::exp(scores[j] - m);
+    float p = ExpF32(scores[j] - m);
     AxpyF16Avx512(p, v + j * stride, acc, d);
     sum += p;
   }
@@ -383,7 +428,11 @@ void GemmTileAvx512(const GemmTile& t) {
 // Scores: P pairs (row, head; P a power of two ≤ 8) at 16/P consecutive
 // positions fill 16 dot accumulators (the dot_f16 body: one K decode feeds
 // every pair), which reduce together through a transposed ReduceAdd16
-// tree. V: one decode of a 32-column V chunk feeds up to 8 pairs' 2-vector
+// tree; the result is already position-major, so it stores as one vector
+// (or P-lane pieces when the group is not all of the tile's pairs).
+// Softmax: lane i of a vector is pair i of one position, so each pair's
+// max, exp(s − m) and per-run sum are lane-wise ops in its own ascending
+// order. V: one decode of a 32-column V chunk feeds up to 8 pairs' 2-vector
 // accumulator chunks, held in registers across the whole block (the
 // AxpyF16Avx512 body per element). Rows end at different positions; a
 // group's last few positions run per pair, so no row touches a position
@@ -391,7 +440,7 @@ void GemmTileAvx512(const GemmTile& t) {
 
 struct TilePair {
   const float* q;
-  float* sc;    ///< scores, then p after the softmax pass
+  float* sc;    ///< the pair's score column: position j at sc[j·ld]
   float* slot;  ///< {m, s, acc[d]}
   std::int32_t len;
 };
@@ -424,10 +473,35 @@ inline __m512 ReduceAdd16x16(const __m512* acc) {
   return _mm512_permutexvar_ps(order, f);
 }
 
+/// Lane b·P + p of v to position b, pair p of a group whose first pair's
+/// column starts at sc (positions ld apart).
+template <int P>
+inline void StoreScores(__m512 v, float* sc, std::size_t ld) {
+  if (ld == P) {  // the group is every pair: positions are adjacent
+    _mm512_storeu_ps(sc, v);
+  } else if constexpr (P == 8) {
+    _mm256_storeu_ps(sc, _mm512_castps512_ps256(v));
+    _mm256_storeu_ps(sc + ld, _mm256_castpd_ps(_mm512_extractf64x4_pd(
+                                  _mm512_castps_pd(v), 1)));
+  } else if constexpr (P == 4) {
+    _mm_storeu_ps(sc, _mm512_castps512_ps128(v));
+    _mm_storeu_ps(sc + ld, _mm512_extractf32x4_ps(v, 1));
+    _mm_storeu_ps(sc + 2 * ld, _mm512_extractf32x4_ps(v, 2));
+    _mm_storeu_ps(sc + 3 * ld, _mm512_extractf32x4_ps(v, 3));
+  } else {
+    alignas(64) float lanes[16];
+    _mm512_store_ps(lanes, v);
+    for (int b = 0; b < 16 / P; ++b) {
+      for (int p = 0; p < P; ++p) sc[b * ld + p] = lanes[b * P + p];
+    }
+  }
+}
+
 /// Scores of P pairs at 16/P positions starting at j0, every pair in range.
 template <int P>
 inline void TileScores16(const TilePair* pr, const f16* const* k,
-                         std::size_t d, float scale, std::int32_t j0) {
+                         std::size_t d, float scale, std::size_t ld,
+                         std::int32_t j0) {
   constexpr int kPos = 16 / P;
   __m512 acc[16];
   for (auto& a : acc) a = _mm512_setzero_ps();
@@ -442,15 +516,12 @@ inline void TileScores16(const TilePair* pr, const f16* const* k,
       }
     }
   }
-  alignas(64) float sums[16];
   if (i == d) {
-    _mm512_store_ps(sums, _mm512_mul_ps(ReduceAdd16x16(acc),
-                                        _mm512_set1_ps(scale)));
-    for (int b = 0; b < kPos; ++b) {
-      for (int p = 0; p < P; ++p) pr[p].sc[j0 + b] = sums[b * P + p];
-    }
+    StoreScores<P>(_mm512_mul_ps(ReduceAdd16x16(acc), _mm512_set1_ps(scale)),
+                   pr[0].sc + j0 * ld, ld);
     return;
   }
+  alignas(64) float sums[16];
   _mm512_store_ps(sums, ReduceAdd16x16(acc));
   for (int b = 0; b < kPos; ++b) {
     for (int p = 0; p < P; ++p) {
@@ -458,14 +529,14 @@ inline void TileScores16(const TilePair* pr, const f16* const* k,
       for (std::size_t e = i; e < d; ++e) {
         sum = std::fma(pr[p].q[e], k[b][e].ToFloat(), sum);
       }
-      pr[p].sc[j0 + b] = sum * scale;
+      pr[p].sc[(j0 + b) * ld] = sum * scale;
     }
   }
 }
 
 /// One pair's score at position j: the dot_f16 body as is.
 inline void TileScoreAt(const TilePair& pr, const f16* k, std::size_t d,
-                        float scale, std::int32_t j) {
+                        float scale, std::size_t ld, std::int32_t j) {
   __m512 acc = _mm512_setzero_ps();
   std::size_t i = 0;
   for (; i + 16 <= d; i += 16) {
@@ -474,7 +545,7 @@ inline void TileScoreAt(const TilePair& pr, const f16* k, std::size_t d,
   }
   float sum = ReduceAdd16(acc);
   for (; i < d; ++i) sum = std::fma(pr.q[i], k[i].ToFloat(), sum);
-  pr.sc[j] = sum * scale;
+  pr.sc[j * ld] = sum * scale;
 }
 
 /// [lo, hi): the group's shortest and longest row.
@@ -498,18 +569,105 @@ void TileScoresGroup(const AttnTile& t, const TilePair* pr,
     for (int b = kPos; b < 2 * kPos && j + b < hi; ++b) {
       _mm_prefetch(reinterpret_cast<const char*>(kp[j + b]), _MM_HINT_T0);
     }
-    TileScores16<P>(pr, kp + j, t.d, t.scale, j);
+    TileScores16<P>(pr, kp + j, t.d, t.scale, t.ld_scores, j);
   }
   for (; j < hi; ++j) {
     for (int p = 0; p < P; ++p) {
-      if (j < pr[p].len) TileScoreAt(pr[p], kp[j], t.d, t.scale, j);
+      if (j < pr[p].len) {
+        TileScoreAt(pr[p], kp[j], t.d, t.scale, t.ld_scores, j);
+      }
     }
+  }
+}
+
+/// The softmax pass. ld (a power of two ≥ pairs) splits into 16-lane
+/// groups, lane i of group g being pair 16g + i; padding lanes have length
+/// 0, so every mask leaves them out. Per pair, in its own ascending order:
+///  1. the block max, one masked max per position;
+///  2. p = exp(s − m) in place, over the dense score block in 16-lane
+///     chunks (a chunk spans 16/ld positions when ld < 16): each chunk is
+///     loaded and stored once, so no load waits on an overlapping store;
+///  3. per page run, the ascending run sum of p, folded into s.
+void TileSoftmax(const AttnTile& t) {
+  const int pairs = t.rows * t.heads;
+  const int ld = static_cast<int>(t.ld_scores);
+  const int groups = (ld + 15) / 16;
+  alignas(64) std::int32_t len[2 * 16] = {};
+  std::int32_t max_len = 0;
+  for (int p = 0; p < pairs; ++p) {
+    len[p] = t.row_len[p / t.heads];
+    max_len = std::max(max_len, len[p]);
+  }
+  __m512i lv[2];
+  __m512 m[2];
+  for (int g = 0; g < groups; ++g) {
+    lv[g] = _mm512_load_si512(len + 16 * g);
+    m[g] = _mm512_set1_ps(-INFINITY);
+  }
+  for (std::int32_t j = 0; j < max_len; ++j) {
+    const float* row = t.scores + j * ld;
+    for (int g = 0; g < groups; ++g) {
+      const __mmask16 k = _mm512_cmpgt_epi32_mask(lv[g], _mm512_set1_epi32(j));
+      m[g] = _mm512_mask_max_ps(m[g], k,
+                                _mm512_maskz_loadu_ps(k, row + 16 * g), m[g]);
+    }
+  }
+  alignas(64) float mv[2 * 16];
+  for (int g = 0; g < groups; ++g) _mm512_store_ps(mv + 16 * g, m[g]);
+
+  // Per chunk phase (ld/16 of them when ld > 16): each lane's m and length,
+  // and its position offset within the chunk.
+  const int phases = std::max(1, ld / 16);
+  const int shift = std::countr_zero(static_cast<unsigned>(ld));
+  alignas(64) float mrep[2 * 16];
+  alignas(64) std::int32_t lrep[2 * 16];
+  alignas(64) std::int32_t off[16];
+  for (int i = 0; i < 16 * phases; ++i) {
+    mrep[i] = mv[i & (ld - 1)];
+    lrep[i] = len[i & (ld - 1)];
+  }
+  for (int i = 0; i < 16; ++i) off[i] = ld < 16 ? i >> shift : 0;
+  const __m512i voff = _mm512_load_si512(off);
+  const int total = max_len * ld;
+  for (int f0 = 0, ph = 0; f0 < total; f0 += 16, ph = (ph + 1) % phases) {
+    const __m512i pos = _mm512_add_epi32(_mm512_set1_epi32(f0 >> shift), voff);
+    const __mmask16 k =
+        _mm512_cmpgt_epi32_mask(_mm512_load_si512(lrep + 16 * ph), pos);
+    float* chunk = t.scores + f0;
+    const __m512 x = _mm512_maskz_loadu_ps(k, chunk);
+    _mm512_mask_storeu_ps(
+        chunk, k, Exp16(_mm512_sub_ps(x, _mm512_load_ps(mrep + 16 * ph))));
+  }
+
+  __m512 s[2] = {_mm512_setzero_ps(), _mm512_setzero_ps()};
+  std::int32_t j = 0;
+  for (int ri = 0; ri < t.n_runs && j < max_len; ++ri) {
+    const std::int32_t end = std::min(max_len, j + t.runs[ri].len);
+    __m512 run_sum[2] = {_mm512_setzero_ps(), _mm512_setzero_ps()};
+    for (; j < end; ++j) {
+      const float* row = t.scores + j * ld;
+      for (int g = 0; g < groups; ++g) {
+        const __mmask16 k =
+            _mm512_cmpgt_epi32_mask(lv[g], _mm512_set1_epi32(j));
+        run_sum[g] = _mm512_mask_add_ps(run_sum[g], k, run_sum[g],
+                                        _mm512_maskz_loadu_ps(k, row + 16 * g));
+      }
+    }
+    for (int g = 0; g < groups; ++g) s[g] = _mm512_add_ps(s[g], run_sum[g]);
+  }
+  alignas(64) float sv[2 * 16];
+  for (int g = 0; g < groups; ++g) _mm512_store_ps(sv + 16 * g, s[g]);
+  for (int p = 0; p < pairs; ++p) {
+    float* slot = t.out + static_cast<std::size_t>(p) * t.ld_out;
+    slot[0] = mv[p];
+    slot[1] = sv[p];
   }
 }
 
 template <int P, int W>
 void TileAccumChunk(const TilePair* pr, const f16* const* vp,
-                    std::size_t col, std::int32_t lo, std::int32_t hi) {
+                    std::size_t col, std::size_t ld, std::int32_t lo,
+                    std::int32_t hi) {
   __m512 acc[P][W];
   for (int p = 0; p < P; ++p) {
     for (int w = 0; w < W; ++w) acc[p][w] = _mm512_setzero_ps();
@@ -522,7 +680,7 @@ void TileAccumChunk(const TilePair* pr, const f16* const* vp,
     }
     for (int p = 0; p < P; ++p) {
       if (ragged && j >= pr[p].len) continue;
-      const __m512 pj = _mm512_set1_ps(pr[p].sc[j]);
+      const __m512 pj = _mm512_set1_ps(pr[p].sc[j * ld]);
       for (int w = 0; w < W; ++w) {
         acc[p][w] = _mm512_fmadd_ps(pj, vv[w], acc[p][w]);
       }
@@ -543,16 +701,19 @@ void TileAccumGroup(const AttnTile& t, const TilePair* pr,
                     const f16* const* vp) {
   std::int32_t lo, hi;
   GroupSpan<P>(pr, &lo, &hi);
+  const std::size_t ld = t.ld_scores;
   const std::size_t nv = t.d / 16 * 16;
   std::size_t col = 0;
-  for (; col + 32 <= nv; col += 32) TileAccumChunk<P, 2>(pr, vp, col, lo, hi);
-  if (col < nv) TileAccumChunk<P, 1>(pr, vp, col, lo, hi);
+  for (; col + 32 <= nv; col += 32) {
+    TileAccumChunk<P, 2>(pr, vp, col, ld, lo, hi);
+  }
+  if (col < nv) TileAccumChunk<P, 1>(pr, vp, col, ld, lo, hi);
   // Columns past the last full vector: AxpyF16Avx512's std::fma tail.
   for (std::size_t e = nv; e < t.d; ++e) {
     for (int p = 0; p < P; ++p) {
       float a = 0.0f;
       for (std::int32_t j = 0; j < pr[p].len; ++j) {
-        a = std::fma(pr[p].sc[j], vp[j][e].ToFloat(), a);
+        a = std::fma(pr[p].sc[j * ld], vp[j][e].ToFloat(), a);
       }
       pr[p].slot[2 + e] = a;
     }
@@ -567,8 +728,8 @@ void AttnTileAvx512(const AttnTile& t) {
     const int r = i / t.heads;
     pr[i] = {t.q + static_cast<std::size_t>(r) * t.ldq +
                  static_cast<std::size_t>(i % t.heads) * t.d,
-             t.scores + static_cast<std::size_t>(i) * t.ld_scores,
-             t.out + static_cast<std::size_t>(i) * t.ld_out, t.row_len[r]};
+             t.scores + i, t.out + static_cast<std::size_t>(i) * t.ld_out,
+             t.row_len[r]};
     max_len = std::max(max_len, t.row_len[r]);
   }
   // Entry pointers per block position, for K and V.
@@ -593,7 +754,7 @@ void AttnTileAvx512(const AttnTile& t) {
     }
     g += n;
   }
-  simd_detail::AttnTileSoftmax(t);
+  TileSoftmax(t);
   for (int g = 0; g < pairs; g += 8) {
     switch (std::min(8, pairs - g)) {
       case 1: TileAccumGroup<1>(t, pr + g, vp); break;
@@ -639,6 +800,8 @@ constexpr SimdOps kAvx512Ops = {
     .softmax_accum_f16 = SoftmaxAccumF16Avx512,
     .gemm_tile = GemmTileAvx512,
     .attn_tile = AttnTileAvx512,
+    .exp_f32 = ExpF32Avx512,
+    .silu_mul = SiluMulAvx512,
     .pcg_uniform_pairs = Avx512Draw::Uniforms,
     .box_muller_f32 = Avx512Draw::BoxMullerF32,
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -23,6 +24,34 @@ thread_local int t_task_group = -1;
 
 // Partition arity ceiling; matches ComputeContext::kMaxThreads.
 constexpr int kMaxPartition = 256;
+
+// How long a thread about to wait — a worker for its next job or task, a
+// poster for its join — polls the state it waits on before parking on the
+// condvar. A layer forward is a chain of fork/joins a few µs to a few ms
+// apart; a futex sleep and wake-up costs tens of µs (far more on a loaded
+// VM), so polling across the short gaps keeps every hand-off off the
+// scheduler while an idle pool still parks within this budget. Polling
+// only decides when to take the lock: each wait still checks its predicate
+// under the mutex and parks on the condvar, the one correctness path.
+constexpr auto kSpinBudget = std::chrono::microseconds(50);
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Polls ready() with pause hints until it holds or kSpinBudget elapses.
+template <typename Ready>
+void SpinUntil(Ready ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  for (unsigned i = 1; !ready(); ++i) {
+    CpuRelax();
+    if (i % 16 == 0 && std::chrono::steady_clock::now() >= deadline) return;
+  }
+}
 
 // Runs fn(group) on the current thread with the task thread-locals pinned,
 // so nested ParallelFors stay inside `group`. Used for the caller-run group
@@ -56,11 +85,16 @@ struct ThreadPool::Group {
   std::int64_t n = 0;
   std::atomic<std::int64_t> next{0};  ///< next chunk to claim
   std::atomic<std::int64_t> done{0};  ///< chunks completed
-  int active = 0;                     ///< members inside the current job
+  /// Members inside the current job; written under `mutex`, atomic so a
+  /// poster can poll it before locking.
+  std::atomic<int> active{0};
   // The pending group task (leader-only; groups 1..k-1).
   std::uint64_t task_epoch = 0;
   ThreadPool::TaskFn task_fn = nullptr;
   void* task_arg = nullptr;
+  /// Bumped under `mutex` with every change a member waits for (a job, a
+  /// task, a repartition, stop): what a member polls before parking.
+  std::atomic<std::uint64_t> posts{0};
 };
 
 struct ThreadPool::State {
@@ -119,7 +153,10 @@ ThreadPool::~ThreadPool() {
   State& s = *state_;
   s.stop.store(true);
   for (auto& g : s.groups) {
-    { std::lock_guard<std::mutex> lock(g->mutex); }
+    {
+      std::lock_guard<std::mutex> lock(g->mutex);
+      g->posts.fetch_add(1, std::memory_order_release);
+    }
     g->cv_work.notify_all();
   }
   for (auto& w : workers_) w.join();
@@ -155,12 +192,16 @@ void ThreadPool::WorkerMain(int worker_index) {
     s.cv_part.notify_all();
     std::uint64_t seen = 0;
     std::uint64_t task_seen = 0;
+    std::uint64_t posts_seen = grp->posts.load(std::memory_order_acquire);
     for (;;) {
       RangeFn fn = nullptr;
       void* arg = nullptr;
       std::int64_t num_chunks = 0, chunk = 0, n = 0;
       TaskFn task_fn = nullptr;
       void* task_arg = nullptr;
+      SpinUntil([&] {
+        return grp->posts.load(std::memory_order_acquire) != posts_seen;
+      });
       {
         std::unique_lock<std::mutex> lock(grp->mutex);
         grp->cv_work.wait(lock, [&] {
@@ -168,6 +209,7 @@ void ThreadPool::WorkerMain(int worker_index) {
                  grp->epoch != seen ||
                  (is_leader && grp->task_epoch != task_seen);
         });
+        posts_seen = grp->posts.load(std::memory_order_relaxed);
         if (s.stop.load()) return;
         if (s.version.load() != ver) break;  // repartitioned: re-adopt
         if (is_leader && grp->task_epoch != task_seen) {
@@ -193,6 +235,7 @@ void ThreadPool::WorkerMain(int worker_index) {
           // for a new job. The next task post happens-after the signal.
           std::lock_guard<std::mutex> lock(grp->mutex);
           seen = grp->epoch;
+          posts_seen = grp->posts.load(std::memory_order_relaxed);
         }
         s.tasks_done.fetch_add(1);
         { std::lock_guard<std::mutex> lock(s.task_mutex); }
@@ -212,12 +255,13 @@ void ThreadPool::WorkerMain(int worker_index) {
 void ThreadPool::RunOnGroup(Group& grp, std::int64_t num_chunks,
                             std::int64_t chunk, std::int64_t n, RangeFn fn,
                             void* arg) {
+  // Drain stragglers of the previous job on this group before reusing
+  // the shared counters (a member may still be between its last claim and
+  // --active).
+  SpinUntil([&] { return grp.active.load(std::memory_order_acquire) == 0; });
   {
     std::unique_lock<std::mutex> lock(grp.mutex);
-    // Drain stragglers of the previous job on this group before reusing
-    // the shared counters (a member may still be between its last claim
-    // and --active).
-    grp.cv_done.wait(lock, [&] { return grp.active == 0; });
+    grp.cv_done.wait(lock, [&] { return grp.active.load() == 0; });
     grp.fn = fn;
     grp.fn_arg = arg;
     grp.num_chunks = num_chunks;
@@ -226,11 +270,15 @@ void ThreadPool::RunOnGroup(Group& grp, std::int64_t num_chunks,
     grp.next.store(0);
     grp.done.store(0);
     ++grp.epoch;
+    grp.posts.fetch_add(1, std::memory_order_release);
   }
   grp.cv_work.notify_all();
   // The poster participates, so all chunks complete even if no member ever
   // wakes (width-1 groups, forked children).
   RunChunks(fn, arg, num_chunks, chunk, n, grp.next, grp.done);
+  SpinUntil([&] {
+    return grp.done.load(std::memory_order_acquire) == num_chunks;
+  });
   std::unique_lock<std::mutex> lock(grp.mutex);
   grp.cv_done.wait(lock, [&] { return grp.done.load() == num_chunks; });
 }
@@ -267,6 +315,7 @@ void ThreadPool::PartitionLocked(int num_groups) {
     std::lock_guard<std::mutex> glock(g->mutex);
     g->epoch = 0;
     g->task_epoch = 0;
+    g->posts.fetch_add(1, std::memory_order_release);
   }
   num_groups_.store(num_groups, std::memory_order_release);
   for (auto& g : s.groups) g->cv_work.notify_all();
@@ -295,6 +344,7 @@ void ThreadPool::RunGroupTasksLocked(int num_groups, TaskFn fn, void* arg) {
       grp.task_fn = fn;
       grp.task_arg = arg;
       ++grp.task_epoch;
+      grp.posts.fetch_add(1, std::memory_order_release);
     }
     grp.cv_work.notify_all();
     ++posted;
@@ -304,6 +354,9 @@ void ThreadPool::RunGroupTasksLocked(int num_groups, TaskFn fn, void* arg) {
   RunTaskPinned(this, 0, fn, arg);
   for (int g = real; g < num_groups; ++g) RunTaskPinned(this, g, fn, arg);
   if (posted > 0) {
+    SpinUntil([&] {
+      return s.tasks_done.load(std::memory_order_acquire) == posted;
+    });
     std::unique_lock<std::mutex> lock(s.task_mutex);
     s.cv_tasks_done.wait(lock,
                          [&] { return s.tasks_done.load() == posted; });

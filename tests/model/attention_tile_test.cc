@@ -19,6 +19,7 @@
 
 #include "model/attention.h"
 #include "tensor/simd.h"
+#include "tensor/simd_exp.h"
 #include "util/rng.h"
 
 namespace punica {
@@ -111,8 +112,8 @@ void OracleRowHead(const LlamaConfig& c, const PagedKvCache& kv, SeqId seq,
     }
     // The ascending left fold of block partials.
     const float new_m = std::max(m, bm);
-    const float alpha = std::exp(m - new_m);
-    const float beta = std::exp(bm - new_m);
+    const float alpha = ExpF32(m - new_m);
+    const float beta = ExpF32(bm - new_m);
     for (int i = 0; i < d; ++i) out[i] = out[i] * alpha + beta * acc[i];
     s = s * alpha + beta * bs;
     m = new_m;
@@ -205,9 +206,10 @@ TEST(AttentionTileTest, GqaGroupsHeadSlicesHeadDimsAndSplits) {
   for (SimdLevel level : Levels()) {
     ScopedSimdLevel scoped(level);
     // (head_dim 64, group 2) is the first test's geometry.
+    // Group 8 fills a tile with 4 rows × 8 heads = 32 pairs.
     for (auto [head_dim, group] : {std::pair{64, 1}, std::pair{64, 4},
-                                   std::pair{128, 1}, std::pair{128, 2},
-                                   std::pair{128, 4}}) {
+                                   std::pair{64, 8}, std::pair{128, 1},
+                                   std::pair{128, 2}, std::pair{128, 4}}) {
       const LlamaConfig c = TileConfig(group, head_dim);
       const Cache cache = MakeCache(c, 7, 17 + 129, 23);
       // Rank slices at tp 1/2/4 (at group 4, tp 4 cuts every GQA group in

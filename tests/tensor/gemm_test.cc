@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "tensor/simd.h"
@@ -202,6 +203,24 @@ TEST(GemmTest, RmsNormUnitWeightPreservesDirection) {
   }
 }
 
+TEST(GemmTest, RmsNormRowsMatchRowByRow) {
+  // 19 rows: two interleaved blocks of eight, then three single rows.
+  Pcg32 rng(5);
+  constexpr std::size_t kH = 40;
+  auto x = RandomGaussianVector(19 * kH, 3.0f, rng);
+  std::vector<f16> weight(kH);
+  for (auto& w : weight) w = f16(rng.NextFloat(0.5f, 1.5f));
+  std::vector<float> rows(x.size());
+  RmsNormRows(x, weight, rows, 1e-5f);
+  for (std::size_t r = 0; r < 19; ++r) {
+    float one[kH];
+    RmsNormRow(std::span<const float>(x).subspan(r * kH, kH), weight, one,
+               1e-5f);
+    EXPECT_EQ(std::memcmp(one, rows.data() + r * kH, sizeof one), 0)
+        << "row " << r;
+  }
+}
+
 TEST(GemmTest, RmsNormAppliesWeight) {
   std::vector<float> x = {3.0f, 4.0f};
   std::vector<f16> weight = {f16(2.0f), f16(0.5f)};
@@ -214,7 +233,8 @@ TEST(GemmTest, RmsNormAppliesWeight) {
 
 TEST(GemmTest, SiluKnownValues) {
   std::vector<float> xs = {0.0f, 100.0f, -100.0f, 1.0f};
-  SiluInPlace(xs);
+  const std::vector<float> ones(xs.size(), 1.0f);
+  Simd().silu_mul(xs.data(), ones.data(), xs.size());
   EXPECT_FLOAT_EQ(xs[0], 0.0f);
   EXPECT_NEAR(xs[1], 100.0f, 1e-3f);   // sigmoid → 1
   EXPECT_NEAR(xs[2], 0.0f, 1e-3f);     // sigmoid → 0

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <numeric>
@@ -250,6 +251,81 @@ TEST(ThreadPoolGroupTest, Width1PoolRunsEverythingSerially) {
     });
   });
   for (int g = 0; g < 4; ++g) EXPECT_EQ(ran[g], 10);
+}
+
+// Spin-then-park hand-offs: a waiting worker or poster polls for a short
+// budget before parking on its condvar. Back-to-back regions hand off while
+// the other side is still polling; regions with a sleep between them (far
+// past the budget) hand off to parked threads. Both must cover every index
+// exactly once.
+void ExpectRegionCovers(ThreadPool& pool, std::int64_t n) {
+  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+  pool.ParallelFor(n, 1, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      hits[static_cast<std::size_t>(i)].fetch_add(1);
+    }
+  });
+  for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolSpinTest, BackToBackAndSleepSeparatedRegions) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 300; ++round) ExpectRegionCovers(pool, 97);
+  for (int round = 0; round < 20; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ExpectRegionCovers(pool, 97);
+  }
+}
+
+TEST(ThreadPoolSpinTest, GroupTasksBackToBackAndAfterSleeps) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 200; ++round) {
+    if (round % 20 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    std::array<std::atomic<int>, 2> ran{};
+    std::vector<std::atomic<int>> hits(64);
+    pool.RunGroupTasks(2, [&](int g) {
+      ran[static_cast<std::size_t>(g)].fetch_add(1);
+      pool.ParallelFor(32, 1, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) {
+          hits[static_cast<std::size_t>(32 * g + i)].fetch_add(1);
+        }
+      });
+    });
+    ASSERT_EQ(ran[0].load(), 1);
+    ASSERT_EQ(ran[1].load(), 1);
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+    // A root region on the partitioned pool between group task rounds.
+    ExpectRegionCovers(pool, 50);
+  }
+}
+
+TEST(ThreadPoolSpinTest, PartitionWhileWorkersSpin) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 50; ++round) {
+    // The region's members are still polling for the next post when the
+    // repartition lands.
+    ExpectRegionCovers(pool, 40);
+    const int k = 1 + round % 3;
+    pool.Partition(k);
+    EXPECT_EQ(pool.num_groups(), k);
+    std::vector<std::atomic<int>> ran(static_cast<std::size_t>(k));
+    pool.RunGroupTasks(k, [&](int g) {
+      ran[static_cast<std::size_t>(g)].fetch_add(1);
+    });
+    for (const auto& r : ran) ASSERT_EQ(r.load(), 1);
+  }
+}
+
+TEST(ThreadPoolSpinTest, DestructionWhileWorkersSpin) {
+  for (int round = 0; round < 50; ++round) {
+    ThreadPool pool(1 + round % 4);
+    if (round % 2 == 1) pool.Partition(2);
+    // Destroyed right after the join, while the workers poll: it must
+    // neither hang nor leave a worker running.
+    ExpectRegionCovers(pool, 33);
+  }
 }
 
 TEST(ComputeContextTest, SplitViewsPinGroupsAndReportWidths) {
