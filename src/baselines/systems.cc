@@ -5,7 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "runtime/chunking.h"
+#include "runtime/step_planner.h"
 #include "util/check.h"
 #include "util/stats.h"
 
@@ -262,50 +262,49 @@ TextGenResult SimulateContinuous(const SystemTraits& traits,
     }
     PUNICA_CHECK(!working.empty());
 
-    // One invocation: up to prefill_limit prefills + all decodes, the
-    // prefills chunked under the step token budget (a mid-prefill request
-    // resumes at kv_len; a fresh one starts at its prefix hit).
-    std::vector<SimRequest*> prefills;
+    // One invocation through the shared step planner: up to prefill_limit
+    // prefills (FCFS) + all decodes, the prefills chunked under the step
+    // token budget. The working set is in admission order, so a request's
+    // position is both its id and its admission sequence number.
+    std::vector<PlanSlot> slots;
+    for (std::size_t i = 0; i < working.size(); ++i) {
+      slots.push_back({.id = static_cast<std::int64_t>(i),
+                       .admit_seq = i,
+                       .needs_prefill = !working[i].prefilled});
+    }
+    StepPlan plan = PlanStep(
+        slots, {}, cfg.prefill_limit, cfg.max_step_tokens,
+        [&](std::int64_t i) {
+          // A mid-prefill request resumes at kv_len; a fresh one starts at
+          // its prefix hit, resolved at prefill time (a group-mate's
+          // earlier prefill may have registered the prefix since this
+          // request arrived) and committed only when its first chunk runs.
+          const SimRequest& s = working[static_cast<std::size_t>(i)];
+          PlannedPrefill p{.start = s.kv_len,
+                           .total = s.req->prompt_len,
+                           .first_chunk = s.kv_len == 0};
+          if (p.first_chunk && share && s.req->prefix_group >= 0 &&
+              s.req->shared_prefix_len > 0) {
+            auto it = cached.find(s.req->prefix_group);
+            if (it != cached.end()) {
+              p.start = std::min({it->second, s.req->shared_prefix_len,
+                                  s.req->prompt_len - 1});
+            }
+          }
+          return p;
+        });
     std::vector<SimRequest*> decodes;
-    for (auto& s : working) {
-      if (!s.prefilled &&
-          static_cast<int>(prefills.size()) < cfg.prefill_limit) {
-        prefills.push_back(&s);
-      } else if (s.prefilled) {
-        decodes.push_back(&s);
-      }
+    for (std::int64_t i : plan.decode_ids) {
+      decodes.push_back(&working[static_cast<std::size_t>(i)]);
     }
-    // Resolve prefix hits at prefill time (a group-mate's earlier prefill
-    // may have registered the prefix since this request arrived); committed
-    // to the request only when its first chunk actually runs.
-    std::vector<std::int32_t> hits(prefills.size(), 0);
-    std::vector<std::int64_t> remaining;
-    for (std::size_t i = 0; i < prefills.size(); ++i) {
-      SimRequest* s = prefills[i];
-      if (s->kv_len == 0 && share && s->req->prefix_group >= 0 &&
-          s->req->shared_prefix_len > 0) {
-        auto it = cached.find(s->req->prefix_group);
-        if (it != cached.end()) {
-          hits[i] = std::min({it->second, s->req->shared_prefix_len,
-                              s->req->prompt_len - 1});
-        }
-      }
-      std::int64_t start = s->kv_len == 0 ? hits[i] : s->kv_len;
-      remaining.push_back(s->req->prompt_len - start);
-    }
-    std::vector<std::int64_t> chunks = SplitPrefillChunks(
-        remaining, static_cast<std::int64_t>(decodes.size()),
-        cfg.max_step_tokens);
 
     std::vector<PrefillChunkShape> chunk_shapes;
-    for (std::size_t i = 0; i < prefills.size(); ++i) {
-      if (chunks[i] == 0) continue;  // budget-deferred this step
-      std::int64_t start =
-          prefills[i]->kv_len == 0 ? hits[i] : prefills[i]->kv_len;
+    for (const PlannedPrefill& p : plan.prefills) {
+      if (p.chunk == 0) continue;  // budget-deferred this step
       chunk_shapes.push_back(
-          {.chunk = static_cast<std::int32_t>(chunks[i]),
-           .kv_len = start + chunks[i],
-           .lora = prefills[i]->req->lora_id});
+          {.chunk = static_cast<std::int32_t>(p.chunk),
+           .kv_len = p.start + p.chunk,
+           .lora = working[static_cast<std::size_t>(p.id)].req->lora_id});
     }
     StepShape shape = MakeShape(traits, cfg, chunk_shapes, decodes);
     t += SystemStepLatency(traits, model, cm, shape);
@@ -314,17 +313,15 @@ TextGenResult SimulateContinuous(const SystemTraits& traits,
       decode_batch.Add(static_cast<double>(decodes.size()));
     }
 
-    for (std::size_t i = 0; i < prefills.size(); ++i) {
-      if (chunks[i] == 0) continue;
-      SimRequest& s = *prefills[i];
-      bool first_chunk = s.kv_len == 0;
-      if (first_chunk) {
-        s.prefix_hit = hits[i];
+    for (const PlannedPrefill& p : plan.prefills) {
+      if (p.chunk == 0) continue;
+      SimRequest& s = working[static_cast<std::size_t>(p.id)];
+      if (p.first_chunk) {
+        s.prefix_hit = static_cast<std::int32_t>(p.start);
         result.prefill_tokens_saved += s.prefix_hit;
       }
-      std::int64_t start = first_chunk ? hits[i] : s.kv_len;
-      s.kv_len = start + chunks[i];
-      result.prefill_tokens += chunks[i];
+      s.kv_len = p.start + p.chunk;
+      result.prefill_tokens += p.chunk;
       if (s.kv_len < s.req->prompt_len) continue;  // mid-prefill
       s.prefilled = true;
       s.generated = 1;

@@ -61,9 +61,9 @@ struct TextGenConfig {
   bool prefix_cache = false;  ///< shared-prefix reuse on capable systems
   /// Chunked-prefill step token budget (0 = unlimited) on continuous
   /// systems: decodes always all run; pending prefills consume what
-  /// remains of the budget FCFS as chunks (runtime/chunking.h — the same
-  /// split the Engine and GpuRunner step with). Bounds the decode stall a
-  /// long prompt can inject.
+  /// remains of the budget FCFS as chunks (runtime/step_planner.h — the
+  /// same planner the Engine and GpuRunner step with). Bounds the decode
+  /// stall a long prompt can inject.
   std::int64_t max_step_tokens = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <tuple>
 #include <unordered_map>
 
-#include "runtime/chunking.h"
 #include "util/check.h"
 
 namespace punica {
@@ -64,7 +63,6 @@ std::int64_t Engine::Admit(Slot slot, std::vector<std::int32_t> generated) {
   PUNICA_CHECK_MSG(CanAdmit(), "working set full; queue at the caller");
   PUNICA_CHECK(!slot.prompt.empty());
   slot.seq = kv_.CreateSequence();
-  slot.admit_seq = next_admit_seq_++;
   std::int64_t id = next_id_++;
   outputs_[id] = std::move(generated);
   active_.emplace(id, std::move(slot));
@@ -192,77 +190,44 @@ bool Engine::IsDone(const Slot& slot,
          out.back() == slot.eos_token;
 }
 
-Engine::StepPlan Engine::PlanStep(
-    const std::vector<std::int64_t>* exclude,
-    std::map<std::int64_t, ChainMatch>* hit_memo) const {
-  auto excluded = [&](std::int64_t id) {
-    return exclude != nullptr &&
-           std::find(exclude->begin(), exclude->end(), id) != exclude->end();
-  };
-  StepPlan plan;
-  std::vector<std::int64_t> prefill_ids;
+std::vector<PlanSlot> Engine::PlanSlots() const {
+  std::vector<PlanSlot> slots;
+  slots.reserve(active_.size());
   for (const auto& [id, slot] : active_) {
-    if (excluded(id)) continue;
-    if (slot.needs_prefill) {
-      prefill_ids.push_back(id);
-    } else {
-      plan.decode_ids.push_back(id);
-    }
+    slots.push_back({.id = id,
+                     .admit_seq = static_cast<std::uint64_t>(id),
+                     .needs_prefill = slot.needs_prefill});
   }
-  // FCFS by admission, cut to prefill_limit. A mid-prefill slot is by
-  // construction among the oldest pending prefills (it made the cut when
-  // its first chunk ran and the cut is stable), so it keeps its place in
-  // the plan until its final chunk completes.
-  std::sort(prefill_ids.begin(), prefill_ids.end(),
-            [this](std::int64_t a, std::int64_t b) {
-              return active_.at(a).admit_seq < active_.at(b).admit_seq;
-            });
-  if (static_cast<int>(prefill_ids.size()) > config_.prefill_limit) {
-    prefill_ids.resize(static_cast<std::size_t>(config_.prefill_limit));
-  }
-  std::vector<std::int64_t> remaining;
-  for (std::int64_t id : prefill_ids) {
-    const Slot& slot = active_.at(id);
-    PlannedPrefill p;
-    p.id = id;
-    p.total =
-        static_cast<std::int64_t>(slot.prompt.size()) + slot.resume_from;
-    std::int64_t consumed = kv_.SeqLen(slot.seq);
-    p.first_chunk = consumed == 0;
-    if (p.first_chunk) {
-      // The fork the first chunk will take. Pure query; the index cannot
-      // change between this plan and the fork inside the same Step, so
-      // Step reuses the match verbatim instead of repeating the O(chain)
-      // lookup — and the victim loop memoizes it across its replans.
-      bool memoized = false;
-      if (hit_memo != nullptr) {
-        auto it = hit_memo->find(id);
-        if (it != hit_memo->end()) {
-          p.hit = it->second;
-          memoized = true;
+  return slots;
+}
+
+StepPlan Engine::Plan(std::span<const PlanSlot> slots,
+                      std::span<const std::int64_t> exclude,
+                      std::map<std::int64_t, ChainMatch>& hits) const {
+  return PlanStep(
+      slots, exclude, config_.prefill_limit, config_.max_step_tokens,
+      [&](std::int64_t id) {
+        const Slot& slot = active_.at(id);
+        PlannedPrefill p{
+            .start = kv_.SeqLen(slot.seq),
+            .total = static_cast<std::int64_t>(slot.prompt.size()) +
+                     slot.resume_from};
+        p.first_chunk = p.start == 0;
+        if (p.first_chunk) {
+          // The fork the first chunk will take. Pure query; the index
+          // cannot change between this plan and the fork inside the same
+          // Step, so Step reuses the match verbatim.
+          auto [it, fresh] = hits.try_emplace(id);
+          if (fresh) {
+            it->second = LookupChain(
+                slot.lora, slot.prompt,
+                std::span(outputs_.at(id))
+                    .first(static_cast<std::size_t>(slot.resume_from)));
+          }
+          p.start = it->second.usable;
         }
-      }
-      if (!memoized) {
-        const auto& out = outputs_.at(id);
-        p.hit = LookupChain(slot.lora, slot.prompt,
-                            std::span<const std::int32_t>(out).first(
-                                static_cast<std::size_t>(slot.resume_from)));
-        if (hit_memo != nullptr) (*hit_memo)[id] = p.hit;
-      }
-      p.start = p.hit.usable;
-    } else {
-      p.start = consumed;
-    }
-    remaining.push_back(p.total - p.start);
-    plan.prefills.push_back(p);
-  }
-  std::vector<std::int64_t> chunks = SplitPrefillChunks(
-      remaining, static_cast<std::int64_t>(plan.decode_ids.size()),
-      config_.max_step_tokens);
-  for (std::size_t i = 0; i < plan.prefills.size(); ++i) {
-    plan.prefills[i].chunk = chunks[i];
-  }
-  return plan;
+        return p;
+      });
 }
 
 std::int32_t Engine::NewPagesFor(std::int64_t target_len,
@@ -270,7 +235,7 @@ std::int32_t Engine::NewPagesFor(std::int64_t target_len,
   // The one pages-for-a-chain-with-hit formula: pages beyond the aliased
   // whole pages, plus one CoW copy when the fork boundary is partial.
   // Admission (CanAdmitPages, PagesNeededForAdmission), the victim
-  // projection (PagesForPlannedPrefill's first-chunk branch) and Step's
+  // projection (PagesDemanded's first-chunk branch) and Step's
   // fork+ExtendOrReclaim must agree on this arithmetic.
   std::int32_t pages = kv_.config().PagesNeeded(target_len) -
                        kv_.config().PagesNeeded(usable);
@@ -278,48 +243,46 @@ std::int32_t Engine::NewPagesFor(std::int64_t target_len,
   return pages;
 }
 
-std::int32_t Engine::PagesForPlannedPrefill(const PlannedPrefill& p) const {
-  if (p.chunk == 0) return 0;
-  if (p.first_chunk) {
-    // The chunk forks the cached prefix at `start` and extends to
+std::int32_t Engine::PagesDemanded(const StepPlan& plan) const {
+  // Growing a `len`-token sequence: new pages past its page table, plus a
+  // CoW copy when it writes into a shared partial tail page (a prompt
+  // boundary aliased by a cache entry). After a chunk has extended the
+  // sequence its tail page is exclusively owned (Extend deep-copies a
+  // shared boundary before growing), but the copy is priced if it weren't.
+  auto growth = [&](SeqId seq, std::int64_t len, std::int64_t tokens) {
+    std::int32_t pages =
+        kv_.config().PagesNeeded(len + tokens) - kv_.SeqPages(seq);
+    if (len % kv_.config().page_size != 0 &&
+        kv_.PageRefCount(seq, kv_.SeqPages(seq) - 1) > 1) {
+      pages += 1;
+    }
+    return pages;
+  };
+  std::int32_t pages = 0;
+  for (const PlannedPrefill& p : plan.prefills) {
+    if (p.chunk == 0) continue;
+    // A first chunk forks the cached prefix at `start` and extends to
     // start+chunk; a partial fork boundary costs a CoW copy.
-    return NewPagesFor(p.start + p.chunk, p.start);
+    pages += p.first_chunk ? NewPagesFor(p.start + p.chunk, p.start)
+                           : growth(active_.at(p.id).seq, p.start, p.chunk);
   }
-  const Slot& slot = active_.at(p.id);
-  std::int32_t pages = kv_.config().PagesNeeded(p.start + p.chunk) -
-                       kv_.SeqPages(slot.seq);
-  // After a chunk has extended the sequence its tail page is exclusively
-  // owned (Extend deep-copies a shared boundary before growing), but price
-  // the CoW copy if it ever weren't.
-  if (p.start % kv_.config().page_size != 0 &&
-      kv_.PageRefCount(slot.seq, kv_.SeqPages(slot.seq) - 1) > 1) {
-    pages += 1;
+  for (std::int64_t id : plan.decode_ids) {
+    SeqId seq = active_.at(id).seq;
+    pages += growth(seq, kv_.SeqLen(seq), 1);
   }
   return pages;
 }
 
-std::int32_t Engine::DecodeGrowthPages(const Slot& slot) const {
-  std::int64_t cur = kv_.SeqLen(slot.seq);
-  std::int32_t pages =
-      kv_.config().PagesNeeded(cur + 1) - kv_.SeqPages(slot.seq);
-  // Copy-on-write: a decode that writes into a shared partial tail page
-  // (the prompt boundary aliased by a cache entry) deep-copies it first.
-  if (cur % kv_.config().page_size != 0 &&
-      kv_.PageRefCount(slot.seq, kv_.SeqPages(slot.seq) - 1) > 1) {
-    pages += 1;
-  }
-  return pages;
-}
-
-std::int32_t Engine::ReclaimableCachePages(std::int64_t exclude_entry) const {
+std::int32_t Engine::ReclaimableCachePages(
+    std::span<const std::int64_t> keep) const {
   // A page returns to the pool when every reference is dropped; evicting
   // all unpinned entries frees exactly the pages whose references all come
-  // from those entries. `exclude_entry` (if ≥ 0) is treated as staying
-  // cached — the admission path uses it so a hit's own entry never doubles
-  // as evictable headroom.
+  // from those entries. Entries in `keep` are treated as staying cached —
+  // admission and the victim query pass the hits they price, so a hit's
+  // own entry never doubles as evictable headroom.
   std::unordered_map<PageId, std::int32_t> entry_refs;
   for (const auto& [id, seq] : prefix_.EvictableEntries()) {
-    if (id == exclude_entry) continue;
+    if (std::find(keep.begin(), keep.end(), id) != keep.end()) continue;
     for (PageId p : kv_.PageTable(seq)) ++entry_refs[p];
   }
   std::int32_t reclaimable = 0;
@@ -384,7 +347,8 @@ bool Engine::CanAdmitPages(LoraId lora,
   // stays cached — so that same entry must not be counted as reclaimable
   // headroom (double-counting admits infeasible requests, which then
   // bounce through the migration path forever).
-  return pages <= kv_.free_pages() + ReclaimableCachePages(cm.entry);
+  return pages <= kv_.free_pages() +
+                      ReclaimableCachePages(std::span(&cm.entry, 1));
 }
 
 PrefixCacheStats Engine::prefix_cache_stats() const {
@@ -398,52 +362,40 @@ PrefixCacheStats Engine::prefix_cache_stats() const {
 }
 
 std::vector<std::int64_t> Engine::SelectEvictionVictims() const {
-  // Project the page demand of the next step exactly as Step() will run it
-  // after the caller cancels the victims: chunk-granular prefill growth
-  // (prefill is NOT atomic — only the next chunk's pages are demanded)
-  // plus one token per decode. Pages reclaimable from the prefix cache
-  // count as free — Step evicts cached prefixes on demand before any
-  // request must migrate. Evicting a victim changes the plan itself (its
-  // budget share is redistributed to the remaining chunks, a pending
-  // prefill may be promoted into the prefill_limit cut), so every eviction
-  // triggers a full replan instead of decrementing a stale demand total —
-  // the projection and the realized step can never disagree.
-  std::vector<std::int64_t> victims;
-  std::map<std::int64_t, ChainMatch> hit_memo;
-  std::int32_t available = AvailablePages();
-  while (true) {
-    StepPlan plan = PlanStep(&victims, &hit_memo);
-    std::int32_t demand = 0;
-    for (const PlannedPrefill& p : plan.prefills) {
-      demand += PagesForPlannedPrefill(p);
-    }
-    for (std::int64_t id : plan.decode_ids) {
-      demand += DecodeGrowthPages(active_.at(id));
-    }
-    if (demand <= available) break;
-
-    // Evict the newest remaining request (max admit_seq), preserving FCFS
-    // (§5.3). A cancel frees the victim's exclusively held pages; shared
-    // pages stay with their other holders (at worst becoming
-    // cache-reclaimable, which this projection conservatively ignores).
-    std::int64_t victim_id = -1;
-    const Slot* victim = nullptr;
-    for (const auto& [id, slot] : active_) {
-      if (std::find(victims.begin(), victims.end(), id) != victims.end()) {
-        continue;
-      }
-      if (victim == nullptr || slot.admit_seq > victim->admit_seq) {
-        victim = &slot;
-        victim_id = id;
-      }
-    }
-    if (victim == nullptr) break;  // nothing left to evict
-    for (std::int32_t i = 0; i < kv_.SeqPages(victim->seq); ++i) {
-      if (kv_.PageRefCount(victim->seq, i) == 1) ++available;
-    }
-    victims.push_back(victim_id);
-  }
-  return victims;
+  // Page-granular accounting for the shared victim loop: a plan demands
+  // its chunks' pages (only the next chunk — prefill is NOT atomic) plus
+  // each decode's growth. Pages reclaimable from the prefix cache count as
+  // headroom — Step evicts cached prefixes on demand before any request
+  // must migrate — except the entries the plan's first chunks fork: Step
+  // pins those, so their pages cannot be reclaimed that step. A cancel
+  // frees the victim's exclusively held pages; shared pages stay with
+  // their other holders (at worst becoming cache-reclaimable, which this
+  // projection conservatively ignores).
+  std::vector<PlanSlot> slots = PlanSlots();
+  std::map<std::int64_t, ChainMatch> hits;
+  return SelectVictims(
+      slots, EvictPolicy::kNewest,
+      [&](std::span<const std::int64_t> exclude) {
+        return Plan(slots, exclude, hits);
+      },
+      [&](const StepPlan& plan) { return PagesDemanded(plan); },
+      [&](const StepPlan& plan) {
+        std::vector<std::int64_t> forked;
+        for (const PlannedPrefill& p : plan.prefills) {
+          if (p.first_chunk && p.chunk > 0) {
+            forked.push_back(hits.at(p.id).entry);
+          }
+        }
+        return kv_.free_pages() + ReclaimableCachePages(forked);
+      },
+      [&](std::int64_t id) {
+        SeqId seq = active_.at(id).seq;
+        std::int32_t pages = 0;
+        for (std::int32_t i = 0; i < kv_.SeqPages(seq); ++i) {
+          if (kv_.PageRefCount(seq, i) == 1) ++pages;
+        }
+        return pages;
+      });
 }
 
 StepResult Engine::Step() {
@@ -453,15 +405,15 @@ StepResult Engine::Step() {
   // The one step plan SelectEvictionVictims projects page demand for:
   // up to prefill_limit prefills (FCFS), chunked by max_step_tokens, plus
   // all decodes. Budget-deferred prefills (chunk 0) sit this step out.
-  StepPlan plan = PlanStep();
+  std::map<std::int64_t, ChainMatch> hits;
+  StepPlan plan = Plan(PlanSlots(), {}, hits);
   struct PrefillWork {
-    std::int64_t id = -1;
     Slot* slot = nullptr;
     PlannedPrefill planned;
   };
   std::vector<PrefillWork> prefills;
   for (const PlannedPrefill& p : plan.prefills) {
-    if (p.chunk > 0) prefills.push_back({p.id, &active_.at(p.id), p});
+    if (p.chunk > 0) prefills.push_back({&active_.at(p.id), p});
   }
   std::vector<std::pair<std::int64_t, Slot*>> decodes;
   for (std::int64_t id : plan.decode_ids) {
@@ -469,19 +421,18 @@ StepResult Engine::Step() {
   }
   if (prefills.empty() && decodes.empty()) return result;
 
-  // Group by LoRA id within each section so SGMV segments are maximal; the
-  // prefill tail and decode head can then share a segment (paper §6). One
-  // ordering definition, two container-shaped adapters.
-  auto slot_order = [](const Slot* a, const Slot* b) {
-    return std::tie(a->lora, a->admit_seq) < std::tie(b->lora, b->admit_seq);
-  };
+  // Group by LoRA id within each section (admission order within a group)
+  // so SGMV segments are maximal; the prefill tail and decode head can then
+  // share a segment (paper §6).
   std::stable_sort(prefills.begin(), prefills.end(),
-                   [&](const PrefillWork& a, const PrefillWork& b) {
-                     return slot_order(a.slot, b.slot);
+                   [](const PrefillWork& a, const PrefillWork& b) {
+                     return std::tie(a.slot->lora, a.planned.id) <
+                            std::tie(b.slot->lora, b.planned.id);
                    });
   std::stable_sort(decodes.begin(), decodes.end(),
-                   [&](const auto& a, const auto& b) {
-                     return slot_order(a.second, b.second);
+                   [](const auto& a, const auto& b) {
+                     return std::tie(a.second->lora, a.first) <
+                            std::tie(b.second->lora, b.first);
                    });
   if (!prefills.empty() && !decodes.empty()) {
     // Rotate decodes so the head shares the last prefill's LoRA when one
@@ -512,8 +463,8 @@ StepResult Engine::Step() {
     Slot* slot = pw.slot;
     ++cache_stats_.lookups;
     // The match resolved at plan time IS the fork taken — nothing touched
-    // the index between PlanStep and here.
-    const ChainMatch& cm = pw.planned.hit;
+    // the index between the plan and here.
+    const ChainMatch& cm = hits.at(pw.planned.id);
     if (cm.entry >= 0) {
       kv_.FreeSequence(slot->seq);
       slot->seq = kv_.ForkFrom(cm.seq, cm.usable);
@@ -567,7 +518,7 @@ StepResult Engine::Step() {
                        .emit_logits = final_chunk});
     // Rows [start, start+chunk) of the chain prompt ⧺ generated[:resume] —
     // indexed in place, no per-chunk chain copy.
-    const auto& out = outputs_.at(pw.id);
+    const auto& out = outputs_.at(pw.planned.id);
     auto prompt_len = static_cast<std::int64_t>(slot->prompt.size());
     for (std::int64_t i = pw.planned.start; i < pw.planned.start + chunk;
          ++i) {
@@ -631,7 +582,7 @@ StepResult Engine::Step() {
     bool final_chunk =
         pw.planned.start + pw.planned.chunk == pw.planned.total;
     if (final_chunk) {
-      apply(pw.id, pw.slot, true);
+      apply(pw.planned.id, pw.slot, true);
     } else {
       ++out_idx;  // skip the non-emitting entry's logits row
       ++result.partial_prefills;

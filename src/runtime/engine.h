@@ -12,7 +12,7 @@
 // request's whole uncached suffix in one invocation — stalling every
 // in-flight decode stream behind a long prompt — Step splits pending
 // prefills into budget-sized chunks that share each invocation with all
-// runnable decodes (runtime/chunking.h holds the split definition shared
+// runnable decodes (runtime/step_planner.h holds the step planner shared
 // with the simulated tier). A chunk attends over all previously written KV
 // via the BatchPrefillAttention pos_offset path; non-final chunks skip the
 // LM head and emit nothing. Page demand, victim projection and mid-prefill
@@ -41,6 +41,7 @@
 #include "kvcache/prefix_index.h"
 #include "model/llama.h"
 #include "runtime/backend.h"
+#include "runtime/step_planner.h"
 #include "runtime/submit_spec.h"
 #include "util/stats.h"
 
@@ -53,7 +54,7 @@ struct EngineConfig {
   /// unchunked behaviour). A step carries at most this many token rows,
   /// decode rows included: decodes always all run, and pending prefills
   /// consume what remains of the budget FCFS as chunks (see
-  /// runtime/chunking.h for the shared split definition). SLO-derivable:
+  /// runtime/step_planner.h for the shared split definition). SLO-derivable:
   /// budget ≈ tolerable inter-token stall / per-token step cost. Chunked
   /// streams are bit-identical to unchunked streams at any budget — only
   /// step boundaries move, never K/V bits or reduction orders.
@@ -167,7 +168,8 @@ class Engine {
   /// `needs_prefill && SeqLen(seq) > 0`: the cache holds the chain's first
   /// SeqLen tokens (cached-prefix alias + computed chunks) and the next
   /// chunk resumes at that position. The prefix-cache hit is resolved and
-  /// forked at the FIRST chunk only.
+  /// forked at the FIRST chunk only. Engine ids are issued in admission
+  /// order, so the id is also the slot's admission sequence number.
   struct Slot {
     LoraId lora = -1;
     std::vector<std::int32_t> prompt;  ///< original prompt
@@ -178,7 +180,6 @@ class Engine {
     std::int32_t resume_from = 0;  ///< generated tokens to re-prefill
     std::int64_t prefix_cached = 0;  ///< chain tokens served by the cache
                                      ///< (resolved at the first chunk)
-    std::uint64_t admit_seq = 0;
   };
 
   struct ChainMatch {
@@ -194,35 +195,19 @@ class Engine {
   std::int64_t Admit(Slot slot, std::vector<std::int32_t> generated);
   bool IsDone(const Slot& slot, const std::vector<std::int32_t>& out) const;
 
-  /// One planned prefill of the next step: resume point, chunk length and
-  /// whether the prefix-cache hit is still unresolved (first chunk). The
-  /// first chunk's index match rides along so Step never repeats the
-  /// O(chain) lookup the plan already did.
-  struct PlannedPrefill {
-    std::int64_t id = -1;
-    std::int64_t start = 0;  ///< chain tokens already in KV (fork boundary
-                             ///< for a first chunk)
-    std::int64_t chunk = 0;  ///< tokens this step (0 = budget-deferred)
-    std::int64_t total = 0;  ///< full re-prefill chain length
-    bool first_chunk = false;
-    ChainMatch hit;          ///< first chunk only: the fork to take
-  };
-  /// The step everyone projects: planned prefills (FCFS, cut to
-  /// prefill_limit, chunked by max_step_tokens) plus every decode. Slots in
-  /// `exclude` (victim simulation) are treated as already evicted.
-  /// `hit_memo` (optional) caches first-chunk index lookups per slot id —
-  /// the victim loop replans repeatedly while the index cannot change, so
-  /// each O(chain) trie walk should run once, not once per candidate.
-  struct StepPlan {
-    std::vector<PlannedPrefill> prefills;
-    std::vector<std::int64_t> decode_ids;
-  };
-  StepPlan PlanStep(const std::vector<std::int64_t>* exclude = nullptr,
-                    std::map<std::int64_t, ChainMatch>* hit_memo =
-                        nullptr) const;
-  /// New pages this step needs for one planned prefill chunk, including the
-  /// fork-boundary CoW copy on a first chunk.
-  std::int32_t PagesForPlannedPrefill(const PlannedPrefill& p) const;
+  /// The working set as the step planner sees it.
+  std::vector<PlanSlot> PlanSlots() const;
+  /// The step everyone projects (runtime/step_planner.h) with the slots in
+  /// `exclude` treated as evicted. `hits` memoizes each first chunk's index
+  /// match by slot id: the victim loop replans while the index cannot
+  /// change, so each O(chain) trie walk runs once, and Step takes exactly
+  /// the fork its plan priced.
+  StepPlan Plan(std::span<const PlanSlot> slots,
+                std::span<const std::int64_t> exclude,
+                std::map<std::int64_t, ChainMatch>& hits) const;
+  /// New pages a plan's step needs: each chunk's growth (with the
+  /// fork-boundary CoW copy on a first chunk) plus each decode's token.
+  std::int32_t PagesDemanded(const StepPlan& plan) const;
 
   /// Extends `seq`, evicting LRU cached prefixes on page exhaustion.
   /// Aborts when the pool is short even with an empty cache — the caller
@@ -237,17 +222,15 @@ class Engine {
   /// Registers the first `n_tokens` of `slot.seq`'s chain in the index.
   void RegisterPrefix(const Slot& slot, std::span<const std::int32_t> chain,
                       std::int64_t n_tokens);
-  /// New pages the next step needs for this slot, including a potential
-  /// copy-on-write of a shared partial tail page.
   /// Pages a chain of `target_len` tokens needs beyond a `usable`-token
   /// aliased prefix (including the partial-boundary CoW copy) — the one
   /// formula admission and Step both price with.
   std::int32_t NewPagesFor(std::int64_t target_len, std::int64_t usable) const;
-  /// New pages the next step needs for one decode slot (one token, plus a
-  /// potential CoW copy of a shared partial tail page).
-  std::int32_t DecodeGrowthPages(const Slot& slot) const;
-  /// `exclude_entry` ≥ 0 is treated as staying cached (admission math).
-  std::int32_t ReclaimableCachePages(std::int64_t exclude_entry = -1) const;
+  /// Pages evicting every unpinned cached prefix would return to the pool;
+  /// the entries in `keep` are treated as staying cached (a hit's own
+  /// entry, which its fork will alias).
+  std::int32_t ReclaimableCachePages(
+      std::span<const std::int64_t> keep = {}) const;
 
   LlamaModel* model_;
   PagedKvCache kv_;
@@ -257,7 +240,6 @@ class Engine {
   std::map<std::int64_t, Slot> active_;
   std::map<std::int64_t, std::vector<std::int32_t>> outputs_;
   std::int64_t next_id_ = 0;
-  std::uint64_t next_admit_seq_ = 0;
 };
 
 }  // namespace punica

@@ -66,7 +66,6 @@ void EngineBackend::Admit(ServingRequest* req, double now) {
   Slot slot;
   slot.req = req;
   slot.engine_id = engine_handle.id();
-  slot.admit_seq = next_admit_seq_++;
   by_engine_id_[slot.engine_id] = req->id;
   slots_.emplace(req->id, slot);
   req->phase = RequestPhase::kAssigned;
@@ -151,13 +150,10 @@ ServingRequest* EngineBackend::Find(std::int64_t request_id) const {
 }
 
 ServingRequest* EngineBackend::NewestRequest() const {
-  const Slot* newest = nullptr;
-  for (const auto& [id, slot] : slots_) {
-    if (newest == nullptr || slot.admit_seq > newest->admit_seq) {
-      newest = &slot;
-    }
-  }
-  return newest == nullptr ? nullptr : newest->req;
+  // The engine's own admission order — the newest-first pick its victim
+  // query makes.
+  if (by_engine_id_.empty()) return nullptr;
+  return slots_.at(by_engine_id_.rbegin()->second).req;
 }
 
 }  // namespace punica

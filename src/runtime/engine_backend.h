@@ -63,15 +63,15 @@ class EngineBackend : public ExecutionBackend {
   struct Slot {
     ServingRequest* req = nullptr;
     std::int64_t engine_id = -1;
-    std::uint64_t admit_seq = 0;
   };
 
   int backend_id_;
   Engine* engine_;
   EngineBackendConfig config_;
-  std::map<std::int64_t, Slot> slots_;            ///< by serving request id
+  std::map<std::int64_t, Slot> slots_;  ///< by serving request id
+  /// Engine id → serving request id. The engine issues ids in admission
+  /// order, so this map iterates oldest to newest admission.
   std::map<std::int64_t, std::int64_t> by_engine_id_;
-  std::uint64_t next_admit_seq_ = 0;
 };
 
 }  // namespace punica

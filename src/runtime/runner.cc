@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "runtime/chunking.h"
 #include "util/check.h"
 
 namespace punica {
@@ -175,106 +174,79 @@ std::optional<double> GpuRunner::NextReadyTime(double now) const {
   return best;
 }
 
-GpuRunner::PlannedStep GpuRunner::PlanStep(
-    double now, const std::vector<std::int64_t>* exclude) const {
-  auto excluded = [&](std::int64_t id) {
-    return exclude != nullptr &&
-           std::find(exclude->begin(), exclude->end(), id) != exclude->end();
-  };
-  PlannedStep plan;
-  std::vector<const Slot*> prefill_candidates;
+namespace {
+
+/// KvCache tokens a plan grows the working set by: each chunk plus one
+/// token per decode.
+std::int64_t KvGrowth(const StepPlan& plan) {
+  std::int64_t tokens = static_cast<std::int64_t>(plan.decode_ids.size());
+  for (const PlannedPrefill& p : plan.prefills) tokens += p.chunk;
+  return tokens;
+}
+
+}  // namespace
+
+std::vector<PlanSlot> GpuRunner::PlanSlots(double now) const {
+  std::vector<PlanSlot> slots;
+  slots.reserve(slots_.size());
   for (const auto& [id, slot] : slots_) {
-    if (excluded(id)) continue;
-    if (slot.lora_ready_time > now + 1e-12) continue;  // adapter in flight
-    if (slot.needs_prefill) {
-      prefill_candidates.push_back(&slot);
-    } else {
-      plan.decodes.push_back(&slot);
-    }
+    slots.push_back({.id = id,
+                     .admit_seq = slot.admit_seq,
+                     .needs_prefill = slot.needs_prefill,
+                     .runnable = slot.lora_ready_time <= now + 1e-12});
   }
-  // Prefill batch limited to prefill_limit per invocation (FCFS by
-  // admission order) to bound the latency penalty on in-flight decodes.
-  std::sort(prefill_candidates.begin(), prefill_candidates.end(),
-            [](const Slot* a, const Slot* b) {
-              return a->admit_seq < b->admit_seq;
-            });
-  if (static_cast<int>(prefill_candidates.size()) > config_.prefill_limit) {
-    prefill_candidates.resize(static_cast<std::size_t>(config_.prefill_limit));
-  }
-  std::vector<std::int64_t> remaining;
-  for (const Slot* s : prefill_candidates) {
-    // A prefix-cache hit prefills (and allocates) only the uncached
-    // suffix; a mid-prefill slot resumes at its consumed length. Resolved
-    // here so the step that executes this plan and the victim projection
-    // price identical shapes.
-    PlannedPrefill p;
-    p.slot = s;
-    p.total = s->req->PrefillTokensNeeded();
-    p.first_chunk = s->kv_len == 0;
-    p.start = p.first_chunk ? HitTokens(*s->req) : s->kv_len;
-    remaining.push_back(p.total - p.start);
-    plan.prefills.push_back(p);
-  }
-  std::vector<std::int64_t> chunks = SplitPrefillChunks(
-      remaining, static_cast<std::int64_t>(plan.decodes.size()),
-      config_.max_step_tokens);
-  for (std::size_t i = 0; i < plan.prefills.size(); ++i) {
-    plan.prefills[i].chunk = chunks[i];
-    plan.kv_growth += chunks[i];
-  }
-  plan.kv_growth += static_cast<std::int64_t>(plan.decodes.size());
-  return plan;
+  return slots;
+}
+
+StepPlan GpuRunner::Plan(std::span<const PlanSlot> slots,
+                         std::span<const std::int64_t> exclude) const {
+  return PlanStep(slots, exclude, config_.prefill_limit,
+                  config_.max_step_tokens, [this](std::int64_t id) {
+                    // A prefix-cache hit prefills (and allocates) only the
+                    // uncached suffix; a mid-prefill slot resumes at its
+                    // consumed length.
+                    const Slot& s = slots_.at(id);
+                    bool first = s.kv_len == 0;
+                    return PlannedPrefill{
+                        .start = first ? HitTokens(*s.req) : s.kv_len,
+                        .total = s.req->PrefillTokensNeeded(),
+                        .first_chunk = first};
+                  });
 }
 
 std::vector<std::int64_t> GpuRunner::SelectEvictionVictims(double now) const {
-  // Project the token demand of the next step exactly as Step() will run
-  // it after the caller evicts the victims: chunk-granular prefill growth
-  // (prefill is NOT atomic — only the next chunk's tokens are demanded)
-  // plus one token per decode. Evicting a victim changes the plan itself
-  // (its budget share redistributes to the remaining chunks, a pending
-  // prefill may be promoted into the prefill_limit cut), so every eviction
-  // triggers a full replan instead of decrementing a stale total. Victims
-  // go newest-first (max admit_seq), preserving FCFS (§5.3); kOldest
-  // inverts the order for the ablation bench. An evicted slot releases its
-  // exclusively held tokens — its tenant's cached prefix stays, becoming
-  // reclaimable (which this projection conservatively ignores).
-  const bool newest_first = config_.evict_policy == EvictPolicy::kNewest;
-  std::vector<std::int64_t> victims;
-  std::int64_t freed = 0;
-  while (true) {
-    PlannedStep plan = PlanStep(now, &victims);
-    std::int64_t projected = kv_used_tokens_ - freed + plan.kv_growth -
-                             ReclaimableCacheTokens();
-    if (projected <= config_.kv_capacity_tokens) break;
-
-    const Slot* victim = nullptr;
-    for (const auto& [id, slot] : slots_) {
-      if (std::find(victims.begin(), victims.end(), id) != victims.end()) {
-        continue;
-      }
-      if (victim == nullptr ||
-          (newest_first ? slot.admit_seq > victim->admit_seq
-                        : slot.admit_seq < victim->admit_seq)) {
-        victim = &slot;
-      }
-    }
-    if (victim == nullptr) break;  // nothing left to evict
-    freed += victim->kv_len - victim->prefix_hit;
-    victims.push_back(victim->req->id);
-  }
-  return victims;
+  // Token-granular accounting for the shared victim loop: a plan demands
+  // its chunks plus one token per decode (prefill is NOT atomic — only the
+  // next chunk's tokens). Tokens of cached prefixes with no resident
+  // request count as headroom; a planned hit's group is resident, so its
+  // entry never does. An evicted slot releases its exclusively held tokens
+  // — its tenant's cached prefix stays, becoming reclaimable (which this
+  // projection conservatively ignores).
+  std::vector<PlanSlot> slots = PlanSlots(now);
+  const std::int64_t headroom = config_.kv_capacity_tokens - kv_used_tokens_ +
+                                ReclaimableCacheTokens();
+  return SelectVictims(
+      slots, config_.evict_policy,
+      [&](std::span<const std::int64_t> exclude) {
+        return Plan(slots, exclude);
+      },
+      KvGrowth, [&](const StepPlan&) { return headroom; },
+      [&](std::int64_t id) {
+        const Slot& s = slots_.at(id);
+        return s.kv_len - s.prefix_hit;
+      });
 }
 
 StepResult GpuRunner::Step(double now) {
-  PlannedStep plan = PlanStep(now);
+  StepPlan plan = Plan(PlanSlots(now), {});
   StepResult result;
-  if (plan.prefills.empty() && plan.decodes.empty()) return result;
-  while (kv_used_tokens_ + plan.kv_growth > config_.kv_capacity_tokens &&
+  if (plan.prefills.empty() && plan.decode_ids.empty()) return result;
+  const std::int64_t kv_growth = KvGrowth(plan);
+  while (kv_used_tokens_ + kv_growth > config_.kv_capacity_tokens &&
          EvictOneCachedPrefix()) {
   }
-  PUNICA_CHECK_MSG(
-      kv_used_tokens_ + plan.kv_growth <= config_.kv_capacity_tokens,
-      "step would overflow KvCache; evict victims first");
+  PUNICA_CHECK_MSG(kv_used_tokens_ + kv_growth <= config_.kv_capacity_tokens,
+                   "step would overflow KvCache; evict victims first");
 
   // Build the cost-model shape. Token rows group by LoRA id (the runtime
   // orders same-LoRA requests consecutively before building SGMV segments).
@@ -290,7 +262,7 @@ StepResult GpuRunner::Step(double now) {
   int chunked_prefills = 0;
   for (const PlannedPrefill& p : plan.prefills) {
     if (p.chunk == 0) continue;  // budget-deferred this step
-    const Slot* s = p.slot;
+    const Slot* s = &slots_.at(p.id);
     ++chunked_prefills;
     shape.prefill_chunks.push_back(static_cast<std::int32_t>(p.chunk));
     shape.prefill_kv_lens.push_back(p.start + p.chunk);
@@ -311,9 +283,10 @@ StepResult GpuRunner::Step(double now) {
       }
     }
   }
-  for (const Slot* s : plan.decodes) {
-    shape.decode_kv_lens.push_back(s->kv_len + 1);
-    if (s->req->lora_id >= 0) rows_by_lora[s->req->lora_id] += 1;
+  for (std::int64_t id : plan.decode_ids) {
+    const Slot& s = slots_.at(id);
+    shape.decode_kv_lens.push_back(s.kv_len + 1);
+    if (s.req->lora_id >= 0) rows_by_lora[s.req->lora_id] += 1;
   }
   for (const auto& [lora, rows] : rows_by_lora) {
     shape.lora_segment_rows.push_back(rows);
@@ -321,28 +294,22 @@ StepResult GpuRunner::Step(double now) {
 
   result.latency = cost_model_->StepLatency(model_config_, shape);
   result.batch_size =
-      static_cast<int>(chunked_prefills + plan.decodes.size());
+      static_cast<int>(chunked_prefills + plan.decode_ids.size());
   result.prefill_requests = chunked_prefills;
   result.num_segments = static_cast<int>(shape.lora_segment_rows.size());
   for (auto c : shape.prefill_chunks) result.prefill_tokens += c;
 
   double completion = now + result.latency;
 
-  // Apply state transitions. Collect the plan by id first: releasing
-  // mutates slots_.
-  std::vector<PlannedPrefill> prefill_plan;
-  std::vector<std::int64_t> decode_ids;
-  for (const PlannedPrefill& p : plan.prefills) {
-    if (p.chunk > 0) prefill_plan.push_back(p);
-  }
-  for (const Slot* s : plan.decodes) decode_ids.push_back(s->req->id);
-
+  // Apply state transitions. The plan names slots by id, so releasing
+  // finished slots below cannot invalidate it.
   // The emitted "token" on this tier is the per-request sequence tag
   // (generated count − 1): content is synthetic, ordering and timing are
   // what the simulation is responsible for. A non-final chunk emits
   // nothing — the request's first token waits for its last chunk.
-  for (const PlannedPrefill& p : prefill_plan) {
-    std::int64_t id = p.slot->req->id;
+  for (const PlannedPrefill& p : plan.prefills) {
+    if (p.chunk == 0) continue;
+    std::int64_t id = p.id;
     Slot& slot = slots_.at(id);
     if (p.first_chunk) {
       // The hit resolved at plan time becomes the slot's share of the
@@ -382,7 +349,7 @@ StepResult GpuRunner::Step(double now) {
       slot.req->first_token_time = completion;
     }
   }
-  for (auto id : decode_ids) {
+  for (std::int64_t id : plan.decode_ids) {
     Slot& slot = slots_.at(id);
     slot.kv_len += 1;
     kv_used_tokens_ += 1;
@@ -391,24 +358,18 @@ StepResult GpuRunner::Step(double now) {
     result.emitted.push_back({id, slot.req->generated - 1});
   }
 
-  for (const PlannedPrefill& p : prefill_plan) {
-    auto it = slots_.find(p.slot->req->id);
-    if (it->second.req->Done()) {
-      it->second.req->phase = RequestPhase::kFinished;
-      it->second.req->finish_time = completion;
-      result.finished.push_back(it->first);
-      ReleaseSlot(it);
-    }
-  }
-  for (auto id : decode_ids) {
+  auto finish_if_done = [&](std::int64_t id) {
     auto it = slots_.find(id);
-    if (it->second.req->Done()) {
-      it->second.req->phase = RequestPhase::kFinished;
-      it->second.req->finish_time = completion;
-      result.finished.push_back(id);
-      ReleaseSlot(it);
-    }
+    if (!it->second.req->Done()) return;
+    it->second.req->phase = RequestPhase::kFinished;
+    it->second.req->finish_time = completion;
+    result.finished.push_back(id);
+    ReleaseSlot(it);
+  };
+  for (const PlannedPrefill& p : plan.prefills) {
+    if (p.chunk > 0) finish_if_done(p.id);
   }
+  for (std::int64_t id : plan.decode_ids) finish_if_done(id);
   for (const auto& [id, slot] : slots_) {
     if (!slot.needs_prefill) continue;
     result.deferred_prefill_tokens +=

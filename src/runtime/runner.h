@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "gpu/costmodel.h"
@@ -25,23 +26,18 @@
 #include "runtime/backend.h"
 #include "runtime/lora_residency.h"
 #include "runtime/request.h"
+#include "runtime/step_planner.h"
 #include "util/stats.h"
 
 namespace punica {
-
-/// Victim selection under KvCache pressure. The paper evicts the *newest*
-/// request, preserving FCFS; kOldest is provided for the ablation bench
-/// (it migrates the requests with the largest caches, maximising wasted
-/// recomputation and starving the oldest requests).
-enum class EvictPolicy { kNewest, kOldest };
 
 struct RunnerConfig {
   int max_batch_size = 32;  ///< profiled sweet spot on A100 (paper §5.1)
   int prefill_limit = 1;    ///< prefill requests per invocation (paper §5)
   /// Per-step token budget for chunked prefill (0 = unlimited). Decode
   /// rows count against it and are never trimmed; pending prefills consume
-  /// the remainder FCFS as chunks — the same SplitPrefillChunks definition
-  /// (runtime/chunking.h) the numeric Engine steps with, so both tiers
+  /// the remainder FCFS as chunks — the same step planner
+  /// (runtime/step_planner.h) the numeric Engine steps with, so both tiers
   /// produce identical chunk sequences for identical workloads.
   std::int64_t max_step_tokens = 0;
   EvictPolicy evict_policy = EvictPolicy::kNewest;
@@ -150,28 +146,15 @@ class GpuRunner : public ExecutionBackend {
     std::uint64_t stamp = 0;  ///< logical recency (deterministic LRU)
   };
 
-  /// One planned prefill: resume point and chunk length under the step
-  /// token budget. The cache hit is resolved at the first chunk (plan
-  /// time) — the numeric tier resolves at prefill time too, so
-  /// tenant-mates admitted in one wave still hit once the first registers.
-  struct PlannedPrefill {
-    const Slot* slot = nullptr;
-    std::int64_t start = 0;  ///< tokens already resident (the hit, for a
-                             ///< first chunk)
-    std::int64_t chunk = 0;  ///< tokens this step (0 = budget-deferred)
-    std::int64_t total = 0;  ///< full re-prefill length
-    bool first_chunk = false;
-  };
-  struct PlannedStep {
-    std::vector<PlannedPrefill> prefills;
-    std::vector<const Slot*> decodes;
-    std::int64_t kv_growth = 0;
-  };
-  /// Plans the next step; requests in `exclude` (victim simulation) are
-  /// treated as already evicted.
-  PlannedStep PlanStep(double now,
-                       const std::vector<std::int64_t>* exclude =
-                           nullptr) const;
+  /// The working set as the step planner sees it: a slot whose adapter is
+  /// still loading at `now` is not runnable.
+  std::vector<PlanSlot> PlanSlots(double now) const;
+  /// The next step (runtime/step_planner.h) with the slots in `exclude`
+  /// treated as evicted. A first chunk resolves its prefix hit here — the
+  /// numeric tier resolves at prefill time too, so tenant-mates admitted in
+  /// one wave still hit once the first registers.
+  StepPlan Plan(std::span<const PlanSlot> slots,
+                std::span<const std::int64_t> exclude) const;
 
   void ReleaseSlot(std::map<std::int64_t, Slot>::iterator it);
   /// Prefill tokens the cache covers for `req` right now (0 = cold).

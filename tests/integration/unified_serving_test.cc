@@ -180,5 +180,37 @@ TEST_F(UnifiedServingTest, DisconnectMidGenerationFreesEverything) {
   EXPECT_FALSE(engines_[0]->HasWork());
 }
 
+TEST_F(UnifiedServingTest, NewestRequestFollowsEngineAdmissionOrder) {
+  // EngineBackend names the newest request by the engine's own admission
+  // order (the order its victim query evicts in), not by serving id.
+  Engine engine(&model_, model_.MakeKvConfig(64),
+                EngineConfig{.max_batch_size = 4});
+  EngineBackend backend(0, &engine);
+  EXPECT_EQ(backend.NewestRequest(), nullptr);
+  auto make = [](std::int64_t id) {
+    ServingRequest req;
+    req.id = id;
+    req.lora_id = 0;
+    req.prompt_tokens = {1, 2, 3};
+    req.prompt_len = 3;
+    req.output_len = 4;
+    return req;
+  };
+  ServingRequest a = make(7);
+  ServingRequest b = make(3);
+  ServingRequest c = make(5);
+  backend.Admit(&a, 0.0);
+  backend.Admit(&b, 0.0);
+  EXPECT_EQ(backend.NewestRequest(), &b);  // admitted later despite lower id
+  backend.Admit(&c, 0.0);
+  EXPECT_EQ(backend.NewestRequest(), &c);
+  ASSERT_TRUE(backend.Cancel(5).has_value());
+  EXPECT_EQ(backend.NewestRequest(), &b);
+  // A migrated re-admission is the newest again.
+  ASSERT_TRUE(backend.Cancel(7).has_value());
+  backend.Admit(&a, 0.0);
+  EXPECT_EQ(backend.NewestRequest(), &a);
+}
+
 }  // namespace
 }  // namespace punica

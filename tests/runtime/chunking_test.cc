@@ -1,13 +1,15 @@
-// SplitPrefillChunks is the ONE chunked-prefill split definition every tier
+// The step planner (runtime/step_planner.h) is the ONE definition every tier
 // steps with (numeric Engine, simulated GpuRunner, closed-loop text-gen
-// simulator). These tests pin its semantics and assert the two serving
-// tiers realize identical chunk sequences for the same workload — the
-// "shared definition" contract of the chunked-prefill substrate.
-#include "runtime/chunking.h"
+// simulator): SplitPrefillChunks, PlanStep and the replan-on-eviction
+// victim loop SelectVictims. These tests pin their semantics and check that
+// the two serving tiers realize identical chunk sequences for the same
+// workload.
+#include "runtime/step_planner.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "gpu/costmodel.h"
@@ -103,6 +105,174 @@ TEST(SplitPrefillChunksTest, EngineAndRunnerRealizeIdenticalChunkSequences) {
   // And the sequence is what the shared definition says: full-budget
   // chunks (no decodes in flight), then the 4-token remainder.
   EXPECT_EQ(engine_chunks, (std::vector<int>{24, 24, 24, 24, 4}));
+}
+
+// --- PlanStep ---
+
+/// Plans over `slots` where every pending prefill has `remaining[id]`
+/// tokens left from position 0; records which ids were asked for extents.
+StepPlan PlanWith(const std::vector<PlanSlot>& slots,
+                  std::map<std::int64_t, std::int64_t> remaining,
+                  int prefill_limit, std::int64_t budget,
+                  std::vector<std::int64_t> exclude = {},
+                  std::vector<std::int64_t>* asked = nullptr) {
+  return PlanStep(slots, exclude, prefill_limit, budget,
+                  [&](std::int64_t id) {
+                    if (asked != nullptr) asked->push_back(id);
+                    return PlannedPrefill{.start = 0,
+                                         .total = remaining.at(id),
+                                         .first_chunk = true};
+                  });
+}
+
+std::vector<std::int64_t> PrefillIds(const StepPlan& plan) {
+  std::vector<std::int64_t> ids;
+  for (const PlannedPrefill& p : plan.prefills) ids.push_back(p.id);
+  return ids;
+}
+
+std::vector<std::int64_t> Chunks(const StepPlan& plan) {
+  std::vector<std::int64_t> chunks;
+  for (const PlannedPrefill& p : plan.prefills) chunks.push_back(p.chunk);
+  return chunks;
+}
+
+TEST(PlanStepTest, FcfsCutAtPrefillLimit) {
+  // Ids out of admission order: the cut follows admit_seq, not id, and
+  // only the prefills that make the cut are resolved by the tier.
+  std::vector<PlanSlot> slots = {
+      {.id = 1, .admit_seq = 3, .needs_prefill = true},
+      {.id = 2, .admit_seq = 0, .needs_prefill = false},
+      {.id = 3, .admit_seq = 1, .needs_prefill = true},
+      {.id = 4, .admit_seq = 4, .needs_prefill = false},
+      {.id = 5, .admit_seq = 2, .needs_prefill = true},
+  };
+  std::vector<std::int64_t> asked;
+  StepPlan plan = PlanWith(slots, {{1, 10}, {3, 10}, {5, 10}},
+                           /*prefill_limit=*/2, /*budget=*/0, {}, &asked);
+  EXPECT_EQ(PrefillIds(plan), (std::vector<std::int64_t>{3, 5}));
+  EXPECT_EQ(Chunks(plan), (std::vector<std::int64_t>{10, 10}));
+  EXPECT_EQ(asked, (std::vector<std::int64_t>{3, 5}));
+  // Decodes keep input order.
+  EXPECT_EQ(plan.decode_ids, (std::vector<std::int64_t>{2, 4}));
+}
+
+TEST(PlanStepTest, ExtentSetsStartAndRemaining) {
+  // A mid-prefill slot resumes at its start; the chunk covers only the
+  // rest, and the budget counts the decode row.
+  std::vector<PlanSlot> slots = {
+      {.id = 0, .admit_seq = 0, .needs_prefill = true},
+      {.id = 1, .admit_seq = 1, .needs_prefill = false},
+  };
+  StepPlan plan = PlanStep(slots, {}, 1, /*max_step_tokens=*/8,
+                           [](std::int64_t) {
+                             return PlannedPrefill{.start = 20, .total = 30};
+                           });
+  ASSERT_EQ(plan.prefills.size(), 1u);
+  EXPECT_EQ(plan.prefills[0].start, 20);
+  EXPECT_EQ(plan.prefills[0].total, 30);
+  EXPECT_FALSE(plan.prefills[0].first_chunk);
+  EXPECT_EQ(plan.prefills[0].chunk, 7);
+}
+
+TEST(PlanStepTest, ExcludingAPrefillPromotesTheNextWithFreedBudget) {
+  std::vector<PlanSlot> slots = {
+      {.id = 0, .admit_seq = 0, .needs_prefill = true},
+      {.id = 1, .admit_seq = 1, .needs_prefill = true},
+      {.id = 2, .admit_seq = 2, .needs_prefill = true},
+  };
+  std::map<std::int64_t, std::int64_t> remaining = {{0, 6}, {1, 8}, {2, 9}};
+  StepPlan plan = PlanWith(slots, remaining, 2, /*budget=*/10);
+  EXPECT_EQ(PrefillIds(plan), (std::vector<std::int64_t>{0, 1}));
+  EXPECT_EQ(Chunks(plan), (std::vector<std::int64_t>{6, 4}));
+  // Evicting the head promotes id 2 into the cut, and id 1 takes the
+  // budget id 0 no longer uses.
+  plan = PlanWith(slots, remaining, 2, 10, {0});
+  EXPECT_EQ(PrefillIds(plan), (std::vector<std::int64_t>{1, 2}));
+  EXPECT_EQ(Chunks(plan), (std::vector<std::int64_t>{8, 2}));
+}
+
+TEST(PlanStepTest, NotRunnableSlotsAreNeverPlanned) {
+  std::vector<PlanSlot> slots = {
+      {.id = 0, .admit_seq = 0, .needs_prefill = true, .runnable = false},
+      {.id = 1, .admit_seq = 1, .needs_prefill = false, .runnable = false},
+      {.id = 2, .admit_seq = 2, .needs_prefill = true},
+  };
+  StepPlan plan = PlanWith(slots, {{2, 5}}, 1, 0);
+  EXPECT_EQ(PrefillIds(plan), (std::vector<std::int64_t>{2}));
+  EXPECT_TRUE(plan.decode_ids.empty());
+}
+
+// --- SelectVictims ---
+
+/// Four decoding slots admitted out of id order (admission: 2, 0, 3, 1).
+std::vector<PlanSlot> DecodeSlots() {
+  return {{.id = 0, .admit_seq = 1, .needs_prefill = false},
+          {.id = 1, .admit_seq = 3, .needs_prefill = false},
+          {.id = 2, .admit_seq = 0, .needs_prefill = false},
+          {.id = 3, .admit_seq = 2, .needs_prefill = false}};
+}
+
+/// Victims when each planned decode demands one unit against `headroom`,
+/// and each victim frees `freed` units.
+std::vector<std::int64_t> Victims(const std::vector<PlanSlot>& slots,
+                                  EvictPolicy policy, std::int64_t headroom,
+                                  std::int64_t freed = 0,
+                                  int* plans = nullptr) {
+  return SelectVictims(
+      slots, policy,
+      [&](std::span<const std::int64_t> exclude) {
+        if (plans != nullptr) ++*plans;
+        return PlanWith(slots, {}, 1, 0,
+                        {exclude.begin(), exclude.end()});
+      },
+      [](const StepPlan& plan) {
+        return static_cast<std::int64_t>(plan.decode_ids.size());
+      },
+      [&](const StepPlan&) { return headroom; },
+      [&](std::int64_t) { return freed; });
+}
+
+TEST(SelectVictimsTest, NothingWhenTheStepFits) {
+  int plans = 0;
+  EXPECT_TRUE(Victims(DecodeSlots(), EvictPolicy::kNewest, 4, 0, &plans)
+                  .empty());
+  EXPECT_EQ(plans, 1);
+}
+
+TEST(SelectVictimsTest, NewestFirstStopsOnceDemandFits) {
+  // Demand 4 against headroom 2: the two newest admissions go, and every
+  // eviction replans (3 plans for 2 victims).
+  int plans = 0;
+  EXPECT_EQ(Victims(DecodeSlots(), EvictPolicy::kNewest, 2, 0, &plans),
+            (std::vector<std::int64_t>{1, 3}));
+  EXPECT_EQ(plans, 3);
+}
+
+TEST(SelectVictimsTest, OldestFirstUnderKOldest) {
+  EXPECT_EQ(Victims(DecodeSlots(), EvictPolicy::kOldest, 2),
+            (std::vector<std::int64_t>{2, 0}));
+}
+
+TEST(SelectVictimsTest, FreedUnitsCountAsHeadroom) {
+  // Each victim also frees 2 units: 4 > 0, then 3 > 2, then 2 ≤ 4.
+  EXPECT_EQ(Victims(DecodeSlots(), EvictPolicy::kNewest, 0, 2),
+            (std::vector<std::int64_t>{1, 3}));
+}
+
+TEST(SelectVictimsTest, StopsWhenNoCandidateIsLeft) {
+  // Negative headroom never fits: every slot goes, newest first.
+  EXPECT_EQ(Victims(DecodeSlots(), EvictPolicy::kNewest, -1),
+            (std::vector<std::int64_t>{1, 3, 0, 2}));
+}
+
+TEST(SelectVictimsTest, NotRunnableSlotIsStillAVictim) {
+  // The newest slot is still loading its adapter: it is not in the plan,
+  // but it holds KvCache and is the first candidate.
+  std::vector<PlanSlot> slots = DecodeSlots();
+  slots[1].runnable = false;  // id 1, the newest admission
+  EXPECT_EQ(Victims(slots, EvictPolicy::kNewest, 1),
+            (std::vector<std::int64_t>{1, 3, 0}));
 }
 
 }  // namespace

@@ -434,6 +434,32 @@ TEST_F(EngineTest, HitEntryNotDoubleCountedAsReclaimablePages) {
   EXPECT_TRUE(e.CanAdmitPages(0, small, {}));
 }
 
+TEST_F(EngineTest, VictimQueryKeepsForkedHitEntryOutOfHeadroom) {
+  // Regression: the victim projection must not count the entry a planned
+  // first chunk forks as reclaimable — Step pins that entry, so its pages
+  // cannot be reclaimed for the decode sharing the step, and the decode's
+  // extend would abort on a query that named no victims.
+  Engine e(&model_, model_.MakeKvConfig(/*num_pages=*/4, /*page_size=*/4),
+           EngineConfig{.max_batch_size = 4});
+  const std::vector<std::int32_t> prompt = {1, 2, 3, 4, 5, 6, 7, 8};
+  e.AddRequest({.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 1});
+  while (e.HasWork()) e.Step();  // A's prompt stays cached: 2 pages
+  RequestHandle d = e.AddRequest(
+      {.lora = 1, .prompt_tokens = {11, 12, 13, 14}, .max_new_tokens = 20});
+  e.Step();  // D holds 1 page; 1 page is free
+  RequestHandle b =
+      e.AddRequest({.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 4});
+  // Next step: B forks A's entry (7 tokens) and CoWs the boundary page (1
+  // page), D's decode opens a new page (1 page). Only 1 page is free, and
+  // the one reclaimable entry is the one B forks — so B must go.
+  EXPECT_EQ(e.SelectEvictionVictims(), std::vector<std::int64_t>{b.id()});
+  ASSERT_TRUE(e.Cancel(b).has_value());
+  EXPECT_TRUE(e.SelectEvictionVictims().empty());
+  StepResult r = e.Step();
+  ASSERT_EQ(r.emitted.size(), 1u);
+  EXPECT_EQ(r.emitted[0].request_id, d.id());
+}
+
 TEST_F(EngineTest, DuplicateRegistrationAtCapDoesNotThrash) {
   // Regression: at max_cached_prefixes, re-registering an already-cached
   // prompt (the steady-state hot-tenant case) must not evict unrelated
