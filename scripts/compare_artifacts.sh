@@ -1,0 +1,74 @@
+#!/usr/bin/env bash
+# Byte-for-byte oracle for behaviour-preserving changes: runs every
+# deterministic output surface in two builds of this repo and `cmp`s each
+# pair. A refactor that claims "same behaviour from less code" should leave
+# every artifact identical.
+#
+# Usage:
+#   scripts/compare_artifacts.sh BUILD_A BUILD_B
+#
+# BUILD_A and BUILD_B are CMake build directories (e.g. the parent commit's
+# and the change's), each already built with bench/ and examples/. The
+# surfaces compared:
+#   * stdout of bench_fig13_cluster, bench_ablations, cluster_autoscale,
+#     textgen_cluster and textgen_cluster --tp 2;
+#   * the JSON file of bench_serving --json (its stdout also reports a
+#     wall-clock threaded run, so only the file is compared);
+#   * the virtual-time sections of open_loop_serving: the lines before its
+#     "real threads" section, which is wall-clock.
+# Outputs land in a temporary directory that is kept when anything differs.
+# Exits 0 when every pair is identical, 1 otherwise (or when a binary
+# fails).
+set -u
+
+if [ $# -ne 2 ]; then
+  echo "usage: $0 BUILD_A BUILD_B" >&2
+  exit 2
+fi
+A=$1
+B=$2
+OUT=$(mktemp -d "${TMPDIR:-/tmp}/compare_artifacts.XXXXXX")
+status=0
+
+# run NAME BUILD SIDE CMD... — runs one surface, stdout to $OUT/SIDE/NAME.
+run() {
+  local name=$1 build=$2 side=$3
+  shift 3
+  mkdir -p "$OUT/$side"
+  if ! (cd "$OUT/$side" && "$build/$@" > "$name"); then
+    echo "FAIL    $name ($side: $build/$1 exited non-zero)"
+    status=1
+  fi
+}
+
+for side in a b; do
+  if [ $side = a ]; then build=$(cd "$A" && pwd); else build=$(cd "$B" && pwd); fi
+  run fig13_cluster.txt "$build" $side bench/bench_fig13_cluster
+  run ablations.txt "$build" $side bench/bench_ablations
+  run serving_stdout.txt "$build" $side bench/bench_serving --json BENCH_serving.json
+  run cluster_autoscale.txt "$build" $side examples/cluster_autoscale
+  run textgen_cluster.txt "$build" $side examples/textgen_cluster
+  run textgen_cluster_tp2.txt "$build" $side examples/textgen_cluster --tp 2
+  run open_loop_serving_full.txt "$build" $side examples/open_loop_serving
+  sed '/real threads/,$d' "$OUT/$side/open_loop_serving_full.txt" \
+    > "$OUT/$side/open_loop_serving_virtual.txt"
+done
+
+for f in fig13_cluster.txt ablations.txt BENCH_serving.json \
+         cluster_autoscale.txt textgen_cluster.txt textgen_cluster_tp2.txt \
+         open_loop_serving_virtual.txt; do
+  if cmp -s "$OUT/a/$f" "$OUT/b/$f"; then
+    echo "same    $f"
+  else
+    echo "DIFFER  $f"
+    status=1
+  fi
+done
+
+if [ $status -eq 0 ]; then
+  rm -rf "$OUT"
+  echo "all artifacts byte-identical"
+else
+  echo "outputs kept in $OUT"
+fi
+exit $status

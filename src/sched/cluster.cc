@@ -6,61 +6,62 @@
 
 namespace punica {
 
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
-
 ClusterDriver::ClusterDriver(const ClusterConfig& config,
                              const CostModel* cost_model)
     : config_(config) {
   PUNICA_CHECK(config.num_gpus >= 1);
   PUNICA_CHECK(cost_model != nullptr);
+  std::vector<ExecutionBackend*> backends;
   for (int g = 0; g < config.num_gpus; ++g) {
     owned_runners_.push_back(std::make_unique<GpuRunner>(
         g, config.runner, config.model, cost_model));
-    backends_.push_back(owned_runners_.back().get());
+    backends.push_back(owned_runners_.back().get());
   }
-  Init();
+  Init(std::move(backends));
 }
 
 ClusterDriver::ClusterDriver(std::vector<ExecutionBackend*> backends,
                              const ClusterConfig& config)
-    : config_(config), backends_(std::move(backends)) {
-  PUNICA_CHECK(!backends_.empty());
-  config_.num_gpus = static_cast<int>(backends_.size());
-  Init();
+    : config_(config) {
+  Init(std::move(backends));
 }
 
-void ClusterDriver::Init() {
-  auto n = backends_.size();
-  scheduler_ = std::make_unique<Scheduler>(backends_);
+void ClusterDriver::Init(std::vector<ExecutionBackend*> backends) {
+  auto n = backends.size();
+  StepLoop::Hooks hooks;
+  hooks.on_start = [this](int gpu, const StepResult& r, double now) {
+    auto gi = static_cast<std::size_t>(gpu);
+    stats_.gpu_batch[gi].Add(now, r.batch_size);
+    stats_.step_batch_size.Add(r.batch_size);
+    stats_.gpu_busy_s[gi] += r.latency;
+    ++stats_.total_steps;
+  };
+  hooks.on_idle = [this](int gpu, double now) {
+    stats_.gpu_batch[static_cast<std::size_t>(gpu)].Add(now, 0.0);
+  };
+  hooks.on_done = std::bind_front(&ClusterDriver::OnStepDone, this);
+  core_ = std::make_unique<StepLoop>(std::move(backends), std::move(hooks));
   if (config_.enable_autoscale) {
-    autoscaler_ = std::make_unique<AutoscaleController>(scheduler_.get(),
+    autoscaler_ = std::make_unique<AutoscaleController>(&core_->scheduler(),
                                                         config_.autoscale);
     int initial = config_.initial_gpus < 0 ? static_cast<int>(n)
                                            : config_.initial_gpus;
     PUNICA_CHECK(initial >= 1 && initial <= static_cast<int>(n));
     // Start with the highest UUIDs in service (consistent with routing).
     for (int g = 0; g < static_cast<int>(n) - initial; ++g) {
-      scheduler_->SetGpuEnabled(g, false);
+      core_->scheduler().SetGpuEnabled(g, false);
     }
   }
-  busy_.assign(n, false);
-  pending_wake_.assign(n, kInf);
   stats_.gpu_batch.resize(n);
   stats_.gpu_busy_s.assign(n, 0.0);
 }
 
 void ClusterDriver::SubmitTrace(const std::vector<TraceRequest>& trace) {
   for (const auto& t : trace) {
-    requests_.push_back(ServingRequest{.id = t.id,
-                                       .lora_id = t.lora_id,
-                                       .prompt_len = t.prompt_len,
-                                       .output_len = t.output_len,
-                                       .arrival_time = t.arrival_time});
+    requests_.push_back(ServingRequest::FromSpec(t.id, SpecFromTrace(t)));
     ServingRequest* req = &requests_.back();
     requests_by_id_[req->id] = req;
-    events_.Schedule(t.arrival_time, [this, req] { OnArrival(req); });
+    core_->events().Schedule(t.arrival_time, [this, req] { OnArrival(req); });
   }
   if (config_.enable_consolidation) ScheduleConsolidation();
   if (config_.enable_autoscale) ScheduleAutoscale();
@@ -68,15 +69,16 @@ void ClusterDriver::SubmitTrace(const std::vector<TraceRequest>& trace) {
 
 void ClusterDriver::ScheduleAutoscale() {
   ++timer_events_pending_;
-  events_.ScheduleAfter(config_.autoscale_interval_s, [this] {
+  core_->events().ScheduleAfter(config_.autoscale_interval_s, [this] {
     --timer_events_pending_;
+    double now = core_->events().now();
     AutoscaleController::Decision d = autoscaler_->Tick();
     stats_.gpu_acquisitions = autoscaler_->total_acquisitions();
     stats_.gpu_releases = autoscaler_->total_releases();
-    stats_.active_gpus.Add(events_.now(),
+    stats_.active_gpus.Add(now,
                            static_cast<double>(autoscaler_->active_gpus()));
     if (d.acquired_gpu >= 0) {
-      WakeGpus(scheduler_->PumpQueue(events_.now()));
+      core_->WakeGpus(core_->scheduler().PumpQueue(now));
     }
     if (HasNonTimerEvents()) ScheduleAutoscale();
   });
@@ -84,16 +86,9 @@ void ClusterDriver::ScheduleAutoscale() {
 
 void ClusterDriver::ScheduleConsolidation() {
   ++timer_events_pending_;
-  events_.ScheduleAfter(config_.consolidation_interval_s, [this] {
+  core_->events().ScheduleAfter(config_.consolidation_interval_s, [this] {
     --timer_events_pending_;
-    // One consolidation round: keep moving requests while a beneficial move
-    // exists (bounded defensively).
-    for (int moves = 0; moves < 16; ++moves) {
-      int receiver = scheduler_->ConsolidateOnce(events_.now(),
-                                                 &stats_.migrations);
-      if (receiver < 0) break;
-      MaybeStartStep(receiver);
-    }
+    core_->Consolidate(/*max_moves=*/16);  // one round, bounded defensively
     // Keep the periodic timer alive while real events (arrivals, steps,
     // wakes) remain; timers must not keep each other alive.
     if (HasNonTimerEvents()) ScheduleConsolidation();
@@ -105,7 +100,7 @@ void ClusterDriver::SubmitExternal(ServingRequest* req) {
   // An external request cannot have arrived before the instant it is
   // submitted: clamp so a default arrival_time of 0 on a mid-run
   // submission neither jumps the FCFS queue nor skews latency stats.
-  req->arrival_time = std::max(req->arrival_time, events_.now());
+  req->arrival_time = std::max(req->arrival_time, core_->events().now());
   requests_by_id_[req->id] = req;
   OnArrival(req);
 }
@@ -114,60 +109,17 @@ bool ClusterDriver::CancelExternal(std::int64_t request_id) {
   // Forget the borrowed pointer first: once cancelled, the owner (e.g. a
   // frontend session) may free the request.
   requests_by_id_.erase(request_id);
-  return scheduler_->Cancel(request_id);
+  return core_->scheduler().Cancel(request_id);
 }
 
 void ClusterDriver::OnArrival(ServingRequest* req) {
-  stats_.arrivals.Add(events_.now(), 1.0);
-  int gpu = scheduler_->Submit(req, events_.now());
-  if (gpu >= 0) MaybeStartStep(gpu);
+  double now = core_->events().now();
+  stats_.arrivals.Add(now, 1.0);
+  int gpu = core_->scheduler().Submit(req, now);
+  if (gpu >= 0) core_->MaybeStartStep(gpu);
 }
 
-void ClusterDriver::WakeGpus(const std::vector<int>& gpus) {
-  for (int g : gpus) MaybeStartStep(g);
-}
-
-void ClusterDriver::MaybeStartStep(int gpu) {
-  auto gi = static_cast<std::size_t>(gpu);
-  if (busy_[gi]) return;
-  ExecutionBackend& backend = *backends_[gi];
-  double now = events_.now();
-
-  // KvCache pressure check: migrate victims before stepping (§5.3).
-  std::vector<int> touched =
-      scheduler_->MigrateForKvPressure(gpu, now, &stats_.migrations);
-
-  if (backend.HasRunnableWork(now)) {
-    StepResult result = backend.Step(now);
-    PUNICA_CHECK(result.batch_size > 0);
-    busy_[gi] = true;
-    stats_.gpu_batch[gi].Add(now, result.batch_size);
-    stats_.step_batch_size.Add(result.batch_size);
-    stats_.gpu_busy_s[gi] += result.latency;
-    ++stats_.total_steps;
-    events_.ScheduleAfter(result.latency, [this, gpu, result] {
-      busy_[static_cast<std::size_t>(gpu)] = false;
-      OnStepDone(gpu, result);
-    });
-  } else if (auto ready = backend.NextReadyTime(now); ready.has_value()) {
-    // Adapters still loading: wake when the earliest copy completes.
-    if (*ready < pending_wake_[gi] - 1e-12) {
-      pending_wake_[gi] = *ready;
-      events_.Schedule(*ready, [this, gpu] {
-        pending_wake_[static_cast<std::size_t>(gpu)] = kInf;
-        MaybeStartStep(gpu);
-      });
-    }
-  } else {
-    stats_.gpu_batch[gi].Add(now, 0.0);  // idle sample
-  }
-
-  // Migration destinations may now have new work.
-  WakeGpus(touched);
-}
-
-void ClusterDriver::OnStepDone(int gpu, const StepResult& result) {
-  double now = events_.now();
+void ClusterDriver::OnStepDone(const StepResult& result, double now) {
   stats_.tokens.Add(now, static_cast<double>(result.new_tokens));
   stats_.total_new_tokens += result.new_tokens;
   stats_.makespan = std::max(stats_.makespan, now);
@@ -189,16 +141,15 @@ void ClusterDriver::OnStepDone(int gpu, const StepResult& result) {
     requests_by_id_.erase(it);
   }
   if (emission_cb_) emission_cb_(result, now);
-  WakeGpus(scheduler_->PumpQueue(now));
-  MaybeStartStep(gpu);
 }
 
 void ClusterDriver::Run(double horizon) {
-  if (horizon == kInf) {
-    events_.RunAll();
+  if (horizon == std::numeric_limits<double>::infinity()) {
+    core_->events().RunAll();
   } else {
-    events_.RunUntil(horizon);
+    core_->events().RunUntil(horizon);
   }
+  stats_.migrations = core_->migrations();
 }
 
 }  // namespace punica

@@ -1,14 +1,11 @@
-// Discrete-event cluster driver: wires execution backends, the scheduler
-// and an event queue into a full serving deployment (the paper's cluster
-// experiment, Fig. 13, and the single-GPU / tensor-parallel text-generation
-// experiments, Figs. 11–12, when configured with one backend).
-//
-// Two construction modes share every code path after the constructor:
-//   * simulated tier — the driver builds one GpuRunner per GPU from
-//     ClusterConfig (cost-model virtual time, synthetic tokens);
-//   * numeric tier — the caller passes ExecutionBackend pointers (e.g.
-//     EngineBackend over real engines), and the same scheduler, migration,
-//     consolidation and streaming machinery drives real text generation.
+// Discrete-event cluster driver: the paper's cluster experiment (Fig. 13)
+// and, with one backend, the text-generation experiments (Figs. 11–12).
+// It is the StepLoop core plus trace and frontend submission, periodic
+// consolidation and autoscale timers, and ClusterStats sampled from the
+// core's step hooks. The simulated tier builds one GpuRunner per GPU from
+// ClusterConfig (cost-model time, synthetic tokens); on any tier the caller
+// may instead pass ExecutionBackend pointers (e.g. EngineBackend over real
+// engines), and the same machinery drives real text generation.
 #pragma once
 
 #include <deque>
@@ -23,7 +20,7 @@
 #include "runtime/runner.h"
 #include "sched/autoscale.h"
 #include "sched/scheduler.h"
-#include "sim/event_queue.h"
+#include "sched/step_loop.h"
 #include "util/stats.h"
 #include "workload/trace.h"
 
@@ -99,31 +96,25 @@ class ClusterDriver {
   /// Runs the deployment until all work drains (or `horizon` passes).
   void Run(double horizon = std::numeric_limits<double>::infinity());
 
+  /// `migrations` is brought up to date when Run returns.
   const ClusterStats& stats() const { return stats_; }
-  Scheduler& scheduler() { return *scheduler_; }
-  EventQueue& events() { return events_; }
+  Scheduler& scheduler() { return core_->scheduler(); }
   const std::deque<ServingRequest>& requests() const { return requests_; }
-  int num_backends() const { return static_cast<int>(backends_.size()); }
+  int num_backends() const { return core_->scheduler().num_gpus(); }
 
  private:
-  void Init();
+  void Init(std::vector<ExecutionBackend*> backends);
   void OnArrival(ServingRequest* req);
-  void MaybeStartStep(int gpu);
-  void OnStepDone(int gpu, const StepResult& result);
-  void WakeGpus(const std::vector<int>& gpus);
+  void OnStepDone(const StepResult& result, double now);
   void ScheduleConsolidation();
   void ScheduleAutoscale();
 
   ClusterConfig config_;
   std::vector<std::unique_ptr<GpuRunner>> owned_runners_;  ///< sim tier only
-  std::vector<ExecutionBackend*> backends_;
-  std::unique_ptr<Scheduler> scheduler_;
+  std::unique_ptr<StepLoop> core_;
   std::unique_ptr<AutoscaleController> autoscaler_;
-  EventQueue events_;
   std::deque<ServingRequest> requests_;  ///< stable request storage
   std::unordered_map<std::int64_t, ServingRequest*> requests_by_id_;
-  std::vector<bool> busy_;
-  std::vector<double> pending_wake_;     ///< earliest scheduled wake per GPU
   ClusterStats stats_;
   EmissionCallback emission_cb_;
   int timer_events_pending_ = 0;  ///< consolidation/autoscale timers in
@@ -133,7 +124,8 @@ class ClusterDriver {
   /// True while any non-timer event (arrival, step completion, wake) is
   /// scheduled — the condition for periodic timers to stay alive.
   bool HasNonTimerEvents() const {
-    return static_cast<int>(events_.pending()) > timer_events_pending_;
+    return static_cast<int>(core_->events().pending()) >
+           timer_events_pending_;
   }
 };
 

@@ -17,18 +17,6 @@ std::vector<TraceRequest> GenerateOpenLoopLoad(const OpenLoopSpec& spec) {
                                spec.shared_prefix, spec.priority_classes);
 }
 
-SubmitSpec SpecFromTrace(const TraceRequest& r) {
-  SubmitSpec spec;
-  spec.lora = r.lora_id;
-  spec.prompt_len = r.prompt_len;
-  spec.max_new_tokens = r.output_len;
-  spec.arrival_time = r.arrival_time;
-  spec.priority = r.priority;
-  spec.shared_prefix_len = r.shared_prefix_len;
-  spec.prefix_group = r.prefix_group;
-  return spec;
-}
-
 TraceSubmitter::TraceSubmitter(std::vector<SubmitSpec> specs,
                                double time_scale)
     : specs_(std::move(specs)), time_scale_(time_scale) {

@@ -38,11 +38,6 @@ struct OpenLoopSpec {
 /// Generates the open-loop trace for `spec` (deterministic in the spec).
 std::vector<TraceRequest> GenerateOpenLoopLoad(const OpenLoopSpec& spec);
 
-/// Converts one trace row into the unified submission surface (synthetic
-/// prompt lengths — the simulated tier; the numeric tier builds its own
-/// specs with real token ids).
-SubmitSpec SpecFromTrace(const TraceRequest& r);
-
 /// Real-threads delivery: replays `specs` against the wall clock through a
 /// fleet of submitter threads. Thread t handles specs t, t+N, t+2N, …,
 /// sleeping until each arrival (scaled by `time_scale`; < 1 compresses;

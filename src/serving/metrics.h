@@ -22,7 +22,9 @@ struct ServingMetrics {
 
   std::int64_t offered = 0;   ///< requests that reached the front door
   std::int64_t finished = 0;
-  std::int64_t shed = 0;      ///< dropped by admission (overflow or stale)
+  /// Dropped at the door: overflow, stale, malformed (max_new_tokens or
+  /// prompt length < 1), or still unadmitted when the run drained.
+  std::int64_t shed = 0;
   std::int64_t good = 0;      ///< finished within both SLO targets
   std::int64_t total_new_tokens = 0;
 

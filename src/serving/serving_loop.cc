@@ -2,183 +2,117 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
+#include <functional>
 #include <thread>
+#include <tuple>
 
-#include "serving/load_generator.h"
 #include "util/check.h"
 
 namespace punica {
 
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
-
 ServingLoop::ServingLoop(std::vector<ExecutionBackend*> backends,
                          ServingLoopConfig config)
     : config_(config),
-      backends_(std::move(backends)),
-      scheduler_(backends_) {
-  PUNICA_CHECK(!backends_.empty());
+      core_(std::move(backends),
+            {.on_done = std::bind_front(&ServingLoop::HandleStepResult, this),
+             .refill = std::bind_front(&ServingLoop::TryAdmit, this)}) {
   PUNICA_CHECK(config_.door_capacity >= 1);
   PUNICA_CHECK(config_.shed_slack > 0.0);
-  busy_.assign(backends_.size(), false);
-  pending_wake_.assign(backends_.size(), kInf);
 }
 
 ServingRequest* ServingLoop::Accept(const SubmitSpec& spec) {
-  PUNICA_CHECK(spec.max_new_tokens >= 1);
-  requests_.push_back(ServingRequest::FromSpec(next_id_++, spec));
+  auto id = static_cast<std::int64_t>(requests_.size());
+  requests_.push_back(ServingRequest::FromSpec(id, spec));
   ServingRequest* req = &requests_.back();
-  requests_by_id_[req->id] = req;
+  if (spec.max_new_tokens < 1 || spec.EffectivePromptLen() < 1) {
+    // Nothing to generate, or nothing to prefill from: no backend can
+    // serve it, so the door refuses it outright.
+    ++metrics_.offered;
+    Shed(req);
+    return nullptr;
+  }
   return req;
 }
 
-void ServingLoop::OnArrival(ServingRequest* req, double now) {
+void ServingLoop::OnArrival(ServingRequest* req) {
   ++metrics_.offered;
-  door_.push_back({req, next_seq_++});
+  door_.push_back(req);
   if (door_.size() > config_.door_capacity) {
     // Overflow backpressure: among *unprotected* waiters, shed the one
     // least likely to ever be good — lowest priority, then
-    // longest-waiting, then earliest accepted. When every waiter is
-    // protected the bound still binds: the incoming request (pushed last)
-    // is refused, since deferring is no longer possible.
-    std::size_t victim = door_.size() - 1;
-    bool found = false;
-    for (std::size_t i = 0; i < door_.size(); ++i) {
-      const ServingRequest& a = *door_[i].req;
-      if (a.priority >= config_.protected_priority) continue;
-      if (!found) {
-        victim = i;
-        found = true;
-        continue;
-      }
-      const ServingRequest& b = *door_[victim].req;
-      if (a.priority != b.priority) {
-        if (a.priority < b.priority) victim = i;
-      } else if (a.arrival_time != b.arrival_time) {
-        if (a.arrival_time < b.arrival_time) victim = i;
-      } else if (door_[i].seq < door_[victim].seq) {
-        victim = i;
+    // longest-waiting, then earliest accepted (ids are issued in accept
+    // order). When every waiter is protected the bound still binds: the
+    // incoming request (pushed last) is refused, since deferring is no
+    // longer possible.
+    auto shed_key = [](const ServingRequest* r) {
+      return std::tuple(r->priority, r->arrival_time, r->id);
+    };
+    auto victim = door_.end() - 1;
+    for (auto it = door_.begin(); it != door_.end(); ++it) {
+      if (!Protected(**it) &&
+          (Protected(**victim) || shed_key(*it) < shed_key(*victim))) {
+        victim = it;
       }
     }
-    Shed(victim);
+    Shed(*victim);
+    door_.erase(victim);
   }
-  if (!threaded_) TryAdmit(now);
 }
 
-void ServingLoop::Shed(std::size_t door_index) {
-  ServingRequest* req = door_.at(door_index).req;
+void ServingLoop::Shed(ServingRequest* req) {
   req->phase = RequestPhase::kCancelled;
   ++metrics_.shed;
-  requests_by_id_.erase(req->id);
-  door_.erase(door_.begin() + static_cast<std::ptrdiff_t>(door_index));
 }
 
 bool ServingLoop::AnyBackendCanAdmit(const ServingRequest& req) const {
-  for (int g = 0; g < scheduler_.num_gpus(); ++g) {
-    if (scheduler_.IsGpuEnabled(g) && scheduler_.backend(g)->CanAdmit(req)) {
+  const Scheduler& scheduler = core_.scheduler();
+  for (int g = 0; g < scheduler.num_gpus(); ++g) {
+    if (scheduler.IsGpuEnabled(g) && scheduler.backend(g)->CanAdmit(req)) {
       return true;
     }
   }
   return false;
 }
 
-std::size_t ServingLoop::TryAdmit(double now) {
+std::vector<int> ServingLoop::TryAdmit(double now) {
   // Hopeless-waiter shedding: an unprotected request that has already
   // overshot `shed_slack ×` its TTFT target can no longer be good; serving
   // it would burn capacity a fresher request could convert into goodput.
   double stale_after = config_.shed_slack * config_.slo.ttft_target_s;
-  for (std::size_t i = 0; i < door_.size();) {
-    const ServingRequest& r = *door_[i].req;
-    if (r.priority < config_.protected_priority &&
-        now - r.arrival_time > stale_after) {
-      Shed(i);
-    } else {
-      ++i;
-    }
-  }
+  std::erase_if(door_, [&](ServingRequest* r) {
+    bool stale = !Protected(*r) && now - r->arrival_time > stale_after;
+    if (stale) Shed(r);
+    return stale;
+  });
   // Admission order: priority classes first (defer low over high), FCFS
-  // within a class, accept sequence as the final deterministic tiebreak.
+  // within a class, accept order (the id) as the deterministic tiebreak.
   std::sort(door_.begin(), door_.end(),
-            [](const DoorEntry& a, const DoorEntry& b) {
-              if (a.req->priority != b.req->priority) {
-                return a.req->priority > b.req->priority;
-              }
-              if (a.req->arrival_time != b.req->arrival_time) {
-                return a.req->arrival_time < b.req->arrival_time;
-              }
-              return a.seq < b.seq;
+            [](const ServingRequest* a, const ServingRequest* b) {
+              return std::tuple(b->priority, a->arrival_time, a->id) <
+                     std::tuple(a->priority, b->arrival_time, b->id);
             });
-  std::size_t admitted = 0;
-  std::vector<int> woken;
+  std::vector<int> filled;
   for (std::size_t i = 0; i < door_.size();) {
-    ServingRequest* r = door_[i].req;
+    ServingRequest* r = door_[i];
     // A migration victim no backend could take sits in the scheduler's
     // queue; Submit's FCFS rule would queue this request behind it even
     // when a backend has room, so it waits here until PumpQueue has
     // drained the victim.
-    if (!scheduler_.QueuedAhead(*r) && AnyBackendCanAdmit(*r)) {
-      int gpu = scheduler_.Submit(r, now);
+    if (!core_.scheduler().QueuedAhead(*r) && AnyBackendCanAdmit(*r)) {
+      int gpu = core_.scheduler().Submit(r, now);
       PUNICA_CHECK_MSG(gpu >= 0, "admission raced the capacity check");
       door_.erase(door_.begin() + static_cast<std::ptrdiff_t>(i));
-      ++admitted;
-      woken.push_back(gpu);
+      filled.push_back(gpu);
     } else {
       // Deferred: keep scanning so one oversized request cannot idle the
       // cluster (priority stays a preference, not a hard barrier).
       ++i;
     }
   }
-  WakeGpus(woken);
-  return admitted;
+  return filled;
 }
 
-void ServingLoop::WakeGpus(const std::vector<int>& gpus) {
-  if (threaded_) return;  // RunThreaded polls every backend each pass
-  for (int g : gpus) MaybeStartStep(g);
-}
-
-void ServingLoop::MaybeStartStep(int gpu) {
-  if (threaded_) return;
-  auto gi = static_cast<std::size_t>(gpu);
-  if (busy_[gi]) return;
-  ExecutionBackend& backend = *backends_[gi];
-  double now = events_.now();
-
-  std::vector<int> touched =
-      scheduler_.MigrateForKvPressure(gpu, now, &migrations_);
-
-  if (backend.HasRunnableWork(now)) {
-    StepResult result = backend.Step(now);
-    PUNICA_CHECK(result.batch_size > 0);
-    busy_[gi] = true;
-    events_.ScheduleAfter(result.latency, [this, gpu, result] {
-      busy_[static_cast<std::size_t>(gpu)] = false;
-      double done = events_.now();
-      HandleStepResult(gpu, result, done);
-      WakeGpus(scheduler_.PumpQueue(done));
-      // Freed capacity first (continuous batching refills the working set),
-      // then restart this GPU.
-      TryAdmit(done);
-      MaybeStartStep(gpu);
-    });
-  } else if (auto ready = backend.NextReadyTime(now); ready.has_value()) {
-    if (*ready < pending_wake_[gi] - 1e-12) {
-      pending_wake_[gi] = *ready;
-      events_.Schedule(*ready, [this, gpu] {
-        pending_wake_[static_cast<std::size_t>(gpu)] = kInf;
-        MaybeStartStep(gpu);
-      });
-    }
-  }
-
-  WakeGpus(touched);
-}
-
-void ServingLoop::HandleStepResult(int gpu, const StepResult& result,
-                                   double now) {
-  (void)gpu;
+void ServingLoop::HandleStepResult(const StepResult& result, double now) {
   metrics_.total_new_tokens += result.new_tokens;
   for (const auto& e : result.emitted) {
     if (config_.record_streams) {
@@ -191,17 +125,15 @@ void ServingLoop::HandleStepResult(int gpu, const StepResult& result,
       // Real-threads mode measures wall-clock SLOs: re-stamp the first
       // token with the loop clock. (Backends stamped virtual/modeled
       // times, which don't advance at wall pace here.)
-      auto rit = requests_by_id_.find(e.request_id);
-      if (rit != requests_by_id_.end()) rit->second->first_token_time = now;
+      requests_.at(static_cast<std::size_t>(e.request_id)).first_token_time =
+          now;
     }
     last_emit_[e.request_id] = now;
   }
   for (std::int64_t id : result.finished) {
-    auto it = requests_by_id_.find(id);
-    if (it == requests_by_id_.end()) continue;
-    if (threaded_) it->second->finish_time = now;
-    metrics_.RecordFinished(*it->second, config_.slo);
-    requests_by_id_.erase(it);
+    ServingRequest& req = requests_.at(static_cast<std::size_t>(id));
+    if (threaded_) req.finish_time = now;
+    metrics_.RecordFinished(req, config_.slo);
     last_emit_.erase(id);
   }
 }
@@ -211,20 +143,21 @@ void ServingLoop::RunVirtual(const std::vector<SubmitSpec>& offered) {
   ran_ = true;
   for (const auto& spec : offered) {
     ServingRequest* req = Accept(spec);
+    if (req == nullptr) continue;
     // Equal arrival times run in offered order (EventQueue FIFO tiebreak),
     // so the replay is deterministic end to end.
-    events_.Schedule(spec.arrival_time,
-                     [this, req] { OnArrival(req, events_.now()); });
+    core_.events().Schedule(spec.arrival_time, [this, req] {
+      OnArrival(req);
+      core_.WakeGpus(TryAdmit(core_.events().now()));
+    });
   }
-  events_.RunAll();
-  end_time_ = events_.now();
+  core_.events().RunAll();
+  end_time_ = core_.events().now();
   // Whatever is still at the door could never be admitted (no event can
   // free capacity anymore): account it as shed, not silently dropped.
-  while (!door_.empty()) Shed(0);
-  for (ServingRequest* r : scheduler_.queue()) {
-    ++metrics_.shed;
-    requests_by_id_.erase(r->id);
-  }
+  for (ServingRequest* r : door_) Shed(r);
+  door_.clear();
+  metrics_.shed += static_cast<std::int64_t>(core_.scheduler().queue_size());
 }
 
 void ServingLoop::RunVirtual(const std::vector<TraceRequest>& trace) {
@@ -232,25 +165,6 @@ void ServingLoop::RunVirtual(const std::vector<TraceRequest>& trace) {
   specs.reserve(trace.size());
   for (const auto& r : trace) specs.push_back(SpecFromTrace(r));
   RunVirtual(specs);
-}
-
-bool ServingLoop::StepOnceThreaded(double now) {
-  bool stepped = false;
-  for (int g = 0; g < scheduler_.num_gpus(); ++g) {
-    ExecutionBackend& backend = *backends_[static_cast<std::size_t>(g)];
-    scheduler_.MigrateForKvPressure(g, now, &migrations_);
-    if (backend.HasRunnableWork(now)) {
-      StepResult result = backend.Step(now);
-      PUNICA_CHECK(result.batch_size > 0);
-      // Wall-clock timestamps throughout: HandleStepResult re-stamps
-      // first-token/finish with the loop clock, since backend-stamped
-      // virtual times don't advance at wall pace.
-      HandleStepResult(g, result, now);
-      stepped = true;
-    }
-  }
-  if (stepped) scheduler_.PumpQueue(now);
-  return stepped;
 }
 
 void ServingLoop::RunThreaded(ArrivalQueue& queue) {
@@ -268,17 +182,14 @@ void ServingLoop::RunThreaded(ArrivalQueue& queue) {
   // mirror of ClusterDriver::SubmitExternal's past-stamp clamp). Stamps in
   // the past are kept — that lag is real queueing and must be charged.
   auto accept = [this, &now_s](const SubmitSpec& spec) {
-    double now = now_s();
     ServingRequest* req = Accept(spec);
-    req->arrival_time = std::min(req->arrival_time, now);
-    OnArrival(req, now);
+    if (req == nullptr) return;
+    req->arrival_time = std::min(req->arrival_time, now_s());
+    OnArrival(req);
   };
   bool open = true;  // producers may still push
   for (;;) {
-    bool any_work = false;
-    for (const auto* b : backends_) any_work = any_work || b->HasAnyWork();
-    bool idle = door_.empty() && !any_work && scheduler_.queue_size() == 0;
-    if (open && idle) {
+    if (open && door_.empty() && core_.Drained()) {
       // Nothing to serve: block until the next arrival (or shutdown)
       // instead of spinning.
       if (auto spec = queue.Pop(); spec.has_value()) {
@@ -292,21 +203,17 @@ void ServingLoop::RunThreaded(ArrivalQueue& queue) {
       if (queue.shutdown() && queue.size() == 0) open = false;
     }
     double now = now_s();
-    std::size_t admitted = TryAdmit(now);
-    bool stepped = StepOnceThreaded(now);
-
-    bool work_left = false;
-    for (const auto* b : backends_) work_left = work_left || b->HasAnyWork();
-    if (!open && !work_left && scheduler_.queue_size() == 0) {
-      if (door_.empty()) break;
-      if (!stepped && admitted == 0) {
-        // No producer, no runnable work, nothing admitted: the residue at
-        // the door is unservable — shed it rather than spin forever.
-        while (!door_.empty()) Shed(0);
-        break;
-      }
+    bool admitted = !TryAdmit(now).empty();
+    bool stepped = core_.StepEachOnce(now);
+    if (!open && core_.Drained() &&
+        (door_.empty() || (!stepped && !admitted))) {
+      // No producer and no work left: any residue at the door is
+      // unservable, so shed it rather than spin forever.
+      for (ServingRequest* r : door_) Shed(r);
+      door_.clear();
+      break;
     }
-    if (!stepped && admitted == 0) {
+    if (!stepped && !admitted) {
       // Waiting on an adapter load or a mid-schedule lull.
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }

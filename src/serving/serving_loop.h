@@ -1,25 +1,25 @@
-// The open-loop serving loop: decouples request *arrival* from engine
-// *readiness*.
+// The open-loop serving loop: the StepLoop core plus an admission door,
+// which decouples request *arrival* from engine *readiness*.
 //
-// Requests enter a bounded, priority-ordered front door (the admission
-// buffer). The loop admits them into the Scheduler → ExecutionBackend
-// machinery only when some backend has capacity; until then they wait at
-// the door, and under overload the door sheds: on overflow it drops the
-// lowest-priority entry, and any unprotected entry that has already waited
-// past `shed_slack ×` its TTFT target is dropped as hopeless (it could no
-// longer be "good" — serving it would only burn capacity that a fresher
-// request could convert into goodput). Higher-priority tenants are
-// *deferred over*, never shed, up to the door bound.
+// Requests enter a bounded, priority-ordered door and are admitted into the
+// core's Scheduler only when some backend has capacity. Under overload the
+// door sheds: on overflow it drops the lowest-priority entry, and any
+// unprotected entry that has already waited past `shed_slack ×` its TTFT
+// target is dropped as hopeless (it could no longer be "good"; serving it
+// would only burn capacity a fresher request could convert into goodput).
+// Higher-priority tenants are *deferred over*, never shed, up to the door
+// bound. Malformed specs (nothing to prefill or to generate) are shed on
+// arrival.
 //
-// Two clocks, one loop body:
-//   * RunVirtual — arrivals and step completions are events on a
-//     discrete-event queue (sim/event_queue). Fully deterministic: the
-//     same offered schedule yields bit-identical token streams and SLO
-//     metrics at any thread count and SIMD level.
-//   * RunThreaded — drains a live ArrivalQueue fed by submitter threads.
-//     The wall clock (seconds since the loop started) drives arrivals and
-//     step initiation; per-step service time still comes from the backend.
-//     This is the mode wall-clock benches use.
+// Two clocks drive the core:
+//   * RunVirtual — arrivals and step completions are events on the core's
+//     queue, and each one tries the door. Fully deterministic: the same
+//     offered schedule yields bit-identical token streams and SLO metrics
+//     at any thread count and SIMD level.
+//   * RunThreaded — drains a live ArrivalQueue fed by submitter threads;
+//     each pass tries the door, then steps every backend once at the wall
+//     clock (seconds since the loop started). Per-step service time still
+//     comes from the backend. This is the mode wall-clock benches use.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +29,10 @@
 #include <vector>
 
 #include "runtime/backend.h"
-#include "sched/scheduler.h"
+#include "sched/step_loop.h"
 #include "serving/arrival_queue.h"
 #include "serving/metrics.h"
 #include "serving/slo.h"
-#include "sim/event_queue.h"
 #include "workload/trace.h"
 
 namespace punica {
@@ -80,7 +79,7 @@ class ServingLoop {
   const std::map<std::int64_t, std::vector<std::int32_t>>& streams() const {
     return streams_;
   }
-  std::int64_t migrations() const { return migrations_; }
+  std::int64_t migrations() const { return core_.migrations(); }
   /// Post-run inspection of every accepted request (stable storage, ids in
   /// offered order): phase tells finished vs shed, and the stamped
   /// arrival/admit/first-token/finish times are all there.
@@ -90,41 +89,32 @@ class ServingLoop {
   double end_time() const { return end_time_; }
 
  private:
-  struct DoorEntry {
-    ServingRequest* req;
-    std::uint64_t seq;  ///< arrival tiebreak (monotone per accept)
-  };
-
+  /// Stores the spec as the next request. A malformed spec (max_new_tokens
+  /// or prompt length < 1) is counted offered and shed at once, and
+  /// nullptr is returned.
   ServingRequest* Accept(const SubmitSpec& spec);
-  void OnArrival(ServingRequest* req, double now);
-  void Shed(std::size_t door_index);
+  void OnArrival(ServingRequest* req);
+  bool Protected(const ServingRequest& req) const {
+    return req.priority >= config_.protected_priority;
+  }
+  /// Marks `req` shed; the caller takes it off the door.
+  void Shed(ServingRequest* req);
   bool AnyBackendCanAdmit(const ServingRequest& req) const;
   /// Sheds stale unprotected waiters, then admits in (priority desc,
-  /// arrival, seq) order, scanning past entries no backend can take yet.
-  /// Returns the number admitted.
-  std::size_t TryAdmit(double now);
-  void MaybeStartStep(int gpu);
-  void HandleStepResult(int gpu, const StepResult& result, double now);
-  void WakeGpus(const std::vector<int>& gpus);
-  /// One pass over the backends in real-threads mode; true if any stepped.
-  bool StepOnceThreaded(double now);
+  /// arrival, id) order, scanning past entries no backend can take yet.
+  /// Returns the GPU each admitted request went to (the caller on the
+  /// virtual clock wakes them).
+  std::vector<int> TryAdmit(double now);
+  void HandleStepResult(const StepResult& result, double now);
 
   ServingLoopConfig config_;
-  std::vector<ExecutionBackend*> backends_;
-  Scheduler scheduler_;
-  EventQueue events_;
-  bool threaded_ = false;  ///< suppress event scheduling in RunThreaded
-  std::deque<ServingRequest> requests_;  ///< stable storage
-  std::unordered_map<std::int64_t, ServingRequest*> requests_by_id_;
-  std::vector<DoorEntry> door_;
-  std::uint64_t next_seq_ = 0;
-  std::int64_t next_id_ = 0;
-  std::vector<bool> busy_;
-  std::vector<double> pending_wake_;
+  StepLoop core_;
+  bool threaded_ = false;  ///< re-stamp first-token/finish with wall time
+  std::deque<ServingRequest> requests_;  ///< stable storage, indexed by id
+  std::vector<ServingRequest*> door_;
   std::unordered_map<std::int64_t, double> last_emit_;  ///< for ITL gaps
   std::map<std::int64_t, std::vector<std::int32_t>> streams_;
   ServingMetrics metrics_;
-  std::int64_t migrations_ = 0;
   double end_time_ = 0.0;
   bool ran_ = false;
 };

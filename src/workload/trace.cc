@@ -96,6 +96,18 @@ std::vector<TraceRequest> GenerateOpenLoopTrace(
   return trace;
 }
 
+SubmitSpec SpecFromTrace(const TraceRequest& r) {
+  SubmitSpec spec;
+  spec.lora = r.lora_id;
+  spec.prompt_len = r.prompt_len;
+  spec.max_new_tokens = r.output_len;
+  spec.arrival_time = r.arrival_time;
+  spec.priority = r.priority;
+  spec.shared_prefix_len = r.shared_prefix_len;
+  spec.prefix_group = r.prefix_group;
+  return spec;
+}
+
 std::int64_t TotalOutputTokens(const std::vector<TraceRequest>& trace) {
   std::int64_t total = 0;
   for (const auto& r : trace) total += r.output_len;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/segment.h"
+#include "runtime/submit_spec.h"
 #include "workload/lengths.h"
 #include "workload/popularity.h"
 
@@ -26,6 +27,12 @@ struct TraceRequest {
   /// traffic first; 0 (the default) keeps closed-loop traces unchanged.
   std::int32_t priority = 0;
 };
+
+/// Converts one trace row into the unified submission surface (synthetic
+/// prompt lengths — the simulated tier; the numeric tier builds its own
+/// specs with real token ids). Copies every field a backend or the serving
+/// door acts on.
+SubmitSpec SpecFromTrace(const TraceRequest& r);
 
 /// Per-tenant shared system prompts: each tenant (LoRA id) gets a system
 /// prompt of a length drawn once per tenant from [min_tokens, max_tokens];

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gpu/specs.h"
+#include "serving/serving_loop.h"
 #include "sim/arrivals.h"
 #include "workload/trace.h"
 
@@ -168,6 +169,85 @@ TEST(ClusterTest, OpenLoopLatencyReasonable) {
   EXPECT_GE(stats.request_latency.min(), 0.0);
   EXPECT_LE(stats.first_token_latency.mean(),
             stats.request_latency.mean());
+}
+
+TEST(ClusterTest, PinnedStatsUnderMigrationConsolidationAndAutoscale) {
+  // A small open-loop trace that exercises every path of the driver: a
+  // tight KvCache forces pressure migrations, a short consolidation period
+  // moves requests between GPUs, autoscale acquires and releases GPUs, and
+  // adapter loads make idle GPUs wait for load-completion wakes. The values
+  // are pinned exactly so a refactor of the event loop cannot drift.
+  CostModel cm((A100Sxm80GB()));
+  ClusterConfig cfg = SmallCluster(3);
+  cfg.runner.kv_capacity_tokens = 1200;
+  cfg.runner.lora_load_latency_s = 5e-3;
+  cfg.consolidation_interval_s = 0.5;
+  cfg.enable_autoscale = true;
+  cfg.initial_gpus = 1;
+  cfg.autoscale_interval_s = 0.25;
+  cfg.autoscale.release_after_idle_ticks = 1;
+  TraceSpec spec;
+  spec.num_requests = 48;
+  spec.popularity = Popularity::kSkewed;
+  spec.lengths.prompt_mu = 4.5;
+  spec.lengths.prompt_sigma = 0.5;
+  spec.lengths.output_mu = 4.0;
+  spec.lengths.output_sigma = 0.5;
+  auto trace = GenerateClosedLoopTrace(spec);
+  AssignPoissonArrivals(trace, /*rate=*/8.0, /*seed=*/7);
+  ClusterDriver driver(cfg, &cm);
+  driver.SubmitTrace(trace);
+  driver.Run();
+  const ClusterStats& s = driver.stats();
+  EXPECT_EQ(s.finished_requests, 48);
+  EXPECT_EQ(s.total_steps, 640);
+  EXPECT_EQ(s.migrations, 20);
+  EXPECT_EQ(s.total_new_tokens, 3060);
+  EXPECT_EQ(s.gpu_acquisitions, 5);
+  EXPECT_EQ(s.gpu_releases, 5);
+  EXPECT_NEAR(s.makespan, 6.2827972872173552, 6.2827972872173552 * 1e-9);
+}
+
+TEST(ClusterTest, SubmitTraceKeepsPrefixAndPriorityFields) {
+  // SubmitTrace must carry every trace field the backends act on: the
+  // shared-prefix annotation drives the runner's prefix cache, so the
+  // driver and the serving loop must see the same prefix hits on the same
+  // closed-loop trace.
+  CostModel cm((A100Sxm80GB()));
+  TraceSpec spec;
+  spec.num_requests = 64;
+  spec.popularity = Popularity::kSkewed;
+  spec.shared_prefix.enabled = true;
+  spec.priority_classes = 2;
+  auto trace = GenerateClosedLoopTrace(spec);
+
+  RunnerConfig rc = SmallCluster(1).runner;
+  GpuRunner driver_runner(0, rc, Llama7B(), &cm);
+  ClusterConfig cfg;
+  cfg.enable_consolidation = false;
+  ClusterDriver driver({&driver_runner}, cfg);
+  driver.SubmitTrace(trace);
+  driver.Run();
+  ASSERT_EQ(driver.requests().size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const ServingRequest& r = driver.requests()[i];
+    EXPECT_EQ(r.shared_prefix_len, trace[i].shared_prefix_len);
+    EXPECT_EQ(r.prefix_group, trace[i].prefix_group);
+    EXPECT_EQ(r.priority, trace[i].priority);
+  }
+
+  GpuRunner loop_runner(0, rc, Llama7B(), &cm);
+  ServingLoopConfig lc;
+  lc.shed_slack = 1e9;  // closed loop: nobody goes stale at the door
+  ServingLoop loop({&loop_runner}, lc);
+  loop.RunVirtual(trace);
+  ASSERT_EQ(loop.metrics().finished, 64);
+
+  PrefixCacheStats d = driver_runner.prefix_cache_stats();
+  PrefixCacheStats l = loop_runner.prefix_cache_stats();
+  EXPECT_GT(d.hits, 0);
+  EXPECT_EQ(d.hits, l.hits);
+  EXPECT_EQ(d.hit_tokens, l.hit_tokens);
 }
 
 }  // namespace

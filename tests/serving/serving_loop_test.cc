@@ -312,5 +312,51 @@ TEST(ServingLoopTest, ThreadedModeServesAReplayedTrace) {
   EXPECT_GT(loop.end_time(), 0.0);
 }
 
+TEST(ServingLoopTest, MalformedSpecsAreShedBesideAValidOne) {
+  // Nothing to generate (max_new_tokens 0) or nothing to prefill (prompt
+  // length 0 or negative): the door refuses the spec, counting it offered
+  // and shed, and the valid spec next to it is served normally — on both
+  // clocks.
+  SubmitSpec valid;
+  valid.lora = 1;
+  valid.prompt_len = 32;
+  valid.max_new_tokens = 4;
+  SubmitSpec no_output = valid;
+  no_output.max_new_tokens = 0;
+  SubmitSpec empty_prompt = valid;
+  empty_prompt.prompt_len = 0;
+  SubmitSpec negative_prompt = valid;
+  negative_prompt.prompt_len = -5;
+  for (const SubmitSpec& bad : {no_output, empty_prompt, negative_prompt}) {
+    for (bool threaded : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "max_new_tokens " << bad.max_new_tokens
+                   << ", prompt_len " << bad.prompt_len
+                   << (threaded ? ", RunThreaded" : ", RunVirtual"));
+      SimCluster cluster(1);
+      ServingLoop loop(cluster.backends);
+      if (threaded) {
+        ArrivalQueue queue(4);
+        ASSERT_TRUE(queue.Push(bad));
+        ASSERT_TRUE(queue.Push(valid));
+        queue.Shutdown();
+        loop.RunThreaded(queue);
+      } else {
+        loop.RunVirtual(std::vector<SubmitSpec>{bad, valid});
+      }
+      const ServingMetrics& m = loop.metrics();
+      EXPECT_EQ(m.offered, 2);
+      EXPECT_EQ(m.shed, 1);
+      EXPECT_EQ(m.finished, 1);
+      EXPECT_EQ(m.total_new_tokens, 4);
+      ASSERT_EQ(loop.requests().size(), 2u);
+      EXPECT_EQ(loop.requests()[0].phase, RequestPhase::kCancelled);
+      EXPECT_EQ(loop.requests()[1].phase, RequestPhase::kFinished);
+      EXPECT_EQ(loop.streams().count(0), 0u);
+      EXPECT_EQ(loop.streams().at(1).size(), 4u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace punica
