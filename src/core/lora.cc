@@ -11,29 +11,31 @@
 namespace punica {
 
 LoraAB LoraAB::Random(int h_in, int h_out, int rank, std::uint64_t seed) {
-  LoraAB w = Zeros(h_in, h_out, rank);
-  w.Draw(seed);
+  LoraAB w = Uninitialized(h_in, h_out, rank);
+  Pcg32 rng(seed);
+  for (const GaussianFill& f : w.Fills(0)) {
+    FillGaussianF16(rng, f.scale, f.dst);
+  }
   return w;
 }
 
-LoraAB LoraAB::Zeros(int h_in, int h_out, int rank) {
+LoraAB LoraAB::Uninitialized(int h_in, int h_out, int rank) {
   PUNICA_CHECK(h_in > 0 && h_out > 0 && rank > 0);
   LoraAB w;
   w.rank = rank;
   w.h_in = h_in;
   w.h_out = h_out;
-  w.a = Tensor<f16>({h_in, rank});
-  w.b = Tensor<f16>({rank, h_out});
+  w.a = Tensor<f16>::Uninitialized({h_in, rank});
+  w.b = Tensor<f16>::Uninitialized({rank, h_out});
   return w;
 }
 
-void LoraAB::Draw(std::uint64_t seed) {
-  Pcg32 rng(seed);
+std::array<GaussianFill, 2> LoraAB::Fills(std::size_t stream) {
   // Kaiming-style scale for A; B small (LoRA initialises B=0 for training,
   // but serving benchmarks need non-trivial values — paper uses random
   // weights since values do not affect latency).
-  FillGaussianF16(rng, 1.0f / std::sqrt(static_cast<float>(h_in)), a.data());
-  FillGaussianF16(rng, 1.0f / std::sqrt(static_cast<float>(rank)), b.data());
+  return {{{stream, 1.0f / std::sqrt(static_cast<float>(h_in)), a.data()},
+           {stream, 1.0f / std::sqrt(static_cast<float>(rank)), b.data()}}};
 }
 
 void BatchedLoraAddon(std::span<float> y, std::span<const float> x,

@@ -8,6 +8,7 @@
 //     y += SGMV-expand(v, B)        (r → h)
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -16,6 +17,7 @@
 
 #include "core/segment.h"
 #include "core/sgmv.h"
+#include "tensor/half.h"
 #include "tensor/tensor.h"
 
 namespace punica {
@@ -28,13 +30,14 @@ struct LoraAB {
   int h_in = 0;
   int h_out = 0;
 
-  /// Zeros(h_in, h_out, rank) followed by Draw(seed).
+  /// Uninitialized(h_in, h_out, rank), then its Fills drawn from
+  /// Pcg32(seed).
   static LoraAB Random(int h_in, int h_out, int rank, std::uint64_t seed);
-  /// Random's two halves, so one thread can allocate what another fills:
-  /// Zeros allocates zeroed A [h_in, rank] and B [rank, h_out]; Draw fills
-  /// A then B in place from `seed`'s stream.
-  static LoraAB Zeros(int h_in, int h_out, int rank);
-  void Draw(std::uint64_t seed);
+  /// Random's pieces, so one thread can allocate what another fills:
+  /// Uninitialized allocates unwritten A [h_in, rank] and B [rank, h_out];
+  /// Fills lists A then B with their scales, as `stream`.
+  static LoraAB Uninitialized(int h_in, int h_out, int rank);
+  std::array<GaussianFill, 2> Fills(std::size_t stream);
   std::size_t byte_size() const {
     return (a.numel() + b.numel()) * sizeof(f16);
   }

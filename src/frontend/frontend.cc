@@ -16,8 +16,11 @@ Frontend::Frontend(int frontend_id, SchedulerApi api, std::int64_t id_base,
 }
 
 RequestHandle Frontend::Submit(const SubmitSpec& spec) {
-  PUNICA_CHECK(spec.EffectivePromptLen() > 0);
-  PUNICA_CHECK(spec.max_new_tokens > 0);
+  if (!spec.Servable()) {
+    // Refused without a session or a request id.
+    ++total_rejected_;
+    return RequestHandle();
+  }
   std::int64_t id = next_id_;
   next_id_ += id_stride_;
   Session session;

@@ -44,7 +44,9 @@ class Frontend {
   int frontend_id() const { return frontend_id_; }
 
   /// User-facing: submit a generation request; returns the handle whose
-  /// TokenStream the user consumes.
+  /// TokenStream the user consumes. A spec with an empty prompt or
+  /// max_new_tokens < 1 is refused: the handle is invalid, no session is
+  /// created and total_rejected() counts it.
   RequestHandle Submit(const SubmitSpec& spec);
 
   /// The response stream for a request of this frontend, or nullptr when
@@ -79,6 +81,8 @@ class Frontend {
   /// Requests ever submitted through this frontend (monotonic; unaffected
   /// by session reclamation).
   std::size_t total_submitted() const { return total_submitted_; }
+  /// Specs Submit refused (monotonic).
+  std::size_t total_rejected() const { return total_rejected_; }
 
  private:
   struct Session {
@@ -91,6 +95,7 @@ class Frontend {
   std::int64_t next_id_;
   std::int64_t id_stride_;
   std::size_t total_submitted_ = 0;
+  std::size_t total_rejected_ = 0;
   std::map<std::int64_t, Session> sessions_;
 };
 

@@ -11,17 +11,21 @@ namespace punica {
 
 LayerWeights LayerWeights::Random(const LlamaConfig& config,
                                   std::uint64_t seed) {
-  LayerWeights w = Zeros(config);
-  w.Draw(config, seed);
+  LayerWeights w = Uninitialized(config);
+  Pcg32 rng(seed);
+  for (const GaussianFill& f : w.Fills(config, 0)) {
+    FillGaussianF16(rng, f.scale, f.dst);
+  }
+  w.Quantize(config.weight_dtype);
   return w;
 }
 
-LayerWeights LayerWeights::Zeros(const LlamaConfig& config) {
+LayerWeights LayerWeights::Uninitialized(const LlamaConfig& config) {
   LayerWeights w;
   for (int p = 0; p < kNumProj; ++p) {
     ProjShape s = ShapeOf(config, static_cast<Proj>(p));
-    w.proj[p] = WeightMatrix::FromF16(Tensor<f16>({s.h_in, s.h_out}),
-                                      WeightDtype::kF16);
+    w.proj[p] = WeightMatrix::FromF16(
+        Tensor<f16>::Uninitialized({s.h_in, s.h_out}), WeightDtype::kF16);
   }
   w.attn_norm = Tensor<f16>({config.hidden_size});
   w.mlp_norm = Tensor<f16>({config.hidden_size});
@@ -30,8 +34,9 @@ LayerWeights LayerWeights::Zeros(const LlamaConfig& config) {
   return w;
 }
 
-void LayerWeights::Draw(const LlamaConfig& config, std::uint64_t seed) {
-  Pcg32 rng(seed);
+std::array<GaussianFill, kNumProj> LayerWeights::Fills(
+    const LlamaConfig& config, std::size_t stream) {
+  std::array<GaussianFill, kNumProj> fills;
   for (int p = 0; p < kNumProj; ++p) {
     ProjShape s = ShapeOf(config, static_cast<Proj>(p));
     float scale = 1.0f / std::sqrt(static_cast<float>(s.h_in));
@@ -45,13 +50,17 @@ void LayerWeights::Draw(const LlamaConfig& config, std::uint64_t seed) {
     if (static_cast<Proj>(p) == Proj::kO || static_cast<Proj>(p) == Proj::kDown) {
       scale /= 2.0f * static_cast<float>(config.num_layers);
     }
-    // Draw the f16 master weights from the same RNG stream at every dtype,
-    // then quantize: the dtype selects the storage, never the parameters.
-    FillGaussianF16(rng, scale, proj[p].mutable_f16_data());
-    if (config.weight_dtype != WeightDtype::kF16) {
-      proj[p] = proj[p].Requantize(config.weight_dtype);
-    }
+    fills[static_cast<std::size_t>(p)] = {stream, scale,
+                                          proj[p].mutable_f16_data()};
   }
+  return fills;
+}
+
+void LayerWeights::Quantize(WeightDtype dtype) {
+  // The f16 masters are drawn the same at every dtype; the dtype selects
+  // the storage, never the parameters.
+  if (dtype == WeightDtype::kF16) return;
+  for (WeightMatrix& m : proj) m = m.Requantize(dtype);
 }
 
 std::size_t LoraLayerWeights::byte_size() const {
@@ -66,21 +75,21 @@ LoraModelWeights LoraModelWeights::Random(const LlamaConfig& config,
   LoraModelWeights w;
   w.rank = rank;
   w.layers.resize(static_cast<std::size_t>(config.num_layers));
-  for (auto& layer : w.layers) {
+  std::vector<Pcg32> streams;
+  std::vector<GaussianFill> fills;
+  for (std::size_t l = 0; l < w.layers.size(); ++l) {
     for (int p = 0; p < kNumProj; ++p) {
       ProjShape s = ShapeOf(config, static_cast<Proj>(p));
-      layer.proj[p] = LoraAB::Zeros(s.h_in, s.h_out, rank);
+      LoraAB& ab = w.layers[l].proj[p];
+      ab = LoraAB::Uninitialized(s.h_in, s.h_out, rank);
+      for (const GaussianFill& f : ab.Fills(streams.size())) {
+        fills.push_back(f);
+      }
+      streams.emplace_back((seed * 1000003 + l) * 31 +
+                           static_cast<std::uint64_t>(p));
     }
   }
-  ctx.ParallelFor(config.num_layers * kNumProj, 1,
-                  [&](std::int64_t lo, std::int64_t hi) {
-                    for (std::int64_t i = lo; i < hi; ++i) {
-                      const auto l = static_cast<std::uint64_t>(i / kNumProj);
-                      const auto p = static_cast<std::uint64_t>(i % kNumProj);
-                      const std::uint64_t layer_seed = seed * 1000003 + l;
-                      w.layers[l].proj[p].Draw(layer_seed * 31 + p);
-                    }
-                  });
+  FillGaussianF16Parallel(streams, fills, ctx);
   return w;
 }
 

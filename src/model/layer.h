@@ -7,6 +7,7 @@
 // self-attention splits into BatchPrefill / BatchDecode kernels.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -34,16 +35,19 @@ struct LayerWeights {
 
   /// Draws the same seeded f16 master weights regardless of dtype, then
   /// quantizes per config.weight_dtype — deterministic, and dtype variants
-  /// of one (config, seed) share the underlying parameters. Equals
-  /// Zeros(config) followed by Draw(config, seed).
+  /// of one (config, seed) share the underlying parameters: Uninitialized,
+  /// then Fills drawn from Pcg32(seed), then Quantize.
   static LayerWeights Random(const LlamaConfig& config, std::uint64_t seed);
 
-  /// Random's two halves, so one thread can allocate what another fills
-  /// (LlamaModel's parallel construction): Zeros allocates zeroed f16
-  /// projections and unit norms; Draw fills the projections in place from
-  /// `seed`'s stream and then quantizes them per config.weight_dtype.
-  static LayerWeights Zeros(const LlamaConfig& config);
-  void Draw(const LlamaConfig& config, std::uint64_t seed);
+  /// Random's pieces, so one thread can allocate what others fill
+  /// (LlamaModel's parallel construction): Uninitialized allocates unwritten
+  /// f16 projections and unit norms; Fills lists the projections in draw
+  /// order with their scales, as `stream`; Quantize re-encodes them to
+  /// `dtype` (a no-op for f16).
+  static LayerWeights Uninitialized(const LlamaConfig& config);
+  std::array<GaussianFill, kNumProj> Fills(const LlamaConfig& config,
+                                           std::size_t stream);
+  void Quantize(WeightDtype dtype);
 };
 
 /// LoRA adapters for one layer: one (A, B) pair per projection.
@@ -59,9 +63,9 @@ struct LoraModelWeights {
   int rank = 0;
 
   /// Deterministic in (config, rank, seed). Every (layer, projection) pair
-  /// has its own seeded stream, so the pairs are drawn as parallel tasks
-  /// on `ctx` — into tensors allocated on the calling thread beforehand —
-  /// with the same bits at any thread count.
+  /// has its own seeded stream, drawn by FillGaussianF16Parallel on `ctx`
+  /// into tensors allocated on the calling thread beforehand, with the
+  /// same bits at any thread count.
   static LoraModelWeights Random(
       const LlamaConfig& config, int rank, std::uint64_t seed,
       const ComputeContext& ctx = ComputeContext::Default());

@@ -15,39 +15,33 @@ LlamaModel::LlamaModel(const LlamaConfig& config, std::uint64_t seed,
       ctx_(ctx != nullptr ? ctx : &ComputeContext::Default()),
       tp_(tp) {
   PUNICA_CHECK(tp >= 1);
-  // The embedding (seeded by `seed`) and every layer (seed·7919 + l + 1)
-  // are independent streams, drawn as parallel tasks with the same bits at
-  // any thread count. Every destination is allocated here, on the calling
-  // thread, so the workers only fill: memory a worker allocates lands in
-  // its own malloc arena and raises peak RSS.
-  embedding_ = Tensor<f16>({config.vocab_size, config.hidden_size});
+  // The embedding (stream `seed`) and every layer (stream
+  // seed·7919 + l + 1, its projections in order) are drawn by
+  // FillGaussianF16Parallel in balanced tasks, with the same bits at any
+  // thread count. Every destination is allocated here, on the calling
+  // thread, unwritten, so the workers only fill: memory a worker allocates
+  // lands in its own malloc arena and raises peak RSS.
+  embedding_ =
+      Tensor<f16>::Uninitialized({config.vocab_size, config.hidden_size});
   // Each layer is drawn into its one-rank shard, which at tp = 1 is the
   // stored layer. tp > 1 draws the same f16 masters (quantization
   // deferred) and replaces them by their Megatron rank shards in the
-  // layer's own task, quantizing to config.weight_dtype after the slice —
-  // so tp changes the execution schedule, never the parameters.
-  LlamaConfig draw_config = config;
-  if (tp > 1) draw_config.weight_dtype = WeightDtype::kF16;
+  // layer's own task below, quantizing to config.weight_dtype after the
+  // slice — so tp changes the execution schedule, never the parameters.
   layers_.resize(static_cast<std::size_t>(config.num_layers));
-  for (TpShardedLayer& layer : layers_) {
-    layer.ranks.push_back(LayerWeights::Zeros(config));
-  }
-  ctx_->ParallelFor(config.num_layers + 1, 1, [&](std::int64_t lo,
-                                                  std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      if (i == 0) {
-        Pcg32 rng(seed);
-        FillGaussianF16(
-            rng, 1.0f / std::sqrt(static_cast<float>(config.hidden_size)),
-            embedding_.data());
-        continue;
-      }
-      const auto l = static_cast<std::size_t>(i - 1);
-      TpShardedLayer& layer = layers_[l];
-      layer.ranks[0].Draw(draw_config, seed * 7919 + l + 1);
-      if (tp > 1) layer = ShardLayer(config_, layer.ranks[0], tp);
+  std::vector<Pcg32> streams = {Pcg32(seed)};
+  std::vector<GaussianFill> fills = {
+      {0, 1.0f / std::sqrt(static_cast<float>(config.hidden_size)),
+       embedding_.data()}};
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    LayerWeights& layer = layers_[l].ranks.emplace_back(
+        LayerWeights::Uninitialized(config));
+    for (const GaussianFill& f : layer.Fills(config, streams.size())) {
+      fills.push_back(f);
     }
-  });
+    streams.emplace_back(seed * 7919 + l + 1);
+  }
+  FillGaussianF16Parallel(streams, fills, *ctx_);
   // Shift-tied LM head (weight tying à la GPT-2/Gemma, shifted by one):
   // head column v is the embedding row of token v-1, so the residual
   // stream's embedding component makes "input token + 1" the well-separated
@@ -57,28 +51,45 @@ LlamaModel::LlamaModel(const LlamaConfig& config, std::uint64_t seed,
   // the determinism suites) would measure tie-breaking luck instead of
   // model numerics. The head stays its own tensor: it is stored — and
   // quantized — separately, so shapes and byte accounting are unchanged.
-  Tensor<f16> lm_head({config.hidden_size, config.vocab_size});
-  {
-    // A blocked transpose: each 32×32 tile writes head rows contiguously
-    // and reads 32 embedding rows, all cache resident.
-    constexpr std::size_t kTile = 32;
-    const auto vocab = static_cast<std::size_t>(config.vocab_size);
-    const auto hidden = static_cast<std::size_t>(config.hidden_size);
-    const f16* emb = embedding_.raw();
-    f16* head = lm_head.raw();
-    for (std::size_t i0 = 0; i0 < hidden; i0 += kTile) {
-      const std::size_t i1 = std::min(hidden, i0 + kTile);
-      for (std::size_t v0 = 0; v0 < vocab; v0 += kTile) {
-        const std::size_t v1 = std::min(vocab, v0 + kTile);
-        for (std::size_t i = i0; i < i1; ++i) {
-          for (std::size_t v = v0; v < v1; ++v) {
-            const std::size_t src = v == 0 ? vocab - 1 : v - 1;
-            head[i * vocab + v] = emb[src * hidden + i];
-          }
+  Tensor<f16> lm_head =
+      Tensor<f16>::Uninitialized({config.hidden_size, config.vocab_size});
+  // One parallel region: the head as a blocked transpose, kTile head rows
+  // per task (each 32×32 tile writes head rows contiguously and reads 32
+  // embedding rows, all cache resident), then each layer's quantization
+  // (tp = 1) or rank sharding (tp > 1).
+  constexpr std::size_t kTile = 32;
+  const auto vocab = static_cast<std::size_t>(config.vocab_size);
+  const auto hidden = static_cast<std::size_t>(config.hidden_size);
+  const auto tiles = static_cast<std::int64_t>((hidden + kTile - 1) / kTile);
+  const bool reshape = tp > 1 || config.weight_dtype != WeightDtype::kF16;
+  const f16* emb = embedding_.raw();
+  f16* head = lm_head.raw();
+  const auto task = [&](std::int64_t t) {
+    if (t >= tiles) {
+      TpShardedLayer& layer = layers_[static_cast<std::size_t>(t - tiles)];
+      if (tp > 1) {
+        layer = ShardLayer(config_, layer.ranks[0], tp);
+      } else {
+        layer.ranks[0].Quantize(config.weight_dtype);
+      }
+      return;
+    }
+    const std::size_t i0 = static_cast<std::size_t>(t) * kTile;
+    const std::size_t i1 = std::min(hidden, i0 + kTile);
+    for (std::size_t v0 = 0; v0 < vocab; v0 += kTile) {
+      const std::size_t v1 = std::min(vocab, v0 + kTile);
+      for (std::size_t i = i0; i < i1; ++i) {
+        for (std::size_t v = v0; v < v1; ++v) {
+          const std::size_t src = v == 0 ? vocab - 1 : v - 1;
+          head[i * vocab + v] = emb[src * hidden + i];
         }
       }
     }
-  }
+  };
+  ctx_->ParallelFor(tiles + (reshape ? config.num_layers : 0), 1,
+                    [&](std::int64_t lo, std::int64_t hi) {
+                      for (std::int64_t t = lo; t < hi; ++t) task(t);
+                    });
   // Same f16 draw at every dtype; quantization only changes the storage.
   // The embedding stays f16 — it is a per-row gather, not a GEMM operand.
   lm_head_ = WeightMatrix::FromF16(std::move(lm_head), config.weight_dtype);

@@ -49,6 +49,13 @@ struct SubmitSpec {
                ? prompt_len
                : static_cast<std::int32_t>(prompt_tokens.size());
   }
+
+  /// False for a spec no backend can serve — nothing to prefill from, or
+  /// nothing to generate. Every entry point refuses those rather than
+  /// aborting.
+  bool Servable() const {
+    return EffectivePromptLen() >= 1 && max_new_tokens >= 1;
+  }
 };
 
 /// Lightweight, type-safe wrapper around the raw int64 request id that the

@@ -58,7 +58,13 @@ void ClusterDriver::Init(std::vector<ExecutionBackend*> backends) {
 
 void ClusterDriver::SubmitTrace(const std::vector<TraceRequest>& trace) {
   for (const auto& t : trace) {
-    requests_.push_back(ServingRequest::FromSpec(t.id, SpecFromTrace(t)));
+    const SubmitSpec spec = SpecFromTrace(t);
+    if (!spec.Servable()) {
+      // Refused here, as the serving door does.
+      ++stats_.rejected_requests;
+      continue;
+    }
+    requests_.push_back(ServingRequest::FromSpec(t.id, spec));
     ServingRequest* req = &requests_.back();
     requests_by_id_[req->id] = req;
     core_->events().Schedule(t.arrival_time, [this, req] { OnArrival(req); });

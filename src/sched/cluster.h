@@ -57,6 +57,8 @@ struct ClusterStats {
   TimeSeries active_gpus;            ///< (autoscale tick, GPUs in service)
   std::int64_t gpu_acquisitions = 0;
   std::int64_t gpu_releases = 0;
+  /// Trace rows refused at submit: no prompt token or no token to generate.
+  std::int64_t rejected_requests = 0;
 };
 
 class ClusterDriver {
@@ -71,6 +73,8 @@ class ClusterDriver {
                 const ClusterConfig& config = {});
 
   /// Copies the trace into stable storage and schedules arrival events.
+  /// Rows that cannot be served — an empty prompt or an output length
+  /// below one — are refused and counted in stats().rejected_requests.
   void SubmitTrace(const std::vector<TraceRequest>& trace);
 
   /// Submits an externally-owned request (frontend path, Fig. 2) at the

@@ -24,9 +24,8 @@ ServingRequest* ServingLoop::Accept(const SubmitSpec& spec) {
   auto id = static_cast<std::int64_t>(requests_.size());
   requests_.push_back(ServingRequest::FromSpec(id, spec));
   ServingRequest* req = &requests_.back();
-  if (spec.max_new_tokens < 1 || spec.EffectivePromptLen() < 1) {
-    // Nothing to generate, or nothing to prefill from: no backend can
-    // serve it, so the door refuses it outright.
+  if (!spec.Servable()) {
+    // No backend can serve it, so the door refuses it outright.
     ++metrics_.offered;
     Shed(req);
     return nullptr;

@@ -1,10 +1,13 @@
 #include "tensor/half.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <vector>
 
 #include "tensor/simd.h"
 #include "util/check.h"
+#include "util/compute_context.h"
 #include "util/rng.h"
 
 namespace punica {
@@ -41,7 +44,7 @@ std::size_t FillGaussianF16Libm(Pcg32& rng, float scale, std::span<f16> dst) {
 void FillGaussianF16(Pcg32& rng, float scale, std::span<f16> dst) {
   const SimdOps& ops = Simd();
   std::size_t i = 0;
-  if (ops.box_muller_f32 != nullptr) {
+  if (ops.box_muller_f16 != nullptr) {
     // A cached deviate is the stream's next element; whole pairs follow.
     if (rng.has_cached_gaussian() && !dst.empty()) {
       i = FillGaussianF16Libm(rng, scale, dst.first(1));
@@ -49,15 +52,13 @@ void FillGaussianF16(Pcg32& rng, float scale, std::span<f16> dst) {
     constexpr std::size_t kPairs = 256;
     double u1[kPairs];
     double u2[kPairs];
-    float buf[2 * kPairs];
     while (dst.size() - i >= 2) {
       const std::size_t n = std::min(kPairs, (dst.size() - i) / 2);
       ops.pcg_uniform_pairs(rng.state(), rng.increment(), n, u1, u2);
       const std::size_t done =
-          ops.box_muller_f32(u1, u2, n, kBoxMullerEps, buf);
+          ops.box_muller_f16(u1, u2, n, scale, kBoxMullerEps, dst.data() + i)
+              .pairs;
       rng.Advance(4 * done);
-      for (std::size_t j = 0; j < 2 * done; ++j) buf[j] *= scale;
-      ops.float_to_half_n(buf, dst.data() + i, 2 * done);
       i += 2 * done;
       if (done < n) {
         // A u1 == 0 ahead: the libm loop's rejection redraws it, which
@@ -69,6 +70,78 @@ void FillGaussianF16(Pcg32& rng, float scale, std::span<f16> dst) {
   // The whole span at the scalar level; otherwise an odd tail, whose draw
   // leaves the pair's second deviate cached for the next call.
   FillGaussianF16Libm(rng, scale, dst.subspan(i));
+}
+
+void FillGaussianF16Parallel(std::span<const Pcg32> streams,
+                             std::span<const GaussianFill> fills,
+                             const ComputeContext& ctx) {
+  constexpr std::size_t kPiece = std::size_t{1} << 15;
+  // A task: deviates [begin, end) of fill `fill`, or (fill == kWhole)
+  // all of stream `stream`'s fills in order.
+  constexpr std::size_t kWhole = ~std::size_t{0};
+  struct Piece {
+    std::size_t stream = 0;
+    std::size_t fill = kWhole;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+  std::vector<std::uint64_t> drawn(streams.size(), 0);
+  std::vector<std::uint64_t> before(fills.size());
+  std::vector<char> whole(streams.size(), 0);
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    whole[s] = streams[s].has_cached_gaussian() ? 1 : 0;
+  }
+  for (std::size_t i = 0; i < fills.size(); ++i) {
+    const std::size_t s = fills[i].stream;
+    PUNICA_CHECK(s < streams.size());
+    if (drawn[s] % 2 != 0) whole[s] = 1;  // an odd fill before this one
+    before[i] = drawn[s];
+    drawn[s] += fills[i].dst.size();
+  }
+  std::vector<Piece> pieces;
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    if (whole[s] != 0) pieces.push_back({.stream = s});
+  }
+  for (std::size_t i = 0; i < fills.size(); ++i) {
+    if (whole[fills[i].stream] != 0) continue;
+    for (std::size_t b = 0; b < fills[i].dst.size(); b += kPiece) {
+      pieces.push_back({fills[i].stream, i, b,
+                        std::min(fills[i].dst.size(), b + kPiece)});
+    }
+  }
+  // Draws stream s serially, its fills in order.
+  const auto draw_stream = [&](std::size_t s) {
+    Pcg32 rng = streams[s];
+    for (const GaussianFill& f : fills) {
+      if (f.stream == s) FillGaussianF16(rng, f.scale, f.dst);
+    }
+  };
+  std::vector<std::atomic<bool>> redraw(streams.size());
+  ctx.ParallelFor(static_cast<std::int64_t>(pieces.size()), 1,
+                  [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t k = lo; k < hi; ++k) {
+      const Piece& p = pieces[static_cast<std::size_t>(k)];
+      if (p.fill == kWhole) {
+        draw_stream(p.stream);
+        continue;
+      }
+      const GaussianFill& f = fills[p.fill];
+      Pcg32 rng = streams[p.stream];
+      rng.Advance(2 * (before[p.fill] + p.begin));
+      // A piece of whole pairs takes 4 NextU32 per pair and no more; an
+      // odd final piece draws one more pair and keeps its second deviate.
+      const std::size_t n = p.end - p.begin;
+      Pcg32 end = rng;
+      end.Advance(2 * (n + n % 2));
+      FillGaussianF16(rng, f.scale, f.dst.subspan(p.begin, n));
+      if (rng.state() != end.state()) {
+        redraw[p.stream].store(true, std::memory_order_relaxed);
+      }
+    }
+  });
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    if (redraw[s].load(std::memory_order_relaxed)) draw_stream(s);
+  }
 }
 
 std::uint16_t FloatToHalfBits(float f) {

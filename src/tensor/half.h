@@ -6,11 +6,13 @@
 // the same quantisation the GPU kernels would.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
 namespace punica {
 
+class ComputeContext;
 class Pcg32;
 
 std::uint16_t FloatToHalfBits(float f);
@@ -30,9 +32,31 @@ void FloatToHalfN(std::span<const float> src, std::span<f16> dst);
 /// i-th rng.NextGaussian(), leaving rng exactly where those calls would
 /// (cached deviate included). At the scalar level it is that libm loop; the
 /// vector levels draw whole pairs through SimdOps::pcg_uniform_pairs and
-/// box_muller_f32 — bit-identical by construction — and leave a leading
+/// box_muller_f16 — bit-identical by construction — and leave a leading
 /// cached deviate, an odd tail and any u1 == 0 redraw to the libm loop.
 void FillGaussianF16(Pcg32& rng, float scale, std::span<f16> dst);
+
+/// One tensor of a multi-stream draw: FillGaussianF16(rng, scale, dst) on
+/// stream `stream`'s generator, after that stream's earlier fills.
+struct GaussianFill {
+  std::size_t stream = 0;
+  float scale = 1.0f;
+  std::span<f16> dst;
+};
+
+/// Draws `fills` in list order per stream, each stream from a copy of its
+/// starting generator in `streams`, with the bits of that serial loop at
+/// any thread count — as tasks on ctx of at most 2^15 deviates, every task
+/// starting its stream with Pcg32::Advance at two NextU32 per deviate.
+/// That position holds only while the stream's deviates come in whole
+/// pairs without a u1 == 0 redraw: a stream that starts on a cached
+/// deviate or has an odd-length fill before its last is drawn as one task,
+/// and a stream where a task's generator does not end at its predicted
+/// state (a redraw) is drawn again serially. Workers only write into the
+/// spans; nothing is allocated on them.
+void FillGaussianF16Parallel(std::span<const Pcg32> streams,
+                             std::span<const GaussianFill> fills,
+                             const ComputeContext& ctx);
 
 class f16 {
  public:

@@ -358,7 +358,8 @@ constexpr SimdOps kScalarOps = {
     .exp_f32 = ExpF32Scalar,
     .silu_mul = SiluMulScalar,
     .pcg_uniform_pairs = nullptr,
-    .box_muller_f32 = nullptr,
+    .box_muller_f16 = nullptr,
+    .box_muller_lanes = nullptr,
 };
 
 bool CpuSupportsAvx2() {
@@ -375,12 +376,14 @@ bool CpuSupportsAvx2() {
 bool CpuSupportsAvx512() {
 #if (defined(__GNUC__) || defined(__clang__)) && \
     (defined(__x86_64__) || defined(__i386__))
-  // The TU is compiled with f/bw/vl; gate on all three even though the
-  // kernels only strictly need F, so any instruction the compiler picks
-  // from those sets is safe.
+  // The TU is compiled with f/bw/vl/dq; gate on all four, so any
+  // instruction the compiler picks from those sets is safe. (The weight
+  // draw's PCG lanes use DQ's vpmullq and vcvtuqq2pd; every CPU with BW
+  // and VL also has DQ.)
   return CpuSupportsAvx2() && __builtin_cpu_supports("avx512f") &&
          __builtin_cpu_supports("avx512bw") &&
-         __builtin_cpu_supports("avx512vl");
+         __builtin_cpu_supports("avx512vl") &&
+         __builtin_cpu_supports("avx512dq");
 #else
   return false;
 #endif

@@ -5,7 +5,7 @@
 //              pre-vectorization kernels (same per-element operation order),
 //              except that every exp is ExpF32 rather than libm's.
 //  * avx2    — AVX2+FMA+F16C, 256-bit lanes (src/tensor/simd_avx2.cc).
-//  * avx512  — AVX-512 F/BW/VL, 512-bit lanes (src/tensor/simd_avx512.cc).
+//  * avx512  — AVX-512 F/BW/VL/DQ, 512-bit lanes (src/tensor/simd_avx512.cc).
 // The vector TUs are compiled only when CMake is configured with
 // -DPUNICA_NATIVE_SIMD=ON so every other translation unit stays portable.
 //
@@ -49,6 +49,13 @@ namespace punica {
 enum class SimdLevel { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 inline constexpr int kNumSimdLevels = 3;
+
+/// What SimdOps::box_muller_f16 did: the pairs written and how many of
+/// them went through the libm fallback.
+struct GaussianDraw {
+  std::size_t pairs = 0;
+  std::size_t fallbacks = 0;
+};
 
 /// Element type of a GEMM tile's weight operand.
 enum class TileWeight { kF32, kF16, kQ8_0, kQ4_0 };
@@ -206,22 +213,33 @@ struct SimdOps {
   /// four NextU32 draws per pair, no u1 == 0 rejection.
   void (*pcg_uniform_pairs)(std::uint64_t state, std::uint64_t inc,
                             std::size_t n, double* u1, double* u2);
-  /// z[2i], z[2i+1] = the floats of BoxMuller(u1[i], u2[i]) (util/rng.h),
-  /// bit for bit: a lane's own float stands only where it provably equals
-  /// libm's, i.e. where every double within relative `eps` of the lane's z
-  /// rounds to it — eps must bound the kernel's and libm's combined
-  /// relative error (kBoxMullerEps) — and any other lane is recomputed
-  /// through BoxMuller. Works in blocks of 4 (avx2) or 8 (avx512) pairs and
-  /// stops before the first block with a u1 == 0, which NextGaussian
-  /// rejects; returns the pairs written (n when there is none).
-  std::size_t (*box_muller_f32)(const double* u1, const double* u2,
-                                std::size_t n, double eps, float* z);
+  /// out[2i], out[2i+1] = f16(float(g)·scale) for the two doubles g of
+  /// BoxMuller(u1[i], u2[i]) (util/rng.h) — the scalar fill's halves — bit
+  /// for bit: a lane computes its deviates ẑ in single precision (see
+  /// box_muller_lanes) and keeps its own halves only where every double
+  /// within relative `eps` of ẑ stores the same half (so `eps` must bound
+  /// the kernel's and libm's combined relative error: kBoxMullerEps); any
+  /// other lane is recomputed through BoxMuller and counted. Works in blocks of 8 (avx2) or 16 (avx512)
+  /// pairs and stops before the first block with a u1 == 0, which
+  /// NextGaussian rejects.
+  GaussianDraw (*box_muller_f16)(const double* u1, const double* u2,
+                                 std::size_t n, float scale, double eps,
+                                 f16* out);
+  /// z[2i], z[2i+1] = the kernel's own deviates ẑ for pair i (u1[i] > 0),
+  /// unchecked: the exact products of its single-precision magnitude and
+  /// cos/sin — what box_muller_f16 brackets; exposed for the accuracy test.
+  void (*box_muller_lanes)(const double* u1, const double* u2, std::size_t n,
+                           double* z);
 };
 
-/// The ε box_muller_f32's callers pass: the vector log/sin/cos and glibc's
-/// are each within a few ulps (2^-50) of the true value, so 2^-44 leaves a
-/// 64× margin while sending about one lane in 2^19 to the libm fallback.
-inline constexpr double kBoxMullerEps = 0x1.0p-44;
+/// The bound on box_muller_lanes' relative error against libm's deviate,
+/// |ẑ − z|/|ẑ| (the tally is in tensor/simd_gaussian.h): four float
+/// roundings' worth, 2^-22.
+inline constexpr double kBoxMullerDelta = 0x1.0p-22;
+
+/// The ε box_muller_f16's callers pass: 4·kBoxMullerDelta = 2^-20, which
+/// sends about one pair in 150 to the libm fallback.
+inline constexpr double kBoxMullerEps = 4 * kBoxMullerDelta;
 
 /// The active table. First call resolves PUNICA_SIMD / cpuid; later calls
 /// are one atomic load.
@@ -234,7 +252,7 @@ const char* SimdLevelName(SimdLevel level);
 /// the vector TUs under CMake -DPUNICA_NATIVE_SIMD=ON on x86).
 bool SimdLevelCompiled(SimdLevel level);
 /// True when the level is compiled AND cpuid reports its features
-/// (avx2+fma+f16c; avx512 additionally f+bw+vl).
+/// (avx2+fma+f16c; avx512 additionally f+bw+vl+dq).
 bool SimdLevelAvailable(SimdLevel level);
 /// Highest available level — what "native" and the unset default resolve to.
 SimdLevel BestSimdLevel();

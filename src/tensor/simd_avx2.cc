@@ -751,20 +751,76 @@ void AttnTileAvx(const AttnTile& t) {
   }
 }
 
-// The synthetic-weight draw (simd_gaussian.h), 4 pairs per step.
+// The synthetic-weight draw (simd_gaussian.h), 8 pairs per block.
 struct Avx2Gaussian {
-  static constexpr int kLanes = 4;
+  static constexpr int kLanes = 8;
   typedef double D __attribute__((vector_size(32)));
   typedef std::uint64_t U __attribute__((vector_size(32)));
-  typedef float F __attribute__((vector_size(16)));
-  typedef std::int32_t I __attribute__((vector_size(16)));
-  static D Sqrt(D x) { return _mm256_sqrt_pd(x); }
+  typedef float FH __attribute__((vector_size(16)));
+  typedef std::int32_t IH __attribute__((vector_size(16)));
+  typedef float F __attribute__((vector_size(32)));
+  typedef std::int32_t I __attribute__((vector_size(32)));
+  typedef std::uint16_t H __attribute__((vector_size(16)));
   static D Fma(D a, D b, D c) { return _mm256_fmadd_pd(a, b, c); }
-  static bool AnyD(U m) {
-    return _mm256_movemask_pd(reinterpret_cast<__m256d>(m)) != 0;
+  static F Fma(F a, F b, F c) { return _mm256_fmadd_ps(a, b, c); }
+  static F Sqrt(F x) { return _mm256_sqrt_ps(x); }
+  /// u = 2^k·(1 + f), 1 + f ∈ [√2/2, √2) (fdlibm's split, f exact).
+  static void SplitLog(D u, D* f, D* k) {
+    const U ix = reinterpret_cast<U>(u);
+    const U m = ix & 0x000FFFFFFFFFFFFFULL;
+    // i = 2^52 when the mantissa is ≥ √2: halve it into [√2/2, 1).
+    const U i = (m + 0x00095F6400000000ULL) & 0x0010000000000000ULL;
+    *f = reinterpret_cast<D>(m | (i ^ 0x3FF0000000000000ULL)) - 1.0;
+    // k + 0x1.8p52 as double bits, less 0x1.8p52: k exactly.
+    *k = reinterpret_cast<D>((ix >> 52U) + (i >> 52U) +
+                             (0x4338000000000000ULL - 1023U)) -
+         0x1.8p52;
   }
-  static bool AnyF(I m) {
-    return _mm_movemask_ps(reinterpret_cast<__m128>(m)) != 0;
+  static FH ToFloat(D x) { return _mm256_cvtpd_ps(x); }
+  static D ToDouble(FH x) { return _mm256_cvtps_pd(x); }
+  static IH Narrow(U x) {
+    const __m256i low_dwords =
+        _mm256_permutevar8x32_epi32(reinterpret_cast<__m256i>(x),
+                                    _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6));
+    return reinterpret_cast<IH>(_mm256_castsi256_si128(low_dwords));
+  }
+  static F Join(FH lo, FH hi) {
+    return _mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1);
+  }
+  static I Join(IH lo, IH hi) {
+    return reinterpret_cast<I>(_mm256_inserti128_si256(
+        _mm256_castsi128_si256(reinterpret_cast<__m128i>(lo)),
+        reinterpret_cast<__m128i>(hi), 1));
+  }
+  static H ToHalf(F x) {
+    return reinterpret_cast<H>(
+        _mm256_cvtps_ph(x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+  }
+  static bool AnyZero(D x) {
+    return _mm256_movemask_pd(_mm256_cmp_pd(x, _mm256_setzero_pd(),
+                                            _CMP_EQ_OQ)) != 0;
+  }
+  /// Bit j set where a0 != b0 or a1 != b1 in lane j.
+  static unsigned Differ(H a0, H b0, H a1, H b1) {
+    const auto v = [](H x) { return reinterpret_cast<__m128i>(x); };
+    const __m128i same = _mm_and_si128(_mm_cmpeq_epi16(v(a0), v(b0)),
+                                       _mm_cmpeq_epi16(v(a1), v(b1)));
+    return ~static_cast<unsigned>(
+               _mm_movemask_epi8(_mm_packs_epi16(same, same))) &
+           0xFFU;
+  }
+  static U Word(U s) {
+    const U x = (((s >> 18U) ^ s) >> 27U) & 0xFFFFFFFFULL;
+    const U rot = s >> 59U;
+    return (x >> rot) | (x << ((32U - rot) & 31U));
+  }
+  /// An integer below 2^52 as a double, exactly.
+  static D Exact(U x) {
+    return reinterpret_cast<D>(x | 0x4330000000000000ULL) - 0x1.0p52;
+  }
+  static D Unit(U hi, U lo) {
+    return Exact(hi & 0xFFFFFFFFULL) * 0x1.0p-32 +
+           Exact((lo & 0xFFFFFFFFULL) >> 11U) * 0x1.0p-53;
   }
 };
 using Avx2Draw = simd_detail::GaussianLanes<Avx2Gaussian>;
@@ -784,7 +840,8 @@ constexpr SimdOps kAvx2Ops = {
     .exp_f32 = ExpF32Avx,
     .silu_mul = SiluMulAvx,
     .pcg_uniform_pairs = Avx2Draw::Uniforms,
-    .box_muller_f32 = Avx2Draw::BoxMullerF32,
+    .box_muller_f16 = Avx2Draw::BoxMullerF16,
+    .box_muller_lanes = Avx2Draw::BoxMullerLanes,
 };
 
 }  // namespace

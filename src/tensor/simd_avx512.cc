@@ -1,11 +1,11 @@
-// The avx512 SIMD path: AVX-512 F/BW/VL, 512-bit f32 lanes.
+// The avx512 SIMD path: AVX-512 F/BW/VL/DQ, 512-bit f32 lanes.
 //
 // Same contract and structure as simd_avx2.cc, one tier up: 16-element
 // bodies instead of 8. CMake compiles this TU with -mavx512f -mavx512bw
-// -mavx512vl (plus the avx2 set for the scalar-ish edges) and defines
-// PUNICA_NATIVE_SIMD when configured with -DPUNICA_NATIVE_SIMD=ON; the
-// portable build compiles the stub. Runtime cpuid (simd.cc) gates dispatch
-// on avx512f+bw+vl, so a binary carrying this TU still runs (degraded to
+// -mavx512vl -mavx512dq (plus the avx2 set for the scalar-ish edges) and
+// defines PUNICA_NATIVE_SIMD when configured with -DPUNICA_NATIVE_SIMD=ON;
+// the portable build compiles the stub. Runtime cpuid (simd.cc) gates dispatch
+// on avx512f+bw+vl+dq, so a binary carrying this TU still runs (degraded to
 // avx2 or scalar) on hardware without them.
 //
 // Determinism: fixed 16-lane bodies in ascending order, scalar std::fma
@@ -13,9 +13,6 @@
 // (512 → 256 → the same 128-bit sequence the avx2 path uses). This is a
 // distinct dispatch path: bit-identical to itself at any thread count, and
 // within the documented FMA-contraction envelope of the other paths.
-// Intrinsics are chosen from AVX512F only where a DQ/BW sibling exists
-// (e.g. extractf64x4 rather than extractf32x8) so the compiled code stays
-// inside the cpuid gate.
 #include "tensor/simd.h"
 
 #if defined(PUNICA_NATIVE_SIMD) && defined(__AVX512F__) && \
@@ -769,21 +766,82 @@ void AttnTileAvx512(const AttnTile& t) {
   }
 }
 
-// The synthetic-weight draw (simd_gaussian.h), 8 pairs per step.
+// The synthetic-weight draw (simd_gaussian.h), 16 pairs per block.
 struct Avx512Gaussian {
-  static constexpr int kLanes = 8;
+  static constexpr int kLanes = 16;
   typedef double D __attribute__((vector_size(64)));
   typedef std::uint64_t U __attribute__((vector_size(64)));
-  typedef float F __attribute__((vector_size(32)));
-  typedef std::int32_t I __attribute__((vector_size(32)));
-  static D Sqrt(D x) { return _mm512_maskz_sqrt_pd(0xFF, x); }
+  typedef float FH __attribute__((vector_size(32)));
+  typedef std::int32_t IH __attribute__((vector_size(32)));
+  typedef float F __attribute__((vector_size(64)));
+  typedef std::int32_t I __attribute__((vector_size(64)));
+  typedef std::uint16_t H __attribute__((vector_size(32)));
   static D Fma(D a, D b, D c) { return _mm512_fmadd_pd(a, b, c); }
-  static bool AnyD(U m) {
-    return _mm512_test_epi64_mask(reinterpret_cast<__m512i>(m),
-                                  reinterpret_cast<__m512i>(m)) != 0;
+  static F Fma(F a, F b, F c) { return _mm512_fmadd_ps(a, b, c); }
+  static F Sqrt(F x) { return _mm512_maskz_sqrt_ps(0xFFFF, x); }
+  /// u = 2^k·(1 + f), 1 + f ∈ [√2/2, √2): getmant's [1, 2) mantissa,
+  /// halved from avx2's integer split point (≈ √2) up, so both levels
+  /// reduce alike.
+  static void SplitLog(D u, D* f, D* k) {
+    const __m512d m =
+        _mm512_maskz_getmant_pd(0xFF, u, _MM_MANT_NORM_1_2, _MM_MANT_SIGN_src);
+    const __mmask8 big =
+        _mm512_cmp_pd_mask(m, _mm512_set1_pd(0x1.6a09cp+0), _CMP_GE_OQ);
+    *f = _mm512_mask_mul_pd(m, big, m, _mm512_set1_pd(0.5)) - 1.0;
+    const __m512d e = _mm512_maskz_getexp_pd(0xFF, u);
+    *k = _mm512_mask_add_pd(e, big, e, _mm512_set1_pd(1.0));
   }
-  static bool AnyF(I m) {
-    return _mm256_movemask_ps(reinterpret_cast<__m256>(m)) != 0;
+  static FH ToFloat(D x) { return _mm512_maskz_cvtpd_ps(0xFF, x); }
+  static D ToDouble(FH x) { return _mm512_maskz_cvtps_pd(0xFF, x); }
+  static IH Narrow(U x) {
+    return reinterpret_cast<IH>(
+        _mm512_maskz_cvtepi64_epi32(0xFF, reinterpret_cast<__m512i>(x)));
+  }
+  static F Join(FH lo, FH hi) {
+    return _mm512_insertf32x8(_mm512_castps256_ps512(lo), hi, 1);
+  }
+  static I Join(IH lo, IH hi) {
+    return reinterpret_cast<I>(_mm512_inserti32x8(
+        _mm512_castsi256_si512(reinterpret_cast<__m256i>(lo)),
+        reinterpret_cast<__m256i>(hi), 1));
+  }
+  static H ToHalf(F x) {
+    return reinterpret_cast<H>(_mm512_maskz_cvtps_ph(
+        0xFFFF, x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+  }
+  static bool AnyZero(D x) {
+    return _mm512_cmpeq_pd_mask(x, _mm512_setzero_pd()) != 0;
+  }
+  /// Bit j set where a0 != b0 or a1 != b1 in lane j.
+  static unsigned Differ(H a0, H b0, H a1, H b1) {
+    const auto v = [](H x) { return reinterpret_cast<__m256i>(x); };
+    return _mm256_cmpneq_epu16_mask(v(a0), v(b0)) |
+           _mm256_cmpneq_epu16_mask(v(a1), v(b1));
+  }
+  // Word and Unit keep the 512-bit shifts, which only port 0 runs, to
+  // five per word pair: the rotate count and the dword moves go through
+  // shuffles instead.
+  /// ((s >> 18) ^ s) >> 27 is (s >> 27) ^ (s >> 45); the rotate count
+  /// s >> 59 is the high dword of s >> 27, moved down by a shuffle. The
+  /// 32-bit rotate runs on each qword's low dword; the high dword is left
+  /// as garbage.
+  static U Word(U s) {
+    const auto v = [](U x) { return reinterpret_cast<__m512i>(x); };
+    const U s27 = s >> 27U;
+    const __m512i count =
+        _mm512_maskz_shuffle_epi32(0xFFFF, v(s27), _MM_PERM_DDBB);
+    return reinterpret_cast<U>(
+        _mm512_maskz_rorv_epi32(0xFFFF, v(s27 ^ (s >> 45U)), count));
+  }
+  /// NextDouble from the words' low dwords: the qword hi·2^32 + lo (one
+  /// shuffle, one blend) shifted right by 11, converted exactly
+  /// (vcvtuqq2pd is exact below 2^53) and scaled by 2^-53.
+  static D Unit(U hi, U lo) {
+    const auto v = [](U x) { return reinterpret_cast<__m512i>(x); };
+    const U both = reinterpret_cast<U>(_mm512_mask_blend_epi32(
+        0xAAAA, v(lo),
+        _mm512_maskz_shuffle_epi32(0xFFFF, v(hi), _MM_PERM_CCAA)));
+    return _mm512_maskz_cvtepu64_pd(0xFF, v(both >> 11U)) * 0x1.0p-53;
   }
 };
 using Avx512Draw = simd_detail::GaussianLanes<Avx512Gaussian>;
@@ -803,7 +861,8 @@ constexpr SimdOps kAvx512Ops = {
     .exp_f32 = ExpF32Avx512,
     .silu_mul = SiluMulAvx512,
     .pcg_uniform_pairs = Avx512Draw::Uniforms,
-    .box_muller_f32 = Avx512Draw::BoxMullerF32,
+    .box_muller_f16 = Avx512Draw::BoxMullerF16,
+    .box_muller_lanes = Avx512Draw::BoxMullerLanes,
 };
 
 }  // namespace

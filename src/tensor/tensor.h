@@ -9,26 +9,68 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
 
 namespace punica {
 
+namespace tensor_detail {
+
+/// std::allocator whose argument-less construct leaves trivially copyable
+/// elements as allocated — unwritten, so a buffer the caller overwrites
+/// anyway is neither zeroed nor touched until then.
+template <typename T>
+struct UninitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  UninitAllocator() = default;
+  template <typename U>
+  UninitAllocator(const UninitAllocator<U>& /*other*/) noexcept {}
+
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) == 0 && std::is_trivially_copyable_v<U> &&
+                  std::is_trivially_destructible_v<U>) {
+      (void)p;
+    } else {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
+};
+
+}  // namespace tensor_detail
+
 template <typename T>
 class Tensor {
  public:
   Tensor() = default;
 
+  /// Zero-filled (value-initialized) elements.
   explicit Tensor(std::vector<std::int64_t> shape)
-      : shape_(std::move(shape)), data_(CheckedNumel(shape_)) {}
+      : shape_(std::move(shape)), data_(CheckedNumel(shape_), T()) {}
 
   Tensor(std::vector<std::int64_t> shape, std::vector<T> data)
-      : shape_(std::move(shape)), data_(std::move(data)) {
+      : shape_(std::move(shape)), data_(data.begin(), data.end()) {
     PUNICA_CHECK_MSG(data_.size() == CheckedNumel(shape_),
                      "data size must match shape");
+  }
+
+  /// Elements left unwritten, for a caller that overwrites every one
+  /// (the synthetic-weight draws): no zero pass, and no page is touched
+  /// before the writer touches it.
+  static Tensor Uninitialized(std::vector<std::int64_t> shape) {
+    Tensor t;
+    t.data_ = Storage(CheckedNumel(shape));
+    t.shape_ = std::move(shape);
+    return t;
   }
 
   const std::vector<std::int64_t>& shape() const { return shape_; }
@@ -88,8 +130,10 @@ class Tensor {
     return off;
   }
 
+  using Storage = std::vector<T, tensor_detail::UninitAllocator<T>>;
+
   std::vector<std::int64_t> shape_;
-  std::vector<T> data_;
+  Storage data_;
 };
 
 /// Copies rows [row_begin, row_end) of a 2-D tensor.

@@ -339,5 +339,30 @@ TEST_F(FrontendClusterTest, MidRunSubmissionCannotJumpTheFcfsQueue) {
   EXPECT_EQ(frontend_->Stream(first)->state(), StreamEnd::kFinished);
 }
 
+TEST_F(FrontendClusterTest, UnservableSpecsAreRefusedWithoutASession) {
+  // Outside input may be refused but never aborts: no token to generate,
+  // or no prompt token to prefill from.
+  const RequestHandle none = Submit(0, /*prompt_len=*/20,
+                                    /*output_len=*/0, 0.0);
+  const RequestHandle negative = Submit(0, 20, -3, 0.0);
+  const RequestHandle empty = Submit(1, /*prompt_len=*/0, 5, 0.0);
+  for (RequestHandle h : {none, negative, empty}) {
+    EXPECT_FALSE(h.valid());
+    EXPECT_EQ(frontend_->Stream(h), nullptr);
+    EXPECT_FALSE(frontend_->Owns(h));
+  }
+  EXPECT_EQ(frontend_->total_rejected(), 3u);
+  EXPECT_EQ(frontend_->total_submitted(), 0u);
+  EXPECT_EQ(frontend_->live_sessions(), 0u);
+  // A servable spec after the refusals is served as usual.
+  const RequestHandle ok = Submit(2, 10, 4, 0.0);
+  ASSERT_TRUE(ok.valid());
+  driver_->Run();
+  ASSERT_NE(frontend_->Stream(ok), nullptr);
+  EXPECT_EQ(frontend_->Stream(ok)->state(), StreamEnd::kFinished);
+  EXPECT_EQ(frontend_->Stream(ok)->total_pushed(), 4u);
+  EXPECT_EQ(driver_->stats().finished_requests, 1);
+}
+
 }  // namespace
 }  // namespace punica

@@ -208,6 +208,25 @@ TEST(ClusterTest, PinnedStatsUnderMigrationConsolidationAndAutoscale) {
   EXPECT_NEAR(s.makespan, 6.2827972872173552, 6.2827972872173552 * 1e-9);
 }
 
+TEST(ClusterTest, SubmitTraceRefusesUnservableRows) {
+  // Trace files are outside input: a row with no prompt token or no token
+  // to generate is refused at submit and counted — it never reaches a
+  // backend (where an empty prompt aborts the step) and is never counted
+  // finished with no tokens.
+  CostModel cm((A100Sxm80GB()));
+  ClusterDriver driver(SmallCluster(1), &cm);
+  driver.SubmitTrace(
+      {{.id = 0, .lora_id = 0, .prompt_len = 0, .output_len = 8},
+       {.id = 1, .lora_id = 1, .prompt_len = 16, .output_len = 0}});
+  driver.Run();
+  const ClusterStats& s = driver.stats();
+  EXPECT_EQ(s.rejected_requests, 2);
+  EXPECT_EQ(s.finished_requests, 0);
+  EXPECT_EQ(s.total_new_tokens, 0);
+  EXPECT_TRUE(driver.requests().empty());
+  EXPECT_EQ(driver.scheduler().queue_size(), 0u);
+}
+
 TEST(ClusterTest, SubmitTraceKeepsPrefixAndPriorityFields) {
   // SubmitTrace must carry every trace field the backends act on: the
   // shared-prefix annotation drives the runner's prefix cache, so the
