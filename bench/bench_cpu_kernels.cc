@@ -26,6 +26,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <optional>
 #include <vector>
 
@@ -584,6 +585,71 @@ BENCHMARK(BM_ParallelForForkJoin)
     ->ArgName("threads")
     ->Arg(2)
     ->Arg(4)
+    ->UseRealTime();
+
+/// A fixed amount of serial work: n dependent float steps.
+float SerialWork(std::int64_t n) {
+  float x = 1.0f;
+  for (std::int64_t i = 0; i < n; ++i) {
+    x = x * 0.999999f + 1e-6f;
+    benchmark::DoNotOptimize(x);
+  }
+  return x;
+}
+
+/// SerialWork steps per microsecond on the idle caller: the best of three
+/// timings, so a clock still ramping up does not count.
+double SerialWorkPerUs() {
+  static const double rate = [] {
+    constexpr std::int64_t kSteps = std::int64_t{1} << 21;
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      SerialWork(kSteps);
+      const std::chrono::duration<double, std::micro> us =
+          std::chrono::steady_clock::now() - t0;
+      best = std::max(best, static_cast<double>(kSteps) / us.count());
+    }
+    return best;
+  }();
+  return rate;
+}
+
+// The same near-empty region, each one after `gap_us` of serial work on
+// the caller — the bookkeeping a step does between its layers' regions.
+// An idle worker spins through the gap before it parks; if the scheduler
+// put it on the caller's CPU, the two share that core and the gap
+// stretches. Wall time per iteration is gap + fork/join; the `gap_stretch`
+// counter is the gap's measured wall time over its idle-CPU time (1.0 =
+// the caller kept its core).
+void BM_ParallelForForkJoinGap(benchmark::State& state) {
+  const double per_us = SerialWorkPerUs();
+  ComputeContext ctx({.num_threads = static_cast<int>(state.range(0))});
+  const auto gap_steps =
+      static_cast<std::int64_t>(per_us * static_cast<double>(state.range(1)));
+  std::vector<std::int64_t> sink(64, 0);
+  double gap_us = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(SerialWork(gap_steps));
+    gap_us += std::chrono::duration<double, std::micro>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+    ctx.ParallelFor(64, 1, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i) {
+        sink[static_cast<std::size_t>(i)] += i;
+      }
+    });
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["gap_stretch"] =
+      gap_us / (static_cast<double>(state.iterations()) *
+                static_cast<double>(state.range(1)));
+}
+BENCHMARK(BM_ParallelForForkJoinGap)
+    ->ArgNames({"threads", "gap_us"})
+    ->ArgsProduct({{1, 2}, {10, 40}})
     ->UseRealTime();
 
 // --- Quantized-weight sweeps (separate BENCH_kernels_quant.json baseline;

@@ -34,9 +34,42 @@ std::array<GaussianFill, 2> LoraAB::Fills(std::size_t stream) {
   // Kaiming-style scale for A; B small (LoRA initialises B=0 for training,
   // but serving benchmarks need non-trivial values — paper uses random
   // weights since values do not affect latency).
-  return {{{stream, 1.0f / std::sqrt(static_cast<float>(h_in)), a.data()},
-           {stream, 1.0f / std::sqrt(static_cast<float>(rank)), b.data()}}};
+  return {{{stream, 1.0f / std::sqrt(static_cast<float>(h_in)),
+            a.mutable_data()},
+           {stream, 1.0f / std::sqrt(static_cast<float>(rank)),
+            b.mutable_data()}}};
 }
+
+namespace {
+
+/// True when every non-null adapter has rank `max_rank`: v is then one
+/// [rows, max_rank] block and each half is one SGMV launch over all
+/// segments.
+bool UniformRank(std::span<const LoraAB* const> adapters, int max_rank) {
+  return std::all_of(adapters.begin(), adapters.end(), [&](const LoraAB* a) {
+    return a == nullptr || a->rank == max_rank;
+  });
+}
+
+/// Segment i's v rows (see LoraShrinkRows): seg[i] · max_rank on, at row
+/// stride `rank`.
+template <typename T>
+std::span<T> SegmentV(std::span<T> v, std::span<const std::int32_t> seg,
+                      std::size_t i, int max_rank, int rank) {
+  return v.subspan(static_cast<std::size_t>(seg[i]) *
+                       static_cast<std::size_t>(max_rank),
+                   static_cast<std::size_t>(seg[i + 1] - seg[i]) *
+                       static_cast<std::size_t>(rank));
+}
+
+/// Rows [lo, lo + n) of a row-major matrix of width `w`.
+template <typename T>
+std::span<T> Rows(std::span<T> m, std::int64_t lo, std::int64_t n, int w) {
+  return m.subspan(static_cast<std::size_t>(lo) * static_cast<std::size_t>(w),
+                   static_cast<std::size_t>(n) * static_cast<std::size_t>(w));
+}
+
+}  // namespace
 
 void BatchedLoraAddon(std::span<float> y, std::span<const float> x,
                       std::span<const LoraAB* const> adapters,
@@ -60,67 +93,107 @@ void BatchedLoraAddon(std::span<float> y, std::span<const float> x,
 
   auto v = workspace.first(static_cast<std::size_t>(rows) *
                            static_cast<std::size_t>(max_rank));
-  std::fill(v.begin(), v.end(), 0.0f);
-
-  bool uniform_rank = true;
-  for (const auto* a : adapters) {
-    if (a != nullptr && a->rank != max_rank) uniform_rank = false;
-  }
-
-  if (uniform_rank) {
-    // Launch 1: v = x · A (shrink), launch 2: y += v · B (expand). The
-    // per-segment pointer gathers stay inline for typical batches.
+  // Workspace beyond the v rows backs the shrink's split-K partials
+  // (TpWorkspace sizes it for that); SgmvShrink allocates only when the
+  // tail is too small, and it is big enough for any sub-segment's.
+  const std::span<float> partials = workspace.subspan(v.size());
+  if (UniformRank(adapters, max_rank)) {
+    // Launch 1: v = x · A (shrink) over all segments. The per-segment
+    // pointer gather stays inline for typical batches.
     SmallBuffer<const f16*, kInlineLoraSegments> a_ptrs(adapters.size());
-    SmallBuffer<const f16*, kInlineLoraSegments> b_ptrs(adapters.size());
     for (std::size_t i = 0; i < adapters.size(); ++i) {
       a_ptrs[i] = adapters[i] != nullptr ? adapters[i]->a.raw() : nullptr;
-      b_ptrs[i] = adapters[i] != nullptr ? adapters[i]->b.raw() : nullptr;
     }
-    // Workspace beyond the v rows backs the shrink's split-K partials
-    // (TpWorkspace sizes it for that); SgmvShrink allocates only when
-    // the tail is too small.
+    std::fill(v.begin(), v.end(), 0.0f);
     SgmvArgs shrink{v, x, {a_ptrs.data(), a_ptrs.size()}, seg, h_in,
                     max_rank};
-    SgmvShrink(shrink, ctx, workspace.subspan(v.size()));
-    SgmvArgs expand{y, v, {b_ptrs.data(), b_ptrs.size()}, seg, max_rank,
-                    h_out};
+    SgmvShrink(shrink, ctx, partials);
+  } else {
+    // Mixed ranks: each segment shrinks as its own single-segment SGMV at
+    // its true rank into its v rows.
+    for (std::size_t i = 0; i + 1 < seg.size(); ++i) {
+      const LoraAB* ad = adapters[i];
+      const std::int32_t seg_rows = seg[i + 1] - seg[i];
+      if (ad == nullptr || seg_rows <= 0) continue;
+      const std::array<std::int32_t, 2> sub_seg = {0, seg_rows};
+      const f16* ap = ad->a.raw();
+      auto sub_v = SegmentV(v, seg, i, max_rank, ad->rank);
+      std::fill(sub_v.begin(), sub_v.end(), 0.0f);
+      SgmvArgs shrink{sub_v, Rows(x, seg[i], seg_rows, h_in),
+                      std::span<const f16* const>(&ap, 1), sub_seg, h_in,
+                      ad->rank};
+      SgmvShrink(shrink, ctx, partials);
+    }
+  }
+  // Launch 2: y += v · B (expand).
+  LoraExpand(y, v, adapters, seg, h_out, max_rank, ctx);
+}
+
+void LoraShrinkRows(std::span<float> v, std::span<const float> x,
+                    std::span<const LoraAB* const> adapters,
+                    std::span<const std::int32_t> seg, int h_in,
+                    int max_rank, std::int64_t row_lo, std::int64_t row_hi) {
+  PUNICA_CHECK(adapters.size() + 1 == seg.size());
+  PUNICA_CHECK(v.size() >= static_cast<std::size_t>(seg.back()) *
+                               static_cast<std::size_t>(max_rank));
+  // Each segment piece inside [row_lo, row_hi) shrinks as a single-segment
+  // SGMV at its own rank; for a uniform rank its v rows are exactly the
+  // [rows, max_rank] block's.
+  auto it = std::upper_bound(seg.begin(), seg.end(),
+                             static_cast<std::int32_t>(row_lo));
+  for (auto i = static_cast<std::size_t>(it - seg.begin()) - 1;
+       i + 1 < seg.size() && seg[i] < row_hi; ++i) {
+    const LoraAB* ad = adapters[i];
+    const std::int32_t seg_rows = seg[i + 1] - seg[i];
+    if (ad == nullptr || seg_rows <= 0) continue;
+    PUNICA_CHECK_MSG(ad->h_in == h_in && ad->rank <= max_rank,
+                     "adapter shape mismatch");
+    const std::int64_t lo = std::max<std::int64_t>(row_lo, seg[i]) - seg[i];
+    const std::int64_t hi = std::min<std::int64_t>(row_hi, seg[i + 1]) - seg[i];
+    const std::array<std::int32_t, 2> sub_seg = {0, seg_rows};
+    const f16* ap = ad->a.raw();
+    auto sub_v = SegmentV(v, seg, i, max_rank, ad->rank);
+    auto piece = Rows(sub_v, lo, hi - lo, ad->rank);
+    std::fill(piece.begin(), piece.end(), 0.0f);
+    SgmvShrinkRows({sub_v, Rows(x, seg[i], seg_rows, h_in),
+                    std::span<const f16* const>(&ap, 1), sub_seg, h_in,
+                    ad->rank},
+                   lo, hi);
+  }
+}
+
+void LoraExpand(std::span<float> y, std::span<const float> v,
+                std::span<const LoraAB* const> adapters,
+                std::span<const std::int32_t> seg, int h_out, int max_rank,
+                const ComputeContext& ctx) {
+  PUNICA_CHECK(adapters.size() + 1 == seg.size());
+  const int rows = seg.back();
+  if (rows == 0 || max_rank == 0) return;
+  for (const auto* a : adapters) {
+    PUNICA_CHECK_MSG(a == nullptr || (a->h_out == h_out &&
+                                      a->rank <= max_rank),
+                     "adapter shape mismatch");
+  }
+  if (UniformRank(adapters, max_rank)) {
+    SmallBuffer<const f16*, kInlineLoraSegments> b_ptrs(adapters.size());
+    for (std::size_t i = 0; i < adapters.size(); ++i) {
+      b_ptrs[i] = adapters[i] != nullptr ? adapters[i]->b.raw() : nullptr;
+    }
+    SgmvArgs expand{y, Rows(v, 0, rows, max_rank),
+                    {b_ptrs.data(), b_ptrs.size()}, seg, max_rank, h_out};
     SgmvExpand(expand, ctx);
     return;
   }
-
-  // Mixed ranks: run each segment as its own single-segment SGMV pair with
-  // its true rank, its intermediate in the front of v (re-zeroed per
-  // segment: the shrink accumulates into it).
   for (std::size_t i = 0; i + 1 < seg.size(); ++i) {
     const LoraAB* ad = adapters[i];
-    if (ad == nullptr) continue;
-    std::int32_t lo = seg[i];
-    std::int32_t hi = seg[i + 1];
-    int seg_rows = hi - lo;
-    if (seg_rows <= 0) continue;
+    const std::int32_t seg_rows = seg[i + 1] - seg[i];
+    if (ad == nullptr || seg_rows <= 0) continue;
     const std::array<std::int32_t, 2> sub_seg = {0, seg_rows};
-    auto sub_v = v.first(static_cast<std::size_t>(seg_rows) *
-                         static_cast<std::size_t>(ad->rank));
-    std::fill(sub_v.begin(), sub_v.end(), 0.0f);
-    const f16* ap = ad->a.raw();
     const f16* bp = ad->b.raw();
-    std::span<const f16* const> a_one(&ap, 1);
-    std::span<const f16* const> b_one(&bp, 1);
-    SgmvArgs shrink{sub_v,
-                    x.subspan(static_cast<std::size_t>(lo) *
-                                  static_cast<std::size_t>(h_in),
-                              static_cast<std::size_t>(seg_rows) *
-                                  static_cast<std::size_t>(h_in)),
-                    a_one, sub_seg, h_in, ad->rank};
-    // The workspace tail is big enough for any sub-segment's partials
-    // (seg_rows <= rows, ad->rank <= max_rank), so no allocation here
-    // either.
-    SgmvShrink(shrink, ctx, workspace.subspan(v.size()));
-    SgmvArgs expand{y.subspan(static_cast<std::size_t>(lo) *
-                                  static_cast<std::size_t>(h_out),
-                              static_cast<std::size_t>(seg_rows) *
-                                  static_cast<std::size_t>(h_out)),
-                    sub_v, b_one, sub_seg, ad->rank, h_out};
+    SgmvArgs expand{Rows(y, seg[i], seg_rows, h_out),
+                    SegmentV(v, seg, i, max_rank, ad->rank),
+                    std::span<const f16* const>(&bp, 1), sub_seg, ad->rank,
+                    h_out};
     SgmvExpand(expand, ctx);
   }
 }

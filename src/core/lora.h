@@ -23,9 +23,11 @@
 namespace punica {
 
 /// One projection's LoRA pair. A is [h_in, rank], B is [rank, h_out].
+/// The factors are read-only once drawn, so copies of a LoraAB alias them:
+/// tensor-parallel shards hold a replicated factor as one allocation.
 struct LoraAB {
-  Tensor<f16> a;
-  Tensor<f16> b;
+  SharedTensor<f16> a;
+  SharedTensor<f16> b;
   int rank = 0;
   int h_in = 0;
   int h_out = 0;
@@ -61,6 +63,27 @@ void BatchedLoraAddon(std::span<float> y, std::span<const float> x,
                       std::span<const std::int32_t> seg, int h_in, int h_out,
                       std::span<float> workspace,
                       const ComputeContext& ctx = ComputeContext::Default());
+
+/// The addon's two halves over an explicit intermediate v, for a caller
+/// that shrinks once and expands several times: the column-parallel TP
+/// seams share one A and expand through one B slice per rank. v holds
+/// segment i's rows from v[seg[i] · max_rank] on, at row stride
+/// adapters[i]->rank (for one uniform rank, plain [rows, max_rank]);
+/// `max_rank` is the largest rank among the adapters. Together they give
+/// BatchedLoraAddon's bits.
+///
+/// LoraShrinkRows zeroes and fills the v rows of token rows [row_lo,
+/// row_hi), serially on the calling thread (SgmvShrinkRows), so a caller's
+/// row-split region can cover the batch in any row ranges.
+void LoraShrinkRows(std::span<float> v, std::span<const float> x,
+                    std::span<const LoraAB* const> adapters,
+                    std::span<const std::int32_t> seg, int h_in,
+                    int max_rank, std::int64_t row_lo, std::int64_t row_hi);
+/// y += v · B_i per segment (SgmvExpand), over v as laid out above.
+void LoraExpand(std::span<float> y, std::span<const float> v,
+                std::span<const LoraAB* const> adapters,
+                std::span<const std::int32_t> seg, int h_out, int max_rank,
+                const ComputeContext& ctx = ComputeContext::Default());
 
 /// Convenience for tests: single-adapter addon over the whole batch.
 void LoraAddonSingle(std::span<float> y, std::span<const float> x,

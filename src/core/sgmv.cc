@@ -41,20 +41,86 @@ const f16* WeightForRow(const SgmvArgs& a, std::int64_t row) {
 // task index — no per-call list of blocks is built.
 constexpr int kRowBlock = kGemmTileRows;
 
-/// Calls fn(row_lo, row_hi, w) for each run of rows in row group `group`
-/// that lies inside one segment with a non-null weight.
+/// Calls fn(r0, r1, w) for each run of at most kRowBlock rows in
+/// [row_lo, row_hi) that lies inside one segment with a non-null weight.
+/// The schedules pass one row group; SgmvShrinkRows any range.
 template <typename Fn>
-void ForEachRowBlock(const SgmvArgs& a, std::int64_t group, Fn&& fn) {
-  const std::int64_t hi =
-      std::min<std::int64_t>(a.seg.back(), (group + 1) * kRowBlock);
-  for (std::int64_t row = group * kRowBlock; row < hi;) {
+void ForEachRowBlock(const SgmvArgs& a, std::int64_t row_lo,
+                     std::int64_t row_hi, Fn&& fn) {
+  for (std::int64_t row = row_lo; row < row_hi;) {
     // The first offset past `row` ends the segment covering it.
     auto it = std::upper_bound(a.seg.begin(), a.seg.end(), row);
-    const std::int64_t end = std::min<std::int64_t>(hi, *it);
+    const std::int64_t end =
+        std::min<std::int64_t>({row_hi, *it, row + kRowBlock});
     const f16* w = a.weights[static_cast<std::size_t>(it - a.seg.begin()) - 1];
     if (w != nullptr) fn(row, end, w);
     row = end;
   }
+}
+
+/// Row group `group`'s rows, [group·kRowBlock, …) clipped to the batch.
+template <typename Fn>
+void ForEachRowBlock(const SgmvArgs& a, std::int64_t group, Fn&& fn) {
+  ForEachRowBlock(a, group * kRowBlock,
+                  std::min<std::int64_t>(a.seg.back(),
+                                         (group + 1) * kRowBlock),
+                  std::forward<Fn>(fn));
+}
+
+/// The shrink's split-K geometry for one reduction length.
+struct SplitK {
+  int parts;
+  int chunk;
+};
+SplitK SplitKOf(int h_in) {
+  const int parts = SplitKPartitions(h_in);
+  return {parts, (h_in + parts - 1) / parts};
+}
+
+/// Output widths up to which SgmvShrinkRows keeps a row block's partials
+/// on the stack (8 rows × 8 partitions × 64 floats = 16 KiB).
+constexpr std::size_t kShrinkRowsStackRank = 64;
+
+/// Phase 1 of the shrink for rows [r0, r1) (one row block, weight w) and
+/// partition p: each row's partial over the partition's k-chunk, started
+/// at 0 and reduced in ascending kk, stored at part0 + (row − r0) · ldp +
+/// p · h_out.
+void ShrinkPartials(const SgmvArgs& a, const SplitK& sk, std::int64_t r0,
+                    std::int64_t r1, const f16* w, int p, float* part0,
+                    std::size_t ldp) {
+  const auto h_in = static_cast<std::size_t>(a.h_in);
+  const auto h_out = static_cast<std::size_t>(a.h_out);
+  const int k_lo = p * sk.chunk;
+  const int k_hi = std::min(a.h_in, k_lo + sk.chunk);
+  // One register tile per row block: x here is a dense hidden state, so
+  // no sparsity test in the inner loop.
+  Simd().gemm_tile(
+      {.x = a.x.data() + static_cast<std::size_t>(r0) * h_in +
+            static_cast<std::size_t>(k_lo),
+       .ldx = h_in,
+       .w = w + static_cast<std::size_t>(k_lo) * h_out,
+       .ldw = h_out,
+       .wkind = TileWeight::kF16,
+       .y = part0 + static_cast<std::size_t>(p) * h_out,
+       .ldy = ldp,
+       .rows = static_cast<int>(r1 - r0),
+       .k = static_cast<std::size_t>(k_hi - k_lo),
+       .n = h_out});
+}
+
+/// Phase 2 for one row: its partials (parts · h_out floats at part0)
+/// reduce in fixed ascending partition order into the partition-0 slice
+/// (clobbered), which then adds into the row's y. a == 1.0f makes each FMA
+/// exact, so the order is the scalar acc loop's on every dispatch path.
+void ReduceRow(const SgmvArgs& a, int parts, float* part0, std::int64_t row) {
+  const SimdOps& ops = Simd();
+  const auto h_out = static_cast<std::size_t>(a.h_out);
+  for (int p = 1; p < parts; ++p) {
+    ops.axpy_f32(1.0f, part0 + static_cast<std::size_t>(p) * h_out, part0,
+                 h_out);
+  }
+  ops.axpy_f32(1.0f, part0, &a.y[static_cast<std::size_t>(row) * h_out],
+               h_out);
 }
 
 }  // namespace
@@ -72,8 +138,9 @@ void SgmvShrink(const SgmvArgs& a, const ComputeContext& ctx,
   ValidateArgs(a);
   const std::int64_t rows = a.seg.back();
   if (rows == 0) return;
-  const int k_parts = SplitKPartitions(a.h_in);
-  const int chunk = (a.h_in + k_parts - 1) / k_parts;
+  const SplitK sk = SplitKOf(a.h_in);
+  const auto h_out = static_cast<std::size_t>(a.h_out);
+  const std::size_t ldp = static_cast<std::size_t>(sk.parts) * h_out;
 
   // Phase 1: each (row block, partition) task computes its rows' partials
   // over the partition's k-chunk on whichever worker claims it — the
@@ -83,66 +150,65 @@ void SgmvShrink(const SgmvArgs& a, const ComputeContext& ctx,
   // phase-1 writer, which overwrites it, and phase 2 never reads slices of
   // null-weight rows. Backed by the caller's scratch when it is large
   // enough (the hot-path case).
-  const std::size_t partials_size = static_cast<std::size_t>(rows) *
-                                    static_cast<std::size_t>(k_parts) *
-                                    static_cast<std::size_t>(a.h_out);
+  const std::size_t partials_size = static_cast<std::size_t>(rows) * ldp;
   std::unique_ptr<float[]> owned;
   float* partials = scratch.data();
   if (scratch.size() < partials_size) {
     owned = std::make_unique_for_overwrite<float[]>(partials_size);
     partials = owned.get();
   }
-  const SimdOps& ops = Simd();
-  const auto h_in = static_cast<std::size_t>(a.h_in);
-  const auto h_out = static_cast<std::size_t>(a.h_out);
   const std::int64_t groups = (rows + kRowBlock - 1) / kRowBlock;
-  ctx.ParallelFor(groups * k_parts, 1, [&](std::int64_t lo, std::int64_t hi) {
+  ctx.ParallelFor(groups * sk.parts, 1, [&](std::int64_t lo,
+                                            std::int64_t hi) {
     for (std::int64_t task = lo; task < hi; ++task) {
-      const int p = static_cast<int>(task % k_parts);
-      const int k_lo = p * chunk;
-      const int k_hi = std::min(a.h_in, k_lo + chunk);
-      // One register tile per row block: its rows' partials for this
-      // k-chunk, each started at 0 and reduced in ascending kk. x here is
-      // a dense hidden state, so no sparsity test in the inner loop.
-      ForEachRowBlock(a, task / k_parts, [&](std::int64_t r0, std::int64_t r1,
-                                             const f16* w) {
-        const auto row = static_cast<std::size_t>(r0);
-        ops.gemm_tile(
-            {.x = a.x.data() + row * h_in + static_cast<std::size_t>(k_lo),
-             .ldx = h_in,
-             .w = w + static_cast<std::size_t>(k_lo) * h_out,
-             .ldw = h_out,
-             .wkind = TileWeight::kF16,
-             .y = partials + (row * static_cast<std::size_t>(k_parts) +
-                              static_cast<std::size_t>(p)) *
-                                 h_out,
-             .ldy = static_cast<std::size_t>(k_parts) * h_out,
-             .rows = static_cast<int>(r1 - r0),
-             .k = static_cast<std::size_t>(k_hi - k_lo),
-             .n = h_out});
+      const int p = static_cast<int>(task % sk.parts);
+      ForEachRowBlock(a, task / sk.parts, [&](std::int64_t r0,
+                                              std::int64_t r1,
+                                              const f16* w) {
+        ShrinkPartials(a, sk, r0, r1, w, p,
+                       partials + static_cast<std::size_t>(r0) * ldp, ldp);
       });
     }
   });
 
-  // Phase 2: reduce partials in fixed ascending partition order — one
-  // worker per row, so each y element has exactly one writer and one
-  // summation order regardless of thread count. Accumulating into the
-  // partition-0 slice (scratch, documented clobbered) keeps the per-element
-  // order identical to the scalar acc loop; a == 1.0f makes the FMA exact,
-  // so this reduction is bit-identical on both dispatch paths.
+  // Phase 2: one worker per row, so each y element has exactly one writer
+  // and one summation order regardless of thread count.
   ctx.ParallelFor(rows, 1, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t r = lo; r < hi; ++r) {
-      const auto row = static_cast<std::size_t>(r);
       if (WeightForRow(a, r) == nullptr) continue;
-      float* yr = &a.y[row * static_cast<std::size_t>(a.h_out)];
-      const auto h_out = static_cast<std::size_t>(a.h_out);
-      float* part0 = &partials[row * static_cast<std::size_t>(k_parts) *
-                               h_out];
-      for (int p = 1; p < k_parts; ++p) {
-        ops.axpy_f32(1.0f, part0 + static_cast<std::size_t>(p) * h_out,
-                     part0, h_out);
-      }
-      ops.axpy_f32(1.0f, part0, yr, h_out);
+      ReduceRow(a, sk.parts, partials + static_cast<std::size_t>(r) * ldp,
+                r);
+    }
+  });
+}
+
+void SgmvShrinkRows(const SgmvArgs& a, std::int64_t row_lo,
+                    std::int64_t row_hi) {
+  ValidateArgs(a);
+  PUNICA_CHECK(0 <= row_lo && row_lo <= row_hi && row_hi <= a.seg.back());
+  const SplitK sk = SplitKOf(a.h_in);
+  const auto h_out = static_cast<std::size_t>(a.h_out);
+  const std::size_t ldp = static_cast<std::size_t>(sk.parts) * h_out;
+  // One row block's partials at a time: phase 1 for every partition, then
+  // phase 2 for its rows — per element the same partials and the same
+  // reduction order as SgmvShrink.
+  constexpr std::size_t kStackFloats =
+      kRowBlock * kMaxSplitKPartitions * kShrinkRowsStackRank;
+  alignas(64) float stack[kStackFloats];
+  std::unique_ptr<float[]> owned;
+  float* partials = stack;
+  if (kRowBlock * ldp > kStackFloats) {
+    owned = std::make_unique_for_overwrite<float[]>(kRowBlock * ldp);
+    partials = owned.get();
+  }
+  ForEachRowBlock(a, row_lo, row_hi, [&](std::int64_t r0, std::int64_t r1,
+                                         const f16* w) {
+    for (int p = 0; p < sk.parts; ++p) {
+      ShrinkPartials(a, sk, r0, r1, w, p, partials, ldp);
+    }
+    for (std::int64_t r = r0; r < r1; ++r) {
+      ReduceRow(a, sk.parts,
+                partials + static_cast<std::size_t>(r - r0) * ldp, r);
     }
   });
 }

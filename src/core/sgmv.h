@@ -59,6 +59,15 @@ void SgmvShrink(const SgmvArgs& args,
                 const ComputeContext& ctx = ComputeContext::Default(),
                 std::span<float> scratch = {});
 
+/// The shrink of token rows [row_lo, row_hi) alone, run serially on the
+/// calling thread — for a caller that already splits the batch rows over
+/// workers (the layer's row-parallel norm regions). Each row gets the
+/// partials and the partition-order reduction SgmvShrink gives it, so
+/// covering the batch in any row ranges is bit-identical to one
+/// SgmvShrink. Allocation-free for h_out <= 64.
+void SgmvShrinkRows(const SgmvArgs& args, std::int64_t row_lo,
+                    std::int64_t row_hi);
+
 /// Y += X @ W[seg] with the expand (column-split) schedule. The (row block,
 /// column-tile) tasks are independent and map onto pool workers; each
 /// element accumulates from 0 in ascending k, then adds into Y once.

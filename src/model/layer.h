@@ -118,12 +118,16 @@ struct TpWorkspace {
                                                  ///< concurrent ranks never
                                                  ///< share scratch)
   std::vector<std::vector<float>> lora_tmp;  ///< per-rank SGMV v rows +
-                                             ///< split-K scratch (see
+                                             ///< split-K scratch for the
+                                             ///< row-parallel seams (see
                                              ///< BatchedLoraAddon's
                                              ///< workspace contract);
                                              ///< disjoint per rank so
                                              ///< concurrent ranks never
                                              ///< share the shrink buffer
+  std::vector<float> lora_v;  ///< [3][tokens, max_rank] — the column
+                              ///< seams' shared shrink outputs (Q/K/V,
+                              ///< then Gate/Up), read by every rank
   void Resize(const LlamaConfig& config, int tp, int tokens,
               int max_rank = 1);
 };

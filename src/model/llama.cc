@@ -113,7 +113,8 @@ void LlamaModel::AddLora(LoraId id, LoraModelWeights weights) {
                static_cast<std::size_t>(config_.num_layers));
   // Distribute the adapter over the ranks up front (the per-GPU load
   // step), so Forward only gathers pointers. At tp = 1 the adapter itself
-  // is the one rank shard.
+  // is the one rank shard; at tp > 1 the shards alias its replicated
+  // factors, and the tensors the slices were cut from go with `weights`.
   auto shards = std::make_unique<TpShardedLora>();
   if (tp_ == 1) {
     shards->rank = weights.rank;

@@ -38,8 +38,9 @@ class LlamaModel {
   /// as parallel tasks on `ctx`, each from its own seeded stream, so the
   /// weights are the same bits at any thread count.
   /// LoRA batches run at any tp: AddLora stores each adapter as its rank
-  /// shards (ShardLoraModel at tp > 1) and every rank runs its own SGMV
-  /// shrink/expand, the row-parallel deltas folding through the existing
+  /// shards (ShardLoraModel at tp > 1, replicated factors held once), the
+  /// column seams shrink once per row for all ranks, every rank runs its
+  /// own expands, and the row-parallel deltas fold through the existing
   /// all-reduce.
   LlamaModel(const LlamaConfig& config, std::uint64_t seed,
              const ComputeContext* ctx = nullptr, int tp = 1,
@@ -73,7 +74,9 @@ class LlamaModel {
   /// Forward reads: it must not run concurrently with Forward.
   void AddLora(LoraId id, int rank, std::uint64_t seed);
   /// Stores `weights` as its rank shards: the adapter itself at tp = 1,
-  /// its ShardLoraModel slices at tp > 1 (the full adapter is not kept).
+  /// its ShardLoraModel shards at tp > 1 (the full tensors the slices were
+  /// cut from are not kept), so an adapter takes the same bytes at every
+  /// tp.
   void AddLora(LoraId id, LoraModelWeights weights);
   /// The adapter registered under `id` (nullptr when tp > 1 — only its
   /// shards are stored, see GetLoraShards — or unknown).

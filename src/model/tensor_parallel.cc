@@ -1,6 +1,7 @@
 #include "model/tensor_parallel.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "model/attention.h"
 #include "model/rope.h"
@@ -87,28 +88,27 @@ TpShardedLora ShardLoraModel(const LlamaConfig& config,
       static_cast<std::int64_t>(config.num_kv_heads / tp) * d;
   const std::int64_t f_cols = config.ffn_hidden / tp;
   // Column-parallel seam: B column-sliced to the rank's output columns,
-  // A replicated (each rank re-runs the cheap h_in→r shrink itself — the
-  // redundant FLOPs are r/h_out of the projection, far below an extra
-  // all-gather of v).
+  // A shared — every rank's LoraAB aliases the one allocation, and the
+  // layer runs its h_in→r shrink once per row for all ranks.
   const auto col_shard = [](const LoraAB& ab, std::int64_t b, std::int64_t e) {
     LoraAB out;
     out.rank = ab.rank;
     out.h_in = ab.h_in;
     out.h_out = static_cast<int>(e - b);
-    out.a = ab.a;  // replicated copy
-    out.b = SliceCols(ab.b, b, e);
+    out.a = ab.a;  // aliased, not copied
+    out.b = SliceCols(ab.b.tensor(), b, e);
     return out;
   };
   // Row-parallel seam: A row-sliced to match the rank's dense input rows,
-  // B replicated; the delta sums across ranks inside the existing
-  // all-reduce (Σ_r x_r·A_r·B = x·A·B).
+  // B shared; the delta sums across ranks inside the existing all-reduce
+  // (Σ_r x_r·A_r·B = x·A·B).
   const auto row_shard = [](const LoraAB& ab, std::int64_t b, std::int64_t e) {
     LoraAB out;
     out.rank = ab.rank;
     out.h_in = static_cast<int>(e - b);
     out.h_out = ab.h_out;
-    out.a = SliceRows(ab.a, b, e);
-    out.b = ab.b;  // replicated copy
+    out.a = SliceRows(ab.a.tensor(), b, e);
+    out.b = ab.b;  // aliased, not copied
     return out;
   };
   for (int r = 0; r < tp; ++r) {
@@ -143,6 +143,23 @@ TpShardedLora ShardLoraModel(const LlamaConfig& config,
   return sharded;
 }
 
+std::size_t TpShardedLora::byte_size() const {
+  std::unordered_set<const f16*> seen;
+  std::size_t total = 0;
+  const auto add = [&](const SharedTensor<f16>& t) {
+    if (seen.insert(t.raw()).second) total += t.numel() * sizeof(f16);
+  };
+  for (const LoraModelWeights& r : ranks) {
+    for (const LoraLayerWeights& l : r.layers) {
+      for (const LoraAB& ab : l.proj) {
+        add(ab.a);
+        add(ab.b);
+      }
+    }
+  }
+  return total;
+}
+
 void TpWorkspace::Resize(const LlamaConfig& config, int tp, int tokens,
                          int max_rank) {
   const auto t = static_cast<std::size_t>(tokens);
@@ -167,13 +184,15 @@ void TpWorkspace::Resize(const LlamaConfig& config, int tp, int tokens,
   // One split-KV attention scratch per rank (grown on demand by the
   // attention kernels): concurrent ranks must never share partial buffers.
   if (attn_scratch.size() < p) attn_scratch.resize(p);
-  // One SGMV workspace per rank (v rows + split-K partials, the
-  // BatchedLoraAddon contract), so concurrent ranks never share the shrink
-  // buffer and the addon never allocates in the forward hot path.
+  // One SGMV workspace per rank for the row-parallel seams' addons (v rows
+  // + split-K partials, the BatchedLoraAddon contract), so concurrent ranks
+  // never share the shrink buffer and the addon never allocates in the
+  // forward hot path; the column seams' shared shrinks fill three v slots.
   if (lora_tmp.size() < p) lora_tmp.resize(p);
+  const auto r = static_cast<std::size_t>(std::max(max_rank, 1));
+  grow(lora_v, 3 * t * r);
   const std::size_t lt =
-      t * static_cast<std::size_t>(std::max(max_rank, 1)) *
-      (1 + static_cast<std::size_t>(kMaxSplitKPartitions));
+      t * r * (1 + static_cast<std::size_t>(kMaxSplitKPartitions));
   for (auto& per_rank : lora_tmp) {
     if (per_rank.size() < lt) per_rank.resize(lt);
   }
@@ -221,27 +240,6 @@ void ForwardRanks(const LlamaConfig& config,
                     static_cast<std::size_t>(d);
   ws.Resize(config, tp, tokens, max_rank);
 
-  // Rank r's batched SGMV addon for one projection: y += x·A_r·B_r over the
-  // batch's unchanged segment grouping, through rank r's private workspace.
-  // On column-parallel seams y is the rank's output slice; on row-parallel
-  // seams y is the rank's pre-all-reduce partial, so the reduce folds the
-  // adapter delta alongside the dense partials.
-  const auto lora_addon = [&](int r, Proj proj, std::span<const float> in,
-                              std::span<float> out, int h_in, int h_out,
-                              const ComputeContext& rctx) {
-    if (!any_lora) return;
-    SmallBuffer<const LoraAB*, kInlineLoraSegments> adapters(num_segs);
-    for (std::size_t i = 0; i < num_segs; ++i) {
-      const LoraModelWeights* l = lora_of(i, static_cast<std::size_t>(r));
-      adapters[i] = l == nullptr
-                        ? nullptr
-                        : &l->layers[static_cast<std::size_t>(layer_idx)]
-                               .proj[static_cast<int>(proj)];
-    }
-    BatchedLoraAddon(out, in, {adapters.data(), adapters.size()},
-                     batch.segments.offsets, h_in, h_out,
-                     ws.lora_tmp[static_cast<std::size_t>(r)], rctx);
-  };
   const std::size_t q_stride = static_cast<std::size_t>(tokens) * q_w;
   const std::size_t kv_stride = static_cast<std::size_t>(tokens) * kv_w;
   const std::size_t f_stride =
@@ -253,6 +251,59 @@ void ForwardRanks(const LlamaConfig& config,
     local_rope.Build(batch.row_pos, d, config.rope_theta, ctx);
     rope = &local_rope;
   }
+
+  // Rank r's adapters for one projection, one per batch segment (nullptr =
+  // backbone only).
+  using SegAdapters = SmallBuffer<const LoraAB*, kInlineLoraSegments>;
+  const auto gather = [&](int r, Proj proj, SegAdapters& out) {
+    out.Resize(num_segs);
+    for (std::size_t i = 0; i < num_segs; ++i) {
+      const LoraModelWeights* l = lora_of(i, static_cast<std::size_t>(r));
+      out[i] = l == nullptr ? nullptr
+                            : &l->layers[static_cast<std::size_t>(layer_idx)]
+                                   .proj[static_cast<int>(proj)];
+    }
+  };
+  // Row-parallel seams (O/Down): rank r's batched SGMV addon y += x_r·A_r·B
+  // over the batch's unchanged segment grouping, through rank r's private
+  // workspace, into the rank's pre-all-reduce partial — so the reduce
+  // folds the adapter delta alongside the dense partials.
+  const auto lora_addon = [&](int r, Proj proj, std::span<const float> in,
+                              std::span<float> out, int h_in, int h_out,
+                              const ComputeContext& rctx) {
+    if (!any_lora) return;
+    SegAdapters adapters;
+    gather(r, proj, adapters);
+    BatchedLoraAddon(out, in, {adapters.data(), adapters.size()},
+                     batch.segments.offsets, h_in, h_out,
+                     ws.lora_tmp[static_cast<std::size_t>(r)], rctx);
+  };
+  // Column-parallel seams (Q/K/V, Gate/Up): every rank's A is the one
+  // shared allocation and the input is the shared normed rows, so the
+  // shrink v = x·A runs once per row, inside the row-split region that
+  // norms the row, into seam slot `slot` of ws.lora_v. Each rank then only
+  // expands v through its own B slice into its output columns.
+  const auto lora_v = [&](int slot) {
+    const std::size_t n = static_cast<std::size_t>(tokens) *
+                          static_cast<std::size_t>(max_rank);
+    return std::span<float>(ws.lora_v).subspan(
+        static_cast<std::size_t>(slot) * n, n);
+  };
+  const auto lora_shrink_rows = [&](const SegAdapters& adapters, int slot,
+                                    std::int64_t lo, std::int64_t hi) {
+    LoraShrinkRows(lora_v(slot), normed, {adapters.data(), adapters.size()},
+                   batch.segments.offsets, config.hidden_size, max_rank, lo,
+                   hi);
+  };
+  const auto lora_expand = [&](int r, Proj proj, int slot,
+                               std::span<float> out, int h_out,
+                               const ComputeContext& rctx) {
+    if (!any_lora) return;
+    SegAdapters adapters;
+    gather(r, proj, adapters);
+    LoraExpand(out, lora_v(slot), {adapters.data(), adapters.size()},
+               batch.segments.offsets, h_out, max_rank, rctx);
+  };
 
   // Runs rank_fn(r, rank_ctx) for every rank: concurrently on disjoint
   // worker groups, or as a plain serial loop on the root context. Both
@@ -298,9 +349,20 @@ void ForwardRanks(const LlamaConfig& config,
                 config.rms_eps);
   };
 
-  // --- Attention block ---
+  // --- Attention block --- (the Q/K/V shrinks in the norm's region: a
+  // row is shrunk right after it is normed)
+  SegAdapters col_a[3];
+  if (any_lora) {
+    gather(0, Proj::kQ, col_a[0]);
+    gather(0, Proj::kK, col_a[1]);
+    gather(0, Proj::kV, col_a[2]);
+  }
   ctx.ParallelFor(tokens, 1, [&](std::int64_t lo, std::int64_t hi) {
     norm_rows(ranks[0].attn_norm, lo, hi);
+    if (!any_lora) return;
+    for (int slot = 0; slot < 3; ++slot) {
+      lora_shrink_rows(col_a[slot], slot, lo, hi);
+    }
   });
 
   for_each_rank([&](int r, const ComputeContext& rctx) {
@@ -319,14 +381,11 @@ void ForwardRanks(const LlamaConfig& config,
              config.hidden_size, kv_heads_pr * d, rctx);
     GemmSetW(normed, shard.proj[static_cast<int>(Proj::kV)], v, tokens,
              config.hidden_size, kv_heads_pr * d, rctx);
-    // Column-parallel LoRA: B is sliced to this rank's output columns, A is
-    // replicated — the addon lands before RoPE.
-    lora_addon(r, Proj::kQ, normed, q, config.hidden_size, heads_pr * d,
-               rctx);
-    lora_addon(r, Proj::kK, normed, k, config.hidden_size, kv_heads_pr * d,
-               rctx);
-    lora_addon(r, Proj::kV, normed, v, config.hidden_size, kv_heads_pr * d,
-               rctx);
+    // Column-parallel LoRA: expand the shared shrink through this rank's
+    // B slice — the addon lands before RoPE.
+    lora_expand(r, Proj::kQ, 0, q, heads_pr * d, rctx);
+    lora_expand(r, Proj::kK, 1, k, kv_heads_pr * d, rctx);
+    lora_expand(r, Proj::kV, 2, v, kv_heads_pr * d, rctx);
 
     // RoPE on this rank's heads; write this rank's KV slice of each entry
     // (disjoint across ranks, so concurrent ranks never share a writer).
@@ -381,11 +440,21 @@ void ForwardRanks(const LlamaConfig& config,
                config.hidden_size, rctx);
   });
 
-  // --- MLP block --- (its norm in the same region as the attention
-  // block's all-reduce: a row is normed right after it is summed)
+  // --- MLP block --- (its norm and the Gate/Up shrinks in the same
+  // region as the attention block's all-reduce: a row is normed right
+  // after it is summed, and shrunk right after it is normed; the shrinks
+  // reuse seam slots 0 and 1, whose Q/K rows the attention ranks are done
+  // with)
+  if (any_lora) {
+    gather(0, Proj::kGate, col_a[0]);
+    gather(0, Proj::kUp, col_a[1]);
+  }
   ctx.ParallelFor(tokens, 1, [&](std::int64_t lo, std::int64_t hi) {
     reduce_rows(lo, hi);
     norm_rows(ranks[0].mlp_norm, lo, hi);
+    if (!any_lora) return;
+    lora_shrink_rows(col_a[0], 0, lo, hi);
+    lora_shrink_rows(col_a[1], 1, lo, hi);
   });
   for_each_rank([&](int r, const ComputeContext& rctx) {
     const auto ur = static_cast<std::size_t>(r);
@@ -399,8 +468,8 @@ void ForwardRanks(const LlamaConfig& config,
     GemmSetW(normed, shard.proj[static_cast<int>(Proj::kUp)], up, tokens,
              config.hidden_size, f_pr, rctx);
     // Column-parallel LoRA on the FFN seams, before the SwiGLU nonlinearity.
-    lora_addon(r, Proj::kGate, normed, gate, config.hidden_size, f_pr, rctx);
-    lora_addon(r, Proj::kUp, normed, up, config.hidden_size, f_pr, rctx);
+    lora_expand(r, Proj::kGate, 0, gate, f_pr, rctx);
+    lora_expand(r, Proj::kUp, 1, up, f_pr, rctx);
     SiluMulInPlace(gate, up, rctx);
     // Row-parallel Down projection: this rank's partial [tokens, h]; the
     // LoRA delta folds through the second all-reduce like O above.

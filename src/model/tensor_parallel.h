@@ -15,13 +15,16 @@
 // its own heads, so attention needs no communication.
 //
 // LoRA adapters shard the same way (ShardLoraModel): on the column-parallel
-// seams B is column-sliced and A replicated — each rank runs its own SGMV
-// shrink over the replicated input and expands into its own output slice;
-// on the row-parallel seams A is row-sliced to match the dense input rows
-// and B replicated — rank r's delta x_r·A_r·B lands in its pre-all-reduce
-// partial, and Σ_r x_r·A_r·B = x·A·B by linearity, so the existing
-// fixed-rank-order all-reduce folds the adapter delta at no extra
-// communication cost. The LoRA rank dimension is never sharded, so any
+// seams B is column-sliced and A replicated — the ranks share one address
+// space, so the replicated A is one allocation every rank aliases, and the
+// layer runs the shrink v = x·A once per row (in the row-split region that
+// norms the row) before each rank expands v into its own output slice; on
+// the row-parallel seams A is row-sliced to match the dense input rows and
+// B replicated (again one shared allocation) — rank r's delta x_r·A_r·B
+// lands in its pre-all-reduce partial, and Σ_r x_r·A_r·B = x·A·B by
+// linearity, so the existing fixed-rank-order all-reduce folds the adapter
+// delta at no extra communication cost. An adapter thus takes the same
+// bytes at every tp. The LoRA rank dimension is never sharded, so any
 // adapter rank (divisible by tp or not) shards exactly; adapters stay f16,
 // so LoRA sharding adds no quantization exemptions at any tp.
 //
@@ -71,14 +74,22 @@ LlamaConfig RankConfig(const LlamaConfig& config, int tp);
 /// ranks[r].layers[l].proj[p] is rank r's (A, B) slice for that projection:
 /// column-parallel seams (Q/K/V/Gate/Up) hold A replicated + B
 /// column-sliced; row-parallel seams (O/Down) hold A row-sliced + B
-/// replicated. `rank` is the (unsharded) LoRA rank dimension.
+/// replicated. A replicated factor is one allocation that every rank's
+/// LoraAB aliases (equal raw() across ranks). `rank` is the (unsharded)
+/// LoRA rank dimension.
 struct TpShardedLora {
   std::vector<LoraModelWeights> ranks;
   int rank = 0;
   int tp = 1;
+
+  /// Bytes of the distinct factor allocations — the full adapter's bytes
+  /// at any tp, since nothing is held twice.
+  std::size_t byte_size() const;
 };
 
-/// Slices a full adapter model into tp shards along the dense seams.
+/// Slices a full adapter model into tp shards along the dense seams. The
+/// replicated factors alias `full`'s (no copy); the sliced ones are new
+/// tensors, so dropping `full` afterwards frees what they were cut from.
 /// Requires the same divisibility as ShardLayer; the LoRA rank itself need
 /// not divide tp (it is never split). Adapters are f16, so every slice is
 /// exact — no block-alignment constraint, unlike quantized backbone shards.
@@ -90,9 +101,10 @@ TpShardedLora ShardLoraModel(const LlamaConfig& config,
 /// all-reduce seams sum partials across ranks into the residual stream in
 /// fixed ascending rank order. The same body as LayerForward, over the
 /// per-segment LoRA view: `seg_lora[i]` is the sharded adapter for segment
-/// i (nullptr = backbone-only; empty span = all-backbone batch). Each rank
-/// runs its own SGMV shrink/expand over its shard with the batch's segment
-/// grouping unchanged.
+/// i (nullptr = backbone-only; empty span = all-backbone batch). The
+/// column seams' shrinks run once per row for all ranks; each rank runs
+/// its expands and its row-parallel addons over its shard, with the
+/// batch's segment grouping unchanged.
 ///
 /// `rank_ctxs` empty: the rank loop runs serially, every rank's kernels on
 /// `ctx` (models the SPMD schedule without concurrency). `rank_ctxs` with

@@ -35,10 +35,42 @@ inline __m256i LoadHalf16(const f16* p) {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
 }
 
+// Conversions and lane moves in their maskz forms under a full mask. The
+// unmasked intrinsics hand their masked builtins an _mm*_undefined_*()
+// merge source, which GCC 12 reports (-Wmaybe-uninitialized) wherever it
+// inlines one; the full mask names the same instruction and the same
+// lanes over a defined source.
+inline __m512 CvtPh16(__m256i h) { return _mm512_maskz_cvtph_ps(0xFFFF, h); }
+inline __m256i CvtPs16(__m512 v) {
+  return _mm512_maskz_cvtps_ph(0xFFFF, v,
+                               _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+}
+/// Sixteen int8 codes as floats.
+inline __m512 CvtI8x16(__m128i q) {
+  return _mm512_maskz_cvtepi32_ps(0xFFFF,
+                                  _mm512_maskz_cvtepi8_epi32(0xFFFF, q));
+}
+/// Lanes [8h, 8h + 8) of v (GCC 12's _mm512_castps512_ps256 is this
+/// extract at h = 0).
+template <int H>
+inline __m256 Half(__m512 v) {
+  return _mm256_castpd_ps(
+      _mm512_maskz_extractf64x4_pd(0xFF, _mm512_castps_pd(v), H));
+}
+/// Lanes [4q, 4q + 4) of v (GCC 12's _mm512_castps512_ps128 at q = 0).
+template <int Q>
+inline __m128 Quarter(__m512 v) {
+  return _mm512_maskz_extractf32x4_ps(0xF, v, Q);
+}
+template <int Imm>
+inline __m512 ShuffleF32x4(__m512 a, __m512 b) {
+  return _mm512_maskz_shuffle_f32x4(0xFFFF, a, b, Imm);
+}
+
 void HalfToFloatAvx512(const f16* src, float* dst, std::size_t n) {
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(dst + i, _mm512_cvtph_ps(LoadHalf16(src + i)));
+    _mm512_storeu_ps(dst + i, CvtPh16(LoadHalf16(src + i)));
   }
   for (; i < n; ++i) dst[i] = src[i].ToFloat();
 }
@@ -46,8 +78,7 @@ void HalfToFloatAvx512(const f16* src, float* dst, std::size_t n) {
 void FloatToHalfAvx512(const float* src, f16* dst, std::size_t n) {
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    __m256i h = _mm512_cvtps_ph(_mm512_loadu_ps(src + i),
-                                _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    __m256i h = CvtPs16(_mm512_loadu_ps(src + i));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), h);
   }
   for (; i < n; ++i) dst[i] = f16(src[i]);
@@ -67,7 +98,7 @@ void AxpyF16Avx512(float a, const f16* x, float* y, std::size_t n) {
   const __m512 va = _mm512_set1_ps(a);
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    __m512 vx = _mm512_cvtph_ps(LoadHalf16(x + i));
+    __m512 vx = CvtPh16(LoadHalf16(x + i));
     __m512 vy = _mm512_loadu_ps(y + i);
     _mm512_storeu_ps(y + i, _mm512_fmadd_ps(va, vx, vy));
   }
@@ -120,9 +151,8 @@ void SiluMulAvx512(float* gate, const float* up, std::size_t n) {
 // Fixed-order horizontal reduction, matching the avx2 path's final 128-bit
 // sequence: 512 halves, 256 halves, movehl, shuffle.
 inline float ReduceAdd16(__m512 acc) {
-  __m256 lo = _mm512_castps512_ps256(acc);
-  __m256 hi = _mm256_castpd_ps(
-      _mm512_extractf64x4_pd(_mm512_castps_pd(acc), 1));
+  __m256 lo = Half<0>(acc);
+  __m256 hi = Half<1>(acc);
   __m256 r = _mm256_add_ps(lo, hi);
   __m128 s = _mm_add_ps(_mm256_castps256_ps128(r),
                         _mm256_extractf128_ps(r, 1));
@@ -135,7 +165,7 @@ float DotF16Avx512(const float* a, const f16* b, std::size_t n) {
   __m512 acc = _mm512_setzero_ps();
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    __m512 vb = _mm512_cvtph_ps(LoadHalf16(b + i));
+    __m512 vb = CvtPh16(LoadHalf16(b + i));
     acc = _mm512_fmadd_ps(_mm512_loadu_ps(a + i), vb, acc);
   }
   float sum = ReduceAdd16(acc);
@@ -150,7 +180,7 @@ void ScaleAddF16Avx512(float* acc, float c, float p, const f16* v,
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     __m512 va = _mm512_mul_ps(_mm512_loadu_ps(acc + i), vc);
-    __m512 vv = _mm512_cvtph_ps(LoadHalf16(v + i));
+    __m512 vv = CvtPh16(LoadHalf16(v + i));
     _mm512_storeu_ps(acc + i, _mm512_fmadd_ps(vp, vv, va));
   }
   for (; i < n; ++i) acc[i] = std::fma(p, v[i].ToFloat(), acc[i] * c);
@@ -205,7 +235,7 @@ inline float ScaleF32(f16 h) {
 inline __m512 Q8Codes16(const BlockQ8_0& b, int g) {
   __m128i q8 = _mm_loadu_si128(
       reinterpret_cast<const __m128i*>(b.qs + 16 * g));
-  return _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(q8));
+  return CvtI8x16(q8);
 }
 
 /// Decoded f32 vector for elements [16g, 16g+16) of a Q4_0 block (g 0..1),
@@ -216,7 +246,7 @@ inline __m512 Q4Codes16(const BlockQ4_0& b, int g) {
   __m128i nib = g == 0 ? _mm_and_si128(raw, mask)
                        : _mm_and_si128(_mm_srli_epi16(raw, 4), mask);
   __m128i codes = _mm_sub_epi8(nib, _mm_set1_epi8(8));
-  return _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(codes));
+  return CvtI8x16(codes);
 }
 
 // --- Register-tiled GEMM ---
@@ -266,11 +296,11 @@ struct TileW<TileWeight::kF16> {
     return cols * sizeof(f16);
   }
   static __m512 Load(const GemmTile& t, std::size_t p, std::size_t j) {
-    return _mm512_cvtph_ps(LoadHalf16(Ptr(t, p, j)));
+    return CvtPh16(LoadHalf16(Ptr(t, p, j)));
   }
   static __m512 LoadMasked(const GemmTile& t, std::size_t p, std::size_t j,
                            __mmask16 m) {
-    return _mm512_cvtph_ps(_mm256_maskz_loadu_epi16(m, Ptr(t, p, j)));
+    return CvtPh16(_mm256_maskz_loadu_epi16(m, Ptr(t, p, j)));
   }
 };
 
@@ -445,18 +475,19 @@ struct TilePair {
 /// Lane a = ReduceAdd16(acc[a]) for 16 accumulators, bit for bit: the
 /// same pairwise tree (256-bit halves, 128-bit quarters, then
 /// (s0 + s2) + (s1 + s3)) run as a transpose, so each add serves 16 sums.
-inline __m512 ReduceAdd16x16(const __m512* acc) {
+/// Forced inline: as a call, TileScores16 spills its 16 accumulators to
+/// the stack to pass them.
+[[gnu::always_inline]] inline __m512 ReduceAdd16x16(const __m512* acc) {
   __m512 t[8];
   for (int i = 0; i < 8; ++i) {
     const __m512 a = acc[2 * i];
     const __m512 b = acc[2 * i + 1];
-    t[i] = _mm512_add_ps(_mm512_shuffle_f32x4(a, b, 0x44),
-                         _mm512_shuffle_f32x4(a, b, 0xEE));
+    t[i] = _mm512_add_ps(ShuffleF32x4<0x44>(a, b), ShuffleF32x4<0xEE>(a, b));
   }
   __m512 s[4];
   for (int i = 0; i < 4; ++i) {
-    s[i] = _mm512_add_ps(_mm512_shuffle_f32x4(t[2 * i], t[2 * i + 1], 0x88),
-                         _mm512_shuffle_f32x4(t[2 * i], t[2 * i + 1], 0xDD));
+    s[i] = _mm512_add_ps(ShuffleF32x4<0x88>(t[2 * i], t[2 * i + 1]),
+                         ShuffleF32x4<0xDD>(t[2 * i], t[2 * i + 1]));
   }
   const __m512 w0 = _mm512_add_ps(_mm512_shuffle_ps(s[0], s[1], 0x44),
                                   _mm512_shuffle_ps(s[0], s[1], 0xEE));
@@ -467,7 +498,7 @@ inline __m512 ReduceAdd16x16(const __m512* acc) {
   // Lane 4ℓ + m of f holds accumulator 4m + ℓ: transpose back.
   const __m512i order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10,
                                           14, 3, 7, 11, 15);
-  return _mm512_permutexvar_ps(order, f);
+  return _mm512_maskz_permutexvar_ps(0xFFFF, order, f);
 }
 
 /// Lane b·P + p of v to position b, pair p of a group whose first pair's
@@ -477,14 +508,13 @@ inline void StoreScores(__m512 v, float* sc, std::size_t ld) {
   if (ld == P) {  // the group is every pair: positions are adjacent
     _mm512_storeu_ps(sc, v);
   } else if constexpr (P == 8) {
-    _mm256_storeu_ps(sc, _mm512_castps512_ps256(v));
-    _mm256_storeu_ps(sc + ld, _mm256_castpd_ps(_mm512_extractf64x4_pd(
-                                  _mm512_castps_pd(v), 1)));
+    _mm256_storeu_ps(sc, Half<0>(v));
+    _mm256_storeu_ps(sc + ld, Half<1>(v));
   } else if constexpr (P == 4) {
-    _mm_storeu_ps(sc, _mm512_castps512_ps128(v));
-    _mm_storeu_ps(sc + ld, _mm512_extractf32x4_ps(v, 1));
-    _mm_storeu_ps(sc + 2 * ld, _mm512_extractf32x4_ps(v, 2));
-    _mm_storeu_ps(sc + 3 * ld, _mm512_extractf32x4_ps(v, 3));
+    _mm_storeu_ps(sc, Quarter<0>(v));
+    _mm_storeu_ps(sc + ld, Quarter<1>(v));
+    _mm_storeu_ps(sc + 2 * ld, Quarter<2>(v));
+    _mm_storeu_ps(sc + 3 * ld, Quarter<3>(v));
   } else {
     alignas(64) float lanes[16];
     _mm512_store_ps(lanes, v);
@@ -507,7 +537,7 @@ inline void TileScores16(const TilePair* pr, const f16* const* k,
     __m512 qv[P];
     for (int p = 0; p < P; ++p) qv[p] = _mm512_loadu_ps(pr[p].q + i);
     for (int b = 0; b < kPos; ++b) {
-      const __m512 kv = _mm512_cvtph_ps(LoadHalf16(k[b] + i));
+      const __m512 kv = CvtPh16(LoadHalf16(k[b] + i));
       for (int p = 0; p < P; ++p) {
         acc[b * P + p] = _mm512_fmadd_ps(qv[p], kv, acc[b * P + p]);
       }
@@ -538,7 +568,7 @@ inline void TileScoreAt(const TilePair& pr, const f16* k, std::size_t d,
   std::size_t i = 0;
   for (; i + 16 <= d; i += 16) {
     acc = _mm512_fmadd_ps(_mm512_loadu_ps(pr.q + i),
-                          _mm512_cvtph_ps(LoadHalf16(k + i)), acc);
+                          CvtPh16(LoadHalf16(k + i)), acc);
   }
   float sum = ReduceAdd16(acc);
   for (; i < d; ++i) sum = std::fma(pr.q[i], k[i].ToFloat(), sum);
@@ -673,7 +703,7 @@ void TileAccumChunk(const TilePair* pr, const f16* const* vp,
   const auto step = [&](std::int32_t j, bool ragged) {
     __m512 vv[W];
     for (int w = 0; w < W; ++w) {
-      vv[w] = _mm512_cvtph_ps(LoadHalf16(vp[j] + col + 16 * w));
+      vv[w] = CvtPh16(LoadHalf16(vp[j] + col + 16 * w));
     }
     for (int p = 0; p < P; ++p) {
       if (ragged && j >= pr[p].len) continue;

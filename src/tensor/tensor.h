@@ -136,13 +136,49 @@ class Tensor {
   Storage data_;
 };
 
+/// A read-only tensor that several owners hold at once: a copy aliases the
+/// one allocation (like std::shared_ptr), which is freed with its last
+/// holder. Built from a Tensor by moving it in; only a sole holder may
+/// write (mutable_data), so a tensor is filled before it is shared.
+template <typename T>
+class SharedTensor {
+ public:
+  SharedTensor() = default;
+  /// Implicit, so `ab.a = SomeTensor()` moves a tensor in.
+  SharedTensor(Tensor<T> t)
+      : t_(std::make_shared<Tensor<T>>(std::move(t))) {}
+
+  const Tensor<T>& tensor() const {
+    PUNICA_CHECK(t_ != nullptr);
+    return *t_;
+  }
+  std::int64_t dim(std::size_t i) const { return tensor().dim(i); }
+  std::size_t ndim() const { return t_ ? t_->ndim() : 0; }
+  std::size_t numel() const { return t_ ? t_->numel() : 0; }
+  std::span<const T> data() const { return tensor().data(); }
+  const T* raw() const { return t_ ? t_->raw() : nullptr; }
+  const T& at(std::initializer_list<std::int64_t> idx) const {
+    return tensor().at(idx);
+  }
+
+  /// Write access, for the allocation's only holder.
+  std::span<T> mutable_data() {
+    PUNICA_CHECK_MSG(t_ != nullptr && t_.use_count() == 1,
+                     "a shared tensor is read-only");
+    return t_->data();
+  }
+
+ private:
+  std::shared_ptr<Tensor<T>> t_;
+};
+
 /// Copies rows [row_begin, row_end) of a 2-D tensor.
 template <typename T>
 Tensor<T> SliceRows(const Tensor<T>& t, std::int64_t row_begin,
                     std::int64_t row_end) {
   PUNICA_CHECK(t.ndim() == 2);
   PUNICA_CHECK(row_begin >= 0 && row_end <= t.dim(0) && row_begin < row_end);
-  Tensor<T> out({row_end - row_begin, t.dim(1)});
+  auto out = Tensor<T>::Uninitialized({row_end - row_begin, t.dim(1)});
   for (std::int64_t i = row_begin; i < row_end; ++i) {
     auto src = t.row(i);
     std::copy(src.begin(), src.end(), out.row(i - row_begin).begin());
@@ -156,7 +192,7 @@ Tensor<T> SliceCols(const Tensor<T>& t, std::int64_t col_begin,
                     std::int64_t col_end) {
   PUNICA_CHECK(t.ndim() == 2);
   PUNICA_CHECK(col_begin >= 0 && col_end <= t.dim(1) && col_begin < col_end);
-  Tensor<T> out({t.dim(0), col_end - col_begin});
+  auto out = Tensor<T>::Uninitialized({t.dim(0), col_end - col_begin});
   for (std::int64_t i = 0; i < t.dim(0); ++i) {
     auto src = t.row(i);
     std::copy(src.begin() + col_begin, src.begin() + col_end,

@@ -83,7 +83,13 @@ std::string FormatWithUnit(double value, const char* unit, int precision) {
 }  // namespace
 
 std::string FormatSeconds(double s) {
-  if (s < 0.0) return "-" + FormatSeconds(-s);
+  if (s < 0.0) {
+    // Appended, not `"-" + …`: GCC 12's -O3 inlining of that string
+    // insert raises a false -Wrestrict.
+    std::string out = "-";
+    out += FormatSeconds(-s);
+    return out;
+  }
   if (s < 1e-3) return FormatWithUnit(s * 1e6, "µs", 1);
   if (s < 1.0) return FormatWithUnit(s * 1e3, "ms", 2);
   return FormatWithUnit(s, "s", 2);

@@ -209,5 +209,99 @@ TEST(SgmvBitExactTest, MixedRankAddonMatchesContractOracleAtEveryLevel) {
   }
 }
 
+// SgmvShrinkRows over any cover of the batch rows by ranges — whole,
+// one row at a time, ranges that cut row blocks and segments mid-way — is
+// the contract's shrink bit for bit, including h_out above its 64-float
+// stack bound.
+TEST(SgmvBitExactTest, ShrinkRowsOverAnyRangesMatchesContractOracle) {
+  const std::vector<std::int32_t> seg = Offsets();
+  const int rows = seg.back();
+  const std::vector<std::vector<std::int32_t>> covers = {
+      {0, rows}, {0, 5, 17, 40, 41, rows}, {0, 3, 6, 9, 12, 15, rows}};
+  for (int h_in : {300, 700}) {
+    for (int rank : {4, 16, 72}) {
+      Pcg32 rng(static_cast<std::uint64_t>(h_in * 7 + rank));
+      std::vector<Tensor<f16>> ws;
+      std::vector<const f16*> ptrs;
+      for (bool has : kSegHasWeight) {
+        ws.push_back(RandomHalf(h_in, rank, rng));
+        ptrs.push_back(has ? ws.back().raw() : nullptr);
+      }
+      const auto x = RandomGaussianVector(
+          static_cast<std::size_t>(rows) * h_in, 1.0f, rng);
+      const auto y0 = RandomGaussianVector(
+          static_cast<std::size_t>(rows) * rank, 1.0f, rng);
+      for (SimdLevel level : Levels()) {
+        ScopedSimdLevel guard(level);
+        std::vector<float> want = y0;
+        ShrinkOracle(level, {want, x, ptrs, seg, h_in, rank});
+        for (std::size_t c = 0; c < covers.size(); ++c) {
+          std::vector<float> got = y0;
+          const SgmvArgs run{got, x, ptrs, seg, h_in, rank};
+          for (std::size_t i = 0; i + 1 < covers[c].size(); ++i) {
+            SgmvShrinkRows(run, covers[c][i], covers[c][i + 1]);
+          }
+          for (std::int32_t r = 1; r < rows && c == 0; r += 11) {
+            // An empty range touches nothing.
+            SgmvShrinkRows(run, r, r);
+          }
+          ExpectBitEqual(got, want,
+                         std::string(SimdLevelName(level)) + " h_in=" +
+                             std::to_string(h_in) + " rank=" +
+                             std::to_string(rank) + " cover " +
+                             std::to_string(c));
+        }
+      }
+    }
+  }
+}
+
+// The addon's halves — LoraShrinkRows over row ranges, then LoraExpand —
+// are BatchedLoraAddon bit for bit, with uniform and with mixed ranks
+// (whose v rows sit at seg[i]·max_rank, stride rank_i).
+TEST(SgmvBitExactTest, ShrinkRowsThenExpandMatchesBatchedAddon) {
+  const std::vector<std::int32_t> seg = Offsets();
+  const int rows = seg.back();
+  const int h_in = 300, h_out = 200;
+  ComputeContext ctx({.num_threads = 2});
+  for (bool mixed : {false, true}) {
+    const int ranks[] = {4, 8, 16, 8, 4, 16, 8};
+    std::vector<LoraAB> adapters;
+    std::vector<const LoraAB*> ptrs;
+    for (std::size_t s = 0; s < kSegLengths.size(); ++s) {
+      adapters.push_back(LoraAB::Random(h_in, h_out, mixed ? ranks[s] : 16,
+                                        600 + static_cast<std::uint64_t>(s)));
+    }
+    for (std::size_t s = 0; s < adapters.size(); ++s) {
+      ptrs.push_back(kSegHasWeight[s] ? &adapters[s] : nullptr);
+    }
+    Pcg32 rng(mixed ? 78 : 79);
+    const auto x = RandomGaussianVector(
+        static_cast<std::size_t>(rows) * h_in, 1.0f, rng);
+    const auto y0 = RandomGaussianVector(
+        static_cast<std::size_t>(rows) * h_out, 1.0f, rng);
+    std::vector<float> workspace(static_cast<std::size_t>(rows) * 16 *
+                                 (1 + kMaxSplitKPartitions));
+    for (SimdLevel level : Levels()) {
+      ScopedSimdLevel guard(level);
+      std::vector<float> want = y0;
+      BatchedLoraAddon(want, x, ptrs, seg, h_in, h_out, workspace, ctx);
+      for (std::int32_t step : {1, 5, rows}) {
+        std::vector<float> v(static_cast<std::size_t>(rows) * 16, NAN);
+        for (std::int32_t lo = 0; lo < rows; lo += step) {
+          LoraShrinkRows(v, x, ptrs, seg, h_in, 16, lo,
+                         std::min(rows, lo + step));
+        }
+        std::vector<float> got = y0;
+        LoraExpand(got, v, ptrs, seg, h_out, 16, ctx);
+        ExpectBitEqual(got, want,
+                       std::string(SimdLevelName(level)) +
+                           (mixed ? " mixed" : " uniform") + " step " +
+                           std::to_string(step));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace punica

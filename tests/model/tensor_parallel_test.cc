@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "model/attention.h"
+#include "model/llama.h"
 #include "util/rng.h"
 
 namespace punica {
@@ -681,6 +682,192 @@ TEST(ShardLoraModelTest, SeamShapesAndReplication) {
       for (std::int64_t j = 0; j < half; ++j) {
         EXPECT_TRUE(shard_q.b.at({i, j}) == full_q.b.at({i, j + r * half}));
       }
+    }
+  }
+}
+
+// A config whose heads, KV heads and FFN divide by 4, with a hidden size
+// past one 256-wide split-K chunk (two shrink partitions on every column
+// seam).
+LlamaConfig SplitKConfig() {
+  return {.name = "split-k",
+          .hidden_size = 512,
+          .num_layers = 1,
+          .num_heads = 8,
+          .num_kv_heads = 4,
+          .ffn_hidden = 1024,
+          .vocab_size = 256};
+}
+
+// Every replicated factor — A of a column-parallel seam, B of a
+// row-parallel one — is one allocation all ranks alias; the sliced factor
+// is each rank's own.
+TEST(ShardLoraModelTest, ReplicatedFactorsAreOneAllocation) {
+  LlamaConfig c = SplitKConfig();
+  LoraModelWeights full = LoraModelWeights::Random(c, 8, 41);
+  for (int tp : {2, 4}) {
+    SCOPED_TRACE("tp=" + std::to_string(tp));
+    TpShardedLora sharded = ShardLoraModel(c, full, tp);
+    for (int p = 0; p < kNumProj; ++p) {
+      const bool col = p != static_cast<int>(Proj::kO) &&
+                       p != static_cast<int>(Proj::kDown);
+      const LoraAB& r0 = sharded.ranks[0].layers[0].proj[p];
+      for (std::size_t r = 1; r < sharded.ranks.size(); ++r) {
+        const LoraAB& ab = sharded.ranks[r].layers[0].proj[p];
+        EXPECT_EQ(col ? ab.a.raw() : ab.b.raw(),
+                  col ? r0.a.raw() : r0.b.raw())
+            << "proj " << p << " rank " << r;
+        EXPECT_NE(col ? ab.b.raw() : ab.a.raw(),
+                  col ? r0.b.raw() : r0.a.raw())
+            << "proj " << p << " rank " << r;
+      }
+    }
+  }
+}
+
+// Nothing is held twice: an adapter's stored bytes are its tp = 1 bytes at
+// every tp, through ShardLoraModel and through LlamaModel::AddLora.
+TEST(ShardLoraModelTest, StoredBytesEqualTp1Bytes) {
+  LlamaConfig c = SplitKConfig();
+  LoraModelWeights full = LoraModelWeights::Random(c, 16, 43);
+  const std::size_t want = full.byte_size();
+  ComputeContext ctx({.num_threads = 2});
+  for (int tp : {1, 2, 4}) {
+    SCOPED_TRACE("tp=" + std::to_string(tp));
+    EXPECT_EQ(ShardLoraModel(c, full, tp).byte_size(), want);
+    LlamaModel model(c, 5, &ctx, tp);
+    model.AddLora(0, 16, 43);
+    const TpShardedLora* shards = model.GetLoraShards(0);
+    EXPECT_EQ(tp == 1 ? model.GetLora(0)->byte_size() : shards->byte_size(),
+              want);
+  }
+}
+
+// The column seams' shrink runs once per row for all ranks (over the
+// shared A) and each rank expands through its B slice. Per rank and seam
+// that is bit for bit the per-rank addon it replaced — BatchedLoraAddon
+// over the rank's own (A, B_r) — at tp 1, 2 and 4, with uniform and with
+// mixed adapter ranks, for any split of the rows over the shrink.
+TEST(TpLoraShrinkOnceTest, MatchesPerRankAddonBitExact) {
+  LlamaConfig c = SplitKConfig();
+  // A prefill + decode batch: a 6-row prefill on adapter a, a 3-row
+  // backbone prefill, then decodes on adapters b, a, b.
+  const std::vector<std::int32_t> seg = {0, 6, 9, 10, 11, 12};
+  const int rows = seg.back();
+  Pcg32 rng(12);
+  const auto x = RandomGaussianVector(
+      static_cast<std::size_t>(rows) * c.hidden_size, 1.0f, rng);
+  ComputeContext ctx({.num_threads = 2});
+  for (bool mixed : {false, true}) {
+    SCOPED_TRACE(mixed ? "mixed ranks" : "uniform rank");
+    LoraModelWeights lora_a = LoraModelWeights::Random(c, 16, 51);
+    LoraModelWeights lora_b = LoraModelWeights::Random(c, mixed ? 8 : 16, 52);
+    for (int tp : {1, 2, 4}) {
+      SCOPED_TRACE("tp=" + std::to_string(tp));
+      const TpShardedLora a_tp = ShardLoraModel(c, lora_a, tp);
+      const TpShardedLora b_tp = ShardLoraModel(c, lora_b, tp);
+      const auto adapters = [&](std::size_t r, Proj p) {
+        const LoraAB* a = &a_tp.ranks[r].layers[0].proj[static_cast<int>(p)];
+        const LoraAB* b = &b_tp.ranks[r].layers[0].proj[static_cast<int>(p)];
+        return std::vector<const LoraAB*>{a, nullptr, b, a, b};
+      };
+      for (Proj p : {Proj::kQ, Proj::kK, Proj::kV, Proj::kGate, Proj::kUp}) {
+        SCOPED_TRACE("proj " + std::to_string(static_cast<int>(p)));
+        std::vector<float> v(static_cast<std::size_t>(rows) * 16, NAN);
+        const std::vector<const LoraAB*> shared = adapters(0, p);
+        for (std::int32_t lo = 0; lo < rows; lo += 5) {
+          LoraShrinkRows(v, x, shared, seg, c.hidden_size, 16, lo,
+                         std::min(rows, lo + 5));
+        }
+        for (int r = 0; r < tp; ++r) {
+          const std::vector<const LoraAB*> own =
+              adapters(static_cast<std::size_t>(r), p);
+          const int h_out = own[0]->h_out;
+          const auto y0 = RandomGaussianVector(
+              static_cast<std::size_t>(rows) * h_out, 1.0f, rng);
+          std::vector<float> want = y0;
+          std::vector<float> workspace(static_cast<std::size_t>(rows) * 16 *
+                                       (1 + kMaxSplitKPartitions));
+          BatchedLoraAddon(want, x, own, seg, c.hidden_size, h_out,
+                           workspace, ctx);
+          std::vector<float> got = y0;
+          LoraExpand(got, v, own, seg, h_out, 16, ctx);
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(float)),
+                    0)
+              << "rank " << r;
+        }
+      }
+    }
+  }
+}
+
+// Through the whole layer: the column-parallel outputs, K and V with their
+// LoRA deltas (written to the cache), are the same bits at tp 1, 2 and 4,
+// serial or concurrent, over a multi-segment prefill + decode batch with
+// mixed adapter ranks.
+TEST(TpLoraShrinkOnceTest, KvCacheBitIdenticalAcrossTp) {
+  LlamaConfig c = SplitKConfig();
+  LayerWeights full = LayerWeights::Random(c, 61);
+  LoraModelWeights lora_a = LoraModelWeights::Random(c, 16, 62);
+  LoraModelWeights lora_b = LoraModelWeights::Random(c, 8, 63);
+  const auto h = static_cast<std::size_t>(c.hidden_size);
+  Pcg32 rng(64);
+  const auto x0 = RandomGaussianVector(12 * h, 1.0f, rng);
+  const auto run = [&](int tp, bool concurrent, ComputeContext& ctx) {
+    TpShardedLayer sharded = ShardLayer(c, full, tp);
+    TpShardedLora a_tp = ShardLoraModel(c, lora_a, tp);
+    TpShardedLora b_tp = ShardLoraModel(c, lora_b, tp);
+    auto kv = std::make_unique<PagedKvCache>(KvCfg(c));
+    std::vector<BatchEntry> entries;
+    std::vector<SeqId> seqs;
+    const std::int32_t lens[] = {6, 3, 1, 1, 1};
+    const LoraId ids[] = {0, -1, 1, 0, 1};
+    for (int e = 0; e < 5; ++e) {
+      seqs.push_back(kv->CreateSequence());
+      const bool decode = e >= 2;
+      EXPECT_TRUE(kv->Extend(seqs.back(), lens[e]));
+      entries.push_back({.seq = seqs.back(), .lora = ids[e],
+                         .num_tokens = lens[e], .pos_offset = 0,
+                         .is_prefill = !decode});
+    }
+    ModelBatch b = ModelBatch::Build(entries);
+    std::vector<const TpShardedLora*> seg;
+    for (LoraId id : b.segments.lora_ids) {
+      seg.push_back(id == 0 ? &a_tp : id == 1 ? &b_tp : nullptr);
+    }
+    std::vector<std::unique_ptr<ComputeContext>> views;
+    std::vector<const ComputeContext*> ptrs;
+    if (concurrent) {
+      views = ctx.Split(tp);
+      for (const auto& v : views) ptrs.push_back(v.get());
+    }
+    auto x = x0;
+    TpWorkspace ws;
+    TpLayerForward(c, sharded, b, 0, *kv, x, ws, ctx,
+                   std::span<const ComputeContext* const>(ptrs),
+                   std::span<const TpShardedLora* const>(seg));
+    std::vector<f16> out;
+    for (std::size_t e = 0; e < seqs.size(); ++e) {
+      for (std::int64_t pos = 0; pos < lens[e]; ++pos) {
+        for (auto slot : {KvSlot::kKey, KvSlot::kValue}) {
+          auto entry = kv->Entry(seqs[e], 0, pos, slot);
+          out.insert(out.end(), entry.begin(), entry.end());
+        }
+      }
+    }
+    return out;
+  };
+  ComputeContext ctx({.num_threads = 4});
+  const std::vector<f16> want = run(1, false, ctx);
+  for (int tp : {1, 2, 4}) {
+    for (bool concurrent : {false, true}) {
+      SCOPED_TRACE("tp=" + std::to_string(tp) +
+                   (concurrent ? " concurrent" : " serial"));
+      const std::vector<f16> got = run(tp, concurrent, ctx);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(f16)),
+                0);
     }
   }
 }
