@@ -15,7 +15,12 @@
 #   * the JSON file of bench_serving --json (its stdout also reports a
 #     wall-clock threaded run, so only the file is compared);
 #   * the virtual-time sections of open_loop_serving: the lines before its
-#     "real threads" section, which is wall-clock.
+#     "real threads" section, which is wall-clock;
+#   * stdout of bench_fig11_textgen (Figs. 11, 11b, 11c, 11d) at the
+#     default settings, at --tp 2 and at --prefill-limit 4, and the
+#     BENCH_prefix_cache.json its --prefix-json writes;
+#   * bench_fig12_70b_tp's simulated table, through its "KvCache capacity"
+#     line (the measured TP sweep after it is wall-clock).
 # Outputs land in a temporary directory that is kept when anything differs.
 # Exits 0 when every pair is identical, 1 otherwise (or when a binary
 # fails).
@@ -52,11 +57,22 @@ for side in a b; do
   run open_loop_serving_full.txt "$build" $side examples/open_loop_serving
   sed '/real threads/,$d' "$OUT/$side/open_loop_serving_full.txt" \
     > "$OUT/$side/open_loop_serving_virtual.txt"
+  run fig11_textgen.txt "$build" $side bench/bench_fig11_textgen \
+    --prefix-json BENCH_prefix_cache.json
+  run fig11_textgen_tp2.txt "$build" $side bench/bench_fig11_textgen --tp 2
+  run fig11_textgen_limit4.txt "$build" $side bench/bench_fig11_textgen \
+    --prefill-limit 4
+  run fig12_full.txt "$build" $side bench/bench_fig12_70b_tp --threads 2 \
+    --repeat 1
+  sed '/KvCache capacity/q' "$OUT/$side/fig12_full.txt" \
+    > "$OUT/$side/fig12_simulated.txt"
 done
 
 for f in fig13_cluster.txt ablations.txt BENCH_serving.json \
          cluster_autoscale.txt textgen_cluster.txt textgen_cluster_tp2.txt \
-         open_loop_serving_virtual.txt; do
+         open_loop_serving_virtual.txt fig11_textgen.txt \
+         fig11_textgen_tp2.txt fig11_textgen_limit4.txt \
+         BENCH_prefix_cache.json fig12_simulated.txt; do
   if cmp -s "$OUT/a/$f" "$OUT/b/$f"; then
     echo "same    $f"
   else

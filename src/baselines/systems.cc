@@ -1,11 +1,10 @@
 #include "baselines/systems.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
-#include "runtime/step_planner.h"
+#include "runtime/runner.h"
 #include "util/check.h"
 #include "util/stats.h"
 
@@ -62,6 +61,10 @@ SystemTraits TraitsOf(ServingSystem system) {
   return {};
 }
 
+namespace {
+
+/// Step latency of a batch-to-completion system: the cost-model roofline
+/// plus the system's inefficiency deltas.
 double SystemStepLatency(const SystemTraits& traits, const LlamaConfig& model,
                          const CostModel& cm, const StepShape& shape) {
   double base = cm.StepLatency(model, shape);
@@ -80,60 +83,43 @@ double SystemStepLatency(const SystemTraits& traits, const LlamaConfig& model,
   return base + deltas;
 }
 
-namespace {
-
 struct SimRequest {
   const TraceRequest* req;
-  std::int64_t kv_len = 0;  ///< resident tokens (aliased prefix + chunks)
+  std::int64_t kv_len = 0;  ///< resident tokens, padding rows included
   std::int32_t generated = 0;
-  bool prefilled = false;
-  std::int32_t prefix_hit = 0;  ///< prompt tokens served by a shared prefix
-  double admit_time = 0.0;  ///< when the request joined the working set
-  double last_emit = -1.0;  ///< completion time of the latest emitted token
   bool Done() const { return generated >= req->output_len; }
 };
 
-/// One prefill chunk of a step shape: `chunk` token rows attending over
-/// `kv_len` cache positions (the causal-span term the cost model prices for
-/// prefix hits and budget chunks alike).
-struct PrefillChunkShape {
-  std::int32_t chunk = 0;
-  std::int64_t kv_len = 0;
-  LoraId lora = 0;
-};
-
-StepShape MakeShape(const SystemTraits& traits, const TextGenConfig& cfg,
-                    std::span<const PrefillChunkShape> prefills,
-                    std::span<const SimRequest* const> decodes) {
+/// The shape of one batch-to-completion invocation: the whole batch
+/// prefills its prompts, or every member decodes one row (finished members
+/// as padding). A batch is one LoRA model, so one SGMV segment.
+StepShape BatchShape(const SystemTraits& traits, const TextGenConfig& cfg,
+                     std::span<const SimRequest> batch, bool prefill) {
   StepShape shape;
   shape.tp_degree = cfg.tp_degree;
   shape.lora_rank = cfg.lora_rank;
-  std::unordered_map<LoraId, std::int32_t> rows_by_lora;
-  for (const PrefillChunkShape& p : prefills) {
-    shape.prefill_chunks.push_back(p.chunk);
-    shape.prefill_kv_lens.push_back(p.kv_len);
-    rows_by_lora[p.lora] += p.chunk;
-  }
-  for (const SimRequest* s : decodes) {
-    shape.decode_kv_lens.push_back(s->kv_len + 1);
-    rows_by_lora[s->req->lora_id] += 1;
-  }
-  if (traits.lora_compute) {
-    for (const auto& [lora, rows] : rows_by_lora) {
-      shape.lora_segment_rows.push_back(rows);
+  std::int32_t rows = 0;
+  for (const SimRequest& s : batch) {
+    if (prefill) {
+      shape.prefill_chunks.push_back(s.req->prompt_len);
+      shape.prefill_kv_lens.push_back(s.req->prompt_len);
+      rows += s.req->prompt_len;
+    } else {
+      shape.decode_kv_lens.push_back(s.kv_len + 1);
+      rows += 1;
     }
   }
+  if (traits.lora_compute) shape.lora_segment_rows.push_back(rows);
   return shape;
 }
 
-/// Fills the inter-token latency digest from the collected emission gaps.
-/// LatencyRecorder quantiles share util/stats Percentile, so every tail
-/// metric in the codebase uses one definition.
-void FinishInterTokenStats(const LatencyRecorder& itl, TextGenResult& result) {
-  if (itl.empty()) return;
-  result.mean_inter_token_s = itl.mean();
-  result.p95_inter_token_s = itl.p95();
-  result.max_inter_token_s = itl.max();
+/// The totals every simulated run reports once its clock stops at `t`.
+void FinishRun(double t, const RunningStat& decode_batch,
+               TextGenResult& result) {
+  result.makespan_s = t;
+  result.throughput_tok_s =
+      static_cast<double>(result.tokens_generated) / std::max(t, 1e-12);
+  result.mean_decode_batch = decode_batch.mean();
 }
 
 /// Batch-to-completion systems (HF / DeepSpeed / FasterTransformer):
@@ -161,193 +147,133 @@ TextGenResult SimulateBatchToCompletion(const SystemTraits& traits,
     }
 
     // Batched prefill (one invocation; these systems prefill whole batches).
-    {
-      std::vector<PrefillChunkShape> prefills;
-      for (auto& s : batch) {
-        prefills.push_back({.chunk = s.req->prompt_len,
-                            .kv_len = s.req->prompt_len,
-                            .lora = s.req->lora_id});
-      }
-      StepShape shape = MakeShape(traits, cfg, prefills, {});
-      t += SystemStepLatency(traits, model, cm, shape);
-      ++result.invocations;
-      for (auto& s : batch) {
-        s.prefilled = true;
-        s.kv_len = s.req->prompt_len;
-        s.generated = 1;
-        ++result.tokens_generated;
-        result.prefill_tokens += s.req->prompt_len;
-      }
+    t += SystemStepLatency(traits, model, cm,
+                           BatchShape(traits, cfg, batch, /*prefill=*/true));
+    ++result.invocations;
+    for (auto& s : batch) {
+      s.kv_len = s.req->prompt_len;
+      s.generated = 1;
+      ++result.tokens_generated;
+      result.prefill_tokens += s.req->prompt_len;
     }
 
     // Decode until the longest member finishes; everyone stays in the batch.
     std::int32_t max_out = 0;
     for (const auto& s : batch) max_out = std::max(max_out, s.req->output_len);
     for (std::int32_t step = 1; step < max_out; ++step) {
-      std::vector<const SimRequest*> decodes;
-      for (auto& s : batch) decodes.push_back(&s);
-      StepShape shape = MakeShape(traits, cfg, {}, decodes);
-      t += SystemStepLatency(traits, model, cm, shape);
+      t += SystemStepLatency(
+          traits, model, cm, BatchShape(traits, cfg, batch, /*prefill=*/false));
       ++result.invocations;
-      int active = 0;
       for (auto& s : batch) {
         s.kv_len += 1;  // padding rows still consume compute and KvCache
         if (!s.Done()) {
           s.generated += 1;
           ++result.tokens_generated;
-          ++active;
         } else {
           ++result.wasted_decode_slots;
         }
       }
       decode_batch.Add(static_cast<double>(batch.size()));
-      (void)active;
     }
   }
-  result.makespan_s = t;
-  result.throughput_tok_s =
-      static_cast<double>(result.tokens_generated) / std::max(t, 1e-12);
-  result.mean_decode_batch = decode_batch.count() > 0 ? decode_batch.mean()
-                                                      : 0.0;
+  FinishRun(t, decode_batch, result);
   return result;
 }
 
-/// Continuous-batching systems (vLLM / Punica): separable paged KvCache;
-/// requests join and leave the working set independently. vLLM still only
-/// batches one LoRA "model" at a time; Punica batches across LoRA models.
+/// Continuous-batching systems (vLLM / Punica) run on the simulated tier's
+/// GpuRunner: separable paged KvCache, requests join and leave the working
+/// set independently, prefix hits and step plans as the runner makes them.
+/// vLLM still only batches one LoRA "model" at a time; Punica batches
+/// across LoRA models.
 TextGenResult SimulateContinuous(const SystemTraits& traits,
                                  std::span<const TraceRequest> trace,
                                  const LlamaConfig& model, const CostModel& cm,
                                  const TextGenConfig& cfg) {
-  TextGenResult result;
-  result.system = traits.name;
-  double t = 0.0;
-  std::size_t idx = 0;
-  std::deque<SimRequest> working;
-  RunningStat decode_batch;
-  // Shared-prefix cache: tenant groups whose system prompt is resident.
-  // The closed-loop simulator has no KvCache capacity limit, so entries
-  // are never evicted — the single-GPU counterpart of the page-level LRU.
-  const bool share = traits.prefix_sharing && cfg.prefix_cache;
-  std::unordered_map<std::int64_t, std::int32_t> cached;
-
+  // The simulator prices no KvCache limit (so no cached prefix is ever
+  // evicted) and no adapter loads; one byte per adapter lets a full batch
+  // of distinct adapters stay resident.
+  CostModel system_cm = cm;
+  system_cm.mutable_params().step_overhead_s = traits.step_overhead_s;
+  GpuRunner runner(
+      0,
+      {.max_batch_size = cfg.max_batch_size,
+       .prefill_limit = cfg.prefill_limit,
+       .max_step_tokens = cfg.max_step_tokens,
+       .kv_capacity_tokens = std::numeric_limits<std::int64_t>::max(),
+       .enable_prefix_cache = traits.prefix_sharing && cfg.prefix_cache,
+       .tp_degree = cfg.tp_degree,
+       .lora_rank = cfg.lora_rank,
+       .lora_budget_bytes = cfg.max_batch_size,
+       .lora_adapter_bytes = 1,
+       .lora_load_latency_s = 0.0},
+      model, &system_cm);
+  // Request id = trace index, so the runner's id-ordered working set is in
+  // admission order. Backbone-only systems run without LoRA segments.
+  std::vector<ServingRequest> requests;
+  requests.reserve(trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    SubmitSpec spec = SpecFromTrace(trace[i]);
+    if (!traits.lora_compute) spec.lora = -1;
+    requests.push_back(
+        ServingRequest::FromSpec(static_cast<std::int64_t>(i), spec));
+  }
+  // vLLM's working set holds one model, so the newest member speaks for it.
   auto can_admit_lora = [&](LoraId lora) {
-    if (traits.cross_lora_batching) return true;
-    for (const auto& s : working) {
-      if (s.req->lora_id != lora) return false;
-    }
-    return true;
+    const ServingRequest* newest = runner.NewestRequest();
+    return traits.cross_lora_batching || newest == nullptr ||
+           trace[static_cast<std::size_t>(newest->id)].lora_id == lora;
   };
 
+  TextGenResult result;
+  result.system = traits.name;
+  RunningStat decode_batch;
   LatencyRecorder itl;         ///< inter-token emission gaps
   LatencyRecorder ttft;        ///< first token − arrival
   LatencyRecorder queue_wait;  ///< admission − arrival
-
-  while (idx < trace.size() || !working.empty()) {
+  double t = 0.0;
+  std::size_t idx = 0;
+  while (idx < trace.size() || runner.HasAnyWork()) {
     // Open-loop traces: a request only exists once it has arrived. When the
     // server drains ahead of the next arrival, fast-forward the clock to it
     // (closed-loop traces all arrive at 0, so this never fires there).
-    if (working.empty() && idx < trace.size()) {
-      t = std::max(t, trace[idx].arrival_time);
-    }
+    if (!runner.HasAnyWork()) t = std::max(t, trace[idx].arrival_time);
     // Admit FCFS while the head has arrived, is compatible and the batch
     // has room.
     while (idx < trace.size() && trace[idx].arrival_time <= t &&
-           static_cast<int>(working.size()) < cfg.max_batch_size &&
+           runner.working_set_size() < cfg.max_batch_size &&
            can_admit_lora(trace[idx].lora_id)) {
-      working.push_back(SimRequest{&trace[idx]});
-      working.back().admit_time = t;
+      runner.Admit(&requests[idx], t);
       queue_wait.Add(t - trace[idx].arrival_time);
       ++idx;
     }
-    PUNICA_CHECK(!working.empty());
 
-    // One invocation through the shared step planner: up to prefill_limit
-    // prefills (FCFS) + all decodes, the prefills chunked under the step
-    // token budget. The working set is in admission order, so a request's
-    // position is both its id and its admission sequence number.
-    std::vector<PlanSlot> slots;
-    for (std::size_t i = 0; i < working.size(); ++i) {
-      slots.push_back({.id = static_cast<std::int64_t>(i),
-                       .admit_seq = i,
-                       .needs_prefill = !working[i].prefilled});
-    }
-    StepPlan plan = PlanStep(
-        slots, {}, cfg.prefill_limit, cfg.max_step_tokens,
-        [&](std::int64_t i) {
-          // A mid-prefill request resumes at kv_len; a fresh one starts at
-          // its prefix hit, resolved at prefill time (a group-mate's
-          // earlier prefill may have registered the prefix since this
-          // request arrived) and committed only when its first chunk runs.
-          const SimRequest& s = working[static_cast<std::size_t>(i)];
-          PlannedPrefill p{.start = s.kv_len,
-                           .total = s.req->prompt_len,
-                           .first_chunk = s.kv_len == 0};
-          if (p.first_chunk && share && s.req->prefix_group >= 0 &&
-              s.req->shared_prefix_len > 0) {
-            auto it = cached.find(s.req->prefix_group);
-            if (it != cached.end()) {
-              p.start = std::min({it->second, s.req->shared_prefix_len,
-                                  s.req->prompt_len - 1});
-            }
-          }
-          return p;
-        });
-    std::vector<SimRequest*> decodes;
-    for (std::int64_t i : plan.decode_ids) {
-      decodes.push_back(&working[static_cast<std::size_t>(i)]);
-    }
-
-    std::vector<PrefillChunkShape> chunk_shapes;
-    for (const PlannedPrefill& p : plan.prefills) {
-      if (p.chunk == 0) continue;  // budget-deferred this step
-      chunk_shapes.push_back(
-          {.chunk = static_cast<std::int32_t>(p.chunk),
-           .kv_len = p.start + p.chunk,
-           .lora = working[static_cast<std::size_t>(p.id)].req->lora_id});
-    }
-    StepShape shape = MakeShape(traits, cfg, chunk_shapes, decodes);
-    t += SystemStepLatency(traits, model, cm, shape);
+    const double step_start = t;
+    StepResult step = runner.Step(t);
+    PUNICA_CHECK_MSG(step.batch_size > 0, "step planned no work");
+    t += step.latency;
     ++result.invocations;
-    if (!decodes.empty()) {
-      decode_batch.Add(static_cast<double>(decodes.size()));
-    }
-
-    for (const PlannedPrefill& p : plan.prefills) {
-      if (p.chunk == 0) continue;
-      SimRequest& s = working[static_cast<std::size_t>(p.id)];
-      if (p.first_chunk) {
-        s.prefix_hit = static_cast<std::int32_t>(p.start);
-        result.prefill_tokens_saved += s.prefix_hit;
-      }
-      s.kv_len = p.start + p.chunk;
-      result.prefill_tokens += p.chunk;
-      if (s.kv_len < s.req->prompt_len) continue;  // mid-prefill
-      s.prefilled = true;
-      s.generated = 1;
-      ++result.tokens_generated;
-      s.last_emit = t;  // first token: no gap sample yet
-      ttft.Add(t - s.req->arrival_time);
-      if (share && s.req->prefix_group >= 0 && s.req->shared_prefix_len > 0) {
-        cached.try_emplace(s.req->prefix_group, s.req->shared_prefix_len);
+    result.tokens_generated += step.new_tokens;
+    result.prefill_tokens += step.prefill_tokens;
+    result.prefill_tokens_saved += step.prefix_hit_tokens;
+    const int decodes = step.batch_size - step.prefill_requests;
+    if (decodes > 0) decode_batch.Add(static_cast<double>(decodes));
+    // A token's tag is its sequence number, so tag 0 is a first token.
+    // Every request past its prefill decodes in every step (no adapter
+    // waits, no KvCache pressure), so its last token ended the previous
+    // step and the gap is this step's span.
+    for (const EmittedToken& e : step.emitted) {
+      if (e.token == 0) {
+        ttft.Add(t - requests[static_cast<std::size_t>(e.request_id)]
+                         .arrival_time);
+      } else {
+        itl.Add(t - step_start);
       }
     }
-    for (SimRequest* s : decodes) {
-      s->kv_len += 1;
-      s->generated += 1;
-      ++result.tokens_generated;
-      if (s->last_emit >= 0.0) itl.Add(t - s->last_emit);
-      s->last_emit = t;
-    }
-    // Continuous batching: finished requests leave immediately.
-    std::erase_if(working, [](const SimRequest& s) { return s.Done(); });
   }
-  result.makespan_s = t;
-  result.throughput_tok_s =
-      static_cast<double>(result.tokens_generated) / std::max(t, 1e-12);
-  result.mean_decode_batch = decode_batch.count() > 0 ? decode_batch.mean()
-                                                      : 0.0;
-  FinishInterTokenStats(itl, result);
+  FinishRun(t, decode_batch, result);
+  result.mean_inter_token_s = itl.mean();
+  result.p95_inter_token_s = itl.p95();
+  result.max_inter_token_s = itl.max();
   result.ttft_p50_s = ttft.p50();
   result.ttft_p95_s = ttft.p95();
   result.queue_wait_mean_s = queue_wait.mean();

@@ -14,6 +14,11 @@
 //     KvCache + continuous batching.
 //   Punica — LoRA via SGMV, cross-LoRA continuous batching, paged KvCache.
 // Model-switching cost is omitted for all baselines (paper relaxation).
+//
+// The continuous systems run on the simulated tier's GpuRunner, with no
+// KvCache limit and free adapter loads, so their step plans, prefix hits
+// and latencies are the serving runtime's own; the batch-to-completion
+// systems step through a batch loop here.
 #pragma once
 
 #include <span>
@@ -101,10 +106,5 @@ TextGenResult SimulateTextGen(ServingSystem system,
                               std::span<const TraceRequest> trace,
                               const LlamaConfig& model, const CostModel& cm,
                               const TextGenConfig& cfg = {});
-
-/// Step latency assembly shared by the simulator: cost-model roofline plus
-/// the system's inefficiency deltas.
-double SystemStepLatency(const SystemTraits& traits, const LlamaConfig& model,
-                         const CostModel& cm, const StepShape& shape);
 
 }  // namespace punica

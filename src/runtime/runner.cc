@@ -393,11 +393,4 @@ ServingRequest* GpuRunner::NewestRequest() const {
   return newest == nullptr ? nullptr : newest->req;
 }
 
-std::vector<std::int64_t> GpuRunner::WorkingIds() const {
-  std::vector<std::int64_t> ids;
-  ids.reserve(slots_.size());
-  for (const auto& [id, slot] : slots_) ids.push_back(id);
-  return ids;
-}
-
 }  // namespace punica

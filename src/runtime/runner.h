@@ -59,9 +59,6 @@ class GpuRunner : public ExecutionBackend {
   GpuRunner(int gpu_id, const RunnerConfig& config,
             const LlamaConfig& model_config, const CostModel* cost_model);
 
-  int gpu_id() const { return gpu_id_; }
-  const RunnerConfig& config() const { return config_; }
-
   // --- ExecutionBackend ---
 
   int backend_id() const override { return gpu_id_; }
@@ -117,7 +114,6 @@ class GpuRunner : public ExecutionBackend {
   std::int64_t kv_free_tokens() const {
     return config_.kv_capacity_tokens - kv_used_tokens_;
   }
-  std::vector<std::int64_t> WorkingIds() const;
   const LoraResidency& lora_residency() const { return lora_; }
   /// Counters plus point-in-time gauges (token-denominated on this tier:
   /// pages_in_use/free report tokens, shared_pages reports cached tokens).

@@ -1,12 +1,12 @@
 // The step planner — the ONE definition of how a serving step is composed
-// and of which requests migrate when it does not fit. The numeric Engine,
-// the simulated GpuRunner and the closed-loop text-gen simulator all plan
-// through PlanStep, and both serving tiers name KvCache-pressure victims
-// through SelectVictims, so a workload yields identical step plans (prefill
-// cut, chunk sequence, decode set) on every tier. Each tier supplies only
-// its accounting: where a prefill resumes, and what a plan demands of its
-// KvCache in pages or tokens. tests/runtime/chunking_test.cc pins the
-// semantics.
+// and of which requests migrate when it does not fit. The numeric Engine
+// and the simulated GpuRunner (which the closed-loop text-gen simulator's
+// continuous systems step through) plan through PlanStep, and both serving
+// tiers name KvCache-pressure victims through SelectVictims, so a workload
+// yields identical step plans (prefill cut, chunk sequence, decode set) on
+// every tier. Each tier supplies only its accounting: where a prefill
+// resumes, and what a plan demands of its KvCache in pages or tokens.
+// tests/runtime/chunking_test.cc pins the semantics.
 //
 // A step (paper §5) carries every runnable decode plus up to
 // `prefill_limit` pending prefills, FCFS by admission, chunked under the

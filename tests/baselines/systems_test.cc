@@ -267,5 +267,165 @@ TEST(SystemsTest, OverloadedOpenLoopQueueGrowsWithRate) {
   EXPECT_LT(r_fast.makespan_s, r_slow.makespan_s);
 }
 
+/// Shared-prefix tenants arriving as a Poisson stream: the trace the pin
+/// below runs with every continuous-batching feature on.
+std::vector<TraceRequest> PinTrace() {
+  TraceSpec spec;
+  spec.num_requests = 48;
+  spec.popularity = Popularity::kSkewed;
+  spec.seed = 23;
+  spec.lengths.output_mu = 3.0;
+  spec.lengths.output_sigma = 0.6;
+  spec.lengths.prompt_mu = 4.0;
+  spec.lengths.prompt_sigma = 0.8;
+  spec.shared_prefix = {.enabled = true, .min_tokens = 64, .max_tokens = 192};
+  auto trace = GenerateClosedLoopTrace(spec);
+  AssignPoissonArrivals(trace, /*rate=*/40.0, /*seed=*/9);
+  return trace;
+}
+
+void ExpectSameResult(const TextGenResult& got, const TextGenResult& want) {
+  EXPECT_EQ(got.system, want.system);
+  EXPECT_EQ(got.makespan_s, want.makespan_s) << want.system;
+  EXPECT_EQ(got.tokens_generated, want.tokens_generated) << want.system;
+  EXPECT_EQ(got.throughput_tok_s, want.throughput_tok_s) << want.system;
+  EXPECT_EQ(got.invocations, want.invocations) << want.system;
+  EXPECT_EQ(got.mean_decode_batch, want.mean_decode_batch) << want.system;
+  EXPECT_EQ(got.wasted_decode_slots, want.wasted_decode_slots) << want.system;
+  EXPECT_EQ(got.prefill_tokens, want.prefill_tokens) << want.system;
+  EXPECT_EQ(got.prefill_tokens_saved, want.prefill_tokens_saved)
+      << want.system;
+  EXPECT_EQ(got.mean_inter_token_s, want.mean_inter_token_s) << want.system;
+  EXPECT_EQ(got.p95_inter_token_s, want.p95_inter_token_s) << want.system;
+  EXPECT_EQ(got.max_inter_token_s, want.max_inter_token_s) << want.system;
+  EXPECT_EQ(got.ttft_p50_s, want.ttft_p50_s) << want.system;
+  EXPECT_EQ(got.ttft_p95_s, want.ttft_p95_s) << want.system;
+  EXPECT_EQ(got.queue_wait_mean_s, want.queue_wait_mean_s) << want.system;
+}
+
+TEST(SystemsPinTest, ContinuousResultsAreBitExact) {
+  // Every field of both continuous systems, doubles compared exactly, on a
+  // closed-loop default run and on the pin trace with the prefix cache, a
+  // 256-token step budget under prefill_limit 4, and tp 2. The values are
+  // the simulator's own output, so any change to the continuous path that
+  // moves a bit of a figure fails here.
+  CostModel cm((A100Sxm80GB()));
+  auto plain = SmallTrace(Popularity::kUniform, 40);
+  auto pinned = PinTrace();
+  TextGenConfig all;
+  all.tp_degree = 2;
+  all.prefill_limit = 4;
+  all.max_step_tokens = 256;
+  all.prefix_cache = true;
+
+  ExpectSameResult(
+      SimulateTextGen(ServingSystem::kVllm, plain, Llama7B(), cm),
+      {.system = "vLLM (backbone-only)",
+       .makespan_s = 13.03094585992566,
+       .tokens_generated = 976,
+       .throughput_tok_s = 74.898630574585781,
+       .invocations = 944,
+       .mean_decode_batch = 1.0319735391400224,
+       .wasted_decode_slots = 0,
+       .prefill_tokens = 2472,
+       .prefill_tokens_saved = 0,
+       .mean_inter_token_s = 0.013759385429738811,
+       .p95_inter_token_s = 0.013813323505352582,
+       .max_inter_token_s = 0.01403322911184901,
+       .ttft_p50_s = 6.7139356234673224,
+       .ttft_p95_s = 12.311476667439576,
+       .queue_wait_mean_s = 6.7836068560127556});
+  ExpectSameResult(
+      SimulateTextGen(ServingSystem::kVllm, pinned, Llama7B(), cm, all),
+      {.system = "vLLM (backbone-only)",
+       .makespan_s = 18.370378178638916,
+       .tokens_generated = 1162,
+       .throughput_tok_s = 63.254005372147112,
+       .invocations = 950,
+       .mean_decode_batch = 1.2282249173098121,
+       .wasted_decode_slots = 0,
+       .prefill_tokens = 10682,
+       .prefill_tokens_saved = 0,
+       .mean_inter_token_s = 0.019198037677023522,
+       .p95_inter_token_s = 0.019290161264644112,
+       .max_inter_token_s = 0.026199723901211946,
+       .ttft_p50_s = 7.7086405229385759,
+       .ttft_p95_s = 15.768885288596501,
+       .queue_wait_mean_s = 8.2017803427566953});
+  ExpectSameResult(
+      SimulateTextGen(ServingSystem::kPunica, plain, Llama7B(), cm),
+      {.system = "Punica",
+       .makespan_s = 1.3094008077551986,
+       .tokens_generated = 976,
+       .throughput_tok_s = 745.37910334210653,
+       .invocations = 73,
+       .mean_decode_batch = 13,
+       .wasted_decode_slots = 0,
+       .prefill_tokens = 2472,
+       .prefill_tokens_saved = 0,
+       .mean_inter_token_s = 0.01873995897388013,
+       .p95_inter_token_s = 0.026265231866677619,
+       .max_inter_token_s = 0.036901174056386599,
+       .ttft_p50_s = 0.35871874493367645,
+       .ttft_p95_s = 0.71811310970260178,
+       .queue_wait_mean_s = 0.08928726963918901});
+  ExpectSameResult(
+      SimulateTextGen(ServingSystem::kPunica, pinned, Llama7B(), cm, all),
+      {.system = "Punica",
+       .makespan_s = 2.0907631482769555,
+       .tokens_generated = 1162,
+       .throughput_tok_s = 555.777922983591,
+       .invocations = 88,
+       .mean_decode_batch = 12.804597701149422,
+       .wasted_decode_slots = 0,
+       .prefill_tokens = 4756,
+       .prefill_tokens_saved = 5926,
+       .mean_inter_token_s = 0.023668188127708746,
+       .p95_inter_token_s = 0.029327960389791685,
+       .max_inter_token_s = 0.029935215722990183,
+       .ttft_p50_s = 0.040860380193518897,
+       .ttft_p95_s = 0.062244437495638259,
+       .queue_wait_mean_s = 0.010950154952108002});
+}
+
+TEST(SystemsPinTest, BatchToCompletionResultsAreBitExact) {
+  // The batch-to-completion systems at tp 2; the continuous-only fields
+  // (ITL, TTFT, queue wait, prefix savings) stay 0.
+  CostModel cm((A100Sxm80GB()));
+  auto plain = SmallTrace(Popularity::kUniform, 40);
+  TextGenConfig tp2;
+  tp2.tp_degree = 2;
+  ExpectSameResult(
+      SimulateTextGen(ServingSystem::kHuggingFace, plain, Llama7B(), cm, tp2),
+      {.system = "HuggingFace Transformers",
+       .makespan_s = 36.893559805627362,
+       .tokens_generated = 976,
+       .throughput_tok_s = 26.454481626116518,
+       .invocations = 941,
+       .mean_decode_batch = 1.08075221238938,
+       .wasted_decode_slots = 41,
+       .prefill_tokens = 2472});
+  ExpectSameResult(
+      SimulateTextGen(ServingSystem::kDeepSpeed, plain, Llama7B(), cm, tp2),
+      {.system = "DeepSpeed",
+       .makespan_s = 20.650259283580471,
+       .tokens_generated = 976,
+       .throughput_tok_s = 47.26332907480932,
+       .invocations = 941,
+       .mean_decode_batch = 1.08075221238938,
+       .wasted_decode_slots = 41,
+       .prefill_tokens = 2472});
+  ExpectSameResult(SimulateTextGen(ServingSystem::kFasterTransformer, plain,
+                                   Llama7B(), cm, tp2),
+                   {.system = "FasterTransformer (backbone-only)",
+                    .makespan_s = 16.955303931607332,
+                    .tokens_generated = 976,
+                    .throughput_tok_s = 57.563108507927346,
+                    .invocations = 941,
+                    .mean_decode_batch = 1.08075221238938,
+                    .wasted_decode_slots = 41,
+                    .prefill_tokens = 2472});
+}
+
 }  // namespace
 }  // namespace punica

@@ -158,7 +158,9 @@ TEST_P(PrefixHitGrid, SuffixPrefillCheaperThanColdNeverFree) {
   // At short kv the kernel is KV-read-bound and both stream the same full
   // span — hence ≤, with strict savings once compute matters (kv ≥ 512).
   EXPECT_LE(hit, cold_full);
-  if (kv >= 512) EXPECT_LT(hit, cold_full);
+  if (kv >= 512) {
+    EXPECT_LT(hit, cold_full);
+  }
   EXPECT_GE(hit, cold_half);
 }
 

@@ -4,6 +4,7 @@
 // batching must stay output-preserving in every geometry.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -94,8 +95,11 @@ INSTANTIATE_TEST_SUITE_P(
                       GqaParam{4, 1},   // multi-query attention
                       GqaParam{6, 3}),  // non-power-of-two
     [](const ::testing::TestParamInfo<GqaParam>& info) {
-      return "H" + std::to_string(std::get<0>(info.param)) + "_N" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "H";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_N";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 }  // namespace

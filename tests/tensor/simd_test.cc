@@ -73,7 +73,9 @@ TEST(SimdDispatchTest, SetSimdLevelReturnsPrevious) {
 TEST(SimdDispatchTest, AvailabilityImpliesCompiled) {
   for (int l = 0; l < kNumSimdLevels; ++l) {
     auto level = static_cast<SimdLevel>(l);
-    if (SimdLevelAvailable(level)) EXPECT_TRUE(SimdLevelCompiled(level));
+    if (SimdLevelAvailable(level)) {
+      EXPECT_TRUE(SimdLevelCompiled(level));
+    }
   }
 }
 
