@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <sstream>
 #include <utility>
 
 #include "util/check.h"
@@ -102,8 +103,9 @@ bool PagedKvCache::Extend(SeqId seq, std::int64_t tokens) {
   std::int32_t need = config_.PagesNeeded(new_len);
 
   // CoW: growth writes into the current tail page when it is partially
-  // filled; if that page is shared, deep-copy it first so shared pages are
-  // never written. The copy is page-granular (all layers, K and V).
+  // filled; if that page is shared (only after a mid-page ForkFrom),
+  // deep-copy it first so shared pages are never written. The copy is
+  // page-granular (all layers, K and V).
   bool cow = st.len % config_.page_size != 0 &&
              allocator_.RefCount(st.pages.back()) > 1;
 
@@ -203,6 +205,57 @@ std::span<const f16> PagedKvCache::Entry(SeqId seq, int layer,
 
 std::span<const PageId> PagedKvCache::PageTable(SeqId seq) const {
   return GetSeq(seq).pages;
+}
+
+std::string PagedKvCache::AuditInvariants() const {
+  std::ostringstream err;
+  std::vector<std::int32_t> refs(static_cast<std::size_t>(config_.num_pages));
+  for (const auto& [id, st] : seqs_) {
+    if (static_cast<std::int32_t>(st.pages.size()) !=
+        config_.PagesNeeded(st.len)) {
+      err << "sequence " << id << " holds " << st.pages.size()
+          << " pages for " << st.len << " tokens";
+      return err.str();
+    }
+    for (PageId p : st.pages) ++refs[static_cast<std::size_t>(p)];
+  }
+  std::int32_t unreferenced = 0;
+  for (PageId p = 0; p < config_.num_pages; ++p) {
+    std::int32_t rc = allocator_.RefCount(p);
+    if (rc != refs[static_cast<std::size_t>(p)]) {
+      err << "page " << p << " has refcount " << rc << " but "
+          << refs[static_cast<std::size_t>(p)] << " page-table references";
+      return err.str();
+    }
+    if (rc == 0) ++unreferenced;
+  }
+  std::vector<bool> listed(static_cast<std::size_t>(config_.num_pages));
+  for (PageId p : allocator_.free_list()) {
+    if (allocator_.RefCount(p) != 0 || listed[static_cast<std::size_t>(p)]) {
+      err << "free list holds page " << p << " with refcount "
+          << allocator_.RefCount(p) << (listed[static_cast<std::size_t>(p)]
+                                            ? " twice"
+                                            : "");
+      return err.str();
+    }
+    listed[static_cast<std::size_t>(p)] = true;
+  }
+  if (allocator_.free_pages() != unreferenced) {
+    err << "free list holds " << allocator_.free_pages() << " pages but "
+        << unreferenced << " have refcount 0";
+    return err.str();
+  }
+  for (const auto& [id, st] : seqs_) {
+    for (std::size_t i = 0; i < st.pages.size(); ++i) {
+      auto end = static_cast<std::int64_t>(i + 1) * config_.page_size;
+      if (allocator_.RefCount(st.pages[i]) > 1 && end > st.len) {
+        err << "shared page " << st.pages[i] << " is partial in sequence "
+            << id << " (" << st.len << " tokens)";
+        return err.str();
+      }
+    }
+  }
+  return "";
 }
 
 KvRunCursor::KvRunCursor(const PagedKvCache& kv, SeqId seq, int layer,

@@ -11,14 +11,17 @@
 //
 // Sharing (vLLM-style prefix reuse): ForkFrom creates a sequence whose first
 // n tokens alias another sequence's pages via reference counts — whole
-// shared pages are never copied. Copy-on-write happens at page granularity:
-// a shared page is never written, because Extend on a sequence whose partial
-// tail page is shared deep-copies that one boundary page first. The mutable
-// Entry accessor asserts the invariant.
+// shared pages are never copied. A shared page is never written; the
+// mutable Entry accessor asserts it. The serving engine forks only at page
+// boundaries, so every page it shares is full and its growth never copies.
+// A direct caller that forks mid-page (n not a multiple of P) gets
+// copy-on-write instead: the first Extend deep-copies the shared partial
+// boundary page before writing into it.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -115,16 +118,18 @@ class PagedKvCache {
 
   /// Creates a sequence whose first `n_tokens` alias `src`'s cached K/V:
   /// every covering page is shared by refcount (no data moves). Requires
-  /// n_tokens ≤ SeqLen(src). The fork itself never allocates — a partial
-  /// boundary page is deep-copied lazily by the first Extend that would
-  /// write into it (copy-on-write).
+  /// n_tokens ≤ SeqLen(src). The fork itself never allocates. A page-aligned
+  /// fork (the engine's only kind) shares full pages only; a mid-page fork
+  /// shares a partial boundary page, which the first Extend that would
+  /// write into it deep-copies (copy-on-write).
   SeqId ForkFrom(SeqId src, std::int64_t n_tokens);
 
-  /// Grows the sequence by `tokens` slots, allocating pages on demand and
-  /// deep-copying a shared partial tail page first (CoW) so the growth can
-  /// be written. Returns false (and rolls back) when the pool cannot cover
-  /// the growth — the KvCache-pressure signal that triggers prefix-cache
-  /// eviction and then migration.
+  /// Grows the sequence by `tokens` slots, allocating pages on demand.
+  /// Only after a mid-page ForkFrom is the partial tail page shared; then
+  /// it is deep-copied first (CoW) so the growth can be written. Returns
+  /// false (and rolls back) when the pool cannot cover the growth — the
+  /// KvCache-pressure signal that triggers prefix-cache eviction and then
+  /// migration.
   bool Extend(SeqId seq, std::int64_t tokens);
 
   /// Releases all page references of a sequence and forgets it. Pages still
@@ -155,6 +160,14 @@ class PagedKvCache {
 
   /// The page table (for tests / introspection).
   std::span<const PageId> PageTable(SeqId seq) const;
+
+  /// Checks the page-sharing invariants and returns the first violation
+  /// ("" when all hold): each sequence holds exactly PagesNeeded(len)
+  /// pages; each page's refcount equals its references from live page
+  /// tables; the free list holds exactly the pages with refcount 0; and a
+  /// page held by two or more sequences is full in each of them (whole-page
+  /// sharing — a mid-page ForkFrom breaks it until its CoW copy). O(pages).
+  std::string AuditInvariants() const;
 
  private:
   struct SeqState {

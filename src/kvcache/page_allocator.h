@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace punica {
@@ -43,6 +44,8 @@ class PageAllocator {
   std::int32_t shared_pages() const { return shared_pages_; }
   bool IsAllocated(PageId page) const { return RefCount(page) > 0; }
   std::int32_t RefCount(PageId page) const;
+  /// The free pages, next-to-hand-out last (invariant audits).
+  std::span<const PageId> free_list() const { return free_list_; }
 
  private:
   std::int32_t capacity_;

@@ -72,6 +72,15 @@ class PrefixIndex {
   /// reclaimable-page projection input.
   std::vector<std::pair<std::int64_t, SeqId>> EvictableEntries() const;
 
+  /// Calls f(entry, holder seq, key length) for every entry in id order,
+  /// pinned ones included (invariant audits).
+  template <typename F>
+  void ForEachEntry(F&& f) const {
+    for (const auto& [id, e] : entries_) {
+      f(id, e.seq, static_cast<std::int64_t>(e.tokens.size()));
+    }
+  }
+
   std::size_t size() const { return entries_.size(); }
   /// Total tokens across cached entries (observability).
   std::int64_t cached_tokens() const { return cached_tokens_; }

@@ -1,6 +1,7 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
+#include <sstream>
 #include <tuple>
 #include <unordered_map>
 
@@ -101,10 +102,20 @@ RequestHandle Engine::AddMigrated(const RequestSnapshot& snapshot) {
   return RequestHandle(Admit(std::move(slot), snapshot.generated));
 }
 
+SeqId Engine::ForkWholePages(SeqId src, std::int64_t n_tokens) {
+  PUNICA_CHECK_MSG(n_tokens % kv_.config().page_size == 0,
+                   "engine fork boundary is not page-aligned");
+  return kv_.ForkFrom(src, n_tokens);
+}
+
 void Engine::RegisterPrefix(const Slot& slot,
                             std::span<const std::int32_t> chain,
                             std::int64_t n_tokens) {
   if (!config_.enable_prefix_cache) return;
+  // Whole pages only: the holder then shares no partial tail page, so the
+  // request keeps writing its own tail and never copies it.
+  // (min_prefix_tokens ≥ 1, so an empty prefix is skipped too.)
+  n_tokens -= n_tokens % kv_.config().page_size;
   if (n_tokens < config_.min_prefix_tokens ||
       config_.max_cached_prefixes == 0) {
     return;
@@ -119,7 +130,7 @@ void Engine::RegisterPrefix(const Slot& slot,
     prefix_.Touch(*existing);
     return;
   }
-  SeqId holder = kv_.ForkFrom(slot.seq, n_tokens);
+  SeqId holder = ForkWholePages(slot.seq, n_tokens);
   PrefixIndex::InsertResult r = prefix_.Insert(key, holder);
   PUNICA_CHECK(r.inserted);
   ++cache_stats_.insertions;
@@ -168,9 +179,9 @@ std::optional<RequestSnapshot> Engine::Cancel(std::int64_t id) {
   // The evict half of migration: register the computed chain prefix before
   // releasing it, so a re-admission (AddMigrated, consolidation bounce-back)
   // rebuilds from the surviving prefix instead of re-prefilling everything.
-  // Chunk-granular: a mid-prefill slot registers exactly the tokens its
-  // chunks (plus any forked prefix) have written so far — the partial chain
-  // a chunked prefill leaves behind is just as rebuildable as a whole one.
+  // Chunk-granular: a mid-prefill slot registers the whole pages its chunks
+  // (plus any forked prefix) have written so far — the partial chain a
+  // chunked prefill leaves behind is just as rebuildable as a whole one.
   // Never-stepped slots hold nothing.
   if (kv_.SeqLen(slot.seq) > 0) {
     std::vector<std::int32_t> chain =
@@ -231,44 +242,25 @@ StepPlan Engine::Plan(std::span<const PlanSlot> slots,
 }
 
 std::int32_t Engine::NewPagesFor(std::int64_t target_len,
-                                 std::int64_t usable) const {
-  // The one pages-for-a-chain-with-hit formula: pages beyond the aliased
-  // whole pages, plus one CoW copy when the fork boundary is partial.
-  // Admission (CanAdmitPages, PagesNeededForAdmission), the victim
-  // projection (PagesDemanded's first-chunk branch) and Step's
-  // fork+ExtendOrReclaim must agree on this arithmetic.
-  std::int32_t pages = kv_.config().PagesNeeded(target_len) -
-                       kv_.config().PagesNeeded(usable);
-  if (usable % kv_.config().page_size != 0) pages += 1;
-  return pages;
+                                 std::int64_t held) const {
+  // The one growth formula admission (CanAdmitPages,
+  // PagesNeededForAdmission), the victim projection (PagesDemanded) and
+  // Step's fork+ExtendOrReclaim agree on. Exact because every page an
+  // engine sequence shares is full, so growth never copies a page.
+  return kv_.config().PagesNeeded(target_len) -
+         kv_.config().PagesNeeded(held);
 }
 
 std::int32_t Engine::PagesDemanded(const StepPlan& plan) const {
-  // Growing a `len`-token sequence: new pages past its page table, plus a
-  // CoW copy when it writes into a shared partial tail page (a prompt
-  // boundary aliased by a cache entry). After a chunk has extended the
-  // sequence its tail page is exclusively owned (Extend deep-copies a
-  // shared boundary before growing), but the copy is priced if it weren't.
-  auto growth = [&](SeqId seq, std::int64_t len, std::int64_t tokens) {
-    std::int32_t pages =
-        kv_.config().PagesNeeded(len + tokens) - kv_.SeqPages(seq);
-    if (len % kv_.config().page_size != 0 &&
-        kv_.PageRefCount(seq, kv_.SeqPages(seq) - 1) > 1) {
-      pages += 1;
-    }
-    return pages;
-  };
+  // A chunk grows its chain from `start` (the fork point on a first chunk)
+  // to start+chunk; a decode grows its sequence by one token.
   std::int32_t pages = 0;
   for (const PlannedPrefill& p : plan.prefills) {
-    if (p.chunk == 0) continue;
-    // A first chunk forks the cached prefix at `start` and extends to
-    // start+chunk; a partial fork boundary costs a CoW copy.
-    pages += p.first_chunk ? NewPagesFor(p.start + p.chunk, p.start)
-                           : growth(active_.at(p.id).seq, p.start, p.chunk);
+    pages += NewPagesFor(p.start + p.chunk, p.start);
   }
   for (std::int64_t id : plan.decode_ids) {
-    SeqId seq = active_.at(id).seq;
-    pages += growth(seq, kv_.SeqLen(seq), 1);
+    std::int64_t len = kv_.SeqLen(active_.at(id).seq);
+    pages += NewPagesFor(len + 1, len);
   }
   return pages;
 }
@@ -312,7 +304,10 @@ Engine::ChainMatch Engine::LookupChain(
   key.insert(key.end(), prompt.begin(), prompt.end());
   key.insert(key.end(), generated.begin(), generated.end());
   PrefixIndex::Match m = prefix_.Lookup(key);
+  // Keep one token to prefill for the logits, then round down to a page
+  // boundary: a fork shares whole pages only.
   std::int64_t usable = std::min(m.matched_tokens - 1, chain_len - 1);
+  usable -= usable % kv_.config().page_size;
   if (usable < config_.min_prefix_tokens) return cm;
   cm.entry = m.entry;
   cm.seq = m.seq;
@@ -354,7 +349,8 @@ bool Engine::CanAdmitPages(LoraId lora,
 PrefixCacheStats Engine::prefix_cache_stats() const {
   PrefixCacheStats s = cache_stats_;
   s.cached_entries = static_cast<std::int64_t>(prefix_.size());
-  s.cached_tokens = prefix_.cached_tokens();
+  // Every index key leads with its LoRA tag, which is not a cached token.
+  s.cached_tokens = prefix_.cached_tokens() - s.cached_entries;
   s.pages_in_use = kv_.used_pages();
   s.shared_pages = kv_.shared_pages();
   s.free_pages = kv_.free_pages();
@@ -467,7 +463,7 @@ StepResult Engine::Step() {
     const ChainMatch& cm = hits.at(pw.planned.id);
     if (cm.entry >= 0) {
       kv_.FreeSequence(slot->seq);
-      slot->seq = kv_.ForkFrom(cm.seq, cm.usable);
+      slot->seq = ForkWholePages(cm.seq, cm.usable);
       slot->prefix_cached = cm.usable;
       prefix_.Touch(cm.entry);
       // Pin the source for the rest of this step: page refcounts already
@@ -484,11 +480,10 @@ StepResult Engine::Step() {
   }
 
   // Build batch entries and token rows. KvCache is extended chunk-by-chunk
-  // (the fork aliases whole shared pages; Extend deep-copies the partial
-  // boundary page — CoW — then grows) so the layer can write K/V at every
-  // row position. A chunk covers rows [start, start+chunk) of its chain
-  // and attends over everything before it via pos_offset; only the final
-  // chunk emits logits.
+  // (the fork aliases whole pages, so Extend only appends pages) so the
+  // layer can write K/V at every row position. A chunk covers rows
+  // [start, start+chunk) of its chain and attends over everything before
+  // it via pos_offset; only the final chunk emits logits.
   std::vector<BatchEntry> entries;
   std::vector<std::int32_t> token_ids;
   std::vector<PrefillWork> ran_prefills;  ///< chunks that made it in
@@ -567,8 +562,9 @@ StepResult Engine::Step() {
     ++result.new_tokens;
     if (was_prefill) {
       slot->needs_prefill = false;
-      // The prompt is now fully cached in this sequence — make it
-      // discoverable for the next tenant-mate (a refcount alias, no copy).
+      // The prompt is now fully cached in this sequence — make its whole
+      // pages discoverable for the next tenant-mate (a refcount alias, no
+      // copy).
       RegisterPrefix(*slot, slot->prompt,
                      static_cast<std::int64_t>(slot->prompt.size()));
     }
@@ -597,6 +593,57 @@ StepResult Engine::Step() {
         kv_.SeqLen(slot.seq);
   }
   return result;
+}
+
+std::string Engine::AuditInvariants() const {
+  std::string kv_err = kv_.AuditInvariants();
+  if (!kv_err.empty()) return kv_err;
+  std::ostringstream err;
+  prefix_.ForEachEntry([&](std::int64_t entry, SeqId seq,
+                           std::int64_t key_len) {
+    // The key leads with the LoRA tag; the holder covers the rest.
+    if (err.tellp() > 0) return;
+    if (!kv_.Contains(seq)) {
+      err << "prefix entry " << entry << " holds freed sequence " << seq;
+    } else if (kv_.SeqLen(seq) != key_len - 1) {
+      err << "prefix entry " << entry << " caches " << key_len - 1
+          << " tokens on a " << kv_.SeqLen(seq) << "-token holder";
+    } else if (kv_.SeqLen(seq) % kv_.config().page_size != 0) {
+      err << "prefix entry " << entry << " caches " << key_len - 1
+          << " tokens, not whole pages";
+    }
+  });
+  if (err.tellp() > 0) return err.str();
+  for (const auto& [id, slot] : active_) {
+    if (!kv_.Contains(slot.seq)) {
+      err << "request " << id << " holds freed sequence " << slot.seq;
+      return err.str();
+    }
+    // Prefilling: the chain's written prefix, short of its last token.
+    // Decoding: prompt + every emitted token but the newest, which the
+    // next decode writes.
+    std::int64_t len = kv_.SeqLen(slot.seq);
+    auto chain = static_cast<std::int64_t>(slot.prompt.size()) +
+                 slot.resume_from;
+    auto emitted = static_cast<std::int64_t>(outputs_.at(id).size());
+    bool ok = slot.needs_prefill
+                  ? len < chain && emitted == slot.resume_from
+                  : len == static_cast<std::int64_t>(slot.prompt.size()) +
+                               emitted - 1;
+    if (!ok) {
+      err << "request " << id << " has " << len << " KV tokens after "
+          << emitted << " emitted (prompt " << slot.prompt.size()
+          << ", resume " << slot.resume_from
+          << (slot.needs_prefill ? ", prefilling)" : ", decoding)");
+      return err.str();
+    }
+  }
+  if (kv_.num_sequences() != active_.size() + prefix_.size()) {
+    err << kv_.num_sequences() << " live sequences for " << active_.size()
+        << " requests and " << prefix_.size() << " cached prefixes";
+    return err.str();
+  }
+  return "";
 }
 
 const std::vector<std::int32_t>* Engine::Output(std::int64_t id) const {

@@ -25,9 +25,15 @@
 // suffix. Completed prefills register the prompt; cancellation (the
 // migration evict) registers prompt+generated so a re-admitted request
 // rebuilds from any surviving prefix instead of recomputing from token
-// zero. Under page pressure, cached prefixes are evicted LRU before the
-// engine reports migration victims. Because cached K/V bits are exactly
-// what a cold prefill would write (one writer per element, fixed reduction
+// zero. Sharing is in whole pages of P = KvCacheConfig::page_size tokens:
+// registration caches the first floor(n/P)·P tokens of an n-token chain,
+// and a hit is rounded down to a page boundary. So every page the index or
+// a fork shares is full, no request ever writes into a shared page, and the
+// engine never copies a page on write; an exact repeat of a prompt
+// recomputes up to P−1 more tokens than a token-granular cache would.
+// Under page pressure, cached prefixes are evicted LRU before the engine
+// reports migration victims. Because cached K/V bits are exactly what a
+// cold prefill would write (one writer per element, fixed reduction
 // order), a prefix-hit stream is bit-identical to the cold-start stream.
 #pragma once
 
@@ -35,6 +41,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "kvcache/kvcache.h"
@@ -150,6 +157,14 @@ class Engine {
   /// Counters plus point-in-time gauges.
   PrefixCacheStats prefix_cache_stats() const;
 
+  /// Checks the KvCache's page invariants (PagedKvCache::AuditInvariants),
+  /// then the engine's own, and returns the first violation ("" when all
+  /// hold): every prefix-index holder is a live sequence whose length is
+  /// its key's token count, a whole number of pages; every active
+  /// request's KV length matches its progress; and no sequence outlives
+  /// both the requests and the index. O(pages + requests + entries).
+  std::string AuditInvariants() const;
+
   const EngineConfig& config() const { return config_; }
   const KvCacheConfig& kv_config() const { return kv_.config(); }
   std::int32_t kv_free_pages() const { return kv_.free_pages(); }
@@ -188,7 +203,8 @@ class Engine {
     std::int64_t usable = 0;  ///< chain tokens a fork would reuse
   };
   /// Index lookup for a (LoRA, prompt+generated) chain, with the
-  /// keep-one-token-for-logits cap and min_prefix_tokens gate applied.
+  /// keep-one-token-for-logits cap, the round-down to a page boundary and
+  /// the min_prefix_tokens gate applied.
   ChainMatch LookupChain(LoraId lora, std::span<const std::int32_t> prompt,
                          std::span<const std::int32_t> generated) const;
 
@@ -205,8 +221,8 @@ class Engine {
   StepPlan Plan(std::span<const PlanSlot> slots,
                 std::span<const std::int64_t> exclude,
                 std::map<std::int64_t, ChainMatch>& hits) const;
-  /// New pages a plan's step needs: each chunk's growth (with the
-  /// fork-boundary CoW copy on a first chunk) plus each decode's token.
+  /// New pages a plan's step needs: each chunk's growth (from its fork
+  /// point on a first chunk) plus each decode's token.
   std::int32_t PagesDemanded(const StepPlan& plan) const;
 
   /// Extends `seq`, evicting LRU cached prefixes on page exhaustion.
@@ -219,13 +235,17 @@ class Engine {
   /// projection and this step (see Step).
   bool TryExtendOrReclaim(SeqId seq, std::int64_t tokens);
   bool EvictOneCachedPrefix();
-  /// Registers the first `n_tokens` of `slot.seq`'s chain in the index.
+  /// kv_.ForkFrom, checked to share whole pages only.
+  SeqId ForkWholePages(SeqId src, std::int64_t n_tokens);
+  /// Registers the whole pages among the first `n_tokens` of `slot.seq`'s
+  /// chain in the index (nothing when that is under one page).
   void RegisterPrefix(const Slot& slot, std::span<const std::int32_t> chain,
                       std::int64_t n_tokens);
-  /// Pages a chain of `target_len` tokens needs beyond a `usable`-token
-  /// aliased prefix (including the partial-boundary CoW copy) — the one
-  /// formula admission and Step both price with.
-  std::int32_t NewPagesFor(std::int64_t target_len, std::int64_t usable) const;
+  /// Pages a chain grown to `target_len` tokens needs beyond the pages of
+  /// its first `held` tokens (already written, or a page-aligned aliased
+  /// prefix) — the one formula admission, the victim query and Step price
+  /// with.
+  std::int32_t NewPagesFor(std::int64_t target_len, std::int64_t held) const;
   /// Pages evicting every unpinned cached prefix would return to the pool;
   /// the entries in `keep` are treated as staying cached (a hit's own
   /// entry, which its fork will alias).

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,8 +37,8 @@ const std::vector<Req>& Scenario() {
   // Tight page pools force driver-orchestrated migration mid-stream, so the
   // comparison covers prefill, decode, re-prefill and consolidation paths.
   // The last three requests share a tenant system prompt, so the sweep also
-  // covers prefix-cache hits: forked pages, CoW boundary copies and
-  // suffix-only prefills must be bit-identical at every thread count.
+  // covers prefix-cache hits: forked whole pages and suffix-only prefills
+  // must be bit-identical at every thread count.
   static const std::vector<Req> reqs = {
       {0, {1, 2, 3, 4, 5, 6, 7, 8}, 24},
       {1, {9, 8, 7, 6, 5, 4, 3, 2}, 24},
@@ -50,6 +51,24 @@ const std::vector<Req>& Scenario() {
   };
   return reqs;
 }
+
+/// An EngineBackend that audits its engine's invariants (KvCache pages,
+/// prefix index, per-request KV progress) after every Step and Cancel.
+class AuditedBackend : public EngineBackend {
+ public:
+  using EngineBackend::EngineBackend;
+
+  StepResult Step(double now) override {
+    StepResult r = EngineBackend::Step(now);
+    EXPECT_EQ(engine().AuditInvariants(), "");
+    return r;
+  }
+  std::optional<RequestSnapshot> Cancel(std::int64_t request_id) override {
+    std::optional<RequestSnapshot> snap = EngineBackend::Cancel(request_id);
+    EXPECT_EQ(engine().AuditInvariants(), "");
+    return snap;
+  }
+};
 
 /// Builds the full numeric serving stack on `ctx` and runs the scenario,
 /// returning every request's streamed tokens. `prefix_cache` toggles the
@@ -73,12 +92,16 @@ std::vector<std::vector<std::int32_t>> RunScenario(
   std::vector<std::unique_ptr<EngineBackend>> backends;
   std::vector<ExecutionBackend*> raw;
   for (int g = 0; g < 2; ++g) {
+    // 64 token slots on 4-token pages: tight enough that the driver
+    // migrates requests mid-stream, and small pages so that the 12-token
+    // tenant prompt caches 3 whole pages (the cache shares only those).
     engines.push_back(std::make_unique<Engine>(
-        &model, model.MakeKvConfig(/*num_pages=*/10),
+        &model, model.MakeKvConfig(/*num_pages=*/16, /*page_size=*/4),
         EngineConfig{.max_batch_size = 4,
                      .max_step_tokens = max_step_tokens,
                      .enable_prefix_cache = prefix_cache}));
-    backends.push_back(std::make_unique<EngineBackend>(g, engines.back().get()));
+    backends.push_back(
+        std::make_unique<AuditedBackend>(g, engines.back().get()));
     raw.push_back(backends.back().get());
     // The plumbing contract: every backend over this backbone reports the
     // one pool the model was built with.
@@ -101,6 +124,7 @@ std::vector<std::vector<std::int32_t>> RunScenario(
                                        .max_new_tokens = r.tokens}));
   }
   driver.Run();
+  EXPECT_GT(driver.stats().migrations, 0) << "scenario forced no migration";
 
   std::vector<std::vector<std::int32_t>> streams;
   for (RequestHandle h : handles) {

@@ -6,6 +6,7 @@
 // unified Scheduler/ExecutionBackend path.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "model/llama.h"
@@ -146,25 +147,28 @@ TEST(MigrationTest, MigrationIntoBusyEngine) {
 
 TEST(MigrationTest, SourceKvReleasedOnCancel) {
   Harness h;
-  Engine e = h.MakeEngine();
+  // 4-token pages, so the cancelled 12-token chain caches 3 whole pages.
+  Engine e(&h.model, h.model.MakeKvConfig(512, /*page_size=*/4),
+           EngineConfig{.max_batch_size = 8});
   std::int32_t before = e.kv_free_pages();
-  RequestHandle id = e.AddRequest({.lora = 0,
-                                   .prompt_tokens = {1, 2, 3, 4, 5, 6, 7, 8},
-                                   .max_new_tokens = 20});
+  const std::vector<std::int32_t> prompt = {1, 2, 3, 4, 5, 6, 7, 8};
+  RequestHandle id = e.AddRequest(
+      {.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 20});
   for (int i = 0; i < 5; ++i) e.Step();
-  EXPECT_LT(e.kv_free_pages(), before);
-  e.Cancel(id);
+  EXPECT_EQ(e.kv_free_pages(), before - 3);  // 12 tokens: prompt + 4 decodes
+  std::optional<RequestSnapshot> snap = e.Cancel(id);
+  ASSERT_TRUE(snap.has_value());
   // The evict half of migration releases the request's references; the
   // computed chain stays registered as a cached prefix (so a bounce-back
   // rebuild is cheap), but every held page must remain reclaimable.
   EXPECT_EQ(e.AvailablePages(), before);
-  // (7, not 8: a hit always leaves at least one token to prefill so the
-  // model emits the next-token logits.)
-  EXPECT_EQ(e.PrefixHitTokens(0,
-                              std::vector<std::int32_t>{1, 2, 3, 4, 5, 6, 7,
-                                                        8},
-                              {}),
-            7);
+  EXPECT_EQ(e.AuditInvariants(), "");
+  // The rebuild chain (prompt + 5 generated) hits all 12 cached tokens.
+  EXPECT_EQ(e.PrefixHitTokens(0, prompt, snap->generated), 12);
+  // The prompt alone hits 4, not 8: a hit always leaves at least one token
+  // to prefill so the model emits the next-token logits, and it rounds down
+  // to a whole page.
+  EXPECT_EQ(e.PrefixHitTokens(0, prompt, {}), 4);
 }
 
 // --- Scheduler-level migration over numeric backends (unified API) ---

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -216,9 +217,13 @@ TEST(KvCacheForkTest, ExtendCopiesSharedBoundaryPageBeforeWriting) {
 
   SeqId fork = kv.ForkFrom(src, 6);
   ASSERT_EQ(kv.used_pages(), 2);
+  // A mid-page fork shares a partial page: the whole-page audit flags it
+  // until the copy below.
+  EXPECT_NE(kv.AuditInvariants().find("partial"), std::string::npos);
   // Growing the fork writes into the shared partial tail page → the fork
   // must deep-copy that one page (CoW) and leave the source untouched.
   ASSERT_TRUE(kv.Extend(fork, 3));  // len 9: CoW page 1 + one fresh page
+  EXPECT_EQ(kv.AuditInvariants(), "");
   EXPECT_EQ(kv.used_pages(), 4);
   EXPECT_EQ(kv.shared_pages(), 1);  // only the full page 0 is still shared
   EXPECT_NE(kv.PageTable(fork)[1], kv.PageTable(src)[1]);
@@ -244,9 +249,16 @@ TEST(KvCacheForkTest, PageAlignedForkExtendsWithoutCopy) {
   ASSERT_TRUE(kv.Extend(src, 8));  // 2 full pages
   SeqId fork = kv.ForkFrom(src, 8);
   EXPECT_EQ(kv.used_pages(), 2);
+  EXPECT_EQ(kv.AuditInvariants(), "");
   ASSERT_TRUE(kv.Extend(fork, 1));  // growth starts a fresh page — no CoW
   EXPECT_EQ(kv.used_pages(), 3);
   EXPECT_EQ(kv.shared_pages(), 2);
+  EXPECT_EQ(kv.AuditInvariants(), "");
+  kv.FreeSequence(src);
+  EXPECT_EQ(kv.AuditInvariants(), "");
+  kv.FreeSequence(fork);
+  EXPECT_EQ(kv.AuditInvariants(), "");
+  EXPECT_EQ(kv.free_pages(), 8);
 }
 
 TEST(KvCacheForkTest, CowExhaustionRollsBackCleanly) {

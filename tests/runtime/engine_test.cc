@@ -17,11 +17,23 @@ class EngineTest : public ::testing::Test {
     model_.AddLora(1, 8, 2);
   }
 
-  Engine MakeEngine(int max_batch = 4, int prefill_limit = 1) {
+  Engine MakeEngine(int max_batch = 4, int prefill_limit = 1,
+                    int page_size = 16) {
     EngineConfig cfg;
     cfg.max_batch_size = max_batch;
     cfg.prefill_limit = prefill_limit;
-    return Engine(&model_, model_.MakeKvConfig(256), cfg);
+    return Engine(&model_, model_.MakeKvConfig(256, page_size), cfg);
+  }
+
+  /// One Step, then the engine's invariant audit (KvCache pages, prefix
+  /// index, per-request KV progress).
+  static StepResult StepAudited(Engine& e) {
+    StepResult r = e.Step();
+    EXPECT_EQ(e.AuditInvariants(), "");
+    return r;
+  }
+  static void DrainAudited(Engine& e) {
+    while (e.HasWork()) StepAudited(e);
   }
 
   LlamaModel model_;
@@ -270,24 +282,25 @@ TEST_F(EngineTest, EvictionVictimQueryNewestFirst) {
 // --- Shared-prefix KV cache ---
 
 TEST_F(EngineTest, SharedPromptSecondRequestPrefillsOnlySuffix) {
-  Engine e = MakeEngine();
-  const std::vector<std::int32_t> sys = {7, 8, 9, 10, 11, 12, 13, 14,
-                                         15, 16, 17, 18};
+  Engine e = MakeEngine(4, 1, /*page_size=*/4);
+  const std::vector<std::int32_t> sys = {7,  8,  9,  10, 11, 12, 13,
+                                         14, 15, 16, 17, 18, 19};
   RequestHandle a =
       e.AddRequest({.lora = 0, .prompt_tokens = sys, .max_new_tokens = 3});
-  while (e.HasWork()) e.Step();
+  DrainAudited(e);
   std::vector<std::int32_t> expected = *e.Output(a);
 
   // Same tenant prompt again: the prefill must alias the cached prefix and
-  // compute only the final token row (≥ 50% prefill-token reduction — here
-  // 11 of 12 tokens are served from cache).
+  // compute only the final token row (≥ 50% prefill-token reduction — the
+  // 13-token prompt cached its 3 whole pages, so 12 of 13 tokens are
+  // served from cache).
   RequestHandle b =
       e.AddRequest({.lora = 0, .prompt_tokens = sys, .max_new_tokens = 3});
-  auto r = e.Step();
+  auto r = StepAudited(e);
   EXPECT_EQ(r.prefill_requests, 1);
   EXPECT_EQ(r.prefill_tokens, 1);
-  EXPECT_EQ(r.prefix_hit_tokens, 11);
-  while (e.HasWork()) e.Step();
+  EXPECT_EQ(r.prefix_hit_tokens, 12);
+  DrainAudited(e);
   // Bit-identical to the cold run — cached K/V are exactly the bits a cold
   // prefill would have written.
   EXPECT_EQ(*e.Output(b), expected);
@@ -295,9 +308,29 @@ TEST_F(EngineTest, SharedPromptSecondRequestPrefillsOnlySuffix) {
   PrefixCacheStats s = e.prefix_cache_stats();
   EXPECT_EQ(s.lookups, 2);
   EXPECT_EQ(s.hits, 1);
-  EXPECT_EQ(s.hit_tokens, 11);
-  EXPECT_GE(s.insertions, 1);
+  EXPECT_EQ(s.hit_tokens, 12);
+  EXPECT_EQ(s.insertions, 1);  // b's registration found a's entry
   EXPECT_GT(s.TokenSaveRate(), 0.4);
+}
+
+TEST_F(EngineTest, RegistrationCachesWholePagesAndDecodeCopiesNothing) {
+  // One full page plus two tokens: the index caches the full page only, so
+  // the partial tail stays the request's own and its decode writes there
+  // without a copy-on-write page.
+  Engine e = MakeEngine(4, 1, /*page_size=*/4);
+  e.AddRequest({.lora = 0,
+                .prompt_tokens = {1, 2, 3, 4, 5, 6},
+                .max_new_tokens = 4});
+  StepAudited(e);  // prefill: 6 tokens on 2 pages
+  PrefixCacheStats s = e.prefix_cache_stats();
+  EXPECT_EQ(s.cached_entries, 1);
+  EXPECT_EQ(s.cached_tokens, 4);
+  EXPECT_EQ(s.shared_pages, 1);
+  EXPECT_EQ(s.pages_in_use, 2);
+  StepAudited(e);  // decode: token 7 fills the request's own tail page
+  s = e.prefix_cache_stats();
+  EXPECT_EQ(s.shared_pages, 1);
+  EXPECT_EQ(s.pages_in_use, 2);
 }
 
 TEST_F(EngineTest, PrefixHitMidBatchMatchesColdEngine) {
@@ -307,20 +340,23 @@ TEST_F(EngineTest, PrefixHitMidBatchMatchesColdEngine) {
     EngineConfig cfg;
     cfg.max_batch_size = 4;
     cfg.enable_prefix_cache = enable;
-    Engine e(&model_, model_.MakeKvConfig(256), cfg);
+    Engine e(&model_, model_.MakeKvConfig(256, /*page_size=*/4), cfg);
     std::vector<RequestHandle> ids;
     ids.push_back(e.AddRequest({.lora = 0,
                                 .prompt_tokens = {5, 5, 5, 5, 5, 5, 5, 5},
                                 .max_new_tokens = 8}));
     ids.push_back(e.AddRequest(
         {.lora = 1, .prompt_tokens = {9, 1, 9}, .max_new_tokens = 6}));
-    e.Step();
-    e.Step();
+    StepAudited(e);
+    StepAudited(e);
     // Same tenant prompt as the first request, admitted mid-flight.
     ids.push_back(e.AddRequest({.lora = 0,
                                 .prompt_tokens = {5, 5, 5, 5, 5, 5, 5, 5},
                                 .max_new_tokens = 8}));
-    while (e.HasWork()) e.Step();
+    DrainAudited(e);
+    // The 8-token prompt is cached whole (2 pages); keeping one token for
+    // the logits rounds the hit down to 1 page.
+    EXPECT_EQ(e.prefix_cache_stats().hit_tokens, enable ? 4 : 0);
     std::vector<std::vector<std::int32_t>> outs;
     for (auto id : ids) outs.push_back(*e.Output(id));
     return outs;
@@ -337,23 +373,24 @@ TEST_F(EngineTest, CancelRegistersChainForCheapMigrationRebuild) {
   while (ref.HasWork()) ref.Step();
   std::vector<std::int32_t> expected = *ref.Output(r0);
 
-  Engine e = MakeEngine();
+  Engine e = MakeEngine(4, 1, /*page_size=*/4);
   RequestHandle id = e.AddRequest(
       {.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 10});
-  for (int i = 0; i < 5; ++i) e.Step();  // prefill + 4 decodes
+  for (int i = 0; i < 5; ++i) StepAudited(e);  // prefill + 4 decodes
   auto snap = e.Cancel(id);
   ASSERT_TRUE(snap.has_value());
   EXPECT_EQ(snap->generated.size(), 5u);
+  EXPECT_EQ(e.AuditInvariants(), "");
 
   // The evicted chain stays cached: the rebuild prefills one token instead
   // of prompt + generated.
   RequestHandle back = e.AddMigrated(*snap);
-  auto r = e.Step();
+  auto r = StepAudited(e);
   EXPECT_EQ(r.prefill_tokens, 1);
   // The cancelled sequence covered prompt (8) + 4 decoded positions = 12
-  // tokens; the 13-token rebuild chain hits all of them.
+  // tokens, 3 whole pages; the 13-token rebuild chain hits all of them.
   EXPECT_EQ(r.prefix_hit_tokens, 12);
-  while (e.HasWork()) e.Step();
+  DrainAudited(e);
   EXPECT_EQ(*e.Output(back), expected);
 }
 
@@ -366,7 +403,7 @@ TEST_F(EngineTest, CacheYieldsUnderPagePressureInsteadOfAborting) {
   RequestHandle a = e.AddRequest({.lora = 0,
                                   .prompt_tokens = {1, 2, 3, 4, 5, 6, 7, 8},
                                   .max_new_tokens = 4});
-  while (e.HasWork()) e.Step();
+  DrainAudited(e);
   EXPECT_GT(e.prefix_cache_stats().cached_entries, 0);
 
   RequestHandle b = e.AddRequest(
@@ -374,7 +411,7 @@ TEST_F(EngineTest, CacheYieldsUnderPagePressureInsteadOfAborting) {
        .prompt_tokens = {21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32,
                          33, 34, 35, 36},
        .max_new_tokens = 6});
-  while (e.HasWork()) e.Step();
+  DrainAudited(e);
   ASSERT_NE(e.Output(b), nullptr);
   EXPECT_EQ(e.Output(b)->size(), 6u);
   EXPECT_GT(e.prefix_cache_stats().evictions, 0);
@@ -392,7 +429,7 @@ TEST_F(EngineTest, AdmissionFailurePathsLeakNothing) {
   RequestHandle a = e.AddRequest({.lora = 0,
                                   .prompt_tokens = {1, 2, 3, 4, 5, 6},
                                   .max_new_tokens = 8});
-  e.Step();
+  StepAudited(e);
   // Admit a fork-path request (hits a's registered prompt), then cancel it
   // before its prefill ever runs.
   RequestHandle b = e.AddRequest({.lora = 0,
@@ -404,6 +441,7 @@ TEST_F(EngineTest, AdmissionFailurePathsLeakNothing) {
   EXPECT_TRUE(snap->generated.empty());
   auto snap_a = e.Cancel(a);
   ASSERT_TRUE(snap_a.has_value());
+  EXPECT_EQ(e.AuditInvariants(), "");
   // All request references released; whatever the cache retains is
   // reclaimable.
   EXPECT_EQ(e.AvailablePages(), before);
@@ -419,14 +457,16 @@ TEST_F(EngineTest, HitEntryNotDoubleCountedAsReclaimablePages) {
   const std::vector<std::int32_t> prompt = {1, 2, 3, 4, 5, 6, 7, 8};
   RequestHandle a =
       e.AddRequest({.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 1});
-  while (e.HasWork()) e.Step();
+  DrainAudited(e);
   (void)a;
-  // The cached prompt holds 2 pages; 1 page is free.
+  // The cached prompt holds 2 pages; 1 page is free. A hit keeps one token
+  // for the logits, so it rounds down to the first page.
   ASSERT_EQ(e.kv_free_pages(), 1);
-  ASSERT_EQ(e.PrefixHitTokens(0, prompt, {}), 7);
+  ASSERT_EQ(e.PrefixHitTokens(0, prompt, {}), 4);
   // The naive math says feasible (needs 2 net pages ≤ 1 free + 2
   // "reclaimable") — but those reclaimable pages ARE the hit:
-  EXPECT_LE(e.PagesNeededForAdmission(0, prompt, {}), e.AvailablePages());
+  EXPECT_EQ(e.PagesNeededForAdmission(0, prompt, {}), 2);
+  EXPECT_EQ(e.AvailablePages(), 3);
   // CanAdmitPages excludes the hit's entry and refuses.
   EXPECT_FALSE(e.CanAdmitPages(0, prompt, {}));
   // A request that fits without the contradiction is still admissible.
@@ -443,19 +483,19 @@ TEST_F(EngineTest, VictimQueryKeepsForkedHitEntryOutOfHeadroom) {
            EngineConfig{.max_batch_size = 4});
   const std::vector<std::int32_t> prompt = {1, 2, 3, 4, 5, 6, 7, 8};
   e.AddRequest({.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 1});
-  while (e.HasWork()) e.Step();  // A's prompt stays cached: 2 pages
+  DrainAudited(e);  // A's prompt stays cached: 2 pages
   RequestHandle d = e.AddRequest(
       {.lora = 1, .prompt_tokens = {11, 12, 13, 14}, .max_new_tokens = 20});
-  e.Step();  // D holds 1 page; 1 page is free
+  StepAudited(e);  // D holds 1 page (shared with its own entry); 1 is free
   RequestHandle b =
       e.AddRequest({.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 4});
-  // Next step: B forks A's entry (7 tokens) and CoWs the boundary page (1
-  // page), D's decode opens a new page (1 page). Only 1 page is free, and
-  // the one reclaimable entry is the one B forks — so B must go.
+  // Next step: B forks A's entry at its first page (4 tokens) and its
+  // 4-token chunk opens 1 page; D's decode opens 1 page. Only 1 page is
+  // free, and the one reclaimable entry is the one B forks — so B must go.
   EXPECT_EQ(e.SelectEvictionVictims(), std::vector<std::int64_t>{b.id()});
   ASSERT_TRUE(e.Cancel(b).has_value());
   EXPECT_TRUE(e.SelectEvictionVictims().empty());
-  StepResult r = e.Step();
+  StepResult r = StepAudited(e);
   ASSERT_EQ(r.emitted.size(), 1u);
   EXPECT_EQ(r.emitted[0].request_id, d.id());
 }
@@ -467,12 +507,12 @@ TEST_F(EngineTest, DuplicateRegistrationAtCapDoesNotThrash) {
   EngineConfig cfg;
   cfg.max_batch_size = 4;
   cfg.max_cached_prefixes = 2;
-  Engine e(&model_, model_.MakeKvConfig(256), cfg);
+  Engine e(&model_, model_.MakeKvConfig(256, /*page_size=*/4), cfg);
   const std::vector<std::int32_t> pa = {1, 1, 1, 1, 1};
   const std::vector<std::int32_t> pb = {2, 2, 2, 2, 2};
   auto run = [&](const std::vector<std::int32_t>& p) {
     e.AddRequest({.lora = 0, .prompt_tokens = p, .max_new_tokens = 2});
-    while (e.HasWork()) e.Step();
+    DrainAudited(e);
   };
   run(pa);
   run(pb);  // cache at cap: {pa, pb}
@@ -480,6 +520,7 @@ TEST_F(EngineTest, DuplicateRegistrationAtCapDoesNotThrash) {
   PrefixCacheStats s = e.prefix_cache_stats();
   EXPECT_EQ(s.evictions, 0);
   EXPECT_EQ(s.cached_entries, 2);
+  EXPECT_EQ(s.cached_tokens, 8);  // each 5-token prompt's whole page
   EXPECT_EQ(e.PrefixHitTokens(0, pb, {}), 4);  // pb survived
 }
 
@@ -490,19 +531,22 @@ TEST_F(EngineTest, PrefixHitTokensQueryIsPureAndPageAware) {
   auto lookups_before = e.prefix_cache_stats().lookups;
   RequestHandle id =
       e.AddRequest({.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 2});
-  while (e.HasWork()) e.Step();
+  DrainAudited(e);
   (void)id;
-  EXPECT_EQ(e.PrefixHitTokens(0, prompt, {}), 7);
+  // The 8-token prompt is cached on 2 pages; a hit keeps one token for the
+  // logits and so rounds down to 1 page.
+  EXPECT_EQ(e.PrefixHitTokens(0, prompt, {}), 4);
   // Same text under a different adapter shares nothing: K/V bits carry the
   // LoRA addon.
   EXPECT_EQ(e.PrefixHitTokens(1, prompt, {}), 0);
   // The query is pure: it never counts as a lookup.
   EXPECT_EQ(e.prefix_cache_stats().lookups, lookups_before + 1);
   // Admission needs fewer pages with the prefix cached than the cold
-  // formula would claim.
-  EXPECT_LT(e.PagesNeededForAdmission(0, prompt, {}),
-            e.kv_config().PagesNeeded(
-                static_cast<std::int64_t>(prompt.size()) + 1));
+  // formula would claim: 9 tokens on 3 pages, one of them aliased.
+  EXPECT_EQ(e.kv_config().PagesNeeded(
+                static_cast<std::int64_t>(prompt.size()) + 1),
+            3);
+  EXPECT_EQ(e.PagesNeededForAdmission(0, prompt, {}), 2);
 }
 
 // --- Chunked prefill (EngineConfig::max_step_tokens) ---
@@ -599,22 +643,23 @@ TEST_F(EngineTest, MidPrefillCancelRegistersPartialChainAndRebuilds) {
 
   EngineConfig cfg;
   cfg.max_step_tokens = 8;
-  Engine e(&model_, model_.MakeKvConfig(256), cfg);
+  Engine e(&model_, model_.MakeKvConfig(256, /*page_size=*/4), cfg);
   RequestHandle id = e.AddRequest(
       {.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 5});
-  e.Step();  // one 8-token chunk; the prefill is mid-flight
+  StepAudited(e);  // one 8-token chunk; the prefill is mid-flight
   auto snap = e.Cancel(id);
   ASSERT_TRUE(snap.has_value());
   EXPECT_TRUE(snap->generated.empty());  // no token emitted yet
+  EXPECT_EQ(e.AuditInvariants(), "");
 
-  // The partially-prefilled chain was registered: the rebuild forks the 8
-  // consumed tokens and prefills only the remaining 16.
+  // The partially-prefilled chain was registered (2 whole pages): the
+  // rebuild forks the 8 consumed tokens and prefills only the remaining 16.
   EXPECT_EQ(e.PrefixHitTokens(0, prompt, {}), 8);
   RequestHandle back = e.AddMigrated(*snap);
-  auto r = e.Step();
+  auto r = StepAudited(e);
   EXPECT_EQ(r.prefix_hit_tokens, 8);
   EXPECT_EQ(r.prefill_tokens, 8);  // budget-sized chunk of the suffix
-  while (e.HasWork()) e.Step();
+  DrainAudited(e);
   EXPECT_EQ(*e.Output(back), expected);
 }
 
