@@ -562,11 +562,15 @@ StepResult Engine::Step() {
     ++result.new_tokens;
     if (was_prefill) {
       slot->needs_prefill = false;
-      // The prompt is now fully cached in this sequence — make its whole
-      // pages discoverable for the next tenant-mate (a refcount alias, no
-      // copy).
-      RegisterPrefix(*slot, slot->prompt,
-                     static_cast<std::int64_t>(slot->prompt.size()));
+      // A prefill that missed makes its prompt's whole pages discoverable
+      // for the next tenant-mate (a refcount alias, no copy). A hit already
+      // found its trunk cached; its suffix is private, so registering it
+      // would only pin pages no later request can hit. GpuRunner applies
+      // the same rule.
+      if (slot->prefix_cached == 0) {
+        RegisterPrefix(*slot, slot->prompt,
+                       static_cast<std::int64_t>(slot->prompt.size()));
+      }
     }
     if (IsDone(*slot, out)) {
       kv_.FreeSequence(slot->seq);
@@ -649,6 +653,11 @@ std::string Engine::AuditInvariants() const {
 const std::vector<std::int32_t>* Engine::Output(std::int64_t id) const {
   auto it = outputs_.find(id);
   return it == outputs_.end() ? nullptr : &it->second;
+}
+
+bool Engine::Release(std::int64_t id) {
+  if (active_.contains(id)) return false;
+  return outputs_.erase(id) > 0;
 }
 
 }  // namespace punica

@@ -22,15 +22,17 @@
 // Shared-prefix KV cache: admissions consult a PrefixIndex over token ids;
 // on a hit the request's sequence forks from the cached holder (ref-counted
 // page aliasing, kvcache/kvcache.h) and Step prefills only the uncached
-// suffix. Completed prefills register the prompt; cancellation (the
-// migration evict) registers prompt+generated so a re-admitted request
-// rebuilds from any surviving prefix instead of recomputing from token
-// zero. Sharing is in whole pages of P = KvCacheConfig::page_size tokens:
-// registration caches the first floor(n/P)·P tokens of an n-token chain,
-// and a hit is rounded down to a page boundary. So every page the index or
-// a fork shares is full, no request ever writes into a shared page, and the
-// engine never copies a page on write; an exact repeat of a prompt
-// recomputes up to P−1 more tokens than a token-granular cache would.
+// suffix. A prefill that missed registers the prompt; a hit registers
+// nothing, since its trunk is already cached and its suffix is private
+// (GpuRunner follows the same rule). Cancel (the migration evict) always
+// registers prompt+generated, so a re-admitted request rebuilds from any
+// surviving prefix instead of recomputing from token zero. Sharing is in
+// whole pages of P = KvCacheConfig::page_size tokens: registration caches
+// the first floor(n/P)·P tokens of an n-token chain, and a hit is rounded
+// down to a page boundary. So every page the index or a fork shares is
+// full, no request ever writes into a shared page, and the engine never
+// copies a page on write; an exact repeat of a prompt recomputes up to P−1
+// more tokens than a token-granular cache would.
 // Under page pressure, cached prefixes are evicted LRU before the engine
 // reports migration victims. Because cached K/V bits are exactly what a
 // cold prefill would write (one writer per element, fixed reduction
@@ -123,11 +125,16 @@ class Engine {
   /// cache yields before requests migrate.
   std::vector<std::int64_t> SelectEvictionVictims() const;
 
-  /// Tokens generated so far (valid for finished requests too).
+  /// Tokens generated so far (valid for finished and cancelled requests
+  /// too, until Release).
   const std::vector<std::int32_t>* Output(std::int64_t id) const;
   const std::vector<std::int32_t>* Output(RequestHandle h) const {
     return Output(h.id());
   }
+  /// Erases a finished or cancelled request's token record, so a
+  /// long-running caller does not keep one per admission. Refuses (false)
+  /// an active or unknown id.
+  bool Release(std::int64_t id);
 
   /// The stop token a request admitted under `spec` would run with.
   std::int32_t ResolveEos(std::int32_t spec_eos) const;
@@ -194,7 +201,8 @@ class Engine {
     bool needs_prefill = true;
     std::int32_t resume_from = 0;  ///< generated tokens to re-prefill
     std::int64_t prefix_cached = 0;  ///< chain tokens served by the cache
-                                     ///< (resolved at the first chunk)
+                                     ///< (resolved at the first chunk;
+                                     ///< 0 = missed, so it registers)
   };
 
   struct ChainMatch {
@@ -238,7 +246,8 @@ class Engine {
   /// kv_.ForkFrom, checked to share whole pages only.
   SeqId ForkWholePages(SeqId src, std::int64_t n_tokens);
   /// Registers the whole pages among the first `n_tokens` of `slot.seq`'s
-  /// chain in the index (nothing when that is under one page).
+  /// chain in the index (nothing when that is under one page). Called for
+  /// a prefill that missed and for every Cancel.
   void RegisterPrefix(const Slot& slot, std::span<const std::int32_t> chain,
                       std::int64_t n_tokens);
   /// Pages a chain grown to `target_len` tokens needs beyond the pages of

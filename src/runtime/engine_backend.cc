@@ -79,6 +79,7 @@ std::optional<RequestSnapshot> EngineBackend::Cancel(
   auto snap = engine_->Cancel(it->second.engine_id);
   PUNICA_CHECK_MSG(snap.has_value(),
                    "backend slot had no engine-side request");
+  engine_->Release(it->second.engine_id);  // the snapshot carries the tokens
   // Sync the caller-owned request: generated tokens are the migration state.
   req->generated_tokens = snap->generated;
   req->generated = static_cast<std::int32_t>(snap->generated.size());
@@ -134,6 +135,8 @@ StepResult EngineBackend::Step(double now) {
     if (req->generated < req->output_len) req->stopped_early = true;  // EOS
     req->phase = RequestPhase::kFinished;
     req->finish_time = completion;
+    // The request's tokens now live in `req`; drop the engine's copy.
+    engine_->Release(it->second.engine_id);
     by_engine_id_.erase(it->second.engine_id);
     slots_.erase(it);
   }

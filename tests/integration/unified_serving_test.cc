@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "frontend/frontend.h"
@@ -36,6 +37,19 @@ class UnifiedServingTest : public ::testing::Test {
                                         .max_new_tokens = tokens});
     while (solo.HasWork()) solo.Step();
     return *solo.Output(id);
+  }
+
+  /// A caller-owned request for driving an EngineBackend directly.
+  static ServingRequest MakeRequest(std::int64_t id,
+                                    std::vector<std::int32_t> prompt,
+                                    int tokens) {
+    ServingRequest req;
+    req.id = id;
+    req.lora_id = 0;
+    req.prompt_len = static_cast<std::int32_t>(prompt.size());
+    req.prompt_tokens = std::move(prompt);
+    req.output_len = tokens;
+    return req;
   }
 
   void BuildCluster(int num_backends, std::int32_t kv_pages = 256) {
@@ -187,18 +201,9 @@ TEST_F(UnifiedServingTest, NewestRequestFollowsEngineAdmissionOrder) {
                 EngineConfig{.max_batch_size = 4});
   EngineBackend backend(0, &engine);
   EXPECT_EQ(backend.NewestRequest(), nullptr);
-  auto make = [](std::int64_t id) {
-    ServingRequest req;
-    req.id = id;
-    req.lora_id = 0;
-    req.prompt_tokens = {1, 2, 3};
-    req.prompt_len = 3;
-    req.output_len = 4;
-    return req;
-  };
-  ServingRequest a = make(7);
-  ServingRequest b = make(3);
-  ServingRequest c = make(5);
+  ServingRequest a = MakeRequest(7, {1, 2, 3}, 4);
+  ServingRequest b = MakeRequest(3, {1, 2, 3}, 4);
+  ServingRequest c = MakeRequest(5, {1, 2, 3}, 4);
   backend.Admit(&a, 0.0);
   backend.Admit(&b, 0.0);
   EXPECT_EQ(backend.NewestRequest(), &b);  // admitted later despite lower id
@@ -210,6 +215,33 @@ TEST_F(UnifiedServingTest, NewestRequestFollowsEngineAdmissionOrder) {
   ASSERT_TRUE(backend.Cancel(7).has_value());
   backend.Admit(&a, 0.0);
   EXPECT_EQ(backend.NewestRequest(), &a);
+}
+
+TEST_F(UnifiedServingTest, BackendReleasesEngineRecordOfEveryEndedRequest) {
+  // The caller-owned ServingRequest carries a finished or cancelled
+  // request's tokens, so EngineBackend drops the engine's copy: a
+  // long-running server keeps no record per admission.
+  Engine engine(&model_, model_.MakeKvConfig(64),
+                EngineConfig{.max_batch_size = 4});
+  EngineBackend backend(0, &engine);
+  ServingRequest a = MakeRequest(1, {1, 2, 3}, 4);
+  ServingRequest b = MakeRequest(2, {4, 5}, 6);
+  backend.Admit(&a, 0.0);  // engine id 0
+  backend.Admit(&b, 0.0);  // engine id 1
+  double now = 0.0;
+  for (int i = 0; i < 3; ++i) now += backend.Step(now).latency;
+  EXPECT_NE(engine.Output(0), nullptr);  // still active
+  ASSERT_TRUE(backend.Cancel(2).has_value());  // the migration evict
+  EXPECT_EQ(engine.Output(1), nullptr);
+  backend.Admit(&b, now);  // engine id 2: the migrated re-add
+  while (backend.HasAnyWork()) now += backend.Step(now).latency;
+  EXPECT_EQ(a.phase, RequestPhase::kFinished);
+  EXPECT_EQ(b.phase, RequestPhase::kFinished);
+  for (std::int64_t engine_id : {0, 1, 2}) {
+    EXPECT_EQ(engine.Output(engine_id), nullptr) << "engine id " << engine_id;
+  }
+  EXPECT_EQ(a.generated_tokens, Solo(0, {1, 2, 3}, 4));
+  EXPECT_EQ(b.generated_tokens, Solo(0, {4, 5}, 6));
 }
 
 }  // namespace

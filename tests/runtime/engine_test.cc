@@ -92,6 +92,28 @@ TEST_F(EngineTest, OutputsPersistAfterFinish) {
   EXPECT_EQ(e.Output(id)->size(), 3u);
 }
 
+TEST_F(EngineTest, ReleaseErasesEndedRecordsAndRefusesActiveOnes) {
+  Engine e = MakeEngine();
+  RequestHandle done =
+      e.AddRequest({.lora = 0, .prompt_tokens = {9}, .max_new_tokens = 1});
+  RequestHandle live =
+      e.AddRequest({.lora = 1, .prompt_tokens = {4, 2}, .max_new_tokens = 8});
+  RequestHandle cancelled =
+      e.AddRequest({.lora = 0, .prompt_tokens = {3}, .max_new_tokens = 8});
+  StepAudited(e);  // done's prefill finishes it
+  ASSERT_TRUE(e.Cancel(cancelled).has_value());
+  EXPECT_FALSE(e.Release(live.id()));  // an active record is live state
+  EXPECT_NE(e.Output(live), nullptr);
+  EXPECT_TRUE(e.Release(done.id()));
+  EXPECT_TRUE(e.Release(cancelled.id()));
+  EXPECT_EQ(e.Output(done), nullptr);
+  EXPECT_EQ(e.Output(cancelled), nullptr);
+  EXPECT_FALSE(e.Release(done.id()));  // already gone
+  EXPECT_FALSE(e.Release(123));
+  DrainAudited(e);
+  EXPECT_EQ(e.Output(live)->size(), 8u);
+}
+
 TEST_F(EngineTest, SameLoraRequestsShareOneSegment) {
   Engine e = MakeEngine(4);
   e.AddRequest({.lora = 0, .prompt_tokens = {1}, .max_new_tokens = 8});
@@ -309,8 +331,100 @@ TEST_F(EngineTest, SharedPromptSecondRequestPrefillsOnlySuffix) {
   EXPECT_EQ(s.lookups, 2);
   EXPECT_EQ(s.hits, 1);
   EXPECT_EQ(s.hit_tokens, 12);
-  EXPECT_EQ(s.insertions, 1);  // b's registration found a's entry
+  EXPECT_EQ(s.insertions, 1);  // b hit, so it registered nothing
   EXPECT_GT(s.TokenSaveRate(), 0.4);
+}
+
+TEST_F(EngineTest, HitsRegisterNothingSoSuffixPagesAreFreedOnFinish) {
+  // Only a prefill that missed registers its prompt. Tenant-mates that hit
+  // the system prompt leave no private suffix pinned in the index, so the
+  // cache holds exactly the trunk after they finish.
+  const std::vector<std::int32_t> sys = {7, 8, 9, 10, 11, 12, 13, 14};
+  auto mate = [&](std::int32_t first) {
+    std::vector<std::int32_t> p = sys;
+    for (std::int32_t t = first; t < first + 5; ++t) p.push_back(t);
+    return p;
+  };
+  const std::vector<std::vector<std::int32_t>> mates = {mate(30), mate(40),
+                                                        mate(50)};
+  auto run = [&](bool enable) {
+    EngineConfig cfg;
+    cfg.max_batch_size = 4;
+    cfg.enable_prefix_cache = enable;
+    Engine e(&model_, model_.MakeKvConfig(256, /*page_size=*/4), cfg);
+    e.AddRequest({.lora = 0, .prompt_tokens = sys, .max_new_tokens = 2});
+    DrainAudited(e);  // cold: registers the 8-token system prompt
+    std::vector<RequestHandle> ids;
+    for (const auto& p : mates) {
+      ids.push_back(
+          e.AddRequest({.lora = 0, .prompt_tokens = p, .max_new_tokens = 3}));
+    }
+    for (std::size_t i = 0; i < mates.size(); ++i) {
+      StepResult r = StepAudited(e);  // prefill_limit 1: one mate per step
+      EXPECT_EQ(r.prefill_requests, 1);
+      EXPECT_EQ(r.prefix_hit_tokens, enable ? 8 : 0);
+      EXPECT_EQ(r.prefill_tokens, enable ? 5 : 13);
+    }
+    DrainAudited(e);
+    std::vector<std::vector<std::int32_t>> outs;
+    for (auto id : ids) outs.push_back(*e.Output(id));
+    if (enable) {
+      PrefixCacheStats s = e.prefix_cache_stats();
+      EXPECT_EQ(s.hits, 3);
+      EXPECT_EQ(s.hit_tokens, 24);
+      EXPECT_EQ(s.insertions, 1);
+      EXPECT_EQ(s.cached_entries, 1);
+      EXPECT_EQ(s.cached_tokens, 8);
+      EXPECT_EQ(s.evictions, 0);
+      EXPECT_EQ(s.pages_in_use, 2);  // the trunk's 2 pages, nothing else
+      EXPECT_EQ(s.shared_pages, 0);
+    }
+    return outs;
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
+TEST_F(EngineTest, CancelAfterHitStillRegistersChainForRebuild) {
+  // A hit registers nothing when its prefill completes, but its Cancel
+  // (the migration evict) registers prompt + generated, so the rebuild
+  // still skips every whole page it had computed.
+  const std::vector<std::int32_t> sys = {7, 8, 9, 10, 11, 12, 13, 14};
+  const std::vector<std::int32_t> prompt = {7,  8,  9,  10, 11, 12, 13,
+                                            14, 60, 61, 62, 63, 64};
+  Engine ref = MakeEngine(4, 1, /*page_size=*/4);
+  RequestHandle r0 = ref.AddRequest(
+      {.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 10});
+  DrainAudited(ref);
+  const std::vector<std::int32_t> expected = *ref.Output(r0);
+
+  Engine e = MakeEngine(4, 1, /*page_size=*/4);
+  e.AddRequest({.lora = 0, .prompt_tokens = sys, .max_new_tokens = 1});
+  DrainAudited(e);  // cold: registers the system prompt
+  RequestHandle id = e.AddRequest(
+      {.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 10});
+  StepResult r = StepAudited(e);  // hit prefill: 5 suffix tokens
+  EXPECT_EQ(r.prefix_hit_tokens, 8);
+  EXPECT_EQ(r.prefill_tokens, 5);
+  EXPECT_EQ(e.prefix_cache_stats().insertions, 1);
+  for (int i = 0; i < 4; ++i) StepAudited(e);  // 4 decodes
+  auto snap = e.Cancel(id);
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(e.AuditInvariants(), "");
+  ASSERT_EQ(snap->generated.size(), 5u);
+  // The sequence held prompt (13) + 4 decoded positions = 17 tokens; the
+  // cancel registered their 4 whole pages.
+  PrefixCacheStats s = e.prefix_cache_stats();
+  EXPECT_EQ(s.insertions, 2);
+  EXPECT_EQ(s.cached_tokens, 8 + 16);
+
+  // The 18-token rebuild chain hits all 16 registered tokens and
+  // prefills the other 2.
+  RequestHandle back = e.AddMigrated(*snap);
+  r = StepAudited(e);
+  EXPECT_EQ(r.prefix_hit_tokens, 16);
+  EXPECT_EQ(r.prefill_tokens, 2);
+  DrainAudited(e);
+  EXPECT_EQ(*e.Output(back), expected);
 }
 
 TEST_F(EngineTest, RegistrationCachesWholePagesAndDecodeCopiesNothing) {
@@ -502,14 +616,15 @@ TEST_F(EngineTest, VictimQueryKeepsForkedHitEntryOutOfHeadroom) {
 
 TEST_F(EngineTest, DuplicateRegistrationAtCapDoesNotThrash) {
   // Regression: at max_cached_prefixes, re-registering an already-cached
-  // prompt (the steady-state hot-tenant case) must not evict unrelated
-  // entries.
+  // prompt must not evict unrelated entries. A one-page prompt re-registers
+  // on every repeat: its hit keeps one token for the logits, rounds down
+  // to 0 pages and so misses, and a miss registers.
   EngineConfig cfg;
   cfg.max_batch_size = 4;
   cfg.max_cached_prefixes = 2;
   Engine e(&model_, model_.MakeKvConfig(256, /*page_size=*/4), cfg);
-  const std::vector<std::int32_t> pa = {1, 1, 1, 1, 1};
-  const std::vector<std::int32_t> pb = {2, 2, 2, 2, 2};
+  const std::vector<std::int32_t> pa = {1, 1, 1, 1};
+  const std::vector<std::int32_t> pb = {2, 2, 2, 2};
   auto run = [&](const std::vector<std::int32_t>& p) {
     e.AddRequest({.lora = 0, .prompt_tokens = p, .max_new_tokens = 2});
     DrainAudited(e);
@@ -518,10 +633,13 @@ TEST_F(EngineTest, DuplicateRegistrationAtCapDoesNotThrash) {
   run(pb);  // cache at cap: {pa, pb}
   for (int i = 0; i < 3; ++i) run(pa);  // hot tenant re-registers pa
   PrefixCacheStats s = e.prefix_cache_stats();
+  EXPECT_EQ(s.hits, 0);
+  EXPECT_EQ(s.insertions, 2);
   EXPECT_EQ(s.evictions, 0);
   EXPECT_EQ(s.cached_entries, 2);
-  EXPECT_EQ(s.cached_tokens, 8);  // each 5-token prompt's whole page
-  EXPECT_EQ(e.PrefixHitTokens(0, pb, {}), 4);  // pb survived
+  EXPECT_EQ(s.cached_tokens, 8);  // one page per prompt
+  const std::vector<std::int32_t> pb_turn = {2, 2, 2, 2, 9};
+  EXPECT_EQ(e.PrefixHitTokens(0, pb_turn, {}), 4);  // pb survived
 }
 
 TEST_F(EngineTest, PrefixHitTokensQueryIsPureAndPageAware) {
