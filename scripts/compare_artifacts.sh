@@ -12,6 +12,8 @@
 # surfaces compared:
 #   * stdout of bench_fig13_cluster, bench_ablations, cluster_autoscale,
 #     textgen_cluster and textgen_cluster --tp 2;
+#   * stdout of the other numeric-Engine examples: quickstart,
+#     quickstart --tp 2 and migration_demo;
 #   * the JSON file of bench_serving --json (its stdout also reports a
 #     wall-clock threaded run, so only the file is compared);
 #   * the virtual-time sections of open_loop_serving: the lines before its
@@ -54,6 +56,9 @@ for side in a b; do
   run cluster_autoscale.txt "$build" $side examples/cluster_autoscale
   run textgen_cluster.txt "$build" $side examples/textgen_cluster
   run textgen_cluster_tp2.txt "$build" $side examples/textgen_cluster --tp 2
+  run quickstart.txt "$build" $side examples/quickstart
+  run quickstart_tp2.txt "$build" $side examples/quickstart --tp 2
+  run migration_demo.txt "$build" $side examples/migration_demo
   run open_loop_serving_full.txt "$build" $side examples/open_loop_serving
   sed '/real threads/,$d' "$OUT/$side/open_loop_serving_full.txt" \
     > "$OUT/$side/open_loop_serving_virtual.txt"
@@ -70,6 +75,7 @@ done
 
 for f in fig13_cluster.txt ablations.txt BENCH_serving.json \
          cluster_autoscale.txt textgen_cluster.txt textgen_cluster_tp2.txt \
+         quickstart.txt quickstart_tp2.txt migration_demo.txt \
          open_loop_serving_virtual.txt fig11_textgen.txt \
          fig11_textgen_tp2.txt fig11_textgen_limit4.txt \
          BENCH_prefix_cache.json fig12_simulated.txt; do

@@ -64,11 +64,30 @@ PagedKvCache::PagedKvCache(const KvCacheConfig& config)
     : config_(config),
       allocator_(config.num_pages),
       storage_(static_cast<std::size_t>(config.num_pages) *
-               config.page_elems()) {
+               config.page_elems()),
+      keys_(static_cast<std::size_t>(config.num_pages)),
+      key_tokens_(static_cast<std::size_t>(config.num_pages) *
+                  static_cast<std::size_t>(config.page_size)),
+      generation_(static_cast<std::size_t>(config.num_pages)) {
   PUNICA_CHECK(config.num_layers > 0);
   PUNICA_CHECK(config.num_kv_heads > 0);
   PUNICA_CHECK(config.head_dim > 0);
   PUNICA_CHECK(config.page_size > 0);
+}
+
+PageId PagedKvCache::AllocPage() {
+  std::optional<PageId> page = allocator_.Alloc();
+  PUNICA_CHECK(page.has_value());
+  PageKey& key = keys_[static_cast<std::size_t>(*page)];
+  if (key.keyed) {
+    // Reclaimed: forget the key, and move the generation on so the keys of
+    // this page's cached descendants no longer match.
+    index_.erase(RecordedKeyHash(*page));
+    key = PageKey{};
+    ++generation_[static_cast<std::size_t>(*page)];
+    ++pages_reclaimed_;
+  }
+  return *page;
 }
 
 SeqId PagedKvCache::CreateSequence() {
@@ -109,22 +128,12 @@ bool PagedKvCache::Extend(SeqId seq, std::int64_t tokens) {
   bool cow = st.len % config_.page_size != 0 &&
              allocator_.RefCount(st.pages.back()) > 1;
 
-  // Reserve every page this growth needs up front so failure rolls back
-  // cleanly with no partial state.
-  std::vector<PageId> newly;
+  // Check the whole growth up front so failure leaves no partial state
+  // (and reclaims no cached page).
   std::int32_t grow = need - static_cast<std::int32_t>(st.pages.size());
-  while (static_cast<std::int32_t>(newly.size()) < grow + (cow ? 1 : 0)) {
-    auto page = allocator_.Alloc();
-    if (!page.has_value()) {
-      for (PageId p : newly) allocator_.Release(p);
-      return false;
-    }
-    newly.push_back(*page);
-  }
-
-  std::size_t next = 0;
+  if (grow + (cow ? 1 : 0) > allocator_.available_pages()) return false;
   if (cow) {
-    PageId fresh = newly[next++];
+    PageId fresh = AllocPage();
     PageId old = st.pages.back();
     std::copy_n(storage_.data() +
                     static_cast<std::size_t>(old) * config_.page_elems(),
@@ -134,17 +143,138 @@ bool PagedKvCache::Extend(SeqId seq, std::int64_t tokens) {
     st.pages.back() = fresh;
     allocator_.Release(old);
   }
-  st.pages.insert(st.pages.end(), newly.begin() + static_cast<std::ptrdiff_t>(
-                                                      next),
-                  newly.end());
+  for (std::int32_t i = 0; i < grow; ++i) st.pages.push_back(AllocPage());
   st.len = new_len;
   return true;
 }
 
 void PagedKvCache::FreeSequence(SeqId seq) {
   SeqState& st = GetSeq(seq);
-  for (PageId p : st.pages) allocator_.Release(p);
+  for (auto p = st.pages.rbegin(); p != st.pages.rend(); ++p) {
+    allocator_.Release(*p);
+  }
   seqs_.erase(seq);
+}
+
+std::uint64_t PagedKvCache::KeyHash(PageId parent, std::uint64_t parent_gen,
+                                    std::int32_t tag, TokenChain chain,
+                                    std::int64_t i) const {
+  // splitmix64 over (parent, parent generation, tag, tokens).
+  std::uint64_t h = 0;
+  auto mix = [&h](std::uint64_t v) {
+    h += v + 0x9e3779b97f4a7c15ULL;
+    std::uint64_t z = h;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    h = z ^ (z >> 31);
+  };
+  mix(static_cast<std::uint32_t>(parent));
+  mix(parent_gen);
+  mix(static_cast<std::uint32_t>(tag));
+  const std::int64_t p = config_.page_size;
+  for (std::int64_t t = i * p; t < (i + 1) * p; ++t) {
+    mix(static_cast<std::uint32_t>(chain[t]));
+  }
+  return h;
+}
+
+std::uint64_t PagedKvCache::ParentGen(PageId parent) const {
+  return parent < 0 ? 0 : generation_[static_cast<std::size_t>(parent)];
+}
+
+std::span<const std::int32_t> PagedKvCache::KeyTokens(PageId page) const {
+  return std::span(key_tokens_)
+      .subspan(static_cast<std::size_t>(page) *
+                   static_cast<std::size_t>(config_.page_size),
+               static_cast<std::size_t>(config_.page_size));
+}
+
+std::uint64_t PagedKvCache::RecordedKeyHash(PageId page) const {
+  const PageKey& key = keys_[static_cast<std::size_t>(page)];
+  return KeyHash(key.parent, key.parent_gen, key.tag, {KeyTokens(page), {}},
+                 0);
+}
+
+bool PagedKvCache::KeyMatches(PageId page, PageId parent, std::int32_t tag,
+                              TokenChain chain, std::int64_t i) const {
+  const PageKey& key = keys_[static_cast<std::size_t>(page)];
+  if (!key.keyed || key.parent != parent ||
+      key.parent_gen != ParentGen(parent) || key.tag != tag) {
+    return false;
+  }
+  std::span<const std::int32_t> tokens = KeyTokens(page);
+  for (std::size_t t = 0; t < tokens.size(); ++t) {
+    if (tokens[t] != chain[i * config_.page_size +
+                           static_cast<std::int64_t>(t)]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void PagedKvCache::KeyFullPages(SeqId seq, std::int32_t tag,
+                                TokenChain chain) {
+  SeqState& st = GetSeq(seq);
+  PUNICA_CHECK_MSG(chain.size() >= st.len, "chain shorter than sequence");
+  const auto full = static_cast<std::int32_t>(st.len / config_.page_size);
+  for (; !st.unkeyable && st.keyed < full; ++st.keyed) {
+    const PageId page = st.pages[static_cast<std::size_t>(st.keyed)];
+    PageKey& key = keys_[static_cast<std::size_t>(page)];
+    if (key.keyed) continue;  // a cached page this sequence forked
+    const PageId parent =
+        st.keyed == 0 ? -1 : st.pages[static_cast<std::size_t>(st.keyed - 1)];
+    const std::uint64_t hash =
+        KeyHash(parent, ParentGen(parent), tag, chain, st.keyed);
+    if (!index_.try_emplace(hash, page).second) {
+      st.unkeyable = true;
+      break;
+    }
+    key = {.keyed = true,
+           .parent = parent,
+           .parent_gen = ParentGen(parent),
+           .tag = tag};
+    for (std::int64_t t = 0; t < config_.page_size; ++t) {
+      key_tokens_[static_cast<std::size_t>(page) *
+                      static_cast<std::size_t>(config_.page_size) +
+                  static_cast<std::size_t>(t)] =
+          chain[st.keyed * config_.page_size + t];
+    }
+    allocator_.MarkCached(page);
+    ++pages_keyed_;
+  }
+}
+
+std::vector<PageId> PagedKvCache::MatchCachedPages(
+    std::int32_t tag, TokenChain chain, std::int32_t max_pages) const {
+  std::vector<PageId> pages;
+  const std::int64_t limit =
+      std::min<std::int64_t>(max_pages, chain.size() / config_.page_size);
+  PageId parent = -1;
+  for (std::int64_t i = 0; i < limit; ++i) {
+    auto it = index_.find(KeyHash(parent, ParentGen(parent), tag, chain, i));
+    if (it == index_.end() || !KeyMatches(it->second, parent, tag, chain, i)) {
+      break;
+    }
+    parent = it->second;
+    pages.push_back(parent);
+  }
+  return pages;
+}
+
+SeqId PagedKvCache::ForkCached(std::span<const PageId> pages) {
+  SeqState st;
+  st.pages.assign(pages.begin(), pages.end());
+  st.len = static_cast<std::int64_t>(pages.size()) * config_.page_size;
+  st.keyed = static_cast<std::int32_t>(pages.size());
+  for (PageId p : pages) {
+    PUNICA_CHECK_MSG(keys_[static_cast<std::size_t>(p)].keyed,
+                     "fork of an uncached page");
+    allocator_.Retain(p);
+    allocator_.MarkHit(p);
+  }
+  SeqId id = next_seq_++;
+  seqs_.emplace(id, std::move(st));
+  return id;
 }
 
 bool PagedKvCache::Contains(SeqId seq) const {
@@ -230,19 +360,50 @@ std::string PagedKvCache::AuditInvariants() const {
     if (rc == 0) ++unreferenced;
   }
   std::vector<bool> listed(static_cast<std::size_t>(config_.num_pages));
-  for (PageId p : allocator_.free_list()) {
+  std::vector<PageId> order = allocator_.AllocationOrder();
+  for (PageId p : order) {
     if (allocator_.RefCount(p) != 0 || listed[static_cast<std::size_t>(p)]) {
-      err << "free list holds page " << p << " with refcount "
-          << allocator_.RefCount(p) << (listed[static_cast<std::size_t>(p)]
-                                            ? " twice"
-                                            : "");
+      err << "free or reclaim list holds page " << p << " with refcount "
+          << allocator_.RefCount(p)
+          << (listed[static_cast<std::size_t>(p)] ? " twice" : "");
       return err.str();
     }
     listed[static_cast<std::size_t>(p)] = true;
   }
-  if (allocator_.free_pages() != unreferenced) {
-    err << "free list holds " << allocator_.free_pages() << " pages but "
+  if (static_cast<std::int32_t>(order.size()) != unreferenced) {
+    err << "free and reclaim lists hold " << order.size() << " pages but "
         << unreferenced << " have refcount 0";
+    return err.str();
+  }
+  std::int32_t keyed = 0;
+  std::int32_t reclaimable = 0;
+  for (PageId p = 0; p < config_.num_pages; ++p) {
+    const PageKey& key = keys_[static_cast<std::size_t>(p)];
+    if (key.keyed != allocator_.IsCached(p)) {
+      err << "page " << p << (key.keyed ? " is keyed but not cached"
+                                        : " is cached but not keyed");
+      return err.str();
+    }
+    if (!key.keyed) continue;
+    ++keyed;
+    if (allocator_.RefCount(p) == 0) ++reclaimable;
+    auto it = index_.find(RecordedKeyHash(p));
+    if (it == index_.end() || it->second != p) {
+      err << "keyed page " << p << " is not found by its own key";
+      return err.str();
+    }
+    if (key.parent >= 0 && key.parent_gen == ParentGen(key.parent) &&
+        !keys_[static_cast<std::size_t>(key.parent)].keyed) {
+      err << "keyed page " << p << " names unkeyed page " << key.parent
+          << " as its parent";
+      return err.str();
+    }
+  }
+  if (static_cast<std::size_t>(keyed) != index_.size() ||
+      reclaimable != allocator_.reclaimable_pages()) {
+    err << index_.size() << " keys and " << allocator_.reclaimable_pages()
+        << " reclaimable pages for " << keyed << " keyed pages, "
+        << reclaimable << " of them unreferenced";
     return err.str();
   }
   for (const auto& [id, st] : seqs_) {
@@ -250,6 +411,12 @@ std::string PagedKvCache::AuditInvariants() const {
       auto end = static_cast<std::int64_t>(i + 1) * config_.page_size;
       if (allocator_.RefCount(st.pages[i]) > 1 && end > st.len) {
         err << "shared page " << st.pages[i] << " is partial in sequence "
+            << id << " (" << st.len << " tokens)";
+        return err.str();
+      }
+      if (keys_[static_cast<std::size_t>(st.pages[i])].keyed &&
+          end > st.len) {
+        err << "keyed page " << st.pages[i] << " is partial in sequence "
             << id << " (" << st.len << " tokens)";
         return err.str();
       }

@@ -12,11 +12,24 @@
 // Sharing (vLLM-style prefix reuse): ForkFrom creates a sequence whose first
 // n tokens alias another sequence's pages via reference counts — whole
 // shared pages are never copied. A shared page is never written; the
-// mutable Entry accessor asserts it. The serving engine forks only at page
-// boundaries, so every page it shares is full and its growth never copies.
-// A direct caller that forks mid-page (n not a multiple of P) gets
-// copy-on-write instead: the first Extend deep-copies the shared partial
-// boundary page before writing into it.
+// mutable Entry accessor asserts it. A direct caller that forks mid-page (n
+// not a multiple of P) gets copy-on-write: the first Extend deep-copies the
+// shared partial boundary page before writing into it.
+//
+// Prefix cache (vLLM's automatic prefix caching, Kwon et al., SOSP '23):
+// the serving engine keys every full page of its sequences, on the step
+// the page becomes full (KeyFullPages). A page's key is (parent page and
+// that page's generation, LoRA tag, the page's P token ids): a page's K/V
+// depend on every token before it and on the adapter, and the parent
+// stands for all earlier tokens. Keys are compared in full, never trusted
+// by hash, so a hit is bit-exact. MatchCachedPages walks a chain's keys
+// page by page; ForkCached retains the matched pages. A keyed page whose
+// last reference drops stays cached as a reclaimable page (PageAllocator
+// holds the reclaim order), and Alloc reclaims it only when it hands the
+// page out again: the key is dropped then and the page's generation moves
+// on, so keys recorded under the old generation — its cached descendants —
+// no longer match. Only full pages are ever keyed or matched, so every page
+// the engine shares is full and its growth never copies.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +70,22 @@ struct KvCacheConfig {
 };
 
 enum class KvSlot : int { kKey = 0, kValue = 1 };
+
+/// A token chain given as two consecutive spans — e.g. a prompt and the
+/// tokens generated after it — so callers need not concatenate them.
+struct TokenChain {
+  std::span<const std::int32_t> head;
+  std::span<const std::int32_t> tail;
+
+  std::int64_t size() const {
+    return static_cast<std::int64_t>(head.size() + tail.size());
+  }
+  std::int32_t operator[](std::int64_t i) const {
+    auto n = static_cast<std::int64_t>(head.size());
+    return i < n ? head[static_cast<std::size_t>(i)]
+                 : tail[static_cast<std::size_t>(i - n)];
+  }
+};
 
 /// One contiguous strip of K or V entries: `len` consecutive token
 /// positions starting at `first_pos`, whose entries sit token_entry_elems()
@@ -124,23 +153,58 @@ class PagedKvCache {
   /// write into it deep-copies (copy-on-write).
   SeqId ForkFrom(SeqId src, std::int64_t n_tokens);
 
-  /// Grows the sequence by `tokens` slots, allocating pages on demand.
-  /// Only after a mid-page ForkFrom is the partial tail page shared; then
-  /// it is deep-copied first (CoW) so the growth can be written. Returns
-  /// false (and rolls back) when the pool cannot cover the growth — the
-  /// KvCache-pressure signal that triggers prefix-cache eviction and then
-  /// migration.
+  /// Grows the sequence by `tokens` slots, allocating pages on demand and
+  /// reclaiming cached pages in PageAllocator's order. Only after a
+  /// mid-page ForkFrom is the partial tail page shared; then it is
+  /// deep-copied first (CoW) so the growth can be written. Returns false
+  /// (and changes nothing) when free plus reclaimable pages cannot cover
+  /// the growth — the KvCache-pressure signal that triggers migration.
   bool Extend(SeqId seq, std::int64_t tokens);
 
   /// Releases all page references of a sequence and forgets it. Pages still
-  /// aliased by other sequences stay allocated.
+  /// aliased by other sequences stay allocated; keyed pages stay cached.
+  /// The tail is released first, so it is reclaimed before the pages its
+  /// key depends on.
   void FreeSequence(SeqId seq);
+
+  // --- Prefix cache ---
+
+  /// Keys each full page of `seq` not keyed yet: `chain` holds the
+  /// sequence's tokens (at least SeqLen of them) and `tag` its LoRA id. A
+  /// page whose key another page already holds — the same chain computed
+  /// twice by concurrent misses — stays unkeyed, and so does every later
+  /// page of `seq`, since their keys would name it as parent.
+  void KeyFullPages(SeqId seq, std::int32_t tag, TokenChain chain);
+  /// The cached pages spelling `chain`'s first tokens under `tag`, in
+  /// chain order, at most `max_pages` of them: page i holds tokens
+  /// [i·P, (i+1)·P). Pure query.
+  std::vector<PageId> MatchCachedPages(std::int32_t tag, TokenChain chain,
+                                       std::int32_t max_pages) const;
+  /// Creates a sequence over `pages` (a MatchCachedPages result, with no
+  /// keys changed since): each page is retained — a reclaimable one is
+  /// revived — and recorded as having served a hit. The sequence holds
+  /// pages.size()·P tokens.
+  SeqId ForkCached(std::span<const PageId> pages);
 
   bool Contains(SeqId seq) const;
   std::int64_t SeqLen(SeqId seq) const;
   std::int32_t SeqPages(SeqId seq) const;
+  /// Pages holding neither references nor cached contents.
   std::int32_t free_pages() const { return allocator_.free_pages(); }
+  /// Cached pages nothing references: reusable by a hit, or reclaimed by
+  /// the next allocation that needs them.
+  std::int32_t reclaimable_pages() const {
+    return allocator_.reclaimable_pages();
+  }
+  /// Pages referenced or cached (capacity − free).
   std::int32_t used_pages() const { return allocator_.used_pages(); }
+  /// Keyed pages, referenced or reclaimable.
+  std::int32_t cached_pages() const {
+    return static_cast<std::int32_t>(index_.size());
+  }
+  /// Pages keyed, and keyed pages reclaimed, since construction.
+  std::int64_t pages_keyed() const { return pages_keyed_; }
+  std::int64_t pages_reclaimed() const { return pages_reclaimed_; }
   std::int32_t shared_pages() const { return allocator_.shared_pages(); }
   std::size_t num_sequences() const { return seqs_.size(); }
   /// Reference count of one of `seq`'s pages (sharing introspection).
@@ -161,18 +225,32 @@ class PagedKvCache {
   /// The page table (for tests / introspection).
   std::span<const PageId> PageTable(SeqId seq) const;
 
-  /// Checks the page-sharing invariants and returns the first violation
-  /// ("" when all hold): each sequence holds exactly PagesNeeded(len)
-  /// pages; each page's refcount equals its references from live page
-  /// tables; the free list holds exactly the pages with refcount 0; and a
+  /// Checks the page-sharing and key invariants and returns the first
+  /// violation ("" when all hold): each sequence holds exactly
+  /// PagesNeeded(len) pages; each page's refcount equals its references
+  /// from live page tables; every refcount-0 page is on exactly one of the
+  /// free list or a reclaim list, and only free-list pages lack a key; a
   /// page held by two or more sequences is full in each of them (whole-page
-  /// sharing — a mid-page ForkFrom breaks it until its CoW copy). O(pages).
+  /// sharing — a mid-page ForkFrom breaks it until its CoW copy); each
+  /// keyed page is found by its own key and is full wherever it is held;
+  /// and the parent of a reachable keyed page (one whose key names its
+  /// parent's current generation) is keyed. O(pages).
   std::string AuditInvariants() const;
 
  private:
   struct SeqState {
     std::vector<PageId> pages;
     std::int64_t len = 0;
+    std::int32_t keyed = 0;   ///< leading pages KeyFullPages has handled
+    bool unkeyable = false;   ///< a page lost its key to a duplicate
+  };
+
+  /// A keyed page's identity; the P token ids sit in key_tokens_.
+  struct PageKey {
+    bool keyed = false;
+    PageId parent = -1;  ///< -1: the first page of a chain
+    std::uint64_t parent_gen = 0;
+    std::int32_t tag = 0;
   };
 
   /// The page pool's backing store: `elems` zeroed f16 values. Linux and
@@ -204,6 +282,21 @@ class PagedKvCache {
                           KvSlot slot) const;
   const SeqState& GetSeq(SeqId seq) const;
   SeqState& GetSeq(SeqId seq);
+  /// The index_ hash of the key (parent, parent_gen, tag, `chain`'s page
+  /// i), and of the key `page` recorded.
+  std::uint64_t KeyHash(PageId parent, std::uint64_t parent_gen,
+                        std::int32_t tag, TokenChain chain,
+                        std::int64_t i) const;
+  std::uint64_t RecordedKeyHash(PageId page) const;
+  /// `parent`'s current generation (0 for a chain's first page).
+  std::uint64_t ParentGen(PageId parent) const;
+  std::span<const std::int32_t> KeyTokens(PageId page) const;
+  /// Whether `page`'s key is (parent at its current generation, tag,
+  /// chain's page i).
+  bool KeyMatches(PageId page, PageId parent, std::int32_t tag,
+                  TokenChain chain, std::int64_t i) const;
+  /// Allocates one page; a reclaimed page loses its key.
+  PageId AllocPage();
 
   friend class KvRunCursor;  ///< reads SeqState + storage once at setup
 
@@ -212,6 +305,15 @@ class PagedKvCache {
   PoolStorage storage_;  ///< num_pages · page_elems, committed lazily
   std::unordered_map<SeqId, SeqState> seqs_;
   SeqId next_seq_ = 0;
+  std::vector<PageKey> keys_;                ///< per page
+  std::vector<std::int32_t> key_tokens_;     ///< per page, P token ids
+  std::vector<std::uint64_t> generation_;    ///< per page, bumped on reclaim
+  /// Key hash → keyed page. Two keys with one hash never coexist: the
+  /// second page stays unkeyed, which costs a cache entry, never a wrong
+  /// hit, because every match compares the full key.
+  std::unordered_map<std::uint64_t, PageId> index_;
+  std::int64_t pages_keyed_ = 0;
+  std::int64_t pages_reclaimed_ = 0;
 };
 
 }  // namespace punica

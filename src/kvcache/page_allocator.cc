@@ -5,42 +5,80 @@
 namespace punica {
 
 PageAllocator::PageAllocator(std::int32_t num_pages)
-    : capacity_(num_pages), ref_counts_(static_cast<std::size_t>(num_pages)) {
+    : capacity_(num_pages), pages_(static_cast<std::size_t>(num_pages)) {
   PUNICA_CHECK(num_pages >= 0);
-  free_list_.reserve(static_cast<std::size_t>(num_pages));
-  // Push in reverse so pages are handed out in ascending order, which makes
-  // tests and traces easier to read.
-  for (PageId p = num_pages - 1; p >= 0; --p) {
-    free_list_.push_back(p);
-  }
 }
 
 std::optional<PageId> PageAllocator::Alloc() {
-  if (free_list_.empty()) return std::nullopt;
-  PageId p = free_list_.back();
-  free_list_.pop_back();
-  ref_counts_[static_cast<std::size_t>(p)] = 1;
+  PageId p = -1;
+  if (!free_list_.empty()) {
+    p = free_list_.back();
+    free_list_.pop_back();
+  } else if (!never_hit_.empty()) {
+    p = never_hit_.begin()->second;
+    never_hit_.erase(never_hit_.begin());
+  } else if (next_untouched_ < capacity_) {
+    p = next_untouched_++;
+  } else if (!hit_.empty()) {
+    p = hit_.begin()->second;
+    hit_.erase(hit_.begin());
+  } else {
+    return std::nullopt;
+  }
+  State(p) = PageState{.refs = 1};
   return p;
 }
 
 void PageAllocator::Retain(PageId page) {
-  PUNICA_CHECK_MSG(page >= 0 && page < capacity_, "foreign page");
-  std::int32_t& rc = ref_counts_[static_cast<std::size_t>(page)];
-  PUNICA_CHECK_MSG(rc > 0, "over-retain: page is free");
-  if (++rc == 2) ++shared_pages_;
+  PageState& s = State(page);
+  if (s.refs == 0) {
+    PUNICA_CHECK_MSG(s.cached, "over-retain: page is free");
+    ReclaimList(s).erase(s.released);
+  }
+  if (++s.refs == 2) ++shared_pages_;
 }
 
 void PageAllocator::Release(PageId page) {
-  PUNICA_CHECK_MSG(page >= 0 && page < capacity_, "foreign page");
-  std::int32_t& rc = ref_counts_[static_cast<std::size_t>(page)];
-  PUNICA_CHECK_MSG(rc > 0, "double free");
-  if (rc-- == 2) --shared_pages_;
-  if (rc == 0) free_list_.push_back(page);
+  PageState& s = State(page);
+  PUNICA_CHECK_MSG(s.refs > 0, "double free");
+  if (s.refs-- == 2) --shared_pages_;
+  if (s.refs > 0) return;
+  if (s.cached) {
+    s.released = clock_++;
+    ReclaimList(s).emplace(s.released, page);
+  } else {
+    free_list_.push_back(page);
+  }
 }
 
-std::int32_t PageAllocator::RefCount(PageId page) const {
-  PUNICA_CHECK(page >= 0 && page < capacity_);
-  return ref_counts_[static_cast<std::size_t>(page)];
+void PageAllocator::MarkCached(PageId page) {
+  PageState& s = State(page);
+  PUNICA_CHECK_MSG(s.refs > 0, "caching a free page");
+  s.cached = true;
+}
+
+void PageAllocator::MarkHit(PageId page) {
+  PageState& s = State(page);
+  PUNICA_CHECK_MSG(s.cached && s.refs > 0, "hit on an uncached page");
+  s.hit = true;
+}
+
+std::vector<PageId> PageAllocator::AllocationOrder() const {
+  std::vector<PageId> order(free_list_.rbegin(), free_list_.rend());
+  for (const auto& [stamp, p] : never_hit_) order.push_back(p);
+  for (PageId p = next_untouched_; p < capacity_; ++p) order.push_back(p);
+  for (const auto& [stamp, p] : hit_) order.push_back(p);
+  return order;
+}
+
+const PageAllocator::PageState& PageAllocator::State(PageId page) const {
+  PUNICA_CHECK_MSG(page >= 0 && page < capacity_, "foreign page");
+  return pages_[static_cast<std::size_t>(page)];
+}
+
+PageAllocator::PageState& PageAllocator::State(PageId page) {
+  PUNICA_CHECK_MSG(page >= 0 && page < capacity_, "foreign page");
+  return pages_[static_cast<std::size_t>(page)];
 }
 
 }  // namespace punica

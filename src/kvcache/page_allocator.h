@@ -1,19 +1,33 @@
 // Fixed-pool, reference-counted page allocator for the paged KvCache
-// (paper §5.4, extended with vLLM-style page sharing).
+// (paper §5.4, extended with vLLM-style page sharing and automatic prefix
+// caching).
 //
-// Alloc hands out a page with refcount 1; Retain/Release adjust the count
-// and a page returns to the free list when its count reaches zero. Sharing
-// a prompt prefix across sequences is then a Retain per aliased page —
-// redundant prefill compute becomes page-table pointer copies. Releasing a
-// free page ("double free"), retaining a free page ("over-retain") and
-// touching foreign pages are programming errors and abort. The pool size is
-// fixed at construction — KvCache memory is a reserved slice of GPU memory,
-// never grown.
+// Alloc hands out a page with refcount 1; Retain/Release adjust the count.
+// Sharing a prompt prefix across sequences is a Retain per aliased page —
+// redundant prefill compute becomes page-table pointer copies. A page the
+// KvCache has marked cached (it holds keyed, reusable K/V) does not return
+// to the free list when its count reaches zero: it becomes reclaimable,
+// and a Retain revives it until Alloc reclaims it for new contents.
+//
+// The pool is committed on first write (PagedKvCache's PoolStorage), so
+// the order Alloc hands pages out in is also the resident-memory policy:
+//   1. a free page that has been touched before (most recently freed first);
+//   2. the least recently released cached page that never served a hit;
+//   3. a never-touched page (ascending ids);
+//   4. the least recently released cached page that served a hit.
+// A workload whose cached pages never hit then touches no more pages than
+// its live peak, and hit pages (a tenant's system prompt) are reclaimed
+// only once every other page is in use.
+//
+// Releasing a page with no references ("double free"), retaining a free
+// page ("over-retain") and touching foreign pages are programming errors
+// and abort. The pool size is fixed at construction — KvCache memory is a
+// reserved slice of GPU memory, never grown.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
-#include <span>
 #include <vector>
 
 namespace punica {
@@ -24,33 +38,75 @@ class PageAllocator {
  public:
   explicit PageAllocator(std::int32_t num_pages);
 
-  /// Returns nullopt when the pool is exhausted (KvCache pressure — the
-  /// caller evicts cached prefixes and/or triggers request migration, §5.3).
-  /// A fresh page starts with refcount 1.
+  /// A page with refcount 1 in the order above, or nullopt when no page is
+  /// free or reclaimable (KvCache pressure — the caller triggers request
+  /// migration, §5.3). A reclaimed page comes back uncached.
   std::optional<PageId> Alloc();
 
-  /// Adds one reference to an allocated page (prefix sharing).
+  /// Adds one reference (prefix sharing). A reclaimable cached page is
+  /// revived: it leaves its reclaim list.
   void Retain(PageId page);
 
-  /// Drops one reference; the page returns to the free list at zero.
+  /// Drops one reference. At zero a cached page becomes reclaimable; any
+  /// other page returns to the free list.
   void Release(PageId page);
 
+  /// Marks an allocated page as cached, so its last Release keeps it
+  /// reclaimable instead of freeing it. Alloc clears the mark.
+  void MarkCached(PageId page);
+  /// Records that a cached page served a prefix hit, which moves it to the
+  /// reclaim list Alloc takes from last.
+  void MarkHit(PageId page);
+
   std::int32_t capacity() const { return capacity_; }
+  /// Pages holding no references and no cached contents.
   std::int32_t free_pages() const {
-    return static_cast<std::int32_t>(free_list_.size());
+    return static_cast<std::int32_t>(free_list_.size()) + capacity_ -
+           next_untouched_;
   }
+  /// Cached pages holding no references.
+  std::int32_t reclaimable_pages() const {
+    return static_cast<std::int32_t>(never_hit_.size() + hit_.size());
+  }
+  /// Pages Alloc can hand out: free + reclaimable.
+  std::int32_t available_pages() const {
+    return free_pages() + reclaimable_pages();
+  }
+  /// Pages referenced or cached: capacity − free.
   std::int32_t used_pages() const { return capacity_ - free_pages(); }
   /// Pages with more than one reference (the sharing gauge).
   std::int32_t shared_pages() const { return shared_pages_; }
   bool IsAllocated(PageId page) const { return RefCount(page) > 0; }
-  std::int32_t RefCount(PageId page) const;
-  /// The free pages, next-to-hand-out last (invariant audits).
-  std::span<const PageId> free_list() const { return free_list_; }
+  bool IsCached(PageId page) const { return State(page).cached; }
+  std::int32_t RefCount(PageId page) const { return State(page).refs; }
+
+  /// Every page Alloc could hand out, in the order it would (invariant
+  /// audits and tests). O(pages).
+  std::vector<PageId> AllocationOrder() const;
 
  private:
+  struct PageState {
+    std::int32_t refs = 0;
+    bool cached = false;
+    bool hit = false;
+    std::uint64_t released = 0;  ///< reclaim-list key while reclaimable
+  };
+  const PageState& State(PageId page) const;
+  PageState& State(PageId page);
+  /// The reclaim list a cached page sits on at refcount 0.
+  std::map<std::uint64_t, PageId>& ReclaimList(const PageState& s) {
+    return s.hit ? hit_ : never_hit_;
+  }
+
   std::int32_t capacity_;
-  std::vector<PageId> free_list_;
-  std::vector<std::int32_t> ref_counts_;
+  std::vector<PageState> pages_;
+  std::vector<PageId> free_list_;  ///< touched free pages, next out last
+  PageId next_untouched_ = 0;      ///< [next_untouched_, capacity_) untouched
+  /// Reclaimable cached pages by release order (a logical clock, so runs
+  /// replay bit-identically), least recent first.
+  std::map<std::uint64_t, PageId> never_hit_;
+  std::map<std::uint64_t, PageId> hit_;
+  std::uint64_t clock_ = 0;
   std::int32_t shared_pages_ = 0;
 };
 

@@ -3,48 +3,16 @@
 #include <algorithm>
 #include <sstream>
 #include <tuple>
-#include <unordered_map>
 
 #include "util/check.h"
 
 namespace punica {
-namespace {
-
-/// The re-prefill chain of a request: prompt followed by the generated
-/// tokens that must be recomputed (migration resume).
-std::vector<std::int32_t> Chain(std::span<const std::int32_t> prompt,
-                                std::span<const std::int32_t> generated,
-                                std::int64_t resume) {
-  std::vector<std::int32_t> chain(prompt.begin(), prompt.end());
-  chain.insert(chain.end(), generated.begin(),
-               generated.begin() + static_cast<std::ptrdiff_t>(resume));
-  return chain;
-}
-
-/// Prefix-index key: the LoRA id leads the token string, because cached
-/// K/V bits depend on the adapter (the K/V projections carry per-request
-/// LoRA addons) — two tenants sharing literal prompt text share nothing in
-/// the cache. Every key carries the tag, so position 0 only ever compares
-/// tags against tags.
-std::vector<std::int32_t> IndexKey(LoraId lora,
-                                   std::span<const std::int32_t> chain) {
-  std::vector<std::int32_t> key;
-  key.reserve(chain.size() + 1);
-  key.push_back(static_cast<std::int32_t>(lora));
-  key.insert(key.end(), chain.begin(), chain.end());
-  return key;
-}
-
-}  // namespace
-
 Engine::Engine(LlamaModel* model, const KvCacheConfig& kv_config,
                EngineConfig config)
     : model_(model), kv_(kv_config), config_(config) {
   PUNICA_CHECK(model_ != nullptr);
   PUNICA_CHECK(config_.max_batch_size > 0);
   PUNICA_CHECK(config_.prefill_limit >= 1);
-  PUNICA_CHECK(config_.min_prefix_tokens >= 1);
-  PUNICA_CHECK(config_.max_cached_prefixes >= 0);
 }
 
 std::int32_t Engine::ResolveEos(std::int32_t spec_eos) const {
@@ -59,8 +27,8 @@ std::int64_t Engine::Admit(Slot slot, std::vector<std::int32_t> generated) {
   // Admission-failure audit: every check precedes KvCache mutation, so a
   // failed admission can never leak a sequence or page references. The
   // prefix-cache lookup happens at prefill time (not here): a tenant-mate
-  // admitted in the same wave may register the prefix before this slot's
-  // prefill runs, and a fork taken now could go stale under eviction.
+  // admitted in the same wave may key the prefix before this slot's
+  // prefill runs.
   PUNICA_CHECK_MSG(CanAdmit(), "working set full; queue at the caller");
   PUNICA_CHECK(!slot.prompt.empty());
   slot.seq = kv_.CreateSequence();
@@ -95,72 +63,11 @@ RequestHandle Engine::AddMigrated(const RequestSnapshot& snapshot) {
   slot.max_new_tokens = snapshot.max_new_tokens;
   slot.eos_token = snapshot.eos_token;
   slot.resume_from = static_cast<std::int32_t>(snapshot.generated.size());
-  // Admit's index lookup covers prompt + generated, so a surviving prefix
-  // (registered when this request was evicted here, or by a sibling with
-  // the same system prompt) shrinks the rebuild instead of recomputing the
+  // The first chunk's lookup covers prompt + generated, so surviving
+  // cached pages (keyed while this request ran here, or by a sibling with
+  // the same system prompt) shrink the rebuild instead of recomputing the
   // whole history.
   return RequestHandle(Admit(std::move(slot), snapshot.generated));
-}
-
-SeqId Engine::ForkWholePages(SeqId src, std::int64_t n_tokens) {
-  PUNICA_CHECK_MSG(n_tokens % kv_.config().page_size == 0,
-                   "engine fork boundary is not page-aligned");
-  return kv_.ForkFrom(src, n_tokens);
-}
-
-void Engine::RegisterPrefix(const Slot& slot,
-                            std::span<const std::int32_t> chain,
-                            std::int64_t n_tokens) {
-  if (!config_.enable_prefix_cache) return;
-  // Whole pages only: the holder then shares no partial tail page, so the
-  // request keeps writing its own tail and never copies it.
-  // (min_prefix_tokens ≥ 1, so an empty prefix is skipped too.)
-  n_tokens -= n_tokens % kv_.config().page_size;
-  if (n_tokens < config_.min_prefix_tokens ||
-      config_.max_cached_prefixes == 0) {
-    return;
-  }
-  std::vector<std::int32_t> key = IndexKey(
-      slot.lora, chain.subspan(0, static_cast<std::size_t>(n_tokens)));
-  if (std::optional<std::int64_t> existing = prefix_.FindExact(key)) {
-    // Already cached — the hot steady-state path. Touch and stop before
-    // any fork (no Retain/Release churn over the prompt's pages) and
-    // before any cap eviction (re-registration must not thrash unrelated
-    // entries).
-    prefix_.Touch(*existing);
-    return;
-  }
-  SeqId holder = ForkWholePages(slot.seq, n_tokens);
-  PrefixIndex::InsertResult r = prefix_.Insert(key, holder);
-  PUNICA_CHECK(r.inserted);
-  ++cache_stats_.insertions;
-  // Respect the entry cap (LRU yields; the just-inserted entry carries
-  // the freshest stamp, so it is only ever evicted when everything older
-  // is pinned).
-  while (static_cast<std::int32_t>(prefix_.size()) >
-         config_.max_cached_prefixes) {
-    if (!EvictOneCachedPrefix()) break;
-  }
-}
-
-bool Engine::EvictOneCachedPrefix() {
-  std::optional<std::int64_t> victim = prefix_.LruVictim();
-  if (!victim.has_value()) return false;
-  kv_.FreeSequence(prefix_.Erase(*victim));
-  ++cache_stats_.evictions;
-  return true;
-}
-
-bool Engine::TryExtendOrReclaim(SeqId seq, std::int64_t tokens) {
-  while (!kv_.Extend(seq, tokens)) {
-    if (!EvictOneCachedPrefix()) return false;
-  }
-  return true;
-}
-
-void Engine::ExtendOrReclaim(SeqId seq, std::int64_t tokens) {
-  PUNICA_CHECK_MSG(TryExtendOrReclaim(seq, tokens),
-                   "KvCache exhausted; migrate requests first");
 }
 
 std::optional<RequestSnapshot> Engine::Cancel(std::int64_t id) {
@@ -176,19 +83,8 @@ std::optional<RequestSnapshot> Engine::Cancel(std::int64_t id) {
   snap.generated_len = static_cast<std::int32_t>(snap.generated.size());
   snap.max_new_tokens = slot.max_new_tokens;
   snap.eos_token = slot.eos_token;
-  // The evict half of migration: register the computed chain prefix before
-  // releasing it, so a re-admission (AddMigrated, consolidation bounce-back)
-  // rebuilds from the surviving prefix instead of re-prefilling everything.
-  // Chunk-granular: a mid-prefill slot registers the whole pages its chunks
-  // (plus any forked prefix) have written so far — the partial chain a
-  // chunked prefill leaves behind is just as rebuildable as a whole one.
-  // Never-stepped slots hold nothing.
-  if (kv_.SeqLen(slot.seq) > 0) {
-    std::vector<std::int32_t> chain =
-        Chain(slot.prompt, snap.generated,
-              static_cast<std::int64_t>(snap.generated.size()));
-    RegisterPrefix(slot, chain, kv_.SeqLen(slot.seq));
-  }
+  // The evict half of migration. The chain's full pages are keyed already,
+  // so they stay cached for a rebuild here until allocation reclaims them.
   kv_.FreeSequence(slot.seq);
   active_.erase(it);
   return snap;
@@ -214,7 +110,8 @@ std::vector<PlanSlot> Engine::PlanSlots() const {
 
 StepPlan Engine::Plan(std::span<const PlanSlot> slots,
                       std::span<const std::int64_t> exclude,
-                      std::map<std::int64_t, ChainMatch>& hits) const {
+                      std::map<std::int64_t, std::vector<PageId>>& hits)
+    const {
   return PlanStep(
       slots, exclude, config_.prefill_limit, config_.max_step_tokens,
       [&](std::int64_t id) {
@@ -225,9 +122,9 @@ StepPlan Engine::Plan(std::span<const PlanSlot> slots,
                      slot.resume_from};
         p.first_chunk = p.start == 0;
         if (p.first_chunk) {
-          // The fork the first chunk will take. Pure query; the index
-          // cannot change between this plan and the fork inside the same
-          // Step, so Step reuses the match verbatim.
+          // The fork the first chunk will take. Pure query; no key changes
+          // between this plan and the fork inside the same Step, so Step
+          // reuses the match verbatim.
           auto [it, fresh] = hits.try_emplace(id);
           if (fresh) {
             it->second = LookupChain(
@@ -235,7 +132,7 @@ StepPlan Engine::Plan(std::span<const PlanSlot> slots,
                 std::span(outputs_.at(id))
                     .first(static_cast<std::size_t>(slot.resume_from)));
           }
-          p.start = it->second.usable;
+          p.start = HitTokens(it->second);
         }
         return p;
       });
@@ -245,7 +142,7 @@ std::int32_t Engine::NewPagesFor(std::int64_t target_len,
                                  std::int64_t held) const {
   // The one growth formula admission (CanAdmitPages,
   // PagesNeededForAdmission), the victim projection (PagesDemanded) and
-  // Step's fork+ExtendOrReclaim agree on. Exact because every page an
+  // Step's fork+Extend agree on. Exact because every page an
   // engine sequence shares is full, so growth never copies a page.
   return kv_.config().PagesNeeded(target_len) -
          kv_.config().PagesNeeded(held);
@@ -265,60 +162,34 @@ std::int32_t Engine::PagesDemanded(const StepPlan& plan) const {
   return pages;
 }
 
-std::int32_t Engine::ReclaimableCachePages(
-    std::span<const std::int64_t> keep) const {
-  // A page returns to the pool when every reference is dropped; evicting
-  // all unpinned entries frees exactly the pages whose references all come
-  // from those entries. Entries in `keep` are treated as staying cached —
-  // admission and the victim query pass the hits they price, so a hit's
-  // own entry never doubles as evictable headroom.
-  std::unordered_map<PageId, std::int32_t> entry_refs;
-  for (const auto& [id, seq] : prefix_.EvictableEntries()) {
-    if (std::find(keep.begin(), keep.end(), id) != keep.end()) continue;
-    for (PageId p : kv_.PageTable(seq)) ++entry_refs[p];
-  }
-  std::int32_t reclaimable = 0;
-  for (const auto& [page, refs] : entry_refs) {
-    if (kv_.PageRefCount(page) == refs) ++reclaimable;
-  }
-  return reclaimable;
+std::int32_t Engine::ReclaimableAmong(std::vector<PageId> pages) const {
+  std::sort(pages.begin(), pages.end());
+  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+  return static_cast<std::int32_t>(
+      std::count_if(pages.begin(), pages.end(),
+                    [&](PageId p) { return kv_.PageRefCount(p) == 0; }));
 }
 
 std::int32_t Engine::AvailablePages() const {
-  return kv_.free_pages() + ReclaimableCachePages();
+  return kv_.free_pages() + kv_.reclaimable_pages();
 }
 
-Engine::ChainMatch Engine::LookupChain(
+std::vector<PageId> Engine::LookupChain(
     LoraId lora, std::span<const std::int32_t> prompt,
     std::span<const std::int32_t> generated) const {
-  ChainMatch cm;
-  if (!config_.enable_prefix_cache) return cm;
-  auto chain_len = static_cast<std::int64_t>(prompt.size()) +
-                   static_cast<std::int64_t>(generated.size());
-  if (chain_len == 0) return cm;
-  // One flat key: LoRA tag + prompt + generated, no intermediate chain
-  // copy — this runs per backend per routing decision.
-  std::vector<std::int32_t> key;
-  key.reserve(static_cast<std::size_t>(chain_len) + 1);
-  key.push_back(static_cast<std::int32_t>(lora));
-  key.insert(key.end(), prompt.begin(), prompt.end());
-  key.insert(key.end(), generated.begin(), generated.end());
-  PrefixIndex::Match m = prefix_.Lookup(key);
-  // Keep one token to prefill for the logits, then round down to a page
-  // boundary: a fork shares whole pages only.
-  std::int64_t usable = std::min(m.matched_tokens - 1, chain_len - 1);
-  usable -= usable % kv_.config().page_size;
-  if (usable < config_.min_prefix_tokens) return cm;
-  cm.entry = m.entry;
-  cm.seq = m.seq;
-  cm.usable = usable;
-  return cm;
+  if (!config_.enable_prefix_cache) return {};
+  TokenChain chain{prompt, generated};
+  if (chain.size() == 0) return {};
+  // Keep one token to prefill for the logits; a fork shares whole pages.
+  return kv_.MatchCachedPages(
+      static_cast<std::int32_t>(lora), chain,
+      static_cast<std::int32_t>((chain.size() - 1) / kv_.config().page_size));
 }
 
 std::int64_t Engine::PrefixHitTokens(
     LoraId lora, std::span<const std::int32_t> prompt,
     std::span<const std::int32_t> generated) const {
-  return LookupChain(lora, prompt, generated).usable;
+  return HitTokens(LookupChain(lora, prompt, generated));
 }
 
 std::int32_t Engine::PagesNeededForAdmission(
@@ -328,7 +199,7 @@ std::int32_t Engine::PagesNeededForAdmission(
                    static_cast<std::int64_t>(generated.size());
   // Re-prefill chain plus one decode slot, net of the aliased prefix.
   return NewPagesFor(chain_len + 1,
-                     LookupChain(lora, prompt, generated).usable);
+                     HitTokens(LookupChain(lora, prompt, generated)));
 }
 
 bool Engine::CanAdmitPages(LoraId lora,
@@ -336,21 +207,21 @@ bool Engine::CanAdmitPages(LoraId lora,
                            std::span<const std::int32_t> generated) const {
   auto chain_len = static_cast<std::int64_t>(prompt.size()) +
                    static_cast<std::int64_t>(generated.size());
-  ChainMatch cm = LookupChain(lora, prompt, generated);
-  std::int32_t pages = NewPagesFor(chain_len + 1, cm.usable);
-  // The hit nets out the aliased pages on the assumption that its entry
-  // stays cached — so that same entry must not be counted as reclaimable
-  // headroom (double-counting admits infeasible requests, which then
-  // bounce through the migration path forever).
-  return pages <= kv_.free_pages() +
-                      ReclaimableCachePages(std::span(&cm.entry, 1));
+  std::vector<PageId> hit = LookupChain(lora, prompt, generated);
+  std::int32_t pages = NewPagesFor(chain_len + 1, HitTokens(hit));
+  // The hit nets out the aliased pages, and its fork revives those that
+  // are reclaimable — so they must not also count as headroom
+  // (double-counting admits infeasible requests, which then bounce through
+  // the migration path forever).
+  return pages <= AvailablePages() - ReclaimableAmong(std::move(hit));
 }
 
 PrefixCacheStats Engine::prefix_cache_stats() const {
   PrefixCacheStats s = cache_stats_;
-  s.cached_entries = static_cast<std::int64_t>(prefix_.size());
-  // Every index key leads with its LoRA tag, which is not a cached token.
-  s.cached_tokens = prefix_.cached_tokens() - s.cached_entries;
+  s.insertions = kv_.pages_keyed();
+  s.evictions = kv_.pages_reclaimed();
+  s.cached_entries = kv_.cached_pages();
+  s.cached_tokens = s.cached_entries * kv_.config().page_size;
   s.pages_in_use = kv_.used_pages();
   s.shared_pages = kv_.shared_pages();
   s.free_pages = kv_.free_pages();
@@ -360,15 +231,14 @@ PrefixCacheStats Engine::prefix_cache_stats() const {
 std::vector<std::int64_t> Engine::SelectEvictionVictims() const {
   // Page-granular accounting for the shared victim loop: a plan demands
   // its chunks' pages (only the next chunk — prefill is NOT atomic) plus
-  // each decode's growth. Pages reclaimable from the prefix cache count as
-  // headroom — Step evicts cached prefixes on demand before any request
-  // must migrate — except the entries the plan's first chunks fork: Step
-  // pins those, so their pages cannot be reclaimed that step. A cancel
-  // frees the victim's exclusively held pages; shared pages stay with
-  // their other holders (at worst becoming cache-reclaimable, which this
-  // projection conservatively ignores).
+  // each decode's growth. Free and reclaimable pages are the headroom,
+  // less the reclaimable pages the plan's first chunks fork: Step forks
+  // them before any extend, so they cannot be reclaimed that step. A
+  // cancel frees the victim's exclusively held pages (they become free or
+  // reclaimable) unless a first chunk forks them; shared pages stay with
+  // their other holders.
   std::vector<PlanSlot> slots = PlanSlots();
-  std::map<std::int64_t, ChainMatch> hits;
+  std::map<std::int64_t, std::vector<PageId>> hits;
   return SelectVictims(
       slots, EvictPolicy::kNewest,
       [&](std::span<const std::int64_t> exclude) {
@@ -376,19 +246,25 @@ std::vector<std::int64_t> Engine::SelectEvictionVictims() const {
       },
       [&](const StepPlan& plan) { return PagesDemanded(plan); },
       [&](const StepPlan& plan) {
-        std::vector<std::int64_t> forked;
+        std::vector<PageId> forked;
         for (const PlannedPrefill& p : plan.prefills) {
           if (p.first_chunk && p.chunk > 0) {
-            forked.push_back(hits.at(p.id).entry);
+            const std::vector<PageId>& hit = hits.at(p.id);
+            forked.insert(forked.end(), hit.begin(), hit.end());
           }
         }
-        return kv_.free_pages() + ReclaimableCachePages(forked);
+        return AvailablePages() - ReclaimableAmong(std::move(forked));
       },
       [&](std::int64_t id) {
-        SeqId seq = active_.at(id).seq;
+        auto forked = [&](PageId page) {
+          return std::any_of(hits.begin(), hits.end(), [&](const auto& h) {
+            return std::find(h.second.begin(), h.second.end(), page) !=
+                   h.second.end();
+          });
+        };
         std::int32_t pages = 0;
-        for (std::int32_t i = 0; i < kv_.SeqPages(seq); ++i) {
-          if (kv_.PageRefCount(seq, i) == 1) ++pages;
+        for (PageId page : kv_.PageTable(active_.at(id).seq)) {
+          if (kv_.PageRefCount(page) == 1 && !forked(page)) ++pages;
         }
         return pages;
       });
@@ -401,7 +277,7 @@ StepResult Engine::Step() {
   // The one step plan SelectEvictionVictims projects page demand for:
   // up to prefill_limit prefills (FCFS), chunked by max_step_tokens, plus
   // all decodes. Budget-deferred prefills (chunk 0) sit this step out.
-  std::map<std::int64_t, ChainMatch> hits;
+  std::map<std::int64_t, std::vector<PageId>> hits;
   StepPlan plan = Plan(PlanSlots(), {}, hits);
   struct PrefillWork {
     Slot* slot = nullptr;
@@ -444,38 +320,28 @@ StepResult Engine::Step() {
   }
 
   // Resolve every first-chunk prefill's cache hit and take its fork BEFORE
-  // any ExtendOrReclaim runs: forking is refcount-only (never allocates),
-  // and once a slot holds its aliased pages, reclaim-eviction of the
-  // source entry cannot change the slot's page demand — so the demand
+  // any Extend runs: forking is refcount-only (never allocates) and
+  // revives reclaimable pages, so no allocation in this step can reclaim a
+  // page a later prefill was projected to hit — the demand
   // SelectEvictionVictims projected stays exactly the demand this step
-  // realizes. (Resolving lazily instead would let an earlier prefill's
-  // reclaim evict an entry a later prefill was projected to hit, aborting
-  // in a state the victim query declared safe.) Hits resolve at prefill
-  // time, not admission: a tenant-mate admitted in the same wave has
-  // registered its prompt by now. Later chunks resume the fork taken here.
-  std::vector<std::int64_t> pinned_entries;
+  // realizes. Hits resolve at prefill time, not admission: a tenant-mate
+  // admitted in the same wave has keyed its prompt by now. Later chunks
+  // resume the fork taken here.
   for (PrefillWork& pw : prefills) {
     if (!pw.planned.first_chunk || !config_.enable_prefix_cache) continue;
     Slot* slot = pw.slot;
     ++cache_stats_.lookups;
-    // The match resolved at plan time IS the fork taken — nothing touched
-    // the index between the plan and here.
-    const ChainMatch& cm = hits.at(pw.planned.id);
-    if (cm.entry >= 0) {
+    // The match resolved at plan time IS the fork taken — no key changed
+    // between the plan and here.
+    const std::vector<PageId>& hit = hits.at(pw.planned.id);
+    if (!hit.empty()) {
       kv_.FreeSequence(slot->seq);
-      slot->seq = ForkWholePages(cm.seq, cm.usable);
-      slot->prefix_cached = cm.usable;
-      prefix_.Touch(cm.entry);
-      // Pin the source for the rest of this step: page refcounts already
-      // keep the forked K/V alive, but pinning stops ExtendOrReclaim in
-      // this same batch from evicting an entry that is demonstrably hot.
-      prefix_.Pin(cm.entry);
-      pinned_entries.push_back(cm.entry);
+      slot->seq = kv_.ForkCached(hit);
       ++cache_stats_.hits;
-      cache_stats_.hit_tokens += cm.usable;
+      cache_stats_.hit_tokens += HitTokens(hit);
       // Credit the skip at the fork, where it is realized — a first chunk
       // deferred by pool drift after forking still reported its hit.
-      result.prefix_hit_tokens += static_cast<int>(cm.usable);
+      result.prefix_hit_tokens += static_cast<int>(HitTokens(hit));
     }
   }
 
@@ -492,14 +358,13 @@ StepResult Engine::Step() {
     PUNICA_CHECK(kv_.SeqLen(slot->seq) == pw.planned.start);
     PUNICA_CHECK(pw.planned.chunk >= 1);
     // Graceful degradation when the world drifted between the victim
-    // projection and this step: cancelling a victim REGISTERS its chain,
-    // and a planned prefill hitting that fresh entry redistributes the
-    // budget to later prefills — demanding pages the projection never
-    // counted. Chunk boundaries never change bits, so shrink the chunk to
-    // what the pool actually holds (halving keeps the probe logarithmic)
-    // and defer the prefill entirely when not even one token fits.
+    // projection and this step (a caller that stepped without asking, or
+    // changed the working set in between). Chunk boundaries never change
+    // bits, so shrink the chunk to what the pool actually holds (halving
+    // keeps the probe logarithmic) and defer the prefill entirely when not
+    // even one token fits.
     std::int64_t chunk = pw.planned.chunk;
-    while (chunk > 0 && !TryExtendOrReclaim(slot->seq, chunk)) {
+    while (chunk > 0 && !kv_.Extend(slot->seq, chunk)) {
       chunk /= 2;
     }
     if (chunk == 0) continue;  // deferred; decodes still run
@@ -528,10 +393,11 @@ StepResult Engine::Step() {
   }
   for (auto& [id, slot] : decodes) {
     std::int64_t pos = kv_.SeqLen(slot->seq);
-    // A decode must run — if its one token cannot fit even with an empty
-    // cache, the engine is genuinely over-committed and the caller failed
-    // to migrate first.
-    ExtendOrReclaim(slot->seq, 1);
+    // A decode must run — if its one token cannot fit even with every
+    // cached page reclaimed, the engine is genuinely over-committed and the
+    // caller failed to migrate first.
+    PUNICA_CHECK_MSG(kv_.Extend(slot->seq, 1),
+                     "KvCache exhausted; migrate requests first");
     entries.push_back({.seq = slot->seq,
                        .lora = slot->lora,
                        .num_tokens = 1,
@@ -549,6 +415,17 @@ StepResult Engine::Step() {
 
   std::vector<std::int32_t> next = model_->ForwardGreedy(batch, token_ids,
                                                          kv_);
+  // Key the pages this step filled, before any finished sequence is freed:
+  // their K/V is written now, and the chain tokens are prompt + the
+  // outputs emitted before this step.
+  if (config_.enable_prefix_cache) {
+    auto key = [&](std::int64_t id, const Slot& slot) {
+      kv_.KeyFullPages(slot.seq, static_cast<std::int32_t>(slot.lora),
+                       {slot.prompt, outputs_.at(id)});
+    };
+    for (const PrefillWork& pw : ran_prefills) key(pw.planned.id, *pw.slot);
+    for (const auto& [id, slot] : decodes) key(id, *slot);
+  }
 
   // Apply results in entry order: prefill chunks first, then decodes. A
   // non-final chunk consumes its (zeroed) logits row and emits nothing —
@@ -560,18 +437,7 @@ StepResult Engine::Step() {
     out.push_back(token);
     result.emitted.push_back({id, token});
     ++result.new_tokens;
-    if (was_prefill) {
-      slot->needs_prefill = false;
-      // A prefill that missed makes its prompt's whole pages discoverable
-      // for the next tenant-mate (a refcount alias, no copy). A hit already
-      // found its trunk cached; its suffix is private, so registering it
-      // would only pin pages no later request can hit. GpuRunner applies
-      // the same rule.
-      if (slot->prefix_cached == 0) {
-        RegisterPrefix(*slot, slot->prompt,
-                       static_cast<std::int64_t>(slot->prompt.size()));
-      }
-    }
+    if (was_prefill) slot->needs_prefill = false;
     if (IsDone(*slot, out)) {
       kv_.FreeSequence(slot->seq);
       result.finished.push_back(id);
@@ -589,7 +455,6 @@ StepResult Engine::Step() {
     }
   }
   for (auto& [id, slot] : decodes) apply(id, slot, false);
-  for (std::int64_t entry : pinned_entries) prefix_.Unpin(entry);
   for (const auto& [id, slot] : active_) {
     if (!slot.needs_prefill) continue;
     result.deferred_prefill_tokens +=
@@ -603,21 +468,6 @@ std::string Engine::AuditInvariants() const {
   std::string kv_err = kv_.AuditInvariants();
   if (!kv_err.empty()) return kv_err;
   std::ostringstream err;
-  prefix_.ForEachEntry([&](std::int64_t entry, SeqId seq,
-                           std::int64_t key_len) {
-    // The key leads with the LoRA tag; the holder covers the rest.
-    if (err.tellp() > 0) return;
-    if (!kv_.Contains(seq)) {
-      err << "prefix entry " << entry << " holds freed sequence " << seq;
-    } else if (kv_.SeqLen(seq) != key_len - 1) {
-      err << "prefix entry " << entry << " caches " << key_len - 1
-          << " tokens on a " << kv_.SeqLen(seq) << "-token holder";
-    } else if (kv_.SeqLen(seq) % kv_.config().page_size != 0) {
-      err << "prefix entry " << entry << " caches " << key_len - 1
-          << " tokens, not whole pages";
-    }
-  });
-  if (err.tellp() > 0) return err.str();
   for (const auto& [id, slot] : active_) {
     if (!kv_.Contains(slot.seq)) {
       err << "request " << id << " holds freed sequence " << slot.seq;
@@ -642,9 +492,9 @@ std::string Engine::AuditInvariants() const {
       return err.str();
     }
   }
-  if (kv_.num_sequences() != active_.size() + prefix_.size()) {
+  if (kv_.num_sequences() != active_.size()) {
     err << kv_.num_sequences() << " live sequences for " << active_.size()
-        << " requests and " << prefix_.size() << " cached prefixes";
+        << " requests";
     return err.str();
   }
   return "";

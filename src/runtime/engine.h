@@ -16,27 +16,24 @@
 // with the simulated tier). A chunk attends over all previously written KV
 // via the BatchPrefillAttention pos_offset path; non-final chunks skip the
 // LM head and emit nothing. Page demand, victim projection and mid-prefill
-// cancellation are all chunk-granular: a partially-prefilled chain is
-// registered in the prefix index on Cancel, so migration rebuilds from it.
+// cancellation are all chunk-granular.
 //
-// Shared-prefix KV cache: admissions consult a PrefixIndex over token ids;
-// on a hit the request's sequence forks from the cached holder (ref-counted
-// page aliasing, kvcache/kvcache.h) and Step prefills only the uncached
-// suffix. A prefill that missed registers the prompt; a hit registers
-// nothing, since its trunk is already cached and its suffix is private
-// (GpuRunner follows the same rule). Cancel (the migration evict) always
-// registers prompt+generated, so a re-admitted request rebuilds from any
-// surviving prefix instead of recomputing from token zero. Sharing is in
-// whole pages of P = KvCacheConfig::page_size tokens: registration caches
-// the first floor(n/P)·P tokens of an n-token chain, and a hit is rounded
-// down to a page boundary. So every page the index or a fork shares is
-// full, no request ever writes into a shared page, and the engine never
-// copies a page on write; an exact repeat of a prompt recomputes up to P−1
-// more tokens than a token-granular cache would.
-// Under page pressure, cached prefixes are evicted LRU before the engine
-// reports migration victims. Because cached K/V bits are exactly what a
-// cold prefill would write (one writer per element, fixed reduction
-// order), a prefix-hit stream is bit-identical to the cold-start stream.
+// Shared-prefix KV cache (kvcache/kvcache.h): after every step the engine
+// keys each page its requests filled — prefill chunk or decode — by
+// (parent page, LoRA id, the page's P token ids). A request's first prefill
+// chunk walks its chain's keys page by page and forks the matched pages by
+// refcount (no K/V copied), so Step prefills only the uncached suffix. A
+// finished or cancelled request's keyed pages stay cached as reclaimable
+// pages, so a migrated request re-admitted here rebuilds from whatever
+// pages survive; allocation reclaims them in PageAllocator's order, and
+// free + reclaimable pages are the admission and victim-query headroom.
+// Sharing is in whole pages of P = KvCacheConfig::page_size tokens, and a
+// hit always leaves one token to prefill for the logits: so no request
+// ever writes into a shared page, and an exact repeat of a prompt
+// recomputes up to P−1 more tokens than a token-granular cache would.
+// Because cached K/V bits are exactly what a cold prefill would write (one
+// writer per element, fixed reduction order), a prefix-hit stream is
+// bit-identical to the cold-start stream.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +44,6 @@
 #include <vector>
 
 #include "kvcache/kvcache.h"
-#include "kvcache/prefix_index.h"
 #include "model/llama.h"
 #include "runtime/backend.h"
 #include "runtime/step_planner.h"
@@ -73,12 +69,8 @@ struct EngineConfig {
   /// migration path asserts this so a request never changes its stopping
   /// condition by moving between engines.
   std::int32_t eos_token = -1;
-  /// Shared-prefix KV cache (on by default; a cold index is a no-op).
+  /// Shared-prefix KV cache (on by default; a cold cache is a no-op).
   bool enable_prefix_cache = true;
-  /// Smallest prefix worth caching or reusing, in tokens.
-  std::int32_t min_prefix_tokens = 1;
-  /// Entry cap; LRU beyond it. Page pressure evicts earlier regardless.
-  std::int32_t max_cached_prefixes = 64;
 };
 
 class Engine {
@@ -100,7 +92,7 @@ class Engine {
 
   /// Cancels a request and returns its snapshot (empty when unknown).
   /// Releases the KvCache immediately (the evict half of migration) —
-  /// though its prefix may stay cached for a cheap rebuild.
+  /// though its full pages stay cached for a cheap rebuild.
   std::optional<RequestSnapshot> Cancel(std::int64_t id);
   std::optional<RequestSnapshot> Cancel(RequestHandle h) {
     return Cancel(h.id());
@@ -121,8 +113,8 @@ class Engine {
 
   /// KvCache-pressure victim query (§5.3): engine-local ids (newest first)
   /// that must be cancelled before the next step's page demand fits.
-  /// Pages reclaimable by evicting cached prefixes count as headroom — the
-  /// cache yields before requests migrate.
+  /// Reclaimable cached pages count as headroom — the cache yields before
+  /// requests migrate.
   std::vector<std::int64_t> SelectEvictionVictims() const;
 
   /// Tokens generated so far (valid for finished and cancelled requests
@@ -154,22 +146,20 @@ class Engine {
       LoraId lora, std::span<const std::int32_t> prompt,
       std::span<const std::int32_t> generated) const;
   /// Page-feasibility of an admission: PagesNeededForAdmission against
-  /// free + reclaimable headroom, with the hit's own entry excluded from
-  /// the reclaimable side (it must stay cached for the hit to be real).
+  /// free + reclaimable headroom, less the hit's own reclaimable pages
+  /// (its fork revives them, so they cannot also be reclaimed).
   bool CanAdmitPages(LoraId lora, std::span<const std::int32_t> prompt,
                      std::span<const std::int32_t> generated) const;
-  /// free pages + pages that evicting every unpinned cached prefix would
-  /// return to the pool.
+  /// Free pages + reclaimable cached pages.
   std::int32_t AvailablePages() const;
   /// Counters plus point-in-time gauges.
   PrefixCacheStats prefix_cache_stats() const;
 
-  /// Checks the KvCache's page invariants (PagedKvCache::AuditInvariants),
-  /// then the engine's own, and returns the first violation ("" when all
-  /// hold): every prefix-index holder is a live sequence whose length is
-  /// its key's token count, a whole number of pages; every active
-  /// request's KV length matches its progress; and no sequence outlives
-  /// both the requests and the index. O(pages + requests + entries).
+  /// Checks the KvCache's page and key invariants
+  /// (PagedKvCache::AuditInvariants), then the engine's own, and returns
+  /// the first violation ("" when all hold): every active request's KV
+  /// length matches its progress, and no sequence outlives its request.
+  /// O(pages + requests).
   std::string AuditInvariants() const;
 
   const EngineConfig& config() const { return config_; }
@@ -200,21 +190,22 @@ class Engine {
     SeqId seq = -1;
     bool needs_prefill = true;
     std::int32_t resume_from = 0;  ///< generated tokens to re-prefill
-    std::int64_t prefix_cached = 0;  ///< chain tokens served by the cache
-                                     ///< (resolved at the first chunk;
-                                     ///< 0 = missed, so it registers)
   };
 
-  struct ChainMatch {
-    std::int64_t entry = -1;  ///< -1 = no usable cached prefix
-    SeqId seq = -1;           ///< the entry's holder sequence
-    std::int64_t usable = 0;  ///< chain tokens a fork would reuse
-  };
-  /// Index lookup for a (LoRA, prompt+generated) chain, with the
-  /// keep-one-token-for-logits cap, the round-down to a page boundary and
-  /// the min_prefix_tokens gate applied.
-  ChainMatch LookupChain(LoraId lora, std::span<const std::int32_t> prompt,
-                         std::span<const std::int32_t> generated) const;
+  /// The cached pages a (LoRA, prompt+generated) chain's first chunk would
+  /// fork: whole pages only, leaving at least one token to prefill for the
+  /// logits.
+  std::vector<PageId> LookupChain(LoraId lora,
+                                  std::span<const std::int32_t> prompt,
+                                  std::span<const std::int32_t> generated)
+      const;
+  /// Chain tokens a fork of `pages` reuses.
+  std::int64_t HitTokens(std::span<const PageId> pages) const {
+    return static_cast<std::int64_t>(pages.size()) * kv_.config().page_size;
+  }
+  /// The distinct pages among `pages` that are reclaimable now — headroom
+  /// a fork of them takes back.
+  std::int32_t ReclaimableAmong(std::vector<PageId> pages) const;
 
   std::int64_t Admit(Slot slot, std::vector<std::int32_t> generated);
   bool IsDone(const Slot& slot, const std::vector<std::int32_t>& out) const;
@@ -222,50 +213,27 @@ class Engine {
   /// The working set as the step planner sees it.
   std::vector<PlanSlot> PlanSlots() const;
   /// The step everyone projects (runtime/step_planner.h) with the slots in
-  /// `exclude` treated as evicted. `hits` memoizes each first chunk's index
-  /// match by slot id: the victim loop replans while the index cannot
-  /// change, so each O(chain) trie walk runs once, and Step takes exactly
-  /// the fork its plan priced.
+  /// `exclude` treated as evicted. `hits` memoizes each first chunk's
+  /// matched pages by slot id: the victim loop replans while the keys
+  /// cannot change, so each O(chain) walk runs once, and Step takes
+  /// exactly the fork its plan priced.
   StepPlan Plan(std::span<const PlanSlot> slots,
                 std::span<const std::int64_t> exclude,
-                std::map<std::int64_t, ChainMatch>& hits) const;
+                std::map<std::int64_t, std::vector<PageId>>& hits) const;
   /// New pages a plan's step needs: each chunk's growth (from its fork
   /// point on a first chunk) plus each decode's token.
   std::int32_t PagesDemanded(const StepPlan& plan) const;
 
-  /// Extends `seq`, evicting LRU cached prefixes on page exhaustion.
-  /// Aborts when the pool is short even with an empty cache — the caller
-  /// should have migrated requests first.
-  void ExtendOrReclaim(SeqId seq, std::int64_t tokens);
-  /// Non-fatal variant: false when the pool cannot cover the growth even
-  /// after evicting every unpinned cached prefix. Prefill chunks use it to
-  /// shrink/defer gracefully when the world drifted between the victim
-  /// projection and this step (see Step).
-  bool TryExtendOrReclaim(SeqId seq, std::int64_t tokens);
-  bool EvictOneCachedPrefix();
-  /// kv_.ForkFrom, checked to share whole pages only.
-  SeqId ForkWholePages(SeqId src, std::int64_t n_tokens);
-  /// Registers the whole pages among the first `n_tokens` of `slot.seq`'s
-  /// chain in the index (nothing when that is under one page). Called for
-  /// a prefill that missed and for every Cancel.
-  void RegisterPrefix(const Slot& slot, std::span<const std::int32_t> chain,
-                      std::int64_t n_tokens);
   /// Pages a chain grown to `target_len` tokens needs beyond the pages of
   /// its first `held` tokens (already written, or a page-aligned aliased
   /// prefix) — the one formula admission, the victim query and Step price
   /// with.
   std::int32_t NewPagesFor(std::int64_t target_len, std::int64_t held) const;
-  /// Pages evicting every unpinned cached prefix would return to the pool;
-  /// the entries in `keep` are treated as staying cached (a hit's own
-  /// entry, which its fork will alias).
-  std::int32_t ReclaimableCachePages(
-      std::span<const std::int64_t> keep = {}) const;
 
   LlamaModel* model_;
   PagedKvCache kv_;
   EngineConfig config_;
-  PrefixIndex prefix_;
-  PrefixCacheStats cache_stats_;  ///< counters; gauges filled on snapshot
+  PrefixCacheStats cache_stats_;  ///< lookup and token counters
   std::map<std::int64_t, Slot> active_;
   std::map<std::int64_t, std::vector<std::int32_t>> outputs_;
   std::int64_t next_id_ = 0;

@@ -18,10 +18,9 @@ int EngineBackend::max_batch_size() const {
 bool EngineBackend::CanAdmit(const ServingRequest& req) const {
   if (!engine_->CanAdmit()) return false;
   // Page-granular headroom for the re-prefill chunk plus one decode slot,
-  // net of any cached prefix the admission would alias; pages reclaimable
-  // by evicting cached prefixes count as headroom (the engine reclaims
-  // them on demand inside Step), except the hit's own entry — it must
-  // stay cached for the hit to be real.
+  // net of any cached pages the admission would alias; reclaimable cached
+  // pages count as headroom (allocation reclaims them inside Step), except
+  // the hit's own — its fork revives them.
   return engine_->CanAdmitPages(req.lora_id, req.prompt_tokens,
                                 req.generated_tokens);
 }

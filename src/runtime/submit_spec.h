@@ -34,7 +34,7 @@ struct SubmitSpec {
   /// Shared-prefix annotation for the simulated tier: the first
   /// `shared_prefix_len` prompt tokens are a per-tenant system prompt
   /// identified by `prefix_group` (e.g. the LoRA/tenant id). The numeric
-  /// tier ignores these — its prefix index matches real token ids.
+  /// tier ignores these — its page keys match real token ids.
   std::int32_t shared_prefix_len = 0;
   std::int64_t prefix_group = -1;  ///< -1 = no shared prefix
 

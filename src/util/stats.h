@@ -96,15 +96,35 @@ class LatencyRecorder {
 /// Shared-prefix KV-cache observability: counters accumulated by a serving
 /// backend (numeric Engine or simulated GpuRunner) plus point-in-time
 /// gauges filled when the snapshot is taken. One struct on both tiers so
-/// benches and examples print identical reports.
+/// benches and examples print identical reports; the tiers cache in
+/// different units, so some fields mean different things:
+///
+///   field           Engine (page-keyed cache)      GpuRunner (simulated)
+///   lookups         first prefill chunks that      first prefill chunks of
+///                   consulted the cache            prefix-group requests
+///   hits            those that forked ≥ 1 page     those with a cached entry
+///   hit_tokens      tokens forked (whole pages)    tokens served (token-
+///                                                  granular)
+///   prefill_tokens  prefill tokens computed        prefill tokens computed
+///   insertions      pages keyed                    prefix-group entries
+///                                                  registered
+///   evictions       keyed pages reclaimed by       entries evicted (LRU)
+///                   allocation
+///   cached_entries  keyed pages (referenced or     prefix-group entries
+///                   reclaimable)
+///   cached_tokens   cached_entries · page_size     tokens in the entries
+///   pages_in_use    pages referenced or cached     KV tokens in use
+///   shared_pages    pages with refcount ≥ 2        cached tokens
+///   free_pages      pages neither referenced nor   free KV tokens
+///                   cached (reclaimable excluded)
 struct PrefixCacheStats {
   // Counters.
-  std::int64_t lookups = 0;     ///< admissions that consulted the index
-  std::int64_t hits = 0;        ///< admissions with a usable cached prefix
-  std::int64_t hit_tokens = 0;  ///< prefill tokens skipped via cache hits
-  std::int64_t prefill_tokens = 0;  ///< prefill tokens actually computed
-  std::int64_t insertions = 0;  ///< prefixes registered
-  std::int64_t evictions = 0;   ///< entries dropped (LRU, page pressure)
+  std::int64_t lookups = 0;
+  std::int64_t hits = 0;
+  std::int64_t hit_tokens = 0;
+  std::int64_t prefill_tokens = 0;
+  std::int64_t insertions = 0;
+  std::int64_t evictions = 0;
   // Gauges (state at snapshot time).
   std::int64_t cached_entries = 0;
   std::int64_t cached_tokens = 0;

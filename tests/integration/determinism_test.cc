@@ -52,8 +52,8 @@ const std::vector<Req>& Scenario() {
   return reqs;
 }
 
-/// An EngineBackend that audits its engine's invariants (KvCache pages,
-/// prefix index, per-request KV progress) after every Step and Cancel.
+/// An EngineBackend that audits its engine's invariants (KvCache pages and
+/// page keys, per-request KV progress) after every Step and Cancel.
 class AuditedBackend : public EngineBackend {
  public:
   using EngineBackend::EngineBackend;

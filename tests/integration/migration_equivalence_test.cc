@@ -159,8 +159,8 @@ TEST(MigrationTest, SourceKvReleasedOnCancel) {
   std::optional<RequestSnapshot> snap = e.Cancel(id);
   ASSERT_TRUE(snap.has_value());
   // The evict half of migration releases the request's references; the
-  // computed chain stays registered as a cached prefix (so a bounce-back
-  // rebuild is cheap), but every held page must remain reclaimable.
+  // computed chain's full pages stay cached (so a bounce-back rebuild is
+  // cheap), but every held page must remain reclaimable.
   EXPECT_EQ(e.AvailablePages(), before);
   EXPECT_EQ(e.AuditInvariants(), "");
   // The rebuild chain (prompt + 5 generated) hits all 12 cached tokens.

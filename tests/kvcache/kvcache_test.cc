@@ -303,6 +303,147 @@ TEST(KvCacheForkTest, FreeOrderIndependence) {
   EXPECT_EQ(kv.free_pages(), 8);
 }
 
+// --- Prefix cache: page keys ---
+
+/// A sequence of `tokens.size()` tokens (whole pages) keyed under `tag`.
+SeqId KeyedSequence(PagedKvCache& kv, std::int32_t tag,
+                    const std::vector<std::int32_t>& tokens) {
+  SeqId s = kv.CreateSequence();
+  EXPECT_TRUE(kv.Extend(s, static_cast<std::int64_t>(tokens.size())));
+  kv.KeyFullPages(s, tag, {tokens, {}});
+  return s;
+}
+
+std::vector<std::int32_t> Concat(std::vector<std::int32_t> a,
+                                 const std::vector<std::int32_t>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+const std::vector<std::int32_t> kPageX = {1, 2, 3, 4};
+const std::vector<std::int32_t> kPageY = {5, 6, 7, 8};
+const std::vector<std::int32_t> kPageZ = {9, 9, 9, 9};
+
+TEST(KvCacheKeyTest, LookupWalksKeyedPagesAndForksByRetaining) {
+  PagedKvCache kv(SmallConfig());
+  SeqId s = KeyedSequence(kv, 0, Concat(kPageX, kPageY));
+  EXPECT_EQ(kv.cached_pages(), 2);
+  EXPECT_EQ(kv.MatchCachedPages(0, {Concat(kPageX, kPageY), {}}, 8),
+            (std::vector<PageId>{0, 1}));
+  // The chain may be split anywhere; max_pages caps the match.
+  const std::vector<std::int32_t> head = {1, 2, 3};
+  const std::vector<std::int32_t> tail = {4, 5, 6, 7, 8, 0};
+  EXPECT_EQ(kv.MatchCachedPages(0, {head, tail}, 8),
+            (std::vector<PageId>{0, 1}));
+  EXPECT_EQ(kv.MatchCachedPages(0, {Concat(kPageX, kPageY), {}}, 1),
+            (std::vector<PageId>{0}));
+  // A mismatch in the second page stops the walk after the first.
+  EXPECT_EQ(kv.MatchCachedPages(0, {Concat(kPageX, kPageZ), {}}, 8),
+            (std::vector<PageId>{0}));
+  // The same tokens under another LoRA tag match nothing.
+  EXPECT_TRUE(
+      kv.MatchCachedPages(1, {Concat(kPageX, kPageY), {}}, 8).empty());
+  SeqId fork = kv.ForkCached(std::vector<PageId>{0, 1});
+  EXPECT_EQ(kv.SeqLen(fork), 8);
+  EXPECT_EQ(kv.PageRefCount(0), 2);
+  EXPECT_EQ(kv.AuditInvariants(), "");
+  kv.FreeSequence(s);
+  kv.FreeSequence(fork);
+  EXPECT_EQ(kv.AuditInvariants(), "");
+}
+
+TEST(KvCacheKeyTest, LookupRevivesReclaimablePages) {
+  PagedKvCache kv(SmallConfig());
+  kv.FreeSequence(KeyedSequence(kv, 0, Concat(kPageX, kPageY)));
+  // Both keyed pages stay cached with no references.
+  EXPECT_EQ(kv.PageRefCount(0), 0);
+  EXPECT_EQ(kv.reclaimable_pages(), 2);
+  EXPECT_EQ(kv.free_pages(), 6);
+  std::vector<PageId> hit =
+      kv.MatchCachedPages(0, {Concat(kPageX, kPageY), {}}, 8);
+  ASSERT_EQ(hit, (std::vector<PageId>{0, 1}));
+  SeqId fork = kv.ForkCached(hit);
+  EXPECT_EQ(kv.PageRefCount(0), 1);
+  EXPECT_EQ(kv.PageRefCount(1), 1);
+  EXPECT_EQ(kv.reclaimable_pages(), 0);  // off the reclaim list
+  EXPECT_EQ(kv.AuditInvariants(), "");
+  // Filling the pool hands out the 6 free pages, never the forked ones.
+  SeqId rest = kv.CreateSequence();
+  EXPECT_TRUE(kv.Extend(rest, 6 * 4));
+  EXPECT_FALSE(kv.Extend(rest, 1));
+  EXPECT_EQ(kv.pages_reclaimed(), 0);
+  EXPECT_EQ(kv.AuditInvariants(), "");
+  kv.FreeSequence(fork);
+  kv.FreeSequence(rest);
+  EXPECT_EQ(kv.AuditInvariants(), "");
+}
+
+TEST(KvCacheKeyTest, FreedChainIsReclaimedTailFirst) {
+  // A page's key depends on the pages before it, so reclaiming the tail
+  // first keeps the longest still-matchable prefix cached.
+  PagedKvCache kv(SmallConfig(/*pages=*/2));
+  kv.FreeSequence(KeyedSequence(kv, 0, Concat(kPageX, kPageY)));
+  SeqId other = KeyedSequence(kv, 0, kPageZ);
+  EXPECT_EQ(kv.PageTable(other)[0], 1);  // Y's page
+  EXPECT_EQ(kv.MatchCachedPages(0, {Concat(kPageX, kPageY), {}}, 2),
+            (std::vector<PageId>{0}));
+  EXPECT_EQ(kv.AuditInvariants(), "");
+  kv.FreeSequence(other);
+}
+
+TEST(KvCacheKeyTest, ConcurrentMissLeavesSecondCopyAndItsTailUnkeyed) {
+  PagedKvCache kv(SmallConfig());
+  const std::vector<std::int32_t> chain =
+      Concat(Concat(kPageX, kPageY), kPageZ);
+  SeqId first = kv.CreateSequence();
+  SeqId second = kv.CreateSequence();
+  ASSERT_TRUE(kv.Extend(first, 8));   // pages 0, 1
+  ASSERT_TRUE(kv.Extend(second, 8));  // pages 2, 3
+  kv.KeyFullPages(first, 0, {chain, {}});
+  kv.KeyFullPages(second, 0, {chain, {}});
+  EXPECT_EQ(kv.cached_pages(), 2);
+  EXPECT_EQ(kv.pages_keyed(), 2);
+  // The second copy's later pages stay unkeyed too, though their own keys
+  // (naming page 2 as parent) would be new.
+  ASSERT_TRUE(kv.Extend(second, 4));  // page 4
+  kv.KeyFullPages(second, 0, {chain, {}});
+  EXPECT_EQ(kv.cached_pages(), 2);
+  EXPECT_EQ(kv.MatchCachedPages(0, {chain, {}}, 8),
+            (std::vector<PageId>{0, 1}));
+  EXPECT_EQ(kv.AuditInvariants(), "");
+  // Unkeyed pages go back to the free list.
+  kv.FreeSequence(second);
+  EXPECT_EQ(kv.free_pages(), 6);
+  EXPECT_EQ(kv.reclaimable_pages(), 0);
+  kv.FreeSequence(first);
+  EXPECT_EQ(kv.reclaimable_pages(), 2);
+  EXPECT_EQ(kv.AuditInvariants(), "");
+}
+
+TEST(KvCacheKeyTest, ReclaimingAPageInvalidatesItsKeyedDescendants) {
+  PagedKvCache kv(SmallConfig(/*pages=*/2));
+  SeqId xy = KeyedSequence(kv, 0, Concat(kPageX, kPageY));  // X 0, Y 1
+  // Hold Y alone through a one-page fork, so it serves a hit and is
+  // reclaimed after X.
+  SeqId y = kv.ForkCached(std::vector<PageId>{1});
+  kv.FreeSequence(xy);
+  kv.FreeSequence(y);
+  ASSERT_EQ(kv.reclaimable_pages(), 2);
+  // Reclaim X's page and key it as Z.
+  SeqId z = KeyedSequence(kv, 0, kPageZ);
+  ASSERT_EQ(kv.PageTable(z)[0], 0);
+  EXPECT_EQ(kv.pages_reclaimed(), 1);
+  // Y's key names page 0 as its parent, but under X's generation: Z ⧺ Y
+  // must match Z's page only.
+  EXPECT_EQ(kv.MatchCachedPages(0, {Concat(kPageZ, kPageY), {}}, 2),
+            (std::vector<PageId>{0}));
+  EXPECT_TRUE(
+      kv.MatchCachedPages(0, {Concat(kPageX, kPageY), {}}, 2).empty());
+  EXPECT_EQ(kv.AuditInvariants(), "");
+  kv.FreeSequence(z);
+  EXPECT_EQ(kv.AuditInvariants(), "");
+}
+
 #if defined(__linux__)
 /// Resident set size from /proc/self/statm, in bytes.
 std::size_t ResidentBytes() {

@@ -109,6 +109,43 @@ TEST(PageAllocatorTest, ExhaustionThenReleaseReuse) {
   EXPECT_EQ(*p, pages[0]);
 }
 
+TEST(PageAllocatorTest, CachedPageIsReclaimableAndRevivable) {
+  PageAllocator alloc(2);
+  auto p = alloc.Alloc();
+  ASSERT_TRUE(p.has_value());
+  alloc.MarkCached(*p);
+  alloc.Release(*p);
+  EXPECT_EQ(alloc.RefCount(*p), 0);
+  EXPECT_EQ(alloc.free_pages(), 1);
+  EXPECT_EQ(alloc.reclaimable_pages(), 1);
+  EXPECT_EQ(alloc.available_pages(), 2);
+  alloc.Retain(*p);  // revived: off the reclaim list
+  EXPECT_EQ(alloc.RefCount(*p), 1);
+  EXPECT_EQ(alloc.reclaimable_pages(), 0);
+  EXPECT_EQ(alloc.AllocationOrder(), (std::vector<PageId>{1}));
+}
+
+TEST(PageAllocatorTest, HandsOutTouchedThenNeverHitThenUntouchedThenHit) {
+  PageAllocator alloc(8);
+  for (PageId want = 0; want < 6; ++want) {
+    ASSERT_EQ(alloc.Alloc(), want);
+  }
+  for (PageId p : {1, 2, 3, 5}) alloc.MarkCached(p);
+  alloc.MarkHit(3);
+  alloc.MarkHit(5);
+  // Release order is the reclaim order within a list.
+  for (PageId p : {5, 2, 0, 3, 1, 4}) alloc.Release(p);
+  // Touched free pages (last freed first), never-hit cached pages (least
+  // recently released first), untouched pages, hit cached pages.
+  const std::vector<PageId> order = {4, 0, 2, 1, 6, 7, 5, 3};
+  EXPECT_EQ(alloc.AllocationOrder(), order);
+  for (PageId want : order) {
+    EXPECT_EQ(alloc.Alloc(), want);
+    EXPECT_FALSE(alloc.IsCached(want));  // a reclaimed page comes back bare
+  }
+  EXPECT_FALSE(alloc.Alloc().has_value());
+}
+
 TEST(PageAllocatorDeathTest, DoubleFreeAborts) {
   PageAllocator alloc(4);
   auto p = alloc.Alloc();
@@ -134,21 +171,26 @@ TEST(PageAllocatorDeathTest, ForeignPageAborts) {
   EXPECT_DEATH(alloc.Retain(99), "foreign page");
 }
 
-// Property test: random alloc/retain/release churn never double-allocates,
-// never leaks, and a page returns to the free list exactly when its last
-// reference drops.
+// Property test: random alloc/retain/release churn over plain and cached
+// pages never double-allocates, never leaks, hands pages out in
+// AllocationOrder, and a page becomes free or reclaimable exactly when its
+// last reference drops.
 TEST(PageAllocatorPropertyTest, RandomChurnInvariants) {
   Pcg32 rng(123);
   PageAllocator alloc(64);
   std::vector<PageId> live;  // one element per outstanding reference
   for (int step = 0; step < 20000; ++step) {
     double roll = rng.NextDouble();
-    if (live.empty() || (roll < 0.40 && alloc.free_pages() > 0)) {
+    if (live.empty() || (roll < 0.40 && alloc.available_pages() > 0)) {
+      std::vector<PageId> order = alloc.AllocationOrder();
       auto p = alloc.Alloc();
       if (p.has_value()) {
+        ASSERT_EQ(*p, order.front());
         // A fresh page must not have an outstanding reference.
         EXPECT_EQ(std::count(live.begin(), live.end(), *p), 0);
         live.push_back(*p);
+        // Some pages hold cached contents: reclaimable at refcount 0.
+        if (rng.NextDouble() < 0.3) alloc.MarkCached(*p);
       } else {
         EXPECT_EQ(alloc.used_pages(), 64);
       }
@@ -156,6 +198,7 @@ TEST(PageAllocatorPropertyTest, RandomChurnInvariants) {
       std::size_t idx = rng.NextBounded(
           static_cast<std::uint32_t>(live.size()));
       alloc.Retain(live[idx]);
+      if (alloc.IsCached(live[idx])) alloc.MarkHit(live[idx]);
       live.push_back(live[idx]);
     } else if (!live.empty()) {
       std::size_t idx = rng.NextBounded(
@@ -166,10 +209,11 @@ TEST(PageAllocatorPropertyTest, RandomChurnInvariants) {
     ASSERT_EQ(alloc.free_pages() + alloc.used_pages(), 64);
     if (step % 250 != 0) continue;
     // Full sweep (periodically — it is quadratic in outstanding refs):
-    // used == distinct live pages, refcounts match reference multiplicity,
-    // shared gauge == pages with multiplicity > 1.
+    // used − reclaimable == distinct live pages, refcounts match reference
+    // multiplicity, shared gauge == pages with multiplicity > 1.
     std::set<PageId> distinct(live.begin(), live.end());
-    ASSERT_EQ(alloc.used_pages(), static_cast<std::int32_t>(distinct.size()));
+    ASSERT_EQ(alloc.used_pages() - alloc.reclaimable_pages(),
+              static_cast<std::int32_t>(distinct.size()));
     std::int32_t shared = 0;
     for (PageId p : distinct) {
       auto refs = static_cast<std::int32_t>(
@@ -180,7 +224,7 @@ TEST(PageAllocatorPropertyTest, RandomChurnInvariants) {
     ASSERT_EQ(alloc.shared_pages(), shared);
   }
   for (PageId p : live) alloc.Release(p);
-  EXPECT_EQ(alloc.free_pages(), 64);
+  EXPECT_EQ(alloc.available_pages(), 64);
 }
 
 }  // namespace

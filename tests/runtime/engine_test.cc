@@ -25,8 +25,8 @@ class EngineTest : public ::testing::Test {
     return Engine(&model_, model_.MakeKvConfig(256, page_size), cfg);
   }
 
-  /// One Step, then the engine's invariant audit (KvCache pages, prefix
-  /// index, per-request KV progress).
+  /// One Step, then the engine's invariant audit (KvCache pages and page
+  /// keys, per-request KV progress).
   static StepResult StepAudited(Engine& e) {
     StepResult r = e.Step();
     EXPECT_EQ(e.AuditInvariants(), "");
@@ -331,14 +331,16 @@ TEST_F(EngineTest, SharedPromptSecondRequestPrefillsOnlySuffix) {
   EXPECT_EQ(s.lookups, 2);
   EXPECT_EQ(s.hits, 1);
   EXPECT_EQ(s.hit_tokens, 12);
-  EXPECT_EQ(s.insertions, 1);  // b hit, so it registered nothing
+  // a keyed its 3 full prompt pages; b forked them, and its own tail page
+  // never filled.
+  EXPECT_EQ(s.insertions, 3);
   EXPECT_GT(s.TokenSaveRate(), 0.4);
 }
 
-TEST_F(EngineTest, HitsRegisterNothingSoSuffixPagesAreFreedOnFinish) {
-  // Only a prefill that missed registers its prompt. Tenant-mates that hit
-  // the system prompt leave no private suffix pinned in the index, so the
-  // cache holds exactly the trunk after they finish.
+TEST_F(EngineTest, HitSuffixPagesStayCachedBesideTheTrunk) {
+  // Every full page is keyed, a hit's private suffix too: after the
+  // tenant-mates finish, the cache holds the trunk's 2 pages plus one
+  // full suffix page per mate, all reclaimable.
   const std::vector<std::int32_t> sys = {7, 8, 9, 10, 11, 12, 13, 14};
   auto mate = [&](std::int32_t first) {
     std::vector<std::int32_t> p = sys;
@@ -353,7 +355,7 @@ TEST_F(EngineTest, HitsRegisterNothingSoSuffixPagesAreFreedOnFinish) {
     cfg.enable_prefix_cache = enable;
     Engine e(&model_, model_.MakeKvConfig(256, /*page_size=*/4), cfg);
     e.AddRequest({.lora = 0, .prompt_tokens = sys, .max_new_tokens = 2});
-    DrainAudited(e);  // cold: registers the 8-token system prompt
+    DrainAudited(e);  // cold: keys the 8-token system prompt
     std::vector<RequestHandle> ids;
     for (const auto& p : mates) {
       ids.push_back(
@@ -372,11 +374,12 @@ TEST_F(EngineTest, HitsRegisterNothingSoSuffixPagesAreFreedOnFinish) {
       PrefixCacheStats s = e.prefix_cache_stats();
       EXPECT_EQ(s.hits, 3);
       EXPECT_EQ(s.hit_tokens, 24);
-      EXPECT_EQ(s.insertions, 1);
-      EXPECT_EQ(s.cached_entries, 1);
-      EXPECT_EQ(s.cached_tokens, 8);
+      EXPECT_EQ(s.insertions, 5);
+      EXPECT_EQ(s.cached_entries, 5);
+      EXPECT_EQ(s.cached_tokens, 20);
       EXPECT_EQ(s.evictions, 0);
-      EXPECT_EQ(s.pages_in_use, 2);  // the trunk's 2 pages, nothing else
+      EXPECT_EQ(s.pages_in_use, 5);  // cached pages, all reclaimable
+      EXPECT_EQ(e.AvailablePages(), 256);
       EXPECT_EQ(s.shared_pages, 0);
     }
     return outs;
@@ -384,10 +387,10 @@ TEST_F(EngineTest, HitsRegisterNothingSoSuffixPagesAreFreedOnFinish) {
   EXPECT_EQ(run(true), run(false));
 }
 
-TEST_F(EngineTest, CancelAfterHitStillRegistersChainForRebuild) {
-  // A hit registers nothing when its prefill completes, but its Cancel
-  // (the migration evict) registers prompt + generated, so the rebuild
-  // still skips every whole page it had computed.
+TEST_F(EngineTest, CancelAfterHitKeepsChainCachedForRebuild) {
+  // A hit's own pages are keyed as they fill, prefill and decode alike, so
+  // after its Cancel (the migration evict) the rebuild still skips every
+  // whole page it had computed.
   const std::vector<std::int32_t> sys = {7, 8, 9, 10, 11, 12, 13, 14};
   const std::vector<std::int32_t> prompt = {7,  8,  9,  10, 11, 12, 13,
                                             14, 60, 61, 62, 63, 64};
@@ -399,26 +402,27 @@ TEST_F(EngineTest, CancelAfterHitStillRegistersChainForRebuild) {
 
   Engine e = MakeEngine(4, 1, /*page_size=*/4);
   e.AddRequest({.lora = 0, .prompt_tokens = sys, .max_new_tokens = 1});
-  DrainAudited(e);  // cold: registers the system prompt
+  DrainAudited(e);  // cold: keys the system prompt
   RequestHandle id = e.AddRequest(
       {.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 10});
   StepResult r = StepAudited(e);  // hit prefill: 5 suffix tokens
   EXPECT_EQ(r.prefix_hit_tokens, 8);
   EXPECT_EQ(r.prefill_tokens, 5);
-  EXPECT_EQ(e.prefix_cache_stats().insertions, 1);
+  // The trunk's 2 pages, and the suffix page the prefill filled.
+  EXPECT_EQ(e.prefix_cache_stats().insertions, 3);
   for (int i = 0; i < 4; ++i) StepAudited(e);  // 4 decodes
   auto snap = e.Cancel(id);
   ASSERT_TRUE(snap.has_value());
   EXPECT_EQ(e.AuditInvariants(), "");
   ASSERT_EQ(snap->generated.size(), 5u);
   // The sequence held prompt (13) + 4 decoded positions = 17 tokens; the
-  // cancel registered their 4 whole pages.
+  // decode that filled the fourth page keyed it.
   PrefixCacheStats s = e.prefix_cache_stats();
-  EXPECT_EQ(s.insertions, 2);
-  EXPECT_EQ(s.cached_tokens, 8 + 16);
+  EXPECT_EQ(s.insertions, 4);
+  EXPECT_EQ(s.cached_tokens, 16);
 
-  // The 18-token rebuild chain hits all 16 registered tokens and
-  // prefills the other 2.
+  // The 18-token rebuild chain hits all 16 cached tokens and prefills the
+  // other 2.
   RequestHandle back = e.AddMigrated(*snap);
   r = StepAudited(e);
   EXPECT_EQ(r.prefix_hit_tokens, 16);
@@ -427,10 +431,10 @@ TEST_F(EngineTest, CancelAfterHitStillRegistersChainForRebuild) {
   EXPECT_EQ(*e.Output(back), expected);
 }
 
-TEST_F(EngineTest, RegistrationCachesWholePagesAndDecodeCopiesNothing) {
-  // One full page plus two tokens: the index caches the full page only, so
-  // the partial tail stays the request's own and its decode writes there
-  // without a copy-on-write page.
+TEST_F(EngineTest, KeyingCachesWholePagesAndDecodeCopiesNothing) {
+  // One full page plus two tokens: only the full page is keyed, so the
+  // partial tail stays the request's own and its decode writes there
+  // without a copy-on-write page. A keyed page holds no extra reference.
   Engine e = MakeEngine(4, 1, /*page_size=*/4);
   e.AddRequest({.lora = 0,
                 .prompt_tokens = {1, 2, 3, 4, 5, 6},
@@ -439,11 +443,11 @@ TEST_F(EngineTest, RegistrationCachesWholePagesAndDecodeCopiesNothing) {
   PrefixCacheStats s = e.prefix_cache_stats();
   EXPECT_EQ(s.cached_entries, 1);
   EXPECT_EQ(s.cached_tokens, 4);
-  EXPECT_EQ(s.shared_pages, 1);
+  EXPECT_EQ(s.shared_pages, 0);
   EXPECT_EQ(s.pages_in_use, 2);
   StepAudited(e);  // decode: token 7 fills the request's own tail page
   s = e.prefix_cache_stats();
-  EXPECT_EQ(s.shared_pages, 1);
+  EXPECT_EQ(s.shared_pages, 0);
   EXPECT_EQ(s.pages_in_use, 2);
 }
 
@@ -478,7 +482,7 @@ TEST_F(EngineTest, PrefixHitMidBatchMatchesColdEngine) {
   EXPECT_EQ(run(true), run(false));
 }
 
-TEST_F(EngineTest, CancelRegistersChainForCheapMigrationRebuild) {
+TEST_F(EngineTest, CancelKeepsChainCachedForCheapMigrationRebuild) {
   const std::vector<std::int32_t> prompt = {3, 1, 4, 1, 5, 9, 2, 6};
   // Uninterrupted reference.
   Engine ref = MakeEngine();
@@ -509,9 +513,9 @@ TEST_F(EngineTest, CancelRegistersChainForCheapMigrationRebuild) {
 }
 
 TEST_F(EngineTest, CacheYieldsUnderPagePressureInsteadOfAborting) {
-  // Pool sized so that cached prefixes must be evicted to run the second
-  // request — the engine reclaims LRU entries instead of aborting or
-  // naming migration victims.
+  // Pool sized so that cached pages must be reclaimed to run the second
+  // request — allocation reclaims them instead of aborting or naming
+  // migration victims.
   Engine e(&model_, model_.MakeKvConfig(/*num_pages=*/6, /*page_size=*/4),
            EngineConfig{.max_batch_size = 2});
   RequestHandle a = e.AddRequest({.lora = 0,
@@ -544,7 +548,7 @@ TEST_F(EngineTest, AdmissionFailurePathsLeakNothing) {
                                   .prompt_tokens = {1, 2, 3, 4, 5, 6},
                                   .max_new_tokens = 8});
   StepAudited(e);
-  // Admit a fork-path request (hits a's registered prompt), then cancel it
+  // Admit a fork-path request (hits a's keyed prompt page), then cancel it
   // before its prefill ever runs.
   RequestHandle b = e.AddRequest({.lora = 0,
                                   .prompt_tokens = {1, 2, 3, 4, 5, 6},
@@ -561,11 +565,11 @@ TEST_F(EngineTest, AdmissionFailurePathsLeakNothing) {
   EXPECT_EQ(e.AvailablePages(), before);
 }
 
-TEST_F(EngineTest, HitEntryNotDoubleCountedAsReclaimablePages) {
-  // Regression: CanAdmitPages must not count the hit's own entry as
-  // evictable headroom while simultaneously netting out its aliased
-  // pages — that admits infeasible requests which then livelock through
-  // the migration path.
+TEST_F(EngineTest, HitPagesNotDoubleCountedAsReclaimable) {
+  // Regression: CanAdmitPages must not count the hit's own pages as
+  // reclaimable headroom while simultaneously netting them out — that
+  // admits infeasible requests which then livelock through the migration
+  // path.
   Engine e(&model_, model_.MakeKvConfig(/*num_pages=*/3, /*page_size=*/4),
            EngineConfig{.max_batch_size = 2});
   const std::vector<std::int32_t> prompt = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -577,35 +581,47 @@ TEST_F(EngineTest, HitEntryNotDoubleCountedAsReclaimablePages) {
   // for the logits, so it rounds down to the first page.
   ASSERT_EQ(e.kv_free_pages(), 1);
   ASSERT_EQ(e.PrefixHitTokens(0, prompt, {}), 4);
-  // The naive math says feasible (needs 2 net pages ≤ 1 free + 2
-  // "reclaimable") — but those reclaimable pages ARE the hit:
   EXPECT_EQ(e.PagesNeededForAdmission(0, prompt, {}), 2);
   EXPECT_EQ(e.AvailablePages(), 3);
-  // CanAdmitPages excludes the hit's entry and refuses.
-  EXPECT_FALSE(e.CanAdmitPages(0, prompt, {}));
+  // Feasible: the free page and the prompt's second page, which the hit
+  // does not fork, cover the 2 pages.
+  EXPECT_TRUE(e.CanAdmitPages(0, prompt, {}));
+  // A longer turn hits both cached pages and needs 2 more. The naive math
+  // says feasible (2 ≤ 1 free + 2 reclaimable) — but those reclaimable
+  // pages ARE the hit, so CanAdmitPages refuses.
+  std::vector<std::int32_t> turn = prompt;
+  for (std::int32_t t : {9, 10, 11, 12, 13}) turn.push_back(t);
+  ASSERT_EQ(e.PrefixHitTokens(0, turn, {}), 8);
+  EXPECT_EQ(e.PagesNeededForAdmission(0, turn, {}), 2);
+  EXPECT_FALSE(e.CanAdmitPages(0, turn, {}));
   // A request that fits without the contradiction is still admissible.
   const std::vector<std::int32_t> small = {1, 2, 3};
   EXPECT_TRUE(e.CanAdmitPages(0, small, {}));
 }
 
-TEST_F(EngineTest, VictimQueryKeepsForkedHitEntryOutOfHeadroom) {
-  // Regression: the victim projection must not count the entry a planned
-  // first chunk forks as reclaimable — Step pins that entry, so its pages
-  // cannot be reclaimed for the decode sharing the step, and the decode's
-  // extend would abort on a query that named no victims.
+TEST_F(EngineTest, VictimQueryKeepsForkedHitPagesOutOfHeadroom) {
+  // Regression: the victim projection must not count the reclaimable pages
+  // a planned first chunk forks as headroom — Step forks them before any
+  // extend, so they cannot be reclaimed for the decode sharing the step,
+  // and the decode's extend would abort on a query that named no victims.
   Engine e(&model_, model_.MakeKvConfig(/*num_pages=*/4, /*page_size=*/4),
            EngineConfig{.max_batch_size = 4});
-  const std::vector<std::int32_t> prompt = {1, 2, 3, 4, 5, 6, 7, 8};
-  e.AddRequest({.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 1});
-  DrainAudited(e);  // A's prompt stays cached: 2 pages
   RequestHandle d = e.AddRequest(
       {.lora = 1, .prompt_tokens = {11, 12, 13, 14}, .max_new_tokens = 20});
-  StepAudited(e);  // D holds 1 page (shared with its own entry); 1 is free
+  StepAudited(e);  // D's prompt fills 1 page
+  const std::vector<std::int32_t> prompt = {1, 2, 3, 4, 5, 6, 7, 8};
+  e.AddRequest({.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 1});
+  StepAudited(e);  // A's prompt fills 2 pages, D's decode opens its 2nd
+  for (int i = 0; i < 3; ++i) StepAudited(e);  // D fills its 2nd page
+  ASSERT_EQ(e.kv_free_pages(), 0);
+  ASSERT_EQ(e.AvailablePages(), 2);  // A's cached prompt
+  std::vector<std::int32_t> turn = prompt;
+  turn.push_back(9);
   RequestHandle b =
-      e.AddRequest({.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 4});
-  // Next step: B forks A's entry at its first page (4 tokens) and its
-  // 4-token chunk opens 1 page; D's decode opens 1 page. Only 1 page is
-  // free, and the one reclaimable entry is the one B forks — so B must go.
+      e.AddRequest({.lora = 0, .prompt_tokens = turn, .max_new_tokens = 4});
+  // Next step: B forks both of A's pages and its 1-token chunk opens a
+  // page; D's decode opens one too. The only reclaimable pages are the
+  // ones B forks — so B must go.
   EXPECT_EQ(e.SelectEvictionVictims(), std::vector<std::int64_t>{b.id()});
   ASSERT_TRUE(e.Cancel(b).has_value());
   EXPECT_TRUE(e.SelectEvictionVictims().empty());
@@ -614,32 +630,56 @@ TEST_F(EngineTest, VictimQueryKeepsForkedHitEntryOutOfHeadroom) {
   EXPECT_EQ(r.emitted[0].request_id, d.id());
 }
 
-TEST_F(EngineTest, DuplicateRegistrationAtCapDoesNotThrash) {
-  // Regression: at max_cached_prefixes, re-registering an already-cached
-  // prompt must not evict unrelated entries. A one-page prompt re-registers
-  // on every repeat: its hit keeps one token for the logits, rounds down
-  // to 0 pages and so misses, and a miss registers.
-  EngineConfig cfg;
-  cfg.max_batch_size = 4;
-  cfg.max_cached_prefixes = 2;
-  Engine e(&model_, model_.MakeKvConfig(256, /*page_size=*/4), cfg);
-  const std::vector<std::int32_t> pa = {1, 1, 1, 1};
-  const std::vector<std::int32_t> pb = {2, 2, 2, 2};
-  auto run = [&](const std::vector<std::int32_t>& p) {
-    e.AddRequest({.lora = 0, .prompt_tokens = p, .max_new_tokens = 2});
-    DrainAudited(e);
+TEST_F(EngineTest, UnhitPagesAreReclaimedFirstAndHitPromptsSurviveABurst) {
+  // A miniature prefix-tp2: two tenants' system prompts are warmed, one of
+  // them is hit, then a burst of unique prompts drains the pool. The burst
+  // takes the never-hit prompt's pages before any fresh page, and never
+  // the hit prompt's.
+  Engine e(&model_, model_.MakeKvConfig(/*num_pages=*/22, /*page_size=*/4),
+           EngineConfig{.max_batch_size = 8, .prefill_limit = 8});
+  const std::vector<std::int32_t> sys_x = {10, 11, 12, 13, 14, 15, 16, 17};
+  const std::vector<std::int32_t> sys_y = {40, 41, 42, 43, 44, 45, 46, 47};
+  auto with = [](std::vector<std::int32_t> p,
+                 std::initializer_list<std::int32_t> turn) {
+    p.insert(p.end(), turn);
+    return p;
   };
-  run(pa);
-  run(pb);  // cache at cap: {pa, pb}
-  for (int i = 0; i < 3; ++i) run(pa);  // hot tenant re-registers pa
-  PrefixCacheStats s = e.prefix_cache_stats();
-  EXPECT_EQ(s.hits, 0);
-  EXPECT_EQ(s.insertions, 2);
-  EXPECT_EQ(s.evictions, 0);
-  EXPECT_EQ(s.cached_entries, 2);
-  EXPECT_EQ(s.cached_tokens, 8);  // one page per prompt
-  const std::vector<std::int32_t> pb_turn = {2, 2, 2, 2, 9};
-  EXPECT_EQ(e.PrefixHitTokens(0, pb_turn, {}), 4);  // pb survived
+  // Set-up: both prompts (plus one token each) prefill in one step.
+  e.AddRequest({.lora = 0, .prompt_tokens = with(sys_x, {0}),
+                .max_new_tokens = 1});
+  e.AddRequest({.lora = 1, .prompt_tokens = with(sys_y, {0}),
+                .max_new_tokens = 1});
+  DrainAudited(e);
+  // X's tenant-mate hits X's 2 pages.
+  e.AddRequest({.lora = 0, .prompt_tokens = with(sys_x, {50, 51, 52}),
+                .max_new_tokens = 1});
+  EXPECT_EQ(StepAudited(e).prefix_hit_tokens, 8);
+  ASSERT_FALSE(e.HasWork());
+  ASSERT_EQ(e.prefix_cache_stats().evictions, 0);
+  // 2 touched free pages, Y's 2 never-hit pages, X's 2 hit pages, and 16
+  // never-touched pages.
+  ASSERT_EQ(e.kv_free_pages(), 18);
+  // The burst: 5 unique 12-token prompts need 15 pages to prefill, then 5
+  // more for their first decodes.
+  for (std::int32_t i = 0; i < 5; ++i) {
+    std::vector<std::int32_t> p;
+    for (std::int32_t t = 0; t < 12; ++t) p.push_back(100 + 12 * i + t);
+    e.AddRequest(
+        {.lora = i % 2, .prompt_tokens = p, .max_new_tokens = 5});
+  }
+  StepAudited(e);
+  // The 2 touched pages, then Y's 2 pages, then only 11 fresh pages.
+  EXPECT_EQ(e.prefix_cache_stats().evictions, 2);
+  EXPECT_EQ(e.kv_free_pages(), 5);
+  StepAudited(e);
+  EXPECT_EQ(e.kv_free_pages(), 0);  // every fresh page is in use
+  EXPECT_EQ(e.prefix_cache_stats().evictions, 2);
+  DrainAudited(e);
+  EXPECT_EQ(e.PrefixHitTokens(1, with(sys_y, {1}), {}), 0);
+  const std::vector<std::int32_t> turn = with(sys_x, {60, 61});
+  EXPECT_EQ(e.PrefixHitTokens(0, turn, {}), 8);
+  e.AddRequest({.lora = 0, .prompt_tokens = turn, .max_new_tokens = 1});
+  EXPECT_EQ(StepAudited(e).prefix_hit_tokens, 8);
 }
 
 TEST_F(EngineTest, PrefixHitTokensQueryIsPureAndPageAware) {
@@ -750,7 +790,7 @@ TEST_F(EngineTest, DecodesShareEveryStepWithPrefillChunks) {
   EXPECT_GT(e.Output(dec)->size(), before);
 }
 
-TEST_F(EngineTest, MidPrefillCancelRegistersPartialChainAndRebuilds) {
+TEST_F(EngineTest, MidPrefillCancelKeepsPartialChainCachedAndRebuilds) {
   const std::vector<std::int32_t> prompt = LongPrompt(24);
   // Uninterrupted reference stream.
   Engine ref = MakeEngine();
@@ -770,8 +810,8 @@ TEST_F(EngineTest, MidPrefillCancelRegistersPartialChainAndRebuilds) {
   EXPECT_TRUE(snap->generated.empty());  // no token emitted yet
   EXPECT_EQ(e.AuditInvariants(), "");
 
-  // The partially-prefilled chain was registered (2 whole pages): the
-  // rebuild forks the 8 consumed tokens and prefills only the remaining 16.
+  // The chunk's 2 whole pages were keyed and stay cached: the rebuild
+  // forks the 8 consumed tokens and prefills only the remaining 16.
   EXPECT_EQ(e.PrefixHitTokens(0, prompt, {}), 8);
   RequestHandle back = e.AddMigrated(*snap);
   auto r = StepAudited(e);
