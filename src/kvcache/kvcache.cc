@@ -225,9 +225,20 @@ void PagedKvCache::KeyFullPages(SeqId seq, std::int32_t tag,
         st.keyed == 0 ? -1 : st.pages[static_cast<std::size_t>(st.keyed - 1)];
     const std::uint64_t hash =
         KeyHash(parent, ParentGen(parent), tag, chain, st.keyed);
-    if (!index_.try_emplace(hash, page).second) {
-      st.unkeyable = true;
-      break;
+    auto [it, inserted] = index_.try_emplace(hash, page);
+    if (!inserted) {
+      if (!KeyMatches(it->second, parent, tag, chain, st.keyed)) {
+        st.unkeyable = true;  // another key with the same hash
+        break;
+      }
+      // The same page computed twice (concurrent misses, or the last page
+      // of a repeated page-aligned prompt): its K/V are bit-identical, so
+      // the sequence swaps its fresh copy for the cached one and keying
+      // goes on from there.
+      allocator_.Retain(it->second);
+      allocator_.Release(page);
+      st.pages[static_cast<std::size_t>(st.keyed)] = it->second;
+      continue;
     }
     key = {.keyed = true,
            .parent = parent,
@@ -239,7 +250,7 @@ void PagedKvCache::KeyFullPages(SeqId seq, std::int32_t tag,
                   static_cast<std::size_t>(t)] =
           chain[st.keyed * config_.page_size + t];
     }
-    allocator_.MarkCached(page);
+    allocator_.MarkCached(page, tag);
     ++pages_keyed_;
   }
 }
@@ -270,7 +281,6 @@ SeqId PagedKvCache::ForkCached(std::span<const PageId> pages) {
     PUNICA_CHECK_MSG(keys_[static_cast<std::size_t>(p)].keyed,
                      "fork of an uncached page");
     allocator_.Retain(p);
-    allocator_.MarkHit(p);
   }
   SeqId id = next_seq_++;
   seqs_.emplace(id, std::move(st));

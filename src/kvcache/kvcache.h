@@ -29,7 +29,10 @@
 // page out again: the key is dropped then and the page's generation moves
 // on, so keys recorded under the old generation — its cached descendants —
 // no longer match. Only full pages are ever keyed or matched, so every page
-// the engine shares is full and its growth never copies.
+// the engine shares is full and its growth never copies. A reclaimable
+// page waits for its LoRA tag's next request; once that request has forked
+// its hit (ExpireUnforked), the tag's pages it did not fork are stale and
+// go before never-touched pages — see PageAllocator for the order.
 #pragma once
 
 #include <cstdint>
@@ -172,8 +175,10 @@ class PagedKvCache {
   /// Keys each full page of `seq` not keyed yet: `chain` holds the
   /// sequence's tokens (at least SeqLen of them) and `tag` its LoRA id. A
   /// page whose key another page already holds — the same chain computed
-  /// twice by concurrent misses — stays unkeyed, and so does every later
-  /// page of `seq`, since their keys would name it as parent.
+  /// twice by concurrent misses — is swapped for that cached page (the
+  /// fresh copy is released), and keying goes on. Only a different key
+  /// with the same hash leaves the page, and every later page of `seq`,
+  /// unkeyed.
   void KeyFullPages(SeqId seq, std::int32_t tag, TokenChain chain);
   /// The cached pages spelling `chain`'s first tokens under `tag`, in
   /// chain order, at most `max_pages` of them: page i holds tokens
@@ -182,9 +187,12 @@ class PagedKvCache {
                                        std::int32_t max_pages) const;
   /// Creates a sequence over `pages` (a MatchCachedPages result, with no
   /// keys changed since): each page is retained — a reclaimable one is
-  /// revived — and recorded as having served a hit. The sequence holds
-  /// pages.size()·P tokens.
+  /// revived. The sequence holds pages.size()·P tokens.
   SeqId ForkCached(std::span<const PageId> pages);
+  /// A request under `tag` has taken its hit (forked or not): `tag`'s
+  /// reclaimable pages had their chance and become stale, so allocation
+  /// reclaims them before it touches a new page.
+  void ExpireUnforked(std::int32_t tag) { allocator_.ExpireGroup(tag); }
 
   bool Contains(SeqId seq) const;
   std::int64_t SeqLen(SeqId seq) const;
@@ -242,7 +250,7 @@ class PagedKvCache {
     std::vector<PageId> pages;
     std::int64_t len = 0;
     std::int32_t keyed = 0;   ///< leading pages KeyFullPages has handled
-    bool unkeyable = false;   ///< a page lost its key to a duplicate
+    bool unkeyable = false;   ///< a page's key hash is another key's
   };
 
   /// A keyed page's identity; the P token ids sit in key_tokens_.

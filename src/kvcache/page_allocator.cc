@@ -14,14 +14,14 @@ std::optional<PageId> PageAllocator::Alloc() {
   if (!free_list_.empty()) {
     p = free_list_.back();
     free_list_.pop_back();
-  } else if (!never_hit_.empty()) {
-    p = never_hit_.begin()->second;
-    never_hit_.erase(never_hit_.begin());
+  } else if (!stale_.empty()) {
+    p = stale_.begin()->second;
+    stale_.erase(stale_.begin());
   } else if (next_untouched_ < capacity_) {
     p = next_untouched_++;
-  } else if (!hit_.empty()) {
-    p = hit_.begin()->second;
-    hit_.erase(hit_.begin());
+  } else if (!waiting_.empty()) {
+    p = waiting_.begin()->second;
+    waiting_.erase(waiting_.begin());
   } else {
     return std::nullopt;
   }
@@ -45,29 +45,38 @@ void PageAllocator::Release(PageId page) {
   if (s.refs > 0) return;
   if (s.cached) {
     s.released = clock_++;
-    ReclaimList(s).emplace(s.released, page);
+    s.stale = false;
+    waiting_.emplace(s.released, page);
+    waiting_of_[s.group].push_back(s.released);
   } else {
     free_list_.push_back(page);
   }
 }
 
-void PageAllocator::MarkCached(PageId page) {
+void PageAllocator::MarkCached(PageId page, std::int32_t group) {
   PageState& s = State(page);
   PUNICA_CHECK_MSG(s.refs > 0, "caching a free page");
   s.cached = true;
+  s.group = group;
 }
 
-void PageAllocator::MarkHit(PageId page) {
-  PageState& s = State(page);
-  PUNICA_CHECK_MSG(s.cached && s.refs > 0, "hit on an uncached page");
-  s.hit = true;
+void PageAllocator::ExpireGroup(std::int32_t group) {
+  auto stamps = waiting_of_.find(group);
+  if (stamps == waiting_of_.end()) return;
+  for (std::uint64_t stamp : stamps->second) {
+    auto it = waiting_.find(stamp);
+    if (it == waiting_.end()) continue;  // revived or reclaimed since
+    State(it->second).stale = true;
+    stale_.insert(waiting_.extract(it));
+  }
+  waiting_of_.erase(stamps);
 }
 
 std::vector<PageId> PageAllocator::AllocationOrder() const {
   std::vector<PageId> order(free_list_.rbegin(), free_list_.rend());
-  for (const auto& [stamp, p] : never_hit_) order.push_back(p);
+  for (const auto& [stamp, p] : stale_) order.push_back(p);
   for (PageId p = next_untouched_; p < capacity_; ++p) order.push_back(p);
-  for (const auto& [stamp, p] : hit_) order.push_back(p);
+  for (const auto& [stamp, p] : waiting_) order.push_back(p);
   return order;
 }
 

@@ -10,14 +10,21 @@
 // and a Retain revives it until Alloc reclaims it for new contents.
 //
 // The pool is committed on first write (PagedKvCache's PoolStorage), so
-// the order Alloc hands pages out in is also the resident-memory policy:
+// the order Alloc hands pages out in is also the resident-memory policy.
+// A cached page belongs to a group (the KvCache passes the page's LoRA
+// tag), and its chance to be reused is that group's next request: until
+// ExpireGroup says one has started, the page is waiting; after it, the
+// page is stale — the request forked what it could, and this page was not
+// part of it. Alloc hands out:
 //   1. a free page that has been touched before (most recently freed first);
-//   2. the least recently released cached page that never served a hit;
+//   2. the least recently released stale cached page;
 //   3. a never-touched page (ascending ids);
-//   4. the least recently released cached page that served a hit.
-// A workload whose cached pages never hit then touches no more pages than
-// its live peak, and hit pages (a tenant's system prompt) are reclaimed
-// only once every other page is in use.
+//   4. the least recently released waiting cached page.
+// A workload whose cached pages are never reused (every prompt unique)
+// then touches only its live pages plus each adapter's pages since that
+// adapter's last request, while a page nobody has had the chance to reuse
+// yet — a tenant's system prompt cached before its first request — is
+// reclaimed only once every other page is in use.
 //
 // Releasing a page with no references ("double free"), retaining a free
 // page ("over-retain") and touching foreign pages are programming errors
@@ -28,6 +35,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 namespace punica {
@@ -51,12 +59,13 @@ class PageAllocator {
   /// other page returns to the free list.
   void Release(PageId page);
 
-  /// Marks an allocated page as cached, so its last Release keeps it
-  /// reclaimable instead of freeing it. Alloc clears the mark.
-  void MarkCached(PageId page);
-  /// Records that a cached page served a prefix hit, which moves it to the
-  /// reclaim list Alloc takes from last.
-  void MarkHit(PageId page);
+  /// Marks an allocated page as cached, in `group`, so its last Release
+  /// keeps it reclaimable (waiting) instead of freeing it. Alloc clears
+  /// the mark.
+  void MarkCached(PageId page, std::int32_t group);
+  /// A request of `group` has started and forked the cached pages it
+  /// matched: the group's waiting pages become stale.
+  void ExpireGroup(std::int32_t group);
 
   std::int32_t capacity() const { return capacity_; }
   /// Pages holding no references and no cached contents.
@@ -66,7 +75,7 @@ class PageAllocator {
   }
   /// Cached pages holding no references.
   std::int32_t reclaimable_pages() const {
-    return static_cast<std::int32_t>(never_hit_.size() + hit_.size());
+    return static_cast<std::int32_t>(stale_.size() + waiting_.size());
   }
   /// Pages Alloc can hand out: free + reclaimable.
   std::int32_t available_pages() const {
@@ -88,14 +97,15 @@ class PageAllocator {
   struct PageState {
     std::int32_t refs = 0;
     bool cached = false;
-    bool hit = false;
+    bool stale = false;
+    std::int32_t group = 0;
     std::uint64_t released = 0;  ///< reclaim-list key while reclaimable
   };
   const PageState& State(PageId page) const;
   PageState& State(PageId page);
   /// The reclaim list a cached page sits on at refcount 0.
   std::map<std::uint64_t, PageId>& ReclaimList(const PageState& s) {
-    return s.hit ? hit_ : never_hit_;
+    return s.stale ? stale_ : waiting_;
   }
 
   std::int32_t capacity_;
@@ -104,8 +114,12 @@ class PageAllocator {
   PageId next_untouched_ = 0;      ///< [next_untouched_, capacity_) untouched
   /// Reclaimable cached pages by release order (a logical clock, so runs
   /// replay bit-identically), least recent first.
-  std::map<std::uint64_t, PageId> never_hit_;
-  std::map<std::uint64_t, PageId> hit_;
+  std::map<std::uint64_t, PageId> stale_;
+  std::map<std::uint64_t, PageId> waiting_;
+  /// Release stamps of each group's pages put on waiting_ since the
+  /// group's last ExpireGroup; a stamp no longer on waiting_ (the page was
+  /// revived or reclaimed since) is skipped.
+  std::unordered_map<std::int32_t, std::vector<std::uint64_t>> waiting_of_;
   std::uint64_t clock_ = 0;
   std::int32_t shared_pages_ = 0;
 };

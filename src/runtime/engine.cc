@@ -239,6 +239,10 @@ std::vector<std::int64_t> Engine::SelectEvictionVictims() const {
   // their other holders.
   std::vector<PlanSlot> slots = PlanSlots();
   std::map<std::int64_t, std::vector<PageId>> hits;
+  // The pages the current plan's first chunks fork: SelectVictims asks for
+  // a plan's headroom before it names that plan's victim, so the freed-pages
+  // query reads the set the headroom query built.
+  std::vector<PageId> forked;
   return SelectVictims(
       slots, EvictPolicy::kNewest,
       [&](std::span<const std::int64_t> exclude) {
@@ -246,25 +250,22 @@ std::vector<std::int64_t> Engine::SelectEvictionVictims() const {
       },
       [&](const StepPlan& plan) { return PagesDemanded(plan); },
       [&](const StepPlan& plan) {
-        std::vector<PageId> forked;
+        forked.clear();
         for (const PlannedPrefill& p : plan.prefills) {
           if (p.first_chunk && p.chunk > 0) {
             const std::vector<PageId>& hit = hits.at(p.id);
             forked.insert(forked.end(), hit.begin(), hit.end());
           }
         }
-        return AvailablePages() - ReclaimableAmong(std::move(forked));
+        return AvailablePages() - ReclaimableAmong(forked);
       },
       [&](std::int64_t id) {
-        auto forked = [&](PageId page) {
-          return std::any_of(hits.begin(), hits.end(), [&](const auto& h) {
-            return std::find(h.second.begin(), h.second.end(), page) !=
-                   h.second.end();
-          });
-        };
         std::int32_t pages = 0;
         for (PageId page : kv_.PageTable(active_.at(id).seq)) {
-          if (kv_.PageRefCount(page) == 1 && !forked(page)) ++pages;
+          if (kv_.PageRefCount(page) == 1 &&
+              std::find(forked.begin(), forked.end(), page) == forked.end()) {
+            ++pages;
+          }
         }
         return pages;
       });
@@ -343,6 +344,9 @@ StepResult Engine::Step() {
       // deferred by pool drift after forking still reported its hit.
       result.prefix_hit_tokens += static_cast<int>(HitTokens(hit));
     }
+    // The adapter's cached pages this request did not fork had their
+    // chance: they go before never-touched pages from now on.
+    kv_.ExpireUnforked(static_cast<std::int32_t>(slot->lora));
   }
 
   // Build batch entries and token rows. KvCache is extended chunk-by-chunk

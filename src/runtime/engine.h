@@ -27,10 +27,16 @@
 // pages, so a migrated request re-admitted here rebuilds from whatever
 // pages survive; allocation reclaims them in PageAllocator's order, and
 // free + reclaimable pages are the admission and victim-query headroom.
+// A first chunk also marks its adapter's cached pages it did not fork as
+// stale: those go before never-touched pages, while pages still waiting
+// for their adapter's next request go last — so a unique-prompt workload
+// recycles its dead pages, and a system prompt cached before its tenant's
+// first request survives until that request.
 // Sharing is in whole pages of P = KvCacheConfig::page_size tokens, and a
 // hit always leaves one token to prefill for the logits: so no request
 // ever writes into a shared page, and an exact repeat of a prompt
-// recomputes up to P−1 more tokens than a token-granular cache would.
+// recomputes up to P−1 more tokens than a token-granular cache would (a
+// recomputed full page is then swapped for its cached copy).
 // Because cached K/V bits are exactly what a cold prefill would write (one
 // writer per element, fixed reduction order), a prefix-hit stream is
 // bit-identical to the cold-start stream.

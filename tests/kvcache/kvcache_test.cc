@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -391,7 +392,7 @@ TEST(KvCacheKeyTest, FreedChainIsReclaimedTailFirst) {
   kv.FreeSequence(other);
 }
 
-TEST(KvCacheKeyTest, ConcurrentMissLeavesSecondCopyAndItsTailUnkeyed) {
+TEST(KvCacheKeyTest, ConcurrentMissSwapsSecondCopyForTheCachedPages) {
   PagedKvCache kv(SmallConfig());
   const std::vector<std::int32_t> chain =
       Concat(Concat(kPageX, kPageY), kPageZ);
@@ -401,30 +402,39 @@ TEST(KvCacheKeyTest, ConcurrentMissLeavesSecondCopyAndItsTailUnkeyed) {
   ASSERT_TRUE(kv.Extend(second, 8));  // pages 2, 3
   kv.KeyFullPages(first, 0, {chain, {}});
   kv.KeyFullPages(second, 0, {chain, {}});
+  // The second copy's pages are duplicates: the sequence now holds the
+  // cached pages and its own copies are free again.
+  std::span<const PageId> table = kv.PageTable(second);
+  EXPECT_EQ(std::vector<PageId>(table.begin(), table.end()),
+            (std::vector<PageId>{0, 1}));
+  EXPECT_EQ(kv.PageRefCount(0), 2);
+  EXPECT_EQ(kv.PageRefCount(1), 2);
   EXPECT_EQ(kv.cached_pages(), 2);
   EXPECT_EQ(kv.pages_keyed(), 2);
-  // The second copy's later pages stay unkeyed too, though their own keys
-  // (naming page 2 as parent) would be new.
-  ASSERT_TRUE(kv.Extend(second, 4));  // page 4
-  kv.KeyFullPages(second, 0, {chain, {}});
-  EXPECT_EQ(kv.cached_pages(), 2);
-  EXPECT_EQ(kv.MatchCachedPages(0, {chain, {}}, 8),
-            (std::vector<PageId>{0, 1}));
-  EXPECT_EQ(kv.AuditInvariants(), "");
-  // Unkeyed pages go back to the free list.
-  kv.FreeSequence(second);
   EXPECT_EQ(kv.free_pages(), 6);
-  EXPECT_EQ(kv.reclaimable_pages(), 0);
+  EXPECT_EQ(kv.AuditInvariants(), "");
+  // Keying goes on after the swap: the second sequence's next page is
+  // keyed under the cached parent.
+  ASSERT_TRUE(kv.Extend(second, 4));
+  kv.KeyFullPages(second, 0, {chain, {}});
+  const PageId z = kv.PageTable(second)[2];
+  EXPECT_EQ(kv.cached_pages(), 3);
+  EXPECT_EQ(kv.MatchCachedPages(0, {chain, {}}, 8),
+            (std::vector<PageId>{0, 1, z}));
+  EXPECT_EQ(kv.AuditInvariants(), "");
+  kv.FreeSequence(second);
+  EXPECT_EQ(kv.reclaimable_pages(), 1);  // Z; X and Y are still held
   kv.FreeSequence(first);
-  EXPECT_EQ(kv.reclaimable_pages(), 2);
+  EXPECT_EQ(kv.reclaimable_pages(), 3);
+  EXPECT_EQ(kv.free_pages(), 5);
   EXPECT_EQ(kv.AuditInvariants(), "");
 }
 
 TEST(KvCacheKeyTest, ReclaimingAPageInvalidatesItsKeyedDescendants) {
   PagedKvCache kv(SmallConfig(/*pages=*/2));
   SeqId xy = KeyedSequence(kv, 0, Concat(kPageX, kPageY));  // X 0, Y 1
-  // Hold Y alone through a one-page fork, so it serves a hit and is
-  // reclaimed after X.
+  // Hold Y alone through a one-page fork, so it is released, and
+  // reclaimed, after X.
   SeqId y = kv.ForkCached(std::vector<PageId>{1});
   kv.FreeSequence(xy);
   kv.FreeSequence(y);

@@ -113,7 +113,7 @@ TEST(PageAllocatorTest, CachedPageIsReclaimableAndRevivable) {
   PageAllocator alloc(2);
   auto p = alloc.Alloc();
   ASSERT_TRUE(p.has_value());
-  alloc.MarkCached(*p);
+  alloc.MarkCached(*p, /*group=*/0);
   alloc.Release(*p);
   EXPECT_EQ(alloc.RefCount(*p), 0);
   EXPECT_EQ(alloc.free_pages(), 1);
@@ -125,25 +125,47 @@ TEST(PageAllocatorTest, CachedPageIsReclaimableAndRevivable) {
   EXPECT_EQ(alloc.AllocationOrder(), (std::vector<PageId>{1}));
 }
 
-TEST(PageAllocatorTest, HandsOutTouchedThenNeverHitThenUntouchedThenHit) {
-  PageAllocator alloc(8);
-  for (PageId want = 0; want < 6; ++want) {
+TEST(PageAllocatorTest, HandsOutTouchedThenStaleThenUntouchedThenWaiting) {
+  PageAllocator alloc(9);
+  for (PageId want = 0; want < 7; ++want) {
     ASSERT_EQ(alloc.Alloc(), want);
   }
-  for (PageId p : {1, 2, 3, 5}) alloc.MarkCached(p);
-  alloc.MarkHit(3);
-  alloc.MarkHit(5);
+  // Pages 1, 2 and 6 are cached in group 0, pages 3 and 5 in group 1.
+  for (PageId p : {1, 2, 6}) alloc.MarkCached(p, 0);
+  for (PageId p : {3, 5}) alloc.MarkCached(p, 1);
   // Release order is the reclaim order within a list.
   for (PageId p : {5, 2, 0, 3, 1, 4}) alloc.Release(p);
-  // Touched free pages (last freed first), never-hit cached pages (least
-  // recently released first), untouched pages, hit cached pages.
-  const std::vector<PageId> order = {4, 0, 2, 1, 6, 7, 5, 3};
+  // Group 0 starts a request: its reclaimable pages go stale. Page 6 is
+  // still held, so it waits again once released; so does page 3 after a
+  // revive, though its group expires while it is held.
+  alloc.ExpireGroup(0);
+  alloc.Retain(3);
+  alloc.ExpireGroup(1);
+  alloc.Release(6);
+  alloc.Release(3);
+  // Touched free pages (last freed first), stale cached pages (least
+  // recently released first), untouched pages, waiting cached pages.
+  const std::vector<PageId> order = {4, 0, 5, 2, 1, 7, 8, 6, 3};
   EXPECT_EQ(alloc.AllocationOrder(), order);
   for (PageId want : order) {
     EXPECT_EQ(alloc.Alloc(), want);
     EXPECT_FALSE(alloc.IsCached(want));  // a reclaimed page comes back bare
   }
   EXPECT_FALSE(alloc.Alloc().has_value());
+}
+
+TEST(PageAllocatorTest, NoUntouchedPageWhileAStalePageIsReclaimable) {
+  PageAllocator alloc(4);
+  ASSERT_EQ(alloc.Alloc(), 0);
+  alloc.MarkCached(0, 7);
+  alloc.Release(0);
+  // Waiting: a new page is touched rather than reclaim it.
+  EXPECT_EQ(alloc.Alloc(), 1);
+  alloc.ExpireGroup(7);
+  // Stale: reclaimed before the two untouched pages.
+  EXPECT_EQ(alloc.Alloc(), 0);
+  EXPECT_EQ(alloc.reclaimable_pages(), 0);
+  EXPECT_EQ(alloc.free_pages(), 2);
 }
 
 TEST(PageAllocatorDeathTest, DoubleFreeAborts) {
@@ -190,7 +212,9 @@ TEST(PageAllocatorPropertyTest, RandomChurnInvariants) {
         EXPECT_EQ(std::count(live.begin(), live.end(), *p), 0);
         live.push_back(*p);
         // Some pages hold cached contents: reclaimable at refcount 0.
-        if (rng.NextDouble() < 0.3) alloc.MarkCached(*p);
+        if (rng.NextDouble() < 0.3) {
+          alloc.MarkCached(*p, static_cast<std::int32_t>(rng.NextBounded(3)));
+        }
       } else {
         EXPECT_EQ(alloc.used_pages(), 64);
       }
@@ -198,8 +222,10 @@ TEST(PageAllocatorPropertyTest, RandomChurnInvariants) {
       std::size_t idx = rng.NextBounded(
           static_cast<std::uint32_t>(live.size()));
       alloc.Retain(live[idx]);
-      if (alloc.IsCached(live[idx])) alloc.MarkHit(live[idx]);
       live.push_back(live[idx]);
+      if (rng.NextDouble() < 0.2) {
+        alloc.ExpireGroup(static_cast<std::int32_t>(rng.NextBounded(3)));
+      }
     } else if (!live.empty()) {
       std::size_t idx = rng.NextBounded(
           static_cast<std::uint32_t>(live.size()));

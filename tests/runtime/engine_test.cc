@@ -512,6 +512,48 @@ TEST_F(EngineTest, CancelKeepsChainCachedForCheapMigrationRebuild) {
   EXPECT_EQ(*e.Output(back), expected);
 }
 
+TEST_F(EngineTest, RepeatedAlignedPromptKeepsKeyingPastItsDuplicatePage) {
+  // Keep-one-token makes an exact repeat of a page-aligned prompt recompute
+  // its last page, a duplicate of the cached copy. The repeat swaps the
+  // cached page in and keeps keying, so a cancel after it decodes past a
+  // page leaves the decoded page cached for the rebuild.
+  const std::vector<std::int32_t> prompt = {3, 1, 4, 1, 5, 9, 2, 6};
+  Engine ref = MakeEngine(4, 1, /*page_size=*/4);
+  RequestHandle r0 = ref.AddRequest(
+      {.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 10});
+  while (ref.HasWork()) ref.Step();
+  const std::vector<std::int32_t> expected = *ref.Output(r0);
+
+  Engine e = MakeEngine(4, 1, /*page_size=*/4);
+  // The first run's decode leaves a touched free page, which the repeat's
+  // recompute takes before it would reclaim the stale cached copy.
+  e.AddRequest({.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 2});
+  DrainAudited(e);
+  ASSERT_EQ(e.prefix_cache_stats().insertions, 2);
+  RequestHandle id = e.AddRequest(
+      {.lora = 0, .prompt_tokens = prompt, .max_new_tokens = 10});
+  StepResult first = StepAudited(e);
+  EXPECT_EQ(first.prefix_hit_tokens, 4);  // all but the last page
+  EXPECT_EQ(first.prefill_tokens, 4);
+  // The recomputed page went back to the pool: the repeat holds the two
+  // cached prompt pages.
+  EXPECT_EQ(e.prefix_cache_stats().pages_in_use, 2);
+  EXPECT_EQ(e.prefix_cache_stats().insertions, 2);
+  for (int i = 0; i < 5; ++i) StepAudited(e);  // 5 decodes
+  auto snap = e.Cancel(id);
+  ASSERT_TRUE(snap.has_value());
+  ASSERT_EQ(snap->generated.size(), 6u);
+  // The cancelled sequence covered prompt (8) + 5 decoded positions = 13
+  // tokens; its third page, filled by decodes, was keyed.
+  EXPECT_EQ(e.prefix_cache_stats().insertions, 3);
+  RequestHandle back = e.AddMigrated(*snap);
+  StepResult r = StepAudited(e);
+  EXPECT_EQ(r.prefix_hit_tokens, 12);
+  EXPECT_EQ(r.prefill_tokens, 2);
+  DrainAudited(e);
+  EXPECT_EQ(*e.Output(back), expected);
+}
+
 TEST_F(EngineTest, CacheYieldsUnderPagePressureInsteadOfAborting) {
   // Pool sized so that cached pages must be reclaimed to run the second
   // request — allocation reclaims them instead of aborting or naming
@@ -630,11 +672,14 @@ TEST_F(EngineTest, VictimQueryKeepsForkedHitPagesOutOfHeadroom) {
   EXPECT_EQ(r.emitted[0].request_id, d.id());
 }
 
-TEST_F(EngineTest, UnhitPagesAreReclaimedFirstAndHitPromptsSurviveABurst) {
-  // A miniature prefix-tp2: two tenants' system prompts are warmed, one of
-  // them is hit, then a burst of unique prompts drains the pool. The burst
-  // takes the never-hit prompt's pages before any fresh page, and never
-  // the hit prompt's.
+TEST_F(EngineTest, SystemPromptsWaitForTheirTenantWhileUnusedPagesAreRecycled) {
+  // A miniature prefix-tp2: two tenants' system prompts are warmed and one
+  // of them is hit; then bursts of unique prompts from a third tenant, and
+  // one from the second, run through the pool. A cached page waits for its
+  // tenant's next request: the burst touches new pages rather than reclaim
+  // either prompt, and reclaims a page before any new one only once its
+  // tenant has started a request without it.
+  model_.AddLora(2, 8, 3);
   Engine e(&model_, model_.MakeKvConfig(/*num_pages=*/22, /*page_size=*/4),
            EngineConfig{.max_batch_size = 8, .prefill_limit = 8});
   const std::vector<std::int32_t> sys_x = {10, 11, 12, 13, 14, 15, 16, 17};
@@ -643,6 +688,14 @@ TEST_F(EngineTest, UnhitPagesAreReclaimedFirstAndHitPromptsSurviveABurst) {
                  std::initializer_list<std::int32_t> turn) {
     p.insert(p.end(), turn);
     return p;
+  };
+  auto burst = [&](LoraId lora, std::int32_t first) {
+    for (std::int32_t i = 0; i < 3; ++i) {
+      std::vector<std::int32_t> p;
+      for (std::int32_t t = 0; t < 12; ++t) p.push_back(first + 12 * i + t);
+      e.AddRequest({.lora = lora, .prompt_tokens = p, .max_new_tokens = 1});
+    }
+    DrainAudited(e);
   };
   // Set-up: both prompts (plus one token each) prefill in one step.
   e.AddRequest({.lora = 0, .prompt_tokens = with(sys_x, {0}),
@@ -655,26 +708,31 @@ TEST_F(EngineTest, UnhitPagesAreReclaimedFirstAndHitPromptsSurviveABurst) {
                 .max_new_tokens = 1});
   EXPECT_EQ(StepAudited(e).prefix_hit_tokens, 8);
   ASSERT_FALSE(e.HasWork());
-  ASSERT_EQ(e.prefix_cache_stats().evictions, 0);
-  // 2 touched free pages, Y's 2 never-hit pages, X's 2 hit pages, and 16
-  // never-touched pages.
+  // 2 touched free pages, X's and Y's 4 cached pages, 16 untouched pages.
   ASSERT_EQ(e.kv_free_pages(), 18);
-  // The burst: 5 unique 12-token prompts need 15 pages to prefill, then 5
-  // more for their first decodes.
-  for (std::int32_t i = 0; i < 5; ++i) {
-    std::vector<std::int32_t> p;
-    for (std::int32_t t = 0; t < 12; ++t) p.push_back(100 + 12 * i + t);
-    e.AddRequest(
-        {.lora = i % 2, .prompt_tokens = p, .max_new_tokens = 5});
-  }
-  StepAudited(e);
-  // The 2 touched pages, then Y's 2 pages, then only 11 fresh pages.
-  EXPECT_EQ(e.prefix_cache_stats().evictions, 2);
-  EXPECT_EQ(e.kv_free_pages(), 5);
-  StepAudited(e);
-  EXPECT_EQ(e.kv_free_pages(), 0);  // every fresh page is in use
-  EXPECT_EQ(e.prefix_cache_stats().evictions, 2);
+  ASSERT_EQ(e.AvailablePages(), 22);
+  // Tenant 2's first burst, 3 prompts of 3 whole pages: the 2 touched pages
+  // and 7 new ones. Neither system prompt is reclaimed.
+  burst(2, 100);
+  EXPECT_EQ(e.prefix_cache_stats().evictions, 0);
+  EXPECT_EQ(e.kv_free_pages(), 9);
+  // Its second burst: the first burst's pages had their chance, so they
+  // are reclaimed before any new page is touched.
+  burst(2, 200);
+  EXPECT_EQ(e.prefix_cache_stats().evictions, 9);
+  EXPECT_EQ(e.kv_free_pages(), 9);
+  // Both system prompts are still cached in full.
+  EXPECT_EQ(e.PrefixHitTokens(0, with(sys_x, {1}), {}), 8);
+  EXPECT_EQ(e.PrefixHitTokens(1, with(sys_y, {1}), {}), 8);
+  // Y's tenant starts a request without Y's prompt: Y's pages had their
+  // chance and go first, then the second burst's (still waiting) pages
+  // stay while a new page is touched.
+  e.AddRequest({.lora = 1, .prompt_tokens = {70, 71, 72, 73, 74, 75, 76, 77,
+                                              78, 79, 80, 81},
+                .max_new_tokens = 1});
   DrainAudited(e);
+  EXPECT_EQ(e.prefix_cache_stats().evictions, 11);
+  EXPECT_EQ(e.kv_free_pages(), 8);
   EXPECT_EQ(e.PrefixHitTokens(1, with(sys_y, {1}), {}), 0);
   const std::vector<std::int32_t> turn = with(sys_x, {60, 61});
   EXPECT_EQ(e.PrefixHitTokens(0, turn, {}), 8);
