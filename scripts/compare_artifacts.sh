@@ -5,11 +5,13 @@
 # every artifact identical.
 #
 # Usage:
-#   scripts/compare_artifacts.sh BUILD_A BUILD_B
+#   scripts/compare_artifacts.sh BUILD_A BUILD_B [SERVING_BENCH_A SERVING_BENCH_B]
 #
 # BUILD_A and BUILD_B are CMake build directories (e.g. the parent commit's
 # and the change's), each already built with bench/ and examples/. The
-# surfaces compared:
+# optional SERVING_BENCH_A and SERVING_BENCH_B are the two sides'
+# perfbench `serving_bench` binaries (perfbench/run.py builds one into
+# .bench_build/perfbench/). The surfaces compared:
 #   * stdout of bench_fig13_cluster, bench_ablations, cluster_autoscale,
 #     textgen_cluster and textgen_cluster --tp 2;
 #   * stdout of the other numeric-Engine examples: quickstart,
@@ -22,20 +24,28 @@
 #     default settings, at --tp 2 and at --prefill-limit 4, and the
 #     BENCH_prefix_cache.json its --prefix-json writes;
 #   * bench_fig12_70b_tp's simulated table, through its "KvCache capacity"
-#     line (the measured TP sweep after it is wall-clock).
+#     line (the measured TP sweep after it is wall-clock);
+#   * with the serving_bench pair: stdout of `serving_bench reference W 1 35`
+#     over request ids 0..279 (the whole 35 s, 8 rps schedule) for both
+#     gated workloads, lora-decode and prefix-tp2.
 # Outputs land in a temporary directory that is kept when anything differs.
 # Exits 0 when every pair is identical, 1 otherwise (or when a binary
 # fails).
 set -u
 
-if [ $# -ne 2 ]; then
-  echo "usage: $0 BUILD_A BUILD_B" >&2
+if [ $# -ne 2 ] && [ $# -ne 4 ]; then
+  echo "usage: $0 BUILD_A BUILD_B [SERVING_BENCH_A SERVING_BENCH_B]" >&2
   exit 2
 fi
 A=$1
 B=$2
 OUT=$(mktemp -d "${TMPDIR:-/tmp}/compare_artifacts.XXXXXX")
 status=0
+files="fig13_cluster.txt ablations.txt BENCH_serving.json
+  cluster_autoscale.txt textgen_cluster.txt textgen_cluster_tp2.txt
+  quickstart.txt quickstart_tp2.txt migration_demo.txt
+  open_loop_serving_virtual.txt fig11_textgen.txt fig11_textgen_tp2.txt
+  fig11_textgen_limit4.txt BENCH_prefix_cache.json fig12_simulated.txt"
 
 # run NAME BUILD SIDE CMD... — runs one surface, stdout to $OUT/SIDE/NAME.
 run() {
@@ -73,12 +83,19 @@ for side in a b; do
     > "$OUT/$side/fig12_simulated.txt"
 done
 
-for f in fig13_cluster.txt ablations.txt BENCH_serving.json \
-         cluster_autoscale.txt textgen_cluster.txt textgen_cluster_tp2.txt \
-         quickstart.txt quickstart_tp2.txt migration_demo.txt \
-         open_loop_serving_virtual.txt fig11_textgen.txt \
-         fig11_textgen_tp2.txt fig11_textgen_limit4.txt \
-         BENCH_prefix_cache.json fig12_simulated.txt; do
+if [ $# -eq 4 ]; then
+  seq 0 279 > "$OUT/ids.txt"
+  for side in a b; do
+    if [ $side = a ]; then bench=$(realpath "$3"); else bench=$(realpath "$4"); fi
+    for w in lora-decode prefix-tp2; do
+      run "reference_$w.txt" "$(dirname "$bench")" $side \
+        "$(basename "$bench")" reference "$w" 1 35 "$OUT/ids.txt"
+    done
+  done
+  files="$files reference_lora-decode.txt reference_prefix-tp2.txt"
+fi
+
+for f in $files; do
   if cmp -s "$OUT/a/$f" "$OUT/b/$f"; then
     echo "same    $f"
   else

@@ -46,6 +46,9 @@ struct LlamaConfig {
     return WeightBytesFor(params_per_layer(), weight_dtype);
   }
   /// Whole-model stored bytes: quantized layers + LM head, f16 embedding.
+  /// The head counts as its own table, untied: this prices the simulated
+  /// GPU models (cost model, memory planner). The numeric LlamaModel stores
+  /// the shift-tied table once (LlamaModel::weight_bytes).
   std::int64_t total_weight_bytes() const {
     const std::int64_t embed =
         static_cast<std::int64_t>(vocab_size) * hidden_size;

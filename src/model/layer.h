@@ -106,12 +106,13 @@ struct ModelBatch {
 /// steady-state forward passes are allocation-free.
 struct TpWorkspace {
   std::vector<float> normed;    ///< [tokens, h] — shared, read-only in ranks
-  std::vector<float> q;         ///< [tp][tokens, heads_pr·d]
-  std::vector<float> k;         ///< [tp][tokens, kv_heads_pr·d]
-  std::vector<float> v;         ///< [tp][tokens, kv_heads_pr·d]
-  std::vector<float> attn_out;  ///< [tp][tokens, heads_pr·d]
-  std::vector<float> gate;      ///< [tp][tokens, ffn_pr]
-  std::vector<float> up;        ///< [tp][tokens, ffn_pr]
+  /// The two blocks' projection activations, never live together, share
+  /// one arena of max(attention, MLP) floats. The attention block views it
+  /// as q [tp][tokens, heads_pr·d], k and v [tp][tokens, kv_heads_pr·d],
+  /// attn_out [tp][tokens, heads_pr·d]; the MLP block as gate and up
+  /// [tp][tokens, ffn_pr]. Debug builds fill it with NaNs at each block's
+  /// start, so a read through the other block's view changes the output.
+  std::vector<float> arena;
   std::vector<float> partial;   ///< [tp][tokens, h] — all-reduce inputs
   std::vector<std::vector<float>> attn_scratch;  ///< per-rank split-KV
                                                  ///< partials (disjoint so

@@ -21,7 +21,7 @@ LlamaModel::LlamaModel(const LlamaConfig& config, std::uint64_t seed,
   // thread count. Every destination is allocated here, on the calling
   // thread, unwritten, so the workers only fill: memory a worker allocates
   // lands in its own malloc arena and raises peak RSS.
-  embedding_ =
+  Tensor<f16> embedding =
       Tensor<f16>::Uninitialized({config.vocab_size, config.hidden_size});
   // Each layer is drawn into its one-rank shard, which at tp = 1 is the
   // stored layer. tp > 1 draws the same f16 masters (quantization
@@ -32,7 +32,7 @@ LlamaModel::LlamaModel(const LlamaConfig& config, std::uint64_t seed,
   std::vector<Pcg32> streams = {Pcg32(seed)};
   std::vector<GaussianFill> fills = {
       {0, 1.0f / std::sqrt(static_cast<float>(config.hidden_size)),
-       embedding_.data()}};
+       embedding.data()}};
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     LayerWeights& layer = layers_[l].ranks.emplace_back(
         LayerWeights::Uninitialized(config));
@@ -49,8 +49,9 @@ LlamaModel::LlamaModel(const LlamaConfig& config, std::uint64_t seed,
   // against random directions — near-uniform logits whose argmax flips
   // under any perturbation, so stream comparisons (the quant quality gate,
   // the determinism suites) would measure tie-breaking luck instead of
-  // model numerics. The head stays its own tensor: it is stored — and
-  // quantized — separately, so shapes and byte accounting are unchanged.
+  // model numerics. The tie is stored once: the drawn [vocab, hidden]
+  // embedding is only a construction temporary, transposed into the
+  // [hidden, vocab] head that Embed gathers from.
   Tensor<f16> lm_head =
       Tensor<f16>::Uninitialized({config.hidden_size, config.vocab_size});
   // One parallel region: the head as a blocked transpose, kTile head rows
@@ -62,7 +63,7 @@ LlamaModel::LlamaModel(const LlamaConfig& config, std::uint64_t seed,
   const auto hidden = static_cast<std::size_t>(config.hidden_size);
   const auto tiles = static_cast<std::int64_t>((hidden + kTile - 1) / kTile);
   const bool reshape = tp > 1 || config.weight_dtype != WeightDtype::kF16;
-  const f16* emb = embedding_.raw();
+  const f16* emb = embedding.raw();
   f16* head = lm_head.raw();
   const auto task = [&](std::int64_t t) {
     if (t >= tiles) {
@@ -90,9 +91,15 @@ LlamaModel::LlamaModel(const LlamaConfig& config, std::uint64_t seed,
                     [&](std::int64_t lo, std::int64_t hi) {
                       for (std::int64_t t = lo; t < hi; ++t) task(t);
                     });
-  // Same f16 draw at every dtype; quantization only changes the storage.
-  // The embedding stays f16 — it is a per-row gather, not a GEMM operand.
-  lm_head_ = WeightMatrix::FromF16(std::move(lm_head), config.weight_dtype);
+  embedding = Tensor<f16>();  // freed before the quantized head is encoded
+  // Same f16 draw at every dtype; quantization only changes the head's
+  // GEMM storage, and the f16 master stays beside a quantized head.
+  if (config.weight_dtype == WeightDtype::kF16) {
+    lm_head_ = WeightMatrix::FromF16(std::move(lm_head), WeightDtype::kF16);
+  } else {
+    lm_head_ = WeightMatrix::FromF16(lm_head, config.weight_dtype);
+    head_master_ = std::move(lm_head);
+  }
   final_norm_ = Tensor<f16>({config.hidden_size});
   for (auto& v : final_norm_.data()) v = f16(1.0f);
   if (tp > 1 && tp_concurrent) {
@@ -155,21 +162,11 @@ Tensor<float> LlamaModel::Forward(const ModelBatch& batch,
     seg_lora_.push_back(s);
   }
 
-  // Embedding lookup: one writer per token row.
   if (x_.size() < static_cast<std::size_t>(tokens) * h) {
     x_.resize(static_cast<std::size_t>(tokens) * h);
   }
   const std::span<float> x(x_.data(), static_cast<std::size_t>(tokens) * h);
-  for (int t = 0; t < tokens; ++t) {
-    std::int32_t id = token_ids[static_cast<std::size_t>(t)];
-    PUNICA_CHECK(id >= 0 && id < config_.vocab_size);
-  }
-  ctx_->ParallelFor(tokens, 1, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t t = lo; t < hi; ++t) {
-      auto row = embedding_.row(token_ids[static_cast<std::size_t>(t)]);
-      HalfToFloatN(row, x.subspan(static_cast<std::size_t>(t) * h, h));
-    }
-  });
+  Embed(token_ids, x);
 
   // One RoPE table per step: every layer and TP rank rotates from it.
   rope_.Build(batch.row_pos, config_.head_dim(), config_.rope_theta, *ctx_);
@@ -216,6 +213,57 @@ Tensor<float> LlamaModel::Forward(const ModelBatch& batch,
                 vocab, logits.row(static_cast<std::int64_t>(e)).begin());
   }
   return logits;
+}
+
+std::size_t LlamaModel::weight_bytes() const {
+  std::size_t bytes = lm_head_.byte_size() +
+                      (head_master_.numel() + final_norm_.numel()) *
+                          sizeof(f16);
+  for (const TpShardedLayer& layer : layers_) {
+    for (const LayerWeights& rank : layer.ranks) {
+      for (const WeightMatrix& w : rank.proj) bytes += w.byte_size();
+      bytes += (rank.attn_norm.numel() + rank.mlp_norm.numel()) * sizeof(f16);
+    }
+  }
+  return bytes;
+}
+
+void LlamaModel::Embed(std::span<const std::int32_t> token_ids,
+                       std::span<float> x) const {
+  const auto h = static_cast<std::size_t>(config_.hidden_size);
+  const auto vocab = static_cast<std::size_t>(config_.vocab_size);
+  const std::size_t tokens = token_ids.size();
+  PUNICA_CHECK(x.size() == tokens * h);
+  for (std::int32_t id : token_ids) {
+    PUNICA_CHECK(id >= 0 && id < config_.vocab_size);
+  }
+  // Hidden-row-major over the step's tokens: a task takes kRows head rows
+  // and gathers every token's column from them, so each head row is read
+  // once per step, and a token's kRows values land contiguously in its x
+  // row through one bulk conversion. One writer per element, and the
+  // widening is exact, so the bits match any schedule.
+  constexpr std::size_t kRows = 16;
+  constexpr std::size_t kMinTaskElems = 16384;
+  const std::span<const f16> table = lm_head_.dtype() == WeightDtype::kF16
+                                         ? lm_head_.f16_data()
+                                         : head_master_.data();
+  const auto blocks = static_cast<std::int64_t>((h + kRows - 1) / kRows);
+  const auto grain = static_cast<std::int64_t>(
+      kMinTaskElems / std::max<std::size_t>(tokens * kRows, 1) + 1);
+  ctx_->ParallelFor(blocks, grain, [&](std::int64_t lo, std::int64_t hi) {
+    f16 strip[kRows];
+    for (std::int64_t b = lo; b < hi; ++b) {
+      const std::size_t i0 = static_cast<std::size_t>(b) * kRows;
+      const std::size_t n = std::min(kRows, h - i0);
+      const f16* rows = table.data() + i0 * vocab;
+      for (std::size_t t = 0; t < tokens; ++t) {
+        const std::size_t col =
+            (static_cast<std::size_t>(token_ids[t]) + 1) % vocab;
+        for (std::size_t j = 0; j < n; ++j) strip[j] = rows[j * vocab + col];
+        HalfToFloatN(std::span<const f16>(strip, n), x.subspan(t * h + i0, n));
+      }
+    }
+  });
 }
 
 std::vector<std::int32_t> LlamaModel::ForwardGreedy(

@@ -36,7 +36,9 @@ class LlamaModel {
   /// seed draws the same f16 master weights at every tp, so tp changes
   /// only the execution schedule. The embedding and the layers are drawn
   /// as parallel tasks on `ctx`, each from its own seeded stream, so the
-  /// weights are the same bits at any thread count.
+  /// weights are the same bits at any thread count. The LM head is the
+  /// embedding shifted by one token, so the model keeps one f16
+  /// [hidden, vocab] table for both (see Embed).
   /// LoRA batches run at any tp: AddLora stores each adapter as its rank
   /// shards (ShardLoraModel at tp > 1, replicated factors held once), the
   /// column seams shrink once per row for all ranks, every rank runs its
@@ -60,8 +62,20 @@ class LlamaModel {
   }
 
   /// Read-only views of the stored weights (tests and introspection).
-  const Tensor<f16>& embedding() const { return embedding_; }
   const WeightMatrix& lm_head() const { return lm_head_; }
+  /// Resident bytes of the backbone: every layer shard, the LM head (with
+  /// its f16 master at quantized dtypes, which is the embedding table) and
+  /// the final norm. Unlike LlamaConfig::total_weight_bytes — the untied
+  /// account that prices the simulated GPU models — the shift-tied table
+  /// counts once.
+  std::size_t weight_bytes() const;
+
+  /// The embedding lookup Forward runs: row t of `x` ([tokens, hidden])
+  /// becomes token_ids[t]'s embedding, exactly its f16 values widened.
+  /// Token u's embedding row is head column (u + 1) mod vocab (the shift
+  /// tie), gathered from the one f16 [hidden, vocab] table.
+  void Embed(std::span<const std::int32_t> token_ids,
+             std::span<float> x) const;
   /// Layer l's per-rank weights: ranks[r] is rank r's shard, and at tp = 1
   /// ranks[0] is the whole layer.
   const TpShardedLayer& layer(int l) const {
@@ -116,8 +130,11 @@ class LlamaModel {
   LlamaConfig config_;
   const ComputeContext* ctx_;  ///< never null after construction
   int tp_ = 1;
-  Tensor<f16> embedding_;  ///< [vocab, hidden] — always f16 (gather path)
   WeightMatrix lm_head_;   ///< [hidden, vocab] in config.weight_dtype
+  /// [hidden, vocab] f16 head master, kept only when lm_head_ is quantized:
+  /// the embedding must stay the drawn f16 bits, which dequantizing the
+  /// head would not give back.
+  Tensor<f16> head_master_;
   Tensor<f16> final_norm_; ///< [hidden]
   std::vector<TpShardedLayer> layers_;  ///< tp rank shards per layer
   /// Each registered adapter as its tp rank shards.

@@ -1,6 +1,7 @@
 #include "model/tensor_parallel.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 
 #include "model/attention.h"
@@ -174,12 +175,7 @@ void TpWorkspace::Resize(const LlamaConfig& config, int tp, int tokens,
     if (v.size() < n) v.resize(n);
   };
   grow(normed, t * h);
-  grow(q, p * t * q_w);
-  grow(k, p * t * kv_w);
-  grow(v, p * t * kv_w);
-  grow(attn_out, p * t * q_w);
-  grow(gate, p * t * f_pr);
-  grow(up, p * t * f_pr);
+  grow(arena, p * t * std::max(2 * q_w + 2 * kv_w, 2 * f_pr));
   grow(partial, p * t * h);
   // One split-KV attention scratch per rank (grown on demand by the
   // attention kernels): concurrent ranks must never share partial buffers.
@@ -349,8 +345,26 @@ void ForwardRanks(const LlamaConfig& config,
                 config.rms_eps);
   };
 
+  // Rank r's slice of an arena region: the region starts tp·offset floats
+  // in and holds tp slices of `stride` floats. The attention block lays
+  // q/k/v/attn_out over the one arena and the MLP block lays gate/up over
+  // it. A block's start is where the other block's views die, so debug
+  // builds poison the arena there.
+  const auto arena_view = [&](std::size_t offset, std::size_t stride,
+                              std::size_t r) {
+    return std::span<float>(ws.arena).subspan(
+        offset * static_cast<std::size_t>(tp) + r * stride, stride);
+  };
+  const auto start_phase = [&] {
+#ifndef NDEBUG
+    std::fill(ws.arena.begin(), ws.arena.end(),
+              std::numeric_limits<float>::quiet_NaN());
+#endif
+  };
+
   // --- Attention block --- (the Q/K/V shrinks in the norm's region: a
   // row is shrunk right after it is normed)
+  start_phase();
   SegAdapters col_a[3];
   if (any_lora) {
     gather(0, Proj::kQ, col_a[0]);
@@ -368,11 +382,12 @@ void ForwardRanks(const LlamaConfig& config,
   for_each_rank([&](int r, const ComputeContext& rctx) {
     const auto ur = static_cast<std::size_t>(r);
     const LayerWeights& shard = ranks[ur];
-    const std::span<float> q(ws.q.data() + ur * q_stride, q_stride);
-    const std::span<float> k(ws.k.data() + ur * kv_stride, kv_stride);
-    const std::span<float> v(ws.v.data() + ur * kv_stride, kv_stride);
-    const std::span<float> attn_out(ws.attn_out.data() + ur * q_stride,
-                                    q_stride);
+    const std::span<float> q = arena_view(0, q_stride, ur);
+    const std::span<float> k = arena_view(q_stride, kv_stride, ur);
+    const std::span<float> v =
+        arena_view(q_stride + kv_stride, kv_stride, ur);
+    const std::span<float> attn_out =
+        arena_view(q_stride + 2 * kv_stride, q_stride, ur);
     const std::span<float> partial(ws.partial.data() + ur * h_stride,
                                    h_stride);
     GemmSetW(normed, shard.proj[static_cast<int>(Proj::kQ)], q, tokens,
@@ -445,6 +460,7 @@ void ForwardRanks(const LlamaConfig& config,
   // after it is summed, and shrunk right after it is normed; the shrinks
   // reuse seam slots 0 and 1, whose Q/K rows the attention ranks are done
   // with)
+  start_phase();
   if (any_lora) {
     gather(0, Proj::kGate, col_a[0]);
     gather(0, Proj::kUp, col_a[1]);
@@ -459,8 +475,8 @@ void ForwardRanks(const LlamaConfig& config,
   for_each_rank([&](int r, const ComputeContext& rctx) {
     const auto ur = static_cast<std::size_t>(r);
     const LayerWeights& shard = ranks[ur];
-    const std::span<float> gate(ws.gate.data() + ur * f_stride, f_stride);
-    const std::span<float> up(ws.up.data() + ur * f_stride, f_stride);
+    const std::span<float> gate = arena_view(0, f_stride, ur);
+    const std::span<float> up = arena_view(f_stride, f_stride, ur);
     const std::span<float> partial(ws.partial.data() + ur * h_stride,
                                    h_stride);
     GemmSetW(normed, shard.proj[static_cast<int>(Proj::kGate)], gate, tokens,

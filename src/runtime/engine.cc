@@ -235,14 +235,14 @@ std::vector<std::int64_t> Engine::SelectEvictionVictims() const {
   // less the reclaimable pages the plan's first chunks fork: Step forks
   // them before any extend, so they cannot be reclaimed that step. A
   // cancel frees the victim's exclusively held pages (they become free or
-  // reclaimable) unless a first chunk forks them; shared pages stay with
-  // their other holders.
+  // reclaimable); shared pages stay with their other holders. No planned
+  // first chunk forks a page a victim holds: a victim holding pages has
+  // run its first chunk. Prefills are planned FCFS by id, so every older
+  // request ran its first chunk no later than the victim did, and victims
+  // are named newest id first, so every newer request is already a victim,
+  // out of the plan.
   std::vector<PlanSlot> slots = PlanSlots();
   std::map<std::int64_t, std::vector<PageId>> hits;
-  // The pages the current plan's first chunks fork: SelectVictims asks for
-  // a plan's headroom before it names that plan's victim, so the freed-pages
-  // query reads the set the headroom query built.
-  std::vector<PageId> forked;
   return SelectVictims(
       slots, EvictPolicy::kNewest,
       [&](std::span<const std::int64_t> exclude) {
@@ -250,24 +250,22 @@ std::vector<std::int64_t> Engine::SelectEvictionVictims() const {
       },
       [&](const StepPlan& plan) { return PagesDemanded(plan); },
       [&](const StepPlan& plan) {
-        forked.clear();
+        std::vector<PageId> forked;
         for (const PlannedPrefill& p : plan.prefills) {
           if (p.first_chunk && p.chunk > 0) {
             const std::vector<PageId>& hit = hits.at(p.id);
             forked.insert(forked.end(), hit.begin(), hit.end());
           }
         }
-        return AvailablePages() - ReclaimableAmong(forked);
+        return AvailablePages() - ReclaimableAmong(std::move(forked));
       },
       [&](std::int64_t id) {
-        std::int32_t pages = 0;
-        for (PageId page : kv_.PageTable(active_.at(id).seq)) {
-          if (kv_.PageRefCount(page) == 1 &&
-              std::find(forked.begin(), forked.end(), page) == forked.end()) {
-            ++pages;
-          }
-        }
-        return pages;
+        const std::span<const PageId> pages =
+            kv_.PageTable(active_.at(id).seq);
+        return static_cast<std::int32_t>(
+            std::count_if(pages.begin(), pages.end(), [&](PageId page) {
+              return kv_.PageRefCount(page) == 1;
+            }));
       });
 }
 

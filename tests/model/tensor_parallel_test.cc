@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -305,6 +306,29 @@ TEST(RankConfigTest, DividesHeadsAndFfn) {
 TEST(RankConfigDeathTest, IndivisibleAborts) {
   LlamaConfig c = TinyLlama();
   EXPECT_DEATH(RankConfig(c, 3), "divide");
+}
+
+TEST(TpWorkspaceTest, ArenaHoldsTheLargerBlockNotBoth) {
+  // q/k/v/attn_out (attention block) and gate/up (MLP block) are never
+  // live together: one arena holds whichever block needs more, whether
+  // that is the MLP (TinyLlama) or attention (a narrow FFN).
+  LlamaConfig narrow = TinyLlama();
+  narrow.ffn_hidden = 32;
+  constexpr int kTokens = 7;
+  for (const LlamaConfig& c : {TinyLlama(), narrow}) {
+    const std::size_t attention =
+        kTokens * static_cast<std::size_t>(2 * c.hidden_size + 2 * c.kv_dim());
+    const std::size_t mlp = kTokens * static_cast<std::size_t>(2 * c.ffn_hidden);
+    for (int tp : {1, 2}) {
+      TpWorkspace ws;
+      ws.Resize(c, tp, kTokens, /*max_rank=*/4);
+      EXPECT_EQ(ws.arena.size(), std::max(attention, mlp))
+          << "ffn " << c.ffn_hidden << " tp " << tp;
+    }
+    LayerWorkspace one;
+    one.Resize(c, kTokens, /*max_rank=*/4);
+    EXPECT_EQ(one.arena.size(), std::max(attention, mlp));
+  }
 }
 
 TEST(ShardLayerTest, ShapesAndMemory) {

@@ -12,10 +12,13 @@
 // tp > 1), and the LM head is the embedding shifted by one token. The
 // oracle draws every element serially through the per-element f16(float)
 // constructor — not the bulk conversion under test — and each stored
-// payload must match it byte for byte at any thread count, SIMD level, tp
-// and dtype. FillGaussianF16 itself is held to the same loop at odd
-// lengths and across calls that carry a cached deviate, ending on the same
-// stream position.
+// payload, and every token's embedding row as the model gathers it, must
+// match it byte for byte at any thread count, SIMD level, tp and dtype.
+// The model stores the tied table once at f16 (the head's storage) and
+// keeps the f16 master beside a quantized head, which its weight bytes
+// show. FillGaussianF16 itself is held to the same loop at odd lengths
+// and across calls that carry a cached deviate, ending on the same stream
+// position.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -150,6 +153,18 @@ TEST(WeightFillTest, ModelAndAdaptersMatchTheSerialOracle) {
       }
     }
     const WeightMatrix lm_head = WeightMatrix::FromF16(std::move(head), dtype);
+    const auto vocab = static_cast<std::size_t>(c.vocab_size);
+    const auto hidden = static_cast<std::size_t>(c.hidden_size);
+    const std::size_t table_bytes = vocab * hidden * sizeof(f16);
+    std::vector<std::int32_t> ids(vocab);
+    std::vector<float> embedding_rows(vocab * hidden);
+    for (std::size_t u = 0; u < vocab; ++u) {
+      ids[u] = static_cast<std::int32_t>(u);
+      for (std::size_t i = 0; i < hidden; ++i) {
+        embedding_rows[u * hidden + i] = static_cast<float>(embedding.at(
+            {static_cast<std::int64_t>(u), static_cast<std::int64_t>(i)}));
+      }
+    }
     std::vector<LayerWeights> masters;
     for (int l = 0; l < c.num_layers; ++l) masters.push_back(OracleLayer(c, l));
     const LoraModelWeights lora = OracleLora(c);
@@ -167,11 +182,29 @@ TEST(WeightFillTest, ModelAndAdaptersMatchTheSerialOracle) {
           ComputeContext ctx({.num_threads = threads});
           LlamaModel model(c, kSeed, &ctx, tp);
           model.AddLora(0, kLoraRank, kLoraSeed);
+          // Every token id's gathered row, at once.
+          std::vector<float> model_rows(vocab * hidden);
+          model.Embed(ids, model_rows);
 
-          EXPECT_TRUE(
-              SameBytes(model.embedding().data(), embedding.data()))
+          EXPECT_TRUE(SameBytes(std::span<const float>(model_rows),
+                                std::span<const float>(embedding_rows)))
               << where;
           EXPECT_TRUE(SamePayload(model.lm_head(), lm_head)) << where;
+          // The embedding is the head's f16 storage at f16; a quantized
+          // head keeps its f16 master beside it.
+          std::size_t layer_bytes = 0;
+          for (int l = 0; l < c.num_layers; ++l) {
+            for (const LayerWeights& r : model.layer(l).ranks) {
+              for (const WeightMatrix& w : r.proj) layer_bytes += w.byte_size();
+              layer_bytes +=
+                  (r.attn_norm.numel() + r.mlp_norm.numel()) * sizeof(f16);
+            }
+          }
+          const std::size_t untied = layer_bytes + lm_head.byte_size() +
+                                     table_bytes + hidden * sizeof(f16);
+          EXPECT_EQ(model.weight_bytes(),
+                    dtype == WeightDtype::kF16 ? untied - table_bytes : untied)
+              << where;
           for (int l = 0; l < c.num_layers; ++l) {
             const LayerWeights& m = masters[static_cast<std::size_t>(l)];
             const TpShardedLayer& got = model.layer(l);
