@@ -376,7 +376,9 @@ void RunEngineDecodeStepBench(benchmark::State& state,
                          .prompt_tokens = std::move(prompt),
                          .max_new_tokens = 64});
     }
-    engine.Step();  // prefill everything; timed iterations are pure decode
+    // Prefill everything (which also draws both adapters); timed iterations
+    // are pure decode.
+    engine.Step();
   };
   refill();
   std::int64_t tokens = 0;
@@ -743,6 +745,9 @@ void BM_TinyLlamaDecodeStep(benchmark::State& state) {
   LlamaModel model(c, 9);
   model.AddLora(0, 8, 1);
   model.AddLora(1, 8, 2);
+  // Draw both adapters now: no timed step pays a first-use draw.
+  model.GetLora(0);
+  model.GetLora(1);
   PagedKvCache kv(model.MakeKvConfig(4096));
   std::vector<BatchEntry> entries;
   std::vector<std::int32_t> tokens;

@@ -86,6 +86,14 @@ MeasuredPoint MeasureLoraTp(int tp, int threads, int reps) {
   LlamaModel model(config, /*seed=*/7, &ctx, tp, /*tp_concurrent=*/tp > 1);
   model.AddLora(0, kRank, /*seed=*/21);
   model.AddLora(1, kRank, /*seed=*/22);
+  // Draw both adapters now: no timed step pays a first-use draw.
+  for (LoraId id : {0, 1}) {
+    if (tp == 1) {
+      model.GetLora(id);
+    } else {
+      model.GetLoraShards(id);
+    }
+  }
 
   double best = 1e30;
   std::int64_t tokens = 0;

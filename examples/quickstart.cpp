@@ -62,7 +62,9 @@ int main(int argc, char** argv) {
 
   // 2. Register LoRA adapters — one per tenant. Each is ~1% of the
   //    backbone's size (A [h_in, r] and B [r, h_out] per projection per
-  //    layer). Skipped under TP: batches there are backbone-only.
+  //    layer). Registering records the adapter's recipe; its weights are
+  //    drawn when the first batch naming it runs. Skipped under TP:
+  //    batches there are backbone-only.
   if (tp == 1) {
     model.AddLora(/*id=*/0, /*rank=*/8, /*seed=*/111);
     model.AddLora(/*id=*/1, /*rank=*/8, /*seed=*/222);

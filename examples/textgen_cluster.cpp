@@ -99,8 +99,8 @@ int main(int argc, char** argv) {
     config.num_kv_heads = config.num_heads;
   }
   LlamaModel model(config, /*seed=*/1234, &compute, args.tp);
-  // At tp > 1 AddLora also distributes each adapter over the ranks
-  // (ShardLoraModel); rank 4 at tp 4 exercises the rank-not-divisible
+  // At tp > 1 each adapter is also distributed over the ranks on its first
+  // use (ShardLoraModel); rank 4 at tp 4 exercises the rank-not-divisible
   // case — the rank dimension never shards, only the seam dimensions do.
   model.AddLora(0, 8, 111);
   model.AddLora(1, 8, 222);

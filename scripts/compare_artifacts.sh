@@ -15,7 +15,10 @@
 #   * stdout of bench_fig13_cluster, bench_ablations, cluster_autoscale,
 #     textgen_cluster and textgen_cluster --tp 2;
 #   * stdout of the other numeric-Engine examples: quickstart,
-#     quickstart --tp 2 and migration_demo;
+#     quickstart --tp 2, migration_demo, and multi_tenant_textgen and
+#     multi_tenant_textgen --tp 2 (its numeric section serves two LoRA
+#     tenants, sharded over the ranks at tp 2; it prints no wall-clock
+#     figure);
 #   * the JSON file of bench_serving --json (its stdout also reports a
 #     wall-clock threaded run, so only the file is compared);
 #   * the virtual-time sections of open_loop_serving: the lines before its
@@ -44,6 +47,7 @@ status=0
 files="fig13_cluster.txt ablations.txt BENCH_serving.json
   cluster_autoscale.txt textgen_cluster.txt textgen_cluster_tp2.txt
   quickstart.txt quickstart_tp2.txt migration_demo.txt
+  multi_tenant_textgen.txt multi_tenant_textgen_tp2.txt
   open_loop_serving_virtual.txt fig11_textgen.txt fig11_textgen_tp2.txt
   fig11_textgen_limit4.txt BENCH_prefix_cache.json fig12_simulated.txt"
 
@@ -69,6 +73,9 @@ for side in a b; do
   run quickstart.txt "$build" $side examples/quickstart
   run quickstart_tp2.txt "$build" $side examples/quickstart --tp 2
   run migration_demo.txt "$build" $side examples/migration_demo
+  run multi_tenant_textgen.txt "$build" $side examples/multi_tenant_textgen
+  run multi_tenant_textgen_tp2.txt "$build" $side \
+    examples/multi_tenant_textgen --tp 2
   run open_loop_serving_full.txt "$build" $side examples/open_loop_serving
   sed '/real threads/,$d' "$OUT/$side/open_loop_serving_full.txt" \
     > "$OUT/$side/open_loop_serving_virtual.txt"

@@ -112,34 +112,63 @@ LlamaModel::LlamaModel(const LlamaConfig& config, std::uint64_t seed,
 }
 
 void LlamaModel::AddLora(LoraId id, int rank, std::uint64_t seed) {
-  AddLora(id, LoraModelWeights::Random(config_, rank, seed, *ctx_));
+  PUNICA_CHECK(rank >= 1);
+  auto slot = std::make_unique<LoraSlot>();
+  slot->rank = rank;
+  slot->seed = seed;
+  loras_[id] = std::move(slot);
 }
 
 void LlamaModel::AddLora(LoraId id, LoraModelWeights weights) {
   PUNICA_CHECK(weights.layers.size() ==
                static_cast<std::size_t>(config_.num_layers));
-  // Distribute the adapter over the ranks up front (the per-GPU load
-  // step), so Forward only gathers pointers. At tp = 1 the adapter itself
-  // is the one rank shard; at tp > 1 the shards alias its replicated
-  // factors, and the tensors the slices were cut from go with `weights`.
-  auto shards = std::make_unique<TpShardedLora>();
+  auto slot = std::make_unique<LoraSlot>();
+  slot->rank = weights.rank;
+  // Placed under the flag, so Resident never draws over it.
+  std::call_once(slot->drawn, [&] { Place(*slot, std::move(weights)); });
+  loras_[id] = std::move(slot);
+}
+
+void LlamaModel::Place(LoraSlot& slot, LoraModelWeights weights) const {
+  // Distribute the adapter over the ranks once (the per-GPU load step), so
+  // Forward only gathers pointers. At tp = 1 the adapter itself is the one
+  // rank shard; at tp > 1 the shards alias its replicated factors, and the
+  // tensors the slices were cut from go with `weights`.
   if (tp_ == 1) {
-    shards->rank = weights.rank;
-    shards->ranks.push_back(std::move(weights));
+    slot.shards.rank = weights.rank;
+    slot.shards.ranks.push_back(std::move(weights));
   } else {
-    *shards = ShardLoraModel(config_, weights, tp_);
+    slot.shards = ShardLoraModel(config_, weights, tp_);
   }
-  loras_[id] = std::move(shards);
+  slot.resident = true;
+}
+
+const TpShardedLora* LlamaModel::Resident(LoraId id) const {
+  auto it = loras_.find(id);
+  if (it == loras_.end()) return nullptr;
+  LoraSlot& slot = *it->second;
+  std::call_once(slot.drawn, [&] {
+    Place(slot, LoraModelWeights::Random(config_, slot.rank, slot.seed, *ctx_));
+  });
+  return &slot.shards;
 }
 
 const LoraModelWeights* LlamaModel::GetLora(LoraId id) const {
-  auto it = loras_.find(id);
-  return tp_ > 1 || it == loras_.end() ? nullptr : &it->second->ranks[0];
+  if (tp_ > 1) return nullptr;
+  const TpShardedLora* s = Resident(id);
+  return s == nullptr ? nullptr : &s->ranks[0];
 }
 
 const TpShardedLora* LlamaModel::GetLoraShards(LoraId id) const {
-  auto it = loras_.find(id);
-  return tp_ == 1 || it == loras_.end() ? nullptr : it->second.get();
+  return tp_ == 1 ? nullptr : Resident(id);
+}
+
+std::size_t LlamaModel::lora_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& [id, slot] : loras_) {
+    if (slot->resident) bytes += slot->shards.byte_size();
+  }
+  return bytes;
 }
 
 Tensor<float> LlamaModel::Forward(const ModelBatch& batch,
@@ -149,15 +178,15 @@ Tensor<float> LlamaModel::Forward(const ModelBatch& batch,
   PUNICA_CHECK(token_ids.size() == static_cast<std::size_t>(tokens));
   const auto h = static_cast<std::size_t>(config_.hidden_size);
 
-  // Resolve each segment's adapter shards once per invocation.
+  // Resolve each segment's adapter shards once per invocation, drawing
+  // any adapter this batch is the first to name.
   seg_lora_.clear();
   for (LoraId id : batch.segments.lora_ids) {
     const TpShardedLora* s = nullptr;
     if (id >= 0) {
-      auto it = loras_.find(id);
-      PUNICA_CHECK_MSG(it != loras_.end(),
+      s = Resident(id);
+      PUNICA_CHECK_MSG(s != nullptr,
                        "batch references an unloaded LoRA model");
-      s = it->second.get();
     }
     seg_lora_.push_back(s);
   }

@@ -5,8 +5,10 @@
 // from the analytical cost model instead.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -39,8 +41,8 @@ class LlamaModel {
   /// weights are the same bits at any thread count. The LM head is the
   /// embedding shifted by one token, so the model keeps one f16
   /// [hidden, vocab] table for both (see Embed).
-  /// LoRA batches run at any tp: AddLora stores each adapter as its rank
-  /// shards (ShardLoraModel at tp > 1, replicated factors held once), the
+  /// LoRA batches run at any tp: each adapter is held as its rank shards
+  /// (ShardLoraModel at tp > 1, replicated factors held once), the
   /// column seams shrink once per row for all ranks, every rank runs its
   /// own expands, and the row-parallel deltas fold through the existing
   /// all-reduce.
@@ -82,23 +84,38 @@ class LlamaModel {
     return layers_.at(static_cast<std::size_t>(l));
   }
 
-  /// Registers a random LoRA model under `id`. Deterministic in (seed);
-  /// its (layer, projection) streams are drawn in parallel on the model's
-  /// context. Like every registration, AddLora mutates the adapter tables
-  /// Forward reads: it must not run concurrently with Forward.
+  /// Registers a random LoRA model under `id`, replacing (and freeing) any
+  /// adapter registered under it before. Only the recipe (rank, seed) is
+  /// recorded: the adapter is drawn on first use — the first Forward whose
+  /// batch names it, or the first GetLora/GetLoraShards call — exactly
+  /// once, on the calling thread, and then kept. The draw is
+  /// LoraModelWeights::Random on the model's context (sharded by
+  /// ShardLoraModel at tp > 1), so the weights are the same bits at every
+  /// tp, thread count and order of first use. Like every registration,
+  /// AddLora changes the adapter table Forward reads: it must not run
+  /// concurrently with Forward or with the const accessors below.
   void AddLora(LoraId id, int rank, std::uint64_t seed);
-  /// Stores `weights` as its rank shards: the adapter itself at tp = 1,
-  /// its ShardLoraModel shards at tp > 1 (the full tensors the slices were
-  /// cut from are not kept), so an adapter takes the same bytes at every
-  /// tp.
+  /// Stores `weights` as its rank shards at once: the adapter itself at
+  /// tp = 1, its ShardLoraModel shards at tp > 1 (the full tensors the
+  /// slices were cut from are not kept), so an adapter takes the same
+  /// bytes at every tp.
   void AddLora(LoraId id, LoraModelWeights weights);
+  /// True when an adapter is registered under `id`, resident or not.
+  bool HasLora(LoraId id) const { return loras_.contains(id); }
   /// The adapter registered under `id` (nullptr when tp > 1 — only its
-  /// shards are stored, see GetLoraShards — or unknown).
+  /// shards are stored, see GetLoraShards — or unknown). At tp = 1 the
+  /// first call for a registered adapter draws it, as Forward would.
   const LoraModelWeights* GetLora(LoraId id) const;
   /// Per-rank adapter shards for `id` (nullptr when tp == 1 — see GetLora —
-  /// or unknown).
+  /// or unknown). The first call for a registered adapter draws and shards
+  /// it. Safe from concurrent callers (e.g. TP rank tasks): one draws, the
+  /// others wait for it; a call from inside a rank task draws on that
+  /// rank's worker group and allocates on the calling worker.
   const TpShardedLora* GetLoraShards(LoraId id) const;
+  /// Registered adapters, resident or not.
   std::size_t num_loras() const { return loras_.size(); }
+  /// Bytes of the adapters drawn so far (TpShardedLora::byte_size each).
+  std::size_t lora_bytes() const;
 
   /// Runs one batched invocation. `token_ids` has one id per token row
   /// (prompt tokens for prefill entries, the previous output token for
@@ -107,6 +124,13 @@ class LlamaModel {
   /// entry (the logits at each entry's final token). Entries with
   /// emit_logits=false (non-final chunks of a chunked prefill) still write
   /// K/V but skip the LM head; their logits row stays zero.
+  ///
+  /// A batch naming an adapter that is registered but not yet resident
+  /// draws it first (see AddLora): a one-time cost of one adapter draw
+  /// (plus its sharding at tp > 1) inside this call, with the adapter's
+  /// tensors allocated on the calling thread. Naming an unregistered
+  /// adapter or passing a token id outside [0, vocab) is a programmer
+  /// error and aborts; Engine refuses such requests at admission.
   ///
   /// Not reentrant: Forward mutates the model's shared workspace, so a
   /// model (and hence the engines over it) must be stepped by one caller
@@ -137,8 +161,22 @@ class LlamaModel {
   Tensor<f16> head_master_;
   Tensor<f16> final_norm_; ///< [hidden]
   std::vector<TpShardedLayer> layers_;  ///< tp rank shards per layer
-  /// Each registered adapter as its tp rank shards.
-  std::unordered_map<LoraId, std::unique_ptr<TpShardedLora>> loras_;
+  /// One registered adapter: its recipe, and its tp rank shards once
+  /// drawn. `drawn` makes the draw happen once under concurrent const
+  /// callers; `resident` publishes it to lora_bytes.
+  struct LoraSlot {
+    int rank = 0;
+    std::uint64_t seed = 0;
+    std::once_flag drawn;
+    std::atomic<bool> resident{false};
+    TpShardedLora shards;
+  };
+  /// The shards of the adapter registered under `id`, drawn on the first
+  /// call (nullptr when unregistered).
+  const TpShardedLora* Resident(LoraId id) const;
+  /// Fills `slot.shards` from the full adapter; runs under slot.drawn.
+  void Place(LoraSlot& slot, LoraModelWeights weights) const;
+  std::unordered_map<LoraId, std::unique_ptr<LoraSlot>> loras_;
   TpWorkspace ws_;
   RopeTable rope_;  ///< the current step's RoPE table (every layer reads it)
   std::vector<float> x_;  ///< [tokens, hidden] — the step's residual stream

@@ -55,6 +55,14 @@ class ExecutionBackend {
 
   // --- Admission (scheduler-facing, paper §5.1 constraints) ---
 
+  /// True when a request submitted as `spec` can run to completion here
+  /// once admitted. The serving doors ask every backend before accepting
+  /// a spec, so input this tier cannot run is refused rather than failing
+  /// inside a step. The default serves every Servable spec.
+  virtual bool Serves(const SubmitSpec& spec) const {
+    return spec.Servable();
+  }
+
   /// Constraint check: below max batch size and enough KvCache headroom for
   /// the request's re-prefill (prompt + generated + one step).
   virtual bool CanAdmit(const ServingRequest& req) const = 0;

@@ -23,6 +23,16 @@ std::int32_t Engine::ResolveEos(std::int32_t spec_eos) const {
   return spec_eos >= 0 ? spec_eos : config_.eos_token;
 }
 
+bool Engine::Serves(const SubmitSpec& spec) const {
+  const std::int32_t vocab = model_->config().vocab_size;
+  return spec.Servable() && !spec.prompt_tokens.empty() &&
+         (spec.lora < 0 || model_->HasLora(spec.lora)) &&
+         std::all_of(spec.prompt_tokens.begin(), spec.prompt_tokens.end(),
+                     [vocab](std::int32_t t) { return t >= 0 && t < vocab; }) &&
+         (spec.eos_token < 0 || config_.eos_token < 0 ||
+          spec.eos_token == config_.eos_token);
+}
+
 std::int64_t Engine::Admit(Slot slot, std::vector<std::int32_t> generated) {
   // Admission-failure audit: every check precedes KvCache mutation, so a
   // failed admission can never leak a sequence or page references. The
@@ -39,14 +49,15 @@ std::int64_t Engine::Admit(Slot slot, std::vector<std::int32_t> generated) {
 }
 
 RequestHandle Engine::AddRequest(const SubmitSpec& spec) {
-  PUNICA_CHECK(spec.max_new_tokens >= 1);
-  PUNICA_CHECK_MSG(!spec.prompt_tokens.empty(),
-                   "the numeric engine needs real prompt tokens");
+  // A stop token that disagrees with the engine's stays a caller error
+  // (ResolveEos asserts); everything else Serves checks is refused.
+  const std::int32_t eos = ResolveEos(spec.eos_token);
+  if (!CanAdmit() || !Serves(spec)) return RequestHandle();
   Slot slot;
   slot.lora = spec.lora;
   slot.prompt = spec.prompt_tokens;
   slot.max_new_tokens = spec.max_new_tokens;
-  slot.eos_token = ResolveEos(spec.eos_token);
+  slot.eos_token = eos;
   return RequestHandle(Admit(std::move(slot), {}));
 }
 

@@ -87,8 +87,19 @@ class Engine {
          EngineConfig config = {});
 
   /// Admits a request described by `spec` (prompt_tokens must be real ids).
-  /// Aborts if the working set is full — callers queue.
+  /// Refuses — an invalid handle, nothing admitted and no KvCache state
+  /// changed — when the working set is full (callers queue) or the engine
+  /// does not serve `spec` (see Serves); a stop token that disagrees with
+  /// EngineConfig::eos_token still aborts (ResolveEos).
   RequestHandle AddRequest(const SubmitSpec& spec);
+
+  /// True when a request admitted under `spec` can run to completion here:
+  /// it is Servable, its prompt is real token ids all in [0, vocab), its
+  /// adapter is registered on the model (or none is named) and its stop
+  /// token agrees with EngineConfig::eos_token. External input is checked
+  /// against this before admission, so it is refused instead of aborting
+  /// a step.
+  bool Serves(const SubmitSpec& spec) const;
 
   /// Re-admits a migrated request; its KvCache is rebuilt in its first step
   /// by re-prefilling prompt + generated — minus any surviving cached

@@ -62,6 +62,9 @@ void EngineBackend::Admit(ServingRequest* req, double now) {
     spec.eos_token = req->eos_token;
     engine_handle = engine_->AddRequest(spec);
   }
+  PUNICA_CHECK_MSG(engine_handle.valid(),
+                   "the engine refused an admitted request; submit it "
+                   "through a door that checks Serves");
   Slot slot;
   slot.req = req;
   slot.engine_id = engine_handle.id();

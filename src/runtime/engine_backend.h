@@ -35,6 +35,10 @@ class EngineBackend : public ExecutionBackend {
   int backend_id() const override { return backend_id_; }
   int max_batch_size() const override;
 
+  /// Engine::Serves: real, in-vocab prompt tokens and a registered adapter.
+  bool Serves(const SubmitSpec& spec) const override {
+    return engine_->Serves(spec);
+  }
   bool CanAdmit(const ServingRequest& req) const override;
   std::int64_t PrefixHitTokens(const ServingRequest& req) const override;
   void Admit(ServingRequest* req, double now) override;

@@ -59,7 +59,7 @@ void ClusterDriver::Init(std::vector<ExecutionBackend*> backends) {
 void ClusterDriver::SubmitTrace(const std::vector<TraceRequest>& trace) {
   for (const auto& t : trace) {
     const SubmitSpec spec = SpecFromTrace(t);
-    if (!spec.Servable()) {
+    if (!core_->Serves(spec)) {
       // Refused here, as the serving door does.
       ++stats_.rejected_requests;
       continue;

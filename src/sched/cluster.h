@@ -73,8 +73,9 @@ class ClusterDriver {
                 const ClusterConfig& config = {});
 
   /// Copies the trace into stable storage and schedules arrival events.
-  /// Rows that cannot be served — an empty prompt or an output length
-  /// below one — are refused and counted in stats().rejected_requests.
+  /// Rows that some backend does not serve (ExecutionBackend::Serves — an
+  /// empty prompt or an output length below one on every tier) are
+  /// refused and counted in stats().rejected_requests.
   void SubmitTrace(const std::vector<TraceRequest>& trace);
 
   /// Submits an externally-owned request (frontend path, Fig. 2) at the

@@ -94,4 +94,11 @@ bool StepLoop::Drained() const {
   return scheduler_.queue_size() == 0;
 }
 
+bool StepLoop::Serves(const SubmitSpec& spec) const {
+  for (int g = 0; g < scheduler_.num_gpus(); ++g) {
+    if (!scheduler_.backend(g)->Serves(spec)) return false;
+  }
+  return spec.Servable();
+}
+
 }  // namespace punica

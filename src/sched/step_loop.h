@@ -53,6 +53,10 @@ class StepLoop {
   /// True when no backend holds work and the scheduler queue is empty.
   bool Drained() const;
 
+  /// True when every backend serves `spec` (ExecutionBackend::Serves):
+  /// the scheduler may route it to any of them.
+  bool Serves(const SubmitSpec& spec) const;
+
   Scheduler& scheduler() { return scheduler_; }
   const Scheduler& scheduler() const { return scheduler_; }
   EventQueue& events() { return events_; }

@@ -24,8 +24,10 @@ ServingRequest* ServingLoop::Accept(const SubmitSpec& spec) {
   auto id = static_cast<std::int64_t>(requests_.size());
   requests_.push_back(ServingRequest::FromSpec(id, spec));
   ServingRequest* req = &requests_.back();
-  if (!spec.Servable()) {
-    // No backend can serve it, so the door refuses it outright.
+  if (!core_.Serves(spec)) {
+    // A backend cannot run it (e.g. nothing to generate, an unregistered
+    // adapter, a token outside the vocabulary), so the door refuses it
+    // outright.
     ++metrics_.offered;
     Shed(req);
     return nullptr;

@@ -8,8 +8,9 @@
 // target is dropped as hopeless (it could no longer be "good"; serving it
 // would only burn capacity a fresher request could convert into goodput).
 // Higher-priority tenants are *deferred over*, never shed, up to the door
-// bound. Malformed specs (nothing to prefill or to generate) are shed on
-// arrival.
+// bound. Specs a backend does not serve (nothing to prefill or to
+// generate; on the numeric tier also an unregistered adapter or a token
+// outside the vocabulary) are shed on arrival.
 //
 // Two clocks drive the core:
 //   * RunVirtual — arrivals and step completions are events on the core's
@@ -89,9 +90,11 @@ class ServingLoop {
   double end_time() const { return end_time_; }
 
  private:
-  /// Stores the spec as the next request. A malformed spec (max_new_tokens
-  /// or prompt length < 1) is counted offered and shed at once, and
-  /// nullptr is returned.
+  /// Stores the spec as the next request. A spec some backend does not
+  /// serve (ExecutionBackend::Serves: max_new_tokens or prompt length < 1,
+  /// and on the numeric tier an unregistered adapter or a token outside
+  /// the vocabulary) is counted offered and shed at once, and nullptr is
+  /// returned.
   ServingRequest* Accept(const SubmitSpec& spec);
   void OnArrival(ServingRequest* req);
   bool Protected(const ServingRequest& req) const {

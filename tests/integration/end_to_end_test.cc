@@ -220,13 +220,18 @@ TEST(EndToEndTest, DeterministicAcrossEngines) {
   EXPECT_EQ(run(), run());
 }
 
-TEST(EndToEndDeathTest, AdmissionBeyondBatchAborts) {
+TEST(EndToEndTest, AdmissionBeyondBatchIsRefused) {
   TestHarness h;
   Engine engine = h.MakeEngine(1);
-  engine.AddRequest({.lora = 0, .prompt_tokens = {1}, .max_new_tokens = 4});
-  EXPECT_DEATH(engine.AddRequest(
-                   {.lora = 1, .prompt_tokens = {2}, .max_new_tokens = 4}),
-               "working set full");
+  RequestHandle first =
+      engine.AddRequest({.lora = 0, .prompt_tokens = {1}, .max_new_tokens = 4});
+  EXPECT_TRUE(first.valid());
+  EXPECT_FALSE(engine
+                   .AddRequest({.lora = 1,
+                                .prompt_tokens = {2},
+                                .max_new_tokens = 4})
+                   .valid());
+  EXPECT_EQ(engine.working_set_size(), 1);
 }
 
 }  // namespace

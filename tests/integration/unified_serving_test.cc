@@ -16,6 +16,8 @@
 #include "runtime/engine.h"
 #include "runtime/engine_backend.h"
 #include "sched/cluster.h"
+#include "serving/arrival_queue.h"
+#include "serving/serving_loop.h"
 
 namespace punica {
 namespace {
@@ -242,6 +244,55 @@ TEST_F(UnifiedServingTest, BackendReleasesEngineRecordOfEveryEndedRequest) {
   }
   EXPECT_EQ(a.generated_tokens, Solo(0, {1, 2, 3}, 4));
   EXPECT_EQ(b.generated_tokens, Solo(0, {4, 5}, 6));
+}
+
+TEST_F(UnifiedServingTest, DoorShedsSpecsTheEngineCannotServe) {
+  // External input never aborts the numeric tier: a spec naming an
+  // unregistered adapter, or carrying a token id outside [0, vocab), is
+  // refused at the door and counted shed, on both clocks, while the valid
+  // specs beside it are served bit-identically to a solo engine.
+  const std::int32_t vocab = model_.config().vocab_size;
+  const SubmitSpec valid{.lora = 1, .prompt_tokens = {3, 4, 5},
+                         .max_new_tokens = 4};
+  const SubmitSpec backbone{.lora = -1, .prompt_tokens = {9, 8},
+                            .max_new_tokens = 3};
+  SubmitSpec unregistered = valid;
+  unregistered.lora = 42;
+  SubmitSpec past_vocab = valid;
+  past_vocab.prompt_tokens = {3, vocab, 5};
+  SubmitSpec negative = valid;
+  negative.prompt_tokens = {-2};
+  const std::vector<SubmitSpec> offered = {unregistered, valid, past_vocab,
+                                           negative, backbone};
+  for (bool threaded : {false, true}) {
+    SCOPED_TRACE(threaded ? "RunThreaded" : "RunVirtual");
+    Engine engine(&model_, model_.MakeKvConfig(64),
+                  EngineConfig{.max_batch_size = 4});
+    EngineBackend backend(0, &engine);
+    EXPECT_FALSE(backend.Serves(unregistered));
+    EXPECT_FALSE(backend.Serves(past_vocab));
+    EXPECT_TRUE(backend.Serves(valid));
+    ServingLoop loop({&backend});
+    if (threaded) {
+      ArrivalQueue queue(8);
+      for (const SubmitSpec& spec : offered) ASSERT_TRUE(queue.Push(spec));
+      queue.Shutdown();
+      loop.RunThreaded(queue);
+    } else {
+      loop.RunVirtual(offered);
+    }
+    const ServingMetrics& m = loop.metrics();
+    EXPECT_EQ(m.offered, 5);
+    EXPECT_EQ(m.shed, 3);
+    EXPECT_EQ(m.finished, 2);
+    ASSERT_EQ(loop.requests().size(), 5u);
+    for (std::size_t i : {0u, 2u, 3u}) {
+      EXPECT_EQ(loop.requests()[i].phase, RequestPhase::kCancelled) << i;
+      EXPECT_EQ(loop.streams().count(static_cast<std::int64_t>(i)), 0u) << i;
+    }
+    EXPECT_EQ(loop.streams().at(1), Solo(1, {3, 4, 5}, 4));
+    EXPECT_EQ(loop.streams().at(4), Solo(-1, {9, 8}, 3));
+  }
 }
 
 }  // namespace

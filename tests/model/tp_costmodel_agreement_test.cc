@@ -316,6 +316,14 @@ TEST(TpCostModelAgreement, MeasuredLoraTpScalingTracksRoofline) {
     LlamaModel model(c, 7, &ctx, tp, /*tp_concurrent=*/tp > 1);
     model.AddLora(0, kRank, /*seed=*/21);
     model.AddLora(1, kRank, /*seed=*/22);
+    // Draw both adapters now: no timed step pays a first-use draw.
+    for (LoraId id : {0, 1}) {
+      if (tp == 1) {
+        model.GetLora(id);
+      } else {
+        model.GetLoraShards(id);
+      }
+    }
     PagedKvCache kv(model.MakeKvConfig(/*num_pages=*/256, /*page_size=*/16));
     Pcg32 rng(11);
     std::vector<BatchEntry> specs;

@@ -13,7 +13,8 @@
 // oracle draws every element serially through the per-element f16(float)
 // constructor — not the bulk conversion under test — and each stored
 // payload, and every token's embedding row as the model gathers it, must
-// match it byte for byte at any thread count, SIMD level, tp and dtype.
+// match it byte for byte at any thread count, SIMD level, tp and dtype —
+// and an adapter, drawn on its first use, at any order of first use.
 // The model stores the tied table once at f16 (the head's storage) and
 // keeps the f16 master beside a quantized head, which its weight bytes
 // show. FillGaussianF16 itself is held to the same loop at odd lengths
@@ -67,14 +68,14 @@ LayerWeights OracleLayer(const LlamaConfig& c, int l) {
   return w;
 }
 
-LoraModelWeights OracleLora(const LlamaConfig& c) {
+LoraModelWeights OracleLora(const LlamaConfig& c, std::uint64_t seed) {
   LoraModelWeights w;
   w.rank = kLoraRank;
   for (int l = 0; l < c.num_layers; ++l) {
     LoraLayerWeights layer;
     for (int p = 0; p < kNumProj; ++p) {
       const ProjShape s = ShapeOf(c, static_cast<Proj>(p));
-      Pcg32 rng((kLoraSeed * 1000003 + static_cast<std::uint64_t>(l)) * 31 +
+      Pcg32 rng((seed * 1000003 + static_cast<std::uint64_t>(l)) * 31 +
                 static_cast<std::uint64_t>(p));
       LoraAB& ab = layer.proj[p];
       ab.rank = kLoraRank;
@@ -167,7 +168,10 @@ TEST(WeightFillTest, ModelAndAdaptersMatchTheSerialOracle) {
     }
     std::vector<LayerWeights> masters;
     for (int l = 0; l < c.num_layers; ++l) masters.push_back(OracleLayer(c, l));
-    const LoraModelWeights lora = OracleLora(c);
+    // Adapter 0 and, drawn on first use in either order, adapters 1 and 3.
+    const std::vector<LoraModelWeights> loras = {
+        OracleLora(c, kLoraSeed), OracleLora(c, kLoraSeed + 1),
+        OracleLora(c, kLoraSeed + 3)};
 
     for (int tp : {1, 2}) {
       for (int threads : {1, 2, 4}) {
@@ -231,21 +235,44 @@ TEST(WeightFillTest, ModelAndAdaptersMatchTheSerialOracle) {
                   << where << " layer " << l << " rank " << r;
             }
           }
-          if (tp == 1) {
-            // tp > 1 keeps only the shards (checked below), no full copy.
-            ASSERT_NE(model.GetLora(0), nullptr);
-            EXPECT_TRUE(SameLora(*model.GetLora(0), lora)) << where;
-          } else {
-            EXPECT_EQ(model.GetLora(0), nullptr);
+          const auto expect_lora = [&](LoraId id, const LoraModelWeights& lora,
+                                       const std::string& what) {
+            if (tp == 1) {
+              // tp > 1 keeps only the shards (checked below), no full copy.
+              ASSERT_NE(model.GetLora(id), nullptr) << what;
+              EXPECT_TRUE(SameLora(*model.GetLora(id), lora)) << what;
+              return;
+            }
+            EXPECT_EQ(model.GetLora(id), nullptr) << what;
             const TpShardedLora want = ShardLoraModel(c, lora, tp);
-            const TpShardedLora* got = model.GetLoraShards(0);
-            ASSERT_NE(got, nullptr);
-            ASSERT_EQ(got->ranks.size(), want.ranks.size());
+            const TpShardedLora* got = model.GetLoraShards(id);
+            ASSERT_NE(got, nullptr) << what;
+            ASSERT_EQ(got->ranks.size(), want.ranks.size()) << what;
             for (int r = 0; r < tp; ++r) {
               EXPECT_TRUE(SameLora(got->ranks[static_cast<std::size_t>(r)],
                                    want.ranks[static_cast<std::size_t>(r)]))
-                  << where << " adapter rank " << r;
+                  << what << " adapter rank " << r;
             }
+          };
+          expect_lora(0, loras[0], where);
+          // The first use draws, so its order must not matter: adapters 1
+          // and 3, re-registered (which drops their shards) for each order.
+          for (const std::vector<LoraId>& order :
+               {std::vector<LoraId>{3, 1}, std::vector<LoraId>{1, 3}}) {
+            model.AddLora(1, kLoraRank, kLoraSeed + 1);
+            model.AddLora(3, kLoraRank, kLoraSeed + 3);
+            for (LoraId id : order) {
+              if (tp == 1) {
+                model.GetLora(id);
+              } else {
+                model.GetLoraShards(id);
+              }
+            }
+            const std::string what = where + " first use " +
+                                     std::to_string(order[0]) + " then " +
+                                     std::to_string(order[1]);
+            expect_lora(1, loras[1], what);
+            expect_lora(3, loras[2], what);
           }
         }
       }

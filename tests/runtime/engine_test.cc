@@ -607,6 +607,43 @@ TEST_F(EngineTest, AdmissionFailurePathsLeakNothing) {
   EXPECT_EQ(e.AvailablePages(), before);
 }
 
+TEST_F(EngineTest, AddRequestRefusesWhatItCannotServe) {
+  // An unregistered adapter, a token outside [0, vocab) and a full working
+  // set each get an invalid handle, with no request, KvCache page or
+  // adapter draw left behind; the requests already admitted run on.
+  Engine e = MakeEngine(/*max_batch=*/2);
+  const std::int32_t vocab = model_.config().vocab_size;
+  RequestHandle a = e.AddRequest(
+      {.lora = 0, .prompt_tokens = {1, 2, 3}, .max_new_tokens = 4});
+  ASSERT_TRUE(a.valid());
+  StepAudited(e);
+  const std::int32_t pages = e.AvailablePages();
+  const std::size_t lora_bytes = model_.lora_bytes();
+  const SubmitSpec refused[] = {
+      {.lora = 7, .prompt_tokens = {1, 2}, .max_new_tokens = 4},
+      {.lora = 0, .prompt_tokens = {1, vocab}, .max_new_tokens = 4},
+      {.lora = -1, .prompt_tokens = {-1, 2}, .max_new_tokens = 4}};
+  for (const SubmitSpec& spec : refused) {
+    EXPECT_FALSE(e.Serves(spec));
+    EXPECT_FALSE(e.AddRequest(spec).valid());
+    EXPECT_EQ(e.working_set_size(), 1);
+    EXPECT_EQ(e.AvailablePages(), pages);
+    EXPECT_EQ(e.AuditInvariants(), "");
+  }
+  EXPECT_EQ(model_.lora_bytes(), lora_bytes);  // adapter 7 drew nothing
+  RequestHandle b = e.AddRequest(
+      {.lora = 1, .prompt_tokens = {4, 5}, .max_new_tokens = 2});
+  ASSERT_TRUE(b.valid());
+  const SubmitSpec fits{.lora = 0, .prompt_tokens = {6}, .max_new_tokens = 2};
+  EXPECT_TRUE(e.Serves(fits));
+  EXPECT_FALSE(e.AddRequest(fits).valid());  // working set full
+  EXPECT_EQ(e.working_set_size(), 2);
+  EXPECT_EQ(e.AvailablePages(), pages);
+  DrainAudited(e);
+  EXPECT_EQ(e.Output(a)->size(), 4u);
+  EXPECT_EQ(e.Output(b)->size(), 2u);
+}
+
 TEST_F(EngineTest, HitPagesNotDoubleCountedAsReclaimable) {
   // Regression: CanAdmitPages must not count the hit's own pages as
   // reclaimable headroom while simultaneously netting them out — that
